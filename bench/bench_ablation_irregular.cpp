@@ -16,7 +16,6 @@
 #include "analysis/table.h"
 #include "attest/prover.h"
 #include "attest/qoa.h"
-#include "attest/verifier.h"
 #include "malware/malware.h"
 
 using namespace erasmus;

@@ -99,8 +99,7 @@ scenario::ShardedFleetConfig make_config(const Cell& cell, Duration tm,
     cfg.overlay.collect_deadline = Duration::seconds(30);
     cfg.overlay.scoped_retries = collect == Collect::kScoped;
   }
-  cfg.window = scenario::WindowSpec::parse(adaptive ? "adaptive"
-                                                    : "default");
+  cfg.window = scenario::WindowSpec::parse(adaptive ? "adaptive" : "fleet");
   return cfg;
 }
 
@@ -240,7 +239,7 @@ int main(int argc, char** argv) {
                 cell.battery.microjoules > 0.0 ? "80 mJ battery" : "mains");
     std::printf("planner chose: tm=%.0fm backend=%s window=%s (%s)\n",
                 d.tm.to_seconds() / 60.0, energy::to_string(d.backend),
-                d.adaptive_window ? "adaptive" : "default",
+                d.adaptive_window ? "adaptive" : "fleet",
                 d.reasons.c_str());
     std::printf("%s\n", table.render().c_str());
 

@@ -8,15 +8,15 @@
 //   2. round duration for both protocols vs. swarm size;
 //   3. the staggered-schedule guarantee: max fraction of the swarm busy
 //      measuring at once, aligned vs. staggered (last paragraph of §6);
-//   4. an end-to-end Fleet round: real provers, per-device keys, verifier
-//      checks, over the mobility model.
+//   4. an end-to-end fleet round on the ShardedFleetRunner: real provers,
+//      per-device keys, verifier checks, over the mobility model.
 #include <cmath>
 #include <cstdio>
 
 #include "analysis/bench_report.h"
 #include "analysis/stats.h"
 #include "analysis/table.h"
-#include "swarm/fleet.h"
+#include "scenario/sharded_runner.h"
 #include "swarm/protocols.h"
 
 using namespace erasmus;
@@ -117,41 +117,33 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", stag.render().c_str());
 
-  std::printf("--- End-to-end Fleet round (real provers, per-device keys) "
+  std::printf("--- End-to-end fleet round (real provers, per-device keys) "
               "---\n");
-  sim::EventQueue queue;
   swarm::DeviceSpec base;
   base.tm = Duration::minutes(10);
   base.app_ram_bytes = 1024;
-  swarm::FleetPlan plan =
-      swarm::FleetPlan::uniform(12, /*key_seed=*/7, base);
-  plan.mobility.field_size = 80.0;
-  plan.mobility.radio_range = 45.0;
-  plan.mobility.speed_min = 1.0;
-  plan.mobility.speed_max = 3.0;
-  swarm::Fleet fleet(queue, plan);
-  fleet.start();
+  scenario::ShardedFleetConfig cfg;
+  cfg.plan = swarm::FleetPlan::uniform(12, /*key_seed=*/7, base);
+  cfg.plan.mobility.field_size = 80.0;
+  cfg.plan.mobility.radio_range = 45.0;
+  cfg.plan.mobility.speed_min = 1.0;
+  cfg.plan.mobility.speed_max = 3.0;
+  cfg.rounds = 1;
+  cfg.round_interval = Duration::hours(2);
+  cfg.k = 12;
+  scenario::ShardedFleetRunner runner(cfg);
   // One infected straggler.
-  queue.schedule_at(Time::zero() + Duration::minutes(25), [&] {
-    fleet.prover(7).memory().write(fleet.prover(7).attested_region(), 0,
-                                   bytes_of("EVIL"), false);
-  });
-  queue.run_until(Time::zero() + Duration::hours(2));
-  const auto statuses = fleet.collect_round(0, 12);
-  size_t attested = 0, healthy = 0;
-  for (const auto& s : statuses) {
-    attested += s.attested;
-    healthy += s.healthy;
-  }
-  const auto report = swarm::make_report(swarm::QosaLevel::kList, statuses,
-                                         fleet.mobility().snapshot(queue.now()));
-  std::printf("collected %zu/%zu devices, %zu healthy, device 7 flagged: %s, "
-              "QoSA(all-healthy)=%s\n\n",
-              attested, statuses.size(), healthy,
-              statuses[7].attested && !statuses[7].healthy ? "YES" : "no",
-              report.all_healthy ? "true" : "false");
-  bench.sample("fleet_round_attested", static_cast<double>(attested));
-  bench.sample("fleet_round_healthy", static_cast<double>(healthy));
+  runner.schedule_on_device(
+      7, Time::zero() + Duration::minutes(25), [](attest::Prover& p) {
+        p.memory().write(p.attested_region(), 0, bytes_of("EVIL"), false);
+      });
+  scenario::NullSink sink;
+  const scenario::FleetRoundResult round = runner.run(sink).front();
+  std::printf("collected %zu/%zu devices: %zu healthy, %zu flagged\n\n",
+              round.reachable, runner.size(), round.healthy, round.flagged);
+  bench.sample("fleet_round_reachable", static_cast<double>(round.reachable));
+  bench.sample("fleet_round_healthy", static_cast<double>(round.healthy));
+  bench.sample("fleet_round_flagged", static_cast<double>(round.flagged));
   // A missing BENCH json would silently weaken the CI baseline gate.
   if (bench.write().empty()) return 1;
   return 0;

@@ -15,8 +15,8 @@
 
 #include "analysis/bench_report.h"
 #include "analysis/table.h"
+#include "attest/directory.h"
 #include "attest/prover.h"
-#include "attest/verifier.h"
 #include "sim/device_profile.h"
 
 using namespace erasmus;

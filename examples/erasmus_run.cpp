@@ -15,8 +15,8 @@
 //                    Chrome trace-event JSON (open in Perfetto /
 //                    chrome://tracing).
 //   --trace-filter=<subsystems>
-//                    comma-separated categories to record
-//                    (runner,service,window,overlay,device,energy; default all).
+//                    comma-separated categories to record (default all;
+//                    `describe` lists them).
 //
 // Exit code is the scenario's own (0 = success / expected property held).
 #include <cstdio>
@@ -68,8 +68,9 @@ int cmd_describe(const std::string& name) {
   std::printf("  %-16s (default %-6s) %s\n", "--trace=PATH", "-",
               "flight-recorder trace; .jsonl = JSONL, else Chrome "
               "trace-event JSON");
-  std::printf("  %-16s (default %-6s) %s\n", "--trace-filter=L", "all",
-              "trace categories: runner,service,window,overlay,device,energy");
+  std::printf("  %-16s (default %-6s) trace categories: %s\n",
+              "--trace-filter=L", "all",
+              erasmus::obs::subsystem_names().c_str());
   return 0;
 }
 

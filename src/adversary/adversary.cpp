@@ -4,27 +4,16 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "malware/malware.h"
 #include "sim/rng.h"
 
 namespace erasmus::adversary {
 
 namespace {
-/// Payload shape shared with malware::Infector: 64 bytes of 0xEB at the
-/// midpoint of the attested region -- big enough that any digest over the
-/// region flips, small enough to save/restore cheaply.
-constexpr size_t kPayloadSize = 64;
-constexpr uint8_t kPayloadByte = 0xEB;
-
 /// How long before the predicted measurement an aware chain flees. The
 /// analytic prediction is a lower bound on the actual tick (provers
 /// reschedule from completion), so any positive margin is safe.
 constexpr sim::Duration kEvadeMargin = sim::Duration::millis(2);
-
-size_t payload_offset(size_t region) {
-  size_t offset = region / 2;
-  if (offset + kPayloadSize > region) offset = 0;
-  return offset;
-}
 }  // namespace
 
 Mode parse_mode(const std::string& text) {
@@ -208,15 +197,9 @@ void Engine::plan_roaming() {
 
 void Engine::enter_leg(size_t leg_index, attest::Prover& prover) {
   Leg& leg = legs_[leg_index];
-  hw::DeviceMemory& mem = prover.memory();
-  const hw::RegionId app = prover.attested_region();
-  const size_t region = mem.region_size(app);
-  if (region < kPayloadSize) return;  // nowhere to implant
-  const size_t offset = payload_offset(region);
-  saved_[leg.device] =
-      mem.read(app, offset, kPayloadSize, /*privileged=*/false);
-  mem.write(app, offset, Bytes(kPayloadSize, kPayloadByte),
-            /*privileged=*/false);
+  Bytes saved = malware::write_implant(prover);
+  if (saved.empty()) return;  // nowhere to implant
+  saved_[leg.device] = std::move(saved);
   active_leg_[leg.device] = static_cast<int32_t>(leg_index);
   leg.entered = true;
 }
@@ -228,10 +211,7 @@ void Engine::leave_leg(size_t leg_index, attest::Prover& prover) {
     // Self-clean on the way out: restore the overwritten bytes so only a
     // measurement taken DURING residency can tell -- the paper's case for
     // detecting infections in the past.
-    const hw::RegionId app = prover.attested_region();
-    const size_t offset = payload_offset(prover.memory().region_size(app));
-    prover.memory().write(app, offset, saved_[leg.device],
-                          /*privileged=*/false);
+    malware::remove_implant(prover, saved_[leg.device]);
     saved_[leg.device].clear();
   }
   active_leg_[leg.device] = -1;

@@ -9,7 +9,7 @@
 #include <optional>
 #include <vector>
 
-#include "attest/verifier.h"
+#include "attest/report.h"
 #include "sim/time.h"
 
 namespace erasmus::attest {

@@ -162,8 +162,7 @@ OdReport verify_od_response(const DeviceRecord& rec, const OdResponse& resp,
   return report;
 }
 
-namespace {
-void validate_record(const DeviceRecord& record) {
+DeviceId DeviceDirectory::add(net::NodeId node, DeviceRecord record) {
   if (record.key.empty()) {
     throw std::invalid_argument("DeviceDirectory: record needs key K");
   }
@@ -171,42 +170,13 @@ void validate_record(const DeviceRecord& record) {
     throw std::invalid_argument(
         "DeviceDirectory: record needs a golden-digest epoch");
   }
-}
-}  // namespace
-
-DeviceId DeviceDirectory::add(net::NodeId node, DeviceRecord record) {
-  validate_record(record);
-  Entry entry;
-  entry.node = node;
-  entry.owned = &arena_.emplace_back(std::move(record));
-  entry.record = entry.owned;
-  try {
-    return insert(std::move(entry));
-  } catch (...) {
-    arena_.pop_back();  // duplicate node: don't leak the arena slot
-    throw;
-  }
-}
-
-DeviceId DeviceDirectory::link(net::NodeId node, const DeviceRecord* live) {
-  if (live == nullptr) {
-    throw std::invalid_argument("DeviceDirectory: null live record");
-  }
-  validate_record(*live);
-  Entry entry;
-  entry.node = node;
-  entry.record = live;
-  return insert(std::move(entry));
-}
-
-DeviceId DeviceDirectory::insert(Entry entry) {
-  if (by_node_.contains(entry.node)) {
+  if (by_node_.contains(node)) {
     throw std::invalid_argument(
         "DeviceDirectory: node already has an enrolled device");
   }
   const auto id = static_cast<DeviceId>(entries_.size());
-  by_node_.emplace(entry.node, id);
-  entries_.push_back(std::move(entry));
+  entries_.push_back({node, &arena_.emplace_back(std::move(record))});
+  by_node_.emplace(node, id);
   return id;
 }
 
@@ -215,12 +185,7 @@ const DeviceRecord& DeviceDirectory::record(DeviceId id) const {
 }
 
 DeviceRecord& DeviceDirectory::owned_record(DeviceId id) {
-  Entry& entry = entries_.at(id);
-  if (entry.owned == nullptr) {
-    throw std::logic_error(
-        "DeviceDirectory: linked record; mutate the live source");
-  }
-  return *entry.owned;
+  return *entries_.at(id).record;
 }
 
 net::NodeId DeviceDirectory::node(DeviceId id) const {

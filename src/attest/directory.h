@@ -5,13 +5,7 @@
 // history is a DeviceRecord -- key K, golden-digest epochs, the schedule
 // anchor, and the transport address. A DeviceDirectory maps device ids to
 // records so a single verifier core (the free functions below) can judge
-// any device, instead of every device dragging around its own full
-// Verifier instance with duplicated configuration.
-//
-// Records can be owned by the directory (fleets enroll N devices) or
-// linked from live external state (the single-device Verifier wrapper
-// keeps its record current through golden-digest rotations, and the
-// directory aliases it).
+// any device. The directory owns every record it enrolls.
 #pragma once
 
 #include <deque>
@@ -57,8 +51,7 @@ struct DeviceRecord {
 };
 
 // --- The shared verifier core ------------------------------------------------
-// Free functions so ONE core judges any directory entry; the single-device
-// Verifier class (verifier.h) is a thin wrapper over these.
+// Free functions so ONE core judges any record, enrolled or not.
 
 /// MAC + golden-digest verdict for one measurement.
 MeasurementVerdict judge_measurement(const DeviceRecord& rec,
@@ -83,18 +76,13 @@ OdReport verify_od_response(const DeviceRecord& rec, const OdResponse& resp,
 
 class DeviceDirectory {
  public:
-  /// Enrolls a device the directory owns the record for. `node` is the
+  /// Enrolls a device; the directory owns its record. `node` is the
   /// device's transport address. Returns its DeviceId.
   DeviceId add(net::NodeId node, DeviceRecord record);
 
-  /// Enrolls a device whose record lives elsewhere and may mutate after
-  /// enrollment (e.g. a Verifier's record, rotated on software updates).
-  /// `live` must outlive the directory.
-  DeviceId link(net::NodeId node, const DeviceRecord* live);
-
   const DeviceRecord& record(DeviceId id) const;
-  /// Mutable access to an owned record (golden rotation, schedule anchor).
-  /// Throws std::logic_error for linked records -- mutate the live source.
+  /// Mutable access to a record (golden rotation, schedule anchor). The
+  /// reference stays valid for the directory's lifetime.
   DeviceRecord& owned_record(DeviceId id);
 
   net::NodeId node(DeviceId id) const;
@@ -106,16 +94,13 @@ class DeviceDirectory {
  private:
   struct Entry {
     net::NodeId node = 0;
-    DeviceRecord* owned = nullptr;  // arena slot; null for linked entries
-    const DeviceRecord* record = nullptr;  // always valid
+    DeviceRecord* record = nullptr;  // arena slot
   };
 
-  DeviceId insert(Entry entry);
-
-  /// Owned records live in one arena instead of N heap allocations -- a
-  /// fleet enrolls devices in id order, so the verifier core's record
-  /// lookups walk contiguous(ish) memory during a batched verify pass.
-  /// A deque never relocates on push_back, so Entry::owned pointers and
+  /// Records live in one arena instead of N heap allocations -- a fleet
+  /// enrolls devices in id order, so the verifier core's record lookups
+  /// walk contiguous(ish) memory during a batched verify pass. A deque
+  /// never relocates on push_back, so Entry::record pointers and
   /// record() references stay valid across enrollment.
   std::deque<DeviceRecord> arena_;
   std::vector<Entry> entries_;

@@ -46,7 +46,7 @@ std::optional<sim::Duration> handle_maintenance(Prover& prover,
 
 /// Verifier-side orchestration of the full §1-NOTE flow, judging and
 /// rotating the device's DeviceRecord through the shared verifier core
-/// (link the record into a DeviceDirectory and the rotation is visible to
+/// (pass a DeviceDirectory's owned_record() and the rotation is visible to
 /// any AttestationService overseeing the device).
 class MaintenanceAuthority {
  public:

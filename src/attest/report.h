@@ -1,8 +1,8 @@
 // Verdicts and reports produced when collected histories are judged.
 //
-// Shared between the single-device Verifier wrapper and the fleet-scale
-// verifier core (directory.h): per-measurement verdicts, the per-collection
-// CollectionReport (Fig. 2, right side) and the ERASMUS+OD report (Fig. 4).
+// Produced by the verifier core (directory.h): per-measurement verdicts,
+// the per-collection CollectionReport (Fig. 2, right side) and the
+// ERASMUS+OD report (Fig. 4).
 //
 // Per §3.4, *any* inconsistency in the returned history -- a bad MAC, an
 // off-schedule timestamp, a gap, a reordering, or fewer records than

@@ -10,12 +10,10 @@
 // transport.
 //
 // Round policies:
-//  * periodic    -- start() schedules a full-directory round every T_C,
-//                   the Collector daemon behaviour generalised to fleets.
+//  * periodic    -- start() schedules a full-directory round every T_C.
 //  * single-shot -- collect_now() runs one round over a chosen device set
 //                   at the current instant; over a DirectTransport every
-//                   session completes synchronously (the Fleet
-//                   collect-round semantics).
+//                   session completes synchronously.
 //  * on-demand   -- ServiceConfig::kind = kOnDemand makes rounds send
 //                   authenticated ERASMUS+OD requests (Fig. 4) instead of
 //                   plain collect requests.

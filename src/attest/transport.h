@@ -7,7 +7,7 @@
 //  * NetworkTransport -- the simulated datagram network (latency, loss,
 //    link filters). Responses arrive asynchronously via the EventQueue;
 //    the service's timeout/retry machinery does real work.
-//  * DirectTransport  -- the in-process path Fleet::collect_round uses:
+//  * DirectTransport  -- the in-process path of kDirect fleet collection:
 //    requests are dispatched straight into the prover's handler and the
 //    response is looped back synchronously at the current virtual time
 //    (zero latency, no queue involvement) -- exactly the

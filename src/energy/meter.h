@@ -42,6 +42,13 @@ namespace erasmus::energy {
 /// meter, so the two models cannot drift.
 const sim::EnergyProfile& profile_for(hw::ArchKind kind);
 
+/// kDirect wire model: the direct backend has no radio Network, so a
+/// served session is charged these payload bytes -- one request heard, one
+/// k-record report sent. energy::plan predicts with the same numbers.
+inline constexpr size_t kDirectRequestBytes = 24;
+inline constexpr size_t kDirectReportHeaderBytes = 20;
+inline constexpr size_t kDirectRecordBytes = 73;
+
 /// Saturating sim::Energy -> integer nanojoules (negatives clamp to 0).
 uint64_t to_nanojoules(sim::Energy e);
 sim::Energy from_nanojoules(uint64_t nj);

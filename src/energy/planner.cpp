@@ -9,11 +9,11 @@ namespace erasmus::energy {
 
 namespace {
 
-// Representative wire sizes (overlay/wire.h frames + attest protocol
-// payloads). The model only needs them to be the right order of magnitude
-// relative to each other; the runtime meter charges actual frame sizes.
+// Representative overlay wire sizes (overlay/wire.h frames). The model
+// only needs them to be the right order of magnitude relative to each
+// other; the runtime meter charges actual frame sizes. kDirect uses the
+// runner's exact wire model (meter.h).
 constexpr double kFloodBytes = 32.0;
-constexpr double kRequestBytes = 24.0;
 constexpr double kScopedBytes = 48.0;
 
 double report_bytes(const FleetModel& fleet, const Mission& mission,
@@ -28,7 +28,8 @@ double report_bytes(const FleetModel& fleet, const Mission& mission,
                            tm.to_seconds()));
   }
   records = std::max(1.0, records);
-  return 20.0 + records * static_cast<double>(fleet.record_bytes);
+  return static_cast<double>(kDirectReportHeaderBytes) +
+         records * static_cast<double>(fleet.record_bytes);
 }
 
 /// Probability one report survives the round trip (request down the tree,
@@ -72,7 +73,7 @@ sim::Energy predict_device_energy(const FleetModel& fleet,
   double tx_bytes_per_round = 0.0;
   double rx_bytes_per_round = 0.0;
   if (backend == BackendChoice::kDirect) {
-    rx_bytes_per_round = kRequestBytes;
+    rx_bytes_per_round = static_cast<double>(kDirectRequestBytes);
     tx_bytes_per_round = rpt;
   } else {
     // Flood discovery: re-broadcast once (the radio keys once per

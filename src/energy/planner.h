@@ -1,11 +1,17 @@
 // QoA-per-joule planning: choose (T_M, window policy, collection backend)
 // to maximize detection quality per joule under a fleet energy budget.
 //
-// analysis/qoa_planner.h answers "cheapest (T_M, T_C) meeting a detection
-// GOAL"; this planner answers the field operator's dual question: "given
-// the deployment I actually have (radio loss, relay depth, battery), which
-// runtime configuration buys the most QoA per joule?" -- and its Decision
-// plugs straight into ShardedFleetConfig, subsuming the static path.
+// The two planners answer different questions:
+//  * analysis/qoa_planner.h: "what is the cheapest (T_M, T_C) that meets
+//    a detection goal?" It searches T_C as well, and rejects any pair
+//    that breaks the goal's latency bound (T_M + T_C) or battery-life
+//    target.
+//  * this planner: "given the deployment I actually have -- radio loss,
+//    relay depth, battery and a FIXED collection interval
+//    (Mission::round_interval) -- which T_M, window and backend buy the
+//    most QoA per joule?" T_C is an input here, and no latency bound or
+//    battery-life goal is checked. The Decision plugs straight into
+//    ShardedFleetConfig.
 //
 // The shape of the optimum: per-mission energy is E(tm) = a/tm + b
 // (measurements every tm cost a/tm; radio + sleep are ~tm-independent),
@@ -33,7 +39,7 @@ struct FleetModel {
   crypto::MacAlgo algo = crypto::MacAlgo::kHmacSha256;
   uint64_t attested_bytes = 2 * 1024;
   size_t k = 8;             // records per collection
-  size_t record_bytes = 73;
+  size_t record_bytes = kDirectRecordBytes;
   /// Radio neighbourhood of the deployment: how many neighbours hear a
   /// transmission, and the expected relay depth to the collection root.
   double mean_degree = 8.0;

@@ -20,6 +20,15 @@ const char* to_string(Subsystem s) {
   return "?";
 }
 
+std::string subsystem_names() {
+  std::string names;
+  for (size_t i = 0; i < kSubsystemCount; ++i) {
+    if (i > 0) names += ',';
+    names += to_string(static_cast<Subsystem>(i));
+  }
+  return names;
+}
+
 uint32_t parse_subsystem_filter(const std::string& csv) {
   uint32_t mask = 0;
   size_t begin = 0;
@@ -37,8 +46,8 @@ uint32_t parse_subsystem_filter(const std::string& csv) {
     if (!known) {
       throw std::invalid_argument(
           "trace filter: unknown subsystem '" + name +
-          "' (expected a comma-separated subset of "
-          "runner,service,window,overlay,device,energy,adversary)");
+          "' (expected a comma-separated subset of " + subsystem_names() +
+          ")");
     }
     begin = comma + 1;
   }

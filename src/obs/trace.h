@@ -53,6 +53,9 @@ enum class Subsystem : uint8_t {
 inline constexpr size_t kSubsystemCount = 7;
 
 const char* to_string(Subsystem s);
+/// Every subsystem name, comma-separated in enum order -- the full
+/// --trace-filter vocabulary.
+std::string subsystem_names();
 /// Bitmask with every subsystem enabled.
 constexpr uint32_t all_subsystems() { return (1u << kSubsystemCount) - 1; }
 /// Parses a comma-separated subsystem list ("service,window") into a

@@ -1,13 +1,10 @@
 // Verifier-side swarm collection driver over the overlay.
 //
-// The port of the legacy swarm::RelayCollector onto the unified verifier
-// stack: where the old collector drove a per-device
-// std::vector<attest::Verifier*> with hand-rolled receive/dedup/verify
-// logic, this one owns an overlay::RelayTransport and an
-// AttestationService over a DeviceDirectory -- the same session machine
-// (timeouts, retries, stray handling, audit hooks) every other deployment
-// shape uses. run_round() floods one collection round and gathers
-// whatever part of the swarm is momentarily reachable (§6).
+// Owns an overlay::RelayTransport and an AttestationService over a
+// DeviceDirectory -- the same session machine (timeouts, retries, stray
+// handling, audit hooks) every other deployment shape uses. run_round()
+// floods one collection round and gathers whatever part of the swarm is
+// momentarily reachable (§6).
 #pragma once
 
 #include <vector>

@@ -3,8 +3,8 @@
 // Provisioning (HKDF per-device keys into a DeviceSpec), steady state (the
 // AttestationService collecting over a lossy link into the device's audit
 // log), software update (attest-before / install / attest-after with
-// golden-digest rotation -- the directory links the live DeviceRecord, so
-// the rotation is immediately visible to the service), incident
+// golden-digest rotation -- the authority rotates the directory's own
+// record, so the rotation is immediately visible to the service), incident
 // (malware detected through the service path) and decommissioning
 // (authenticated secure erasure + proof of erasure).
 #include "attest/directory.h"
@@ -60,8 +60,6 @@ class DeviceLifecycleScenario : public Scenario {
     swarm::DeviceStack device = swarm::build_device_stack(sim, spec);
     attest::Prover& prover = *device.prover;
 
-    attest::DeviceRecord record = swarm::build_device_record(spec, device);
-
     // --- 2. Steady state: AttestationService over a lossy link ------------
     net::Network network(sim, Duration::millis(20),
                          params.get_double("loss", 0.15),
@@ -71,9 +69,8 @@ class DeviceLifecycleScenario : public Scenario {
     prover.bind(network, dev_node);
 
     attest::DeviceDirectory directory;
-    // Linked, not copied: the software-update rotation below must stay
-    // visible to the service.
-    const attest::DeviceId dev = directory.link(dev_node, &record);
+    const attest::DeviceId dev =
+        directory.add(dev_node, swarm::build_device_record(spec, device));
     attest::NetworkTransport transport(network, hq);
     attest::ServiceConfig sc;
     sc.tc = params.get_duration("tc", Duration::minutes(60));
@@ -95,7 +92,9 @@ class DeviceLifecycleScenario : public Scenario {
               service.log(dev).trustworthy_fraction());
 
     // --- 3. Software update -----------------------------------------------
-    attest::MaintenanceAuthority authority(record, sim);
+    // The authority rotates the directory's record in place, so the
+    // service judges post-update history against the new image.
+    attest::MaintenanceAuthority authority(directory.owned_record(dev), sim);
     const auto update =
         authority.run_update(prover, bytes_of("firmware v2.0 image"));
     sink.note("update_pre_attestation_ok", update.pre_attestation_ok);

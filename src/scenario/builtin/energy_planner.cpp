@@ -134,8 +134,7 @@ class EnergyPlannerScenario : public Scenario {
         cfg.overlay.max_retries = 2;
       }
     }
-    cfg.window = WindowSpec::parse(d.adaptive_window ? "adaptive"
-                                                     : "default");
+    cfg.window = WindowSpec::parse(d.adaptive_window ? "adaptive" : "fleet");
 
     ShardedFleetRunner runner(cfg);
     const auto rounds = runner.run(sink);

@@ -54,8 +54,8 @@ class SwarmRelayScenario : public Scenario {
         {"retries", "1", "per-session retry budget (each retry re-floods "
                          "or, with scoped_retries=on, unicasts a cached "
                          "route)"},
-        {"window", "default", "dispatch window: default|fleet|adaptive|N "
-                              "(adaptive = AIMD with congestion damping)"},
+        {"window", "fleet", "dispatch window: fleet|adaptive|N "
+                            "(adaptive = AIMD with congestion damping)"},
         {"scoped_retries", "off", "retry over the cached parent path "
                                   "instead of re-flooding while the route "
                                   "is fresh (on|off)"},
@@ -143,7 +143,7 @@ class SwarmRelayScenario : public Scenario {
         params.get_duration("timeout", Duration::seconds(10));
     cfg.overlay.max_retries =
         static_cast<int>(params.get_u64("retries", 1));
-    cfg.window = WindowSpec::parse(params.get_str("window", "default"));
+    cfg.window = WindowSpec::parse(params.get_str("window", "fleet"));
     cfg.overlay.scoped_retries = params.get_bool("scoped_retries", false);
     cfg.overlay.route_ttl =
         params.get_duration("route_ttl", Duration::seconds(30));
@@ -195,7 +195,7 @@ class SwarmRelayScenario : public Scenario {
     sink.note("rounds", static_cast<uint64_t>(cfg.rounds));
     sink.note("ttl", static_cast<uint64_t>(cfg.overlay.ttl));
     sink.note("queue_depth", static_cast<uint64_t>(cfg.overlay.queue_depth));
-    sink.note("window", params.get_str("window", "default"));
+    sink.note("window", params.get_str("window", "fleet"));
     sink.note("scoped_retries", params.get_bool("scoped_retries", false));
     sink.note("aggregate", agg);
     sink.note("adversary", params.get_str("adversary", "off"));

@@ -13,14 +13,6 @@ namespace erasmus::scenario {
 using swarm::detail::throw_bad_device_id;
 
 namespace {
-// kDirect wire model: the direct backend bypasses the radio Network, so
-// radio joules are charged from the served-session loop using the same
-// per-message byte costs the energy::Planner's closed form assumes
-// (request down, one k-record report up).
-constexpr size_t kDirectRequestBytes = 24;
-constexpr size_t kDirectReportHeaderBytes = 20;
-constexpr size_t kDirectRecordBytes = 73;
-
 // Virtual radio domains for the kDirect batch serve. A property of the
 // FLEET, deliberately independent of the thread count: channel traffic
 // counters must be byte-identical at 1/2/8 threads, so the partition can
@@ -31,10 +23,6 @@ constexpr size_t kVirtualDomains = 16;
 
 WindowSpec WindowSpec::parse(const std::string& text) {
   WindowSpec spec;
-  if (text == "default") {
-    spec.mode = Mode::kBackendDefault;
-    return spec;
-  }
   if (text == "fleet") {
     spec.mode = Mode::kFleet;
     return spec;
@@ -55,28 +43,23 @@ WindowSpec WindowSpec::parse(const std::string& text) {
       end != text.c_str() + text.size() || parsed == 0 ||
       errno == ERANGE || parsed > kMaxWindow) {
     throw std::invalid_argument(
-        "window: expected 'default', 'fleet', 'adaptive' or a positive "
-        "integer (<= 2^31), got '" + text + "'");
+        "window: expected 'fleet', 'adaptive' or a positive integer "
+        "(<= 2^31), got '" + text + "'");
   }
   spec.mode = Mode::kFixed;
   spec.fixed = static_cast<size_t>(parsed);
   return spec;
 }
 
-attest::WindowConfig WindowSpec::resolve(CollectionBackend backend,
-                                         size_t fleet) const {
+attest::WindowConfig WindowSpec::resolve(size_t fleet) const {
   attest::WindowConfig wc;
   switch (mode) {
-    case Mode::kBackendDefault:
-      // Both backends default to a fleet-sized window. Under kDirect every
-      // session completes synchronously inside the dispatch loop, so the
-      // window only bounds transient state -- and a fleet-wide batch lets
-      // the batched serve/verify path fan the whole round out once instead
-      // of in window-sized slices. kOverlay floods the whole swarm in one
-      // batch as it always did.
-      wc.fixed = fleet;
-      break;
     case Mode::kFleet:
+      // Under kDirect every session completes synchronously inside the
+      // dispatch loop, so the window only bounds transient state -- and a
+      // fleet-wide batch lets the batched serve/verify path fan the whole
+      // round out once instead of in window-sized slices. kOverlay floods
+      // the whole swarm in one batch.
       wc.fixed = fleet;
       break;
     case Mode::kFixed:
@@ -153,7 +136,7 @@ ShardedFleetRunner::ShardedFleetRunner(ShardedFleetConfig config)
 
   attest::ServiceConfig sc;
   sc.keep_audit = false;  // million-device fleets aggregate via rows instead
-  sc.window = config_.window.resolve(config_.backend, specs_.size());
+  sc.window = config_.window.resolve(specs_.size());
   sc.trace = trace_;
   sc.metrics = &metrics_;
   // Batched verifier-core crypto at collection barriers: responses a
@@ -619,11 +602,11 @@ FleetRoundResult ShardedFleetRunner::collect_round(size_t round,
       // here: each served device heard one request and transmitted one
       // k-record report. A device this charge kills still answered THIS
       // round (the radio browned out transmitting the report).
-      const size_t report_bytes =
-          kDirectReportHeaderBytes + config_.k * kDirectRecordBytes;
+      const size_t report_bytes = energy::kDirectReportHeaderBytes +
+                                  config_.k * energy::kDirectRecordBytes;
       for (const attest::DeviceId id : targets) {
         energy::DeviceMeter& m = energy_meter_->device(id);
-        bool out = m.charge_rx(kDirectRequestBytes, at);
+        bool out = m.charge_rx(energy::kDirectRequestBytes, at);
         out = m.charge_tx(report_bytes, at) || out;
         if (out) stacks_[id].prover->stop();
       }

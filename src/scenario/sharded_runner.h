@@ -1,11 +1,11 @@
 // ShardedFleetRunner: a multi-threaded, deterministic large-fleet driver.
 //
-// swarm::Fleet runs every device on one EventQueue -- fine for 10 devices,
-// hopeless for 1000+. This runner expands a swarm::FleetPlan (possibly
+// The one fleet driver: it expands a swarm::FleetPlan (possibly
 // heterogeneous: mixed architectures, mixed T_M, mixed policies) and
 // partitions the fleet into `threads` shards, each with its OWN
 // sim::EventQueue, advancing all shards in parallel between
-// collection-round barriers.
+// collection-round barriers. threads = 1 runs everything on the calling
+// thread.
 //
 // Determinism argument (asserted by tests at 1/2/8 threads; the full
 // write-up is docs/DETERMINISM.md):
@@ -95,21 +95,19 @@ struct OverlayBackendConfig {
   overlay::AggregationConfig aggregation;
 };
 
-/// The service's dispatch window at collection barriers: the backend
-/// default (fleet-sized under both backends), a fixed size, or
-/// AIMD-adaptive (attest/window.h). Parsed from the scenario knob
-/// `window=default|fleet|adaptive|N`.
+/// The service's dispatch window at collection barriers: fleet-sized (the
+/// default under both backends), a fixed size, or AIMD-adaptive
+/// (attest/window.h). Parsed from the scenario knob
+/// `window=fleet|adaptive|N`.
 struct WindowSpec {
-  enum class Mode : uint8_t { kBackendDefault, kFleet, kFixed, kAdaptive };
-  Mode mode = Mode::kBackendDefault;
+  enum class Mode : uint8_t { kFleet, kFixed, kAdaptive };
+  Mode mode = Mode::kFleet;
   size_t fixed = 64;  // kFixed only
 
   /// Throws std::invalid_argument on anything but the grammar above.
   static WindowSpec parse(const std::string& text);
-  /// The service window config for a `fleet`-device deployment under
-  /// `backend`.
-  attest::WindowConfig resolve(CollectionBackend backend,
-                               size_t fleet) const;
+  /// The service window config for a `fleet`-device deployment.
+  attest::WindowConfig resolve(size_t fleet) const;
 };
 
 struct ShardedFleetConfig {

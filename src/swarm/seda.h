@@ -83,8 +83,7 @@ class SedaAgent {
 };
 
 /// Verifier-side driver for one SEDA round. Device records (key, golden
-/// epochs) come from the shared DeviceDirectory -- one verifier party, no
-/// per-device Verifier instances.
+/// epochs) come from the shared DeviceDirectory -- one verifier party.
 class SedaCollector {
  public:
   /// `directory` maps device ids 0..swarm_size-1 to their records; it must

@@ -4,8 +4,8 @@
 // next collection -- because forging requires K.
 #include <gtest/gtest.h>
 
+#include "attest/directory.h"
 #include "attest/prover.h"
-#include "attest/verifier.h"
 #include "sim/rng.h"
 
 namespace erasmus::attest {
@@ -23,32 +23,33 @@ struct Rig {
   sim::EventQueue queue;
   hw::SmartPlusArch arch;
   Prover prover;
-  Verifier verifier;
+  DeviceRecord record;
 
   Rig()
       : arch(test_key(), 4096, 2048, 16 * kRecordBytes),
         prover(queue, arch, arch.app_region(), arch.store_region(),
                std::make_unique<RegularScheduler>(Duration::minutes(10)),
                ProverConfig{}),
-        verifier([&] {
-          VerifierConfig vc;
-          vc.key = test_key();
-          vc.golden_digest = crypto::Hash::digest(
+        record([&] {
+          DeviceRecord rec;
+          rec.key = test_key();
+          rec.set_golden(crypto::Hash::digest(
               crypto::HashAlgo::kSha256,
-              arch.memory().view(arch.app_region(), true));
-          return vc;
+              arch.memory().view(arch.app_region(), true)));
+          return rec;
         }()) {
     prover.start();
     const uint64_t t0 =
         prover.scheduler().next_interval(0) / Duration::seconds(1);
-    verifier.set_schedule(&prover.scheduler(), t0);
+    record.scheduler = &prover.scheduler();
+    record.schedule_t0 = t0;
     queue.run_until(Time::zero() + Duration::hours(1));
   }
 
   CollectionReport collect(size_t k) {
     const auto res =
         prover.handle_collect(CollectRequest{static_cast<uint32_t>(k)});
-    return verifier.verify_collection(res.response, queue.now(), k);
+    return verify_collection(record, res.response, queue.now(), k);
   }
 };
 
@@ -104,7 +105,7 @@ TEST_P(StoreScribble, RandomScribbleDetected) {
     if (all_records_genuine) continue;
 
     const auto report =
-        rig.verifier.verify_collection(res.response, rig.queue.now(), 6);
+        verify_collection(rig.record, res.response, rig.queue.now(), 6);
     EXPECT_TRUE(report.tampering_detected);
   }
 }
@@ -189,7 +190,7 @@ TEST(Adversarial, CollectionOfGarbageResponse) {
     const auto resp = CollectResponse::deserialize(junk);
     if (!resp) continue;
     const auto report =
-        rig.verifier.verify_collection(*resp, rig.queue.now(), 6);
+        verify_collection(rig.record, *resp, rig.queue.now(), 6);
     EXPECT_TRUE(report.tampering_detected || resp->measurements.empty());
   }
 }

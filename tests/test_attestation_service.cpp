@@ -79,14 +79,13 @@ struct NetRig {
 
 // --- DeviceDirectory ---------------------------------------------------------
 
-TEST(DeviceDirectory, AddLinkAndLookup) {
+TEST(DeviceDirectory, AddAndLookup) {
   DeviceDirectory dir;
   DeviceRecord rec;
   rec.key = device_key(0);
   rec.set_golden(bytes_of("golden"));
   const DeviceId a = dir.add(10, rec);
-  DeviceRecord live = rec;
-  const DeviceId b = dir.link(11, &live);
+  const DeviceId b = dir.add(11, rec);
 
   EXPECT_EQ(dir.size(), 2u);
   EXPECT_EQ(dir.node(a), 10u);
@@ -94,13 +93,13 @@ TEST(DeviceDirectory, AddLinkAndLookup) {
   EXPECT_EQ(dir.by_node(10), std::optional<DeviceId>(a));
   EXPECT_EQ(dir.by_node(99), std::nullopt);
 
-  // Owned records are mutable through the directory; linked ones track the
-  // live source and refuse directory-side mutation.
-  dir.owned_record(a).rotate_golden(bytes_of("golden2"), 100);
+  // A record is mutable through the directory, and the reference stays
+  // valid across later enrollments.
+  DeviceRecord& owned = dir.owned_record(a);
+  dir.add(12, rec);
+  owned.rotate_golden(bytes_of("golden2"), 100);
   EXPECT_EQ(dir.record(a).golden(), bytes_of("golden2"));
-  EXPECT_THROW(dir.owned_record(b), std::logic_error);
-  live.rotate_golden(bytes_of("golden3"), 50);
-  EXPECT_EQ(dir.record(b).golden(), bytes_of("golden3"));
+  EXPECT_EQ(dir.record(b).golden(), bytes_of("golden"));
 }
 
 TEST(DeviceDirectory, RejectsInvalidEnrollment) {
@@ -108,11 +107,13 @@ TEST(DeviceDirectory, RejectsInvalidEnrollment) {
   EXPECT_THROW(dir.add(0, DeviceRecord{}), std::invalid_argument);
   DeviceRecord rec;
   rec.key = device_key(0);
+  EXPECT_THROW(dir.add(0, rec), std::invalid_argument)
+      << "a record without a golden epoch would be UB to judge";
   rec.set_golden(bytes_of("g"));
   dir.add(0, rec);
   EXPECT_THROW(dir.add(0, rec), std::invalid_argument)
       << "one device per endpoint";
-  EXPECT_THROW(dir.link(1, nullptr), std::invalid_argument);
+  EXPECT_EQ(dir.size(), 1u) << "rejected enrollments leave no entry";
 }
 
 // --- DirectTransport ---------------------------------------------------------
@@ -531,15 +532,6 @@ TEST(AttestationService, DestructionWithInFlightSessionsIsSafe) {
   // armed, and responses en route. Running on must touch none of it
   // (timeouts cancelled, transport receiver severed) -- ASan verifies.
   rig.queue.run_until(rig.queue.now() + Duration::hours(2));
-}
-
-TEST(DeviceDirectory, LinkValidatesLikeAdd) {
-  DeviceDirectory dir;
-  DeviceRecord incomplete;  // no key, no golden epoch
-  EXPECT_THROW(dir.link(5, &incomplete), std::invalid_argument);
-  incomplete.key = device_key(0);
-  EXPECT_THROW(dir.link(5, &incomplete), std::invalid_argument)
-      << "a linked record without a golden epoch would be UB to judge";
 }
 
 TEST(AttestationService, LogIsEmptyNotThrowingWhenAuditOffOrUntouched) {

@@ -1,14 +1,16 @@
-// Tests for the collection daemon (retries over a lossy network) and the
-// audit log (longitudinal QoA record).
+// Tests for the audit log (longitudinal QoA record), fed by a periodic
+// AttestationService over a one-entry directory and a NetworkTransport.
 #include <gtest/gtest.h>
 
-#include "attest/collector.h"
+#include "attest/audit.h"
+#include "attest/directory.h"
 #include "attest/prover.h"
+#include "attest/service.h"
+#include "attest/transport.h"
 
 namespace erasmus::attest {
 namespace {
 
-using crypto::MacAlgo;
 using sim::Duration;
 using sim::Time;
 
@@ -16,112 +18,50 @@ Bytes test_key() { return bytes_of("0123456789abcdef0123456789abcdef"); }
 
 constexpr size_t kRecordBytes = 1 + 8 + 32 + 32;
 
+ServiceConfig hourly_config() {
+  ServiceConfig sc;
+  sc.tc = Duration::hours(1);
+  sc.k = 6;
+  sc.response_timeout = Duration::seconds(30);
+  return sc;
+}
+
+/// One prover behind a simulated network, collected every hour by a
+/// periodic service; log() is the device's audit log.
 struct Rig {
   sim::EventQueue queue;
   hw::SmartPlusArch arch;
   Prover prover;
-  Verifier verifier;
   net::Network network;
-  net::NodeId collector_node;
-  net::NodeId prover_node;
-  AuditLog log;
+  NetworkTransport transport;
+  DeviceDirectory directory;
+  AttestationService service;
 
-  explicit Rig(double loss = 0.0)
+  Rig()
       : arch(test_key(), 4096, 2048, 32 * kRecordBytes),
         prover(queue, arch, arch.app_region(), arch.store_region(),
                std::make_unique<RegularScheduler>(Duration::minutes(10)),
                ProverConfig{}),
-        verifier([&] {
-          VerifierConfig vc;
-          vc.key = test_key();
-          vc.golden_digest = crypto::Hash::digest(
-              crypto::HashAlgo::kSha256,
-              arch.memory().view(arch.app_region(), true));
-          return vc;
-        }()),
-        network(queue, Duration::millis(5), loss, /*seed=*/99),
-        collector_node(network.add_node({})),
-        prover_node(network.add_node({})) {
+        network(queue, Duration::millis(5), /*loss=*/0.0, /*seed=*/99),
+        transport(network, network.add_node({})),
+        service(queue, transport, directory, hourly_config()) {
+    const net::NodeId prover_node = network.add_node({});
     prover.bind(network, prover_node);
+    DeviceRecord rec;
+    rec.key = test_key();
+    rec.set_golden(crypto::Hash::digest(
+        crypto::HashAlgo::kSha256,
+        arch.memory().view(arch.app_region(), true)));
+    directory.add(prover_node, std::move(rec));
   }
+
+  const AuditLog& log() const { return service.log(0); }
 };
 
-CollectorConfig fast_config() {
-  CollectorConfig cc;
-  cc.tc = Duration::hours(1);
-  cc.k = 6;
-  cc.response_timeout = Duration::seconds(30);
-  cc.max_retries = 2;
-  return cc;
-}
-
-TEST(Collector, CollectsEveryTcOnReliableNetwork) {
+TEST(AuditLog, FirstInfectionSeenThroughPeriodicCollection) {
   Rig rig;
   rig.prover.start();
-  Collector collector(rig.queue, rig.network, rig.collector_node,
-                      rig.prover_node, rig.verifier, rig.log, fast_config());
-  collector.start();
-  rig.queue.run_until(Time::zero() + Duration::hours(12) +
-                      Duration::minutes(1));
-
-  EXPECT_EQ(collector.stats().rounds, 12u);
-  EXPECT_EQ(collector.stats().responses, 12u);
-  EXPECT_EQ(collector.stats().retries, 0u);
-  EXPECT_EQ(collector.stats().unreachable_rounds, 0u);
-  EXPECT_EQ(rig.log.size(), 12u);
-  EXPECT_DOUBLE_EQ(rig.log.trustworthy_fraction(), 1.0);
-  EXPECT_DOUBLE_EQ(rig.log.reachable_fraction(), 1.0);
-}
-
-TEST(Collector, RetriesRecoverFromPacketLoss) {
-  Rig rig(/*loss=*/0.3);
-  rig.prover.start();
-  Collector collector(rig.queue, rig.network, rig.collector_node,
-                      rig.prover_node, rig.verifier, rig.log, fast_config());
-  collector.start();
-  rig.queue.run_until(Time::zero() + Duration::hours(48));
-
-  EXPECT_GT(collector.stats().retries, 0u) << "30% loss must trigger retries";
-  // With 2 retries, P(round lost) = (1 - 0.7^2)^3 ~= 13% worst case; most
-  // rounds succeed.
-  EXPECT_GT(rig.log.reachable_fraction(), 0.7);
-  EXPECT_GT(collector.stats().responses, 30u);
-}
-
-TEST(Collector, DeadProverLoggedUnreachable) {
-  Rig rig;
-  // Prover never started and handler removed: simulates a dead device.
-  rig.network.set_handler(rig.prover_node, {});
-  Collector collector(rig.queue, rig.network, rig.collector_node,
-                      rig.prover_node, rig.verifier, rig.log, fast_config());
-  collector.start();
-  rig.queue.run_until(Time::zero() + Duration::hours(6));
-
-  EXPECT_GT(collector.stats().unreachable_rounds, 3u);
-  EXPECT_EQ(collector.stats().responses, 0u);
-  EXPECT_DOUBLE_EQ(rig.log.reachable_fraction(), 0.0);
-}
-
-TEST(Collector, StopCancelsPendingWork) {
-  Rig rig;
-  rig.prover.start();
-  Collector collector(rig.queue, rig.network, rig.collector_node,
-                      rig.prover_node, rig.verifier, rig.log, fast_config());
-  collector.start();
-  rig.queue.run_until(Time::zero() + Duration::hours(3) +
-                      Duration::minutes(1));
-  collector.stop();
-  const auto rounds = collector.stats().rounds;
-  rig.queue.run_until(Time::zero() + Duration::hours(12));
-  EXPECT_EQ(collector.stats().rounds, rounds);
-}
-
-TEST(Collector, DetectsInfectionThroughTheDaemonPath) {
-  Rig rig;
-  rig.prover.start();
-  Collector collector(rig.queue, rig.network, rig.collector_node,
-                      rig.prover_node, rig.verifier, rig.log, fast_config());
-  collector.start();
+  rig.service.start();
   // Persistent malware at 3.5 h.
   rig.queue.schedule_at(Time::zero() + Duration::minutes(210), [&] {
     rig.prover.memory().write(rig.arch.app_region(), 10, bytes_of("EVIL"),
@@ -129,7 +69,7 @@ TEST(Collector, DetectsInfectionThroughTheDaemonPath) {
   });
   rig.queue.run_until(Time::zero() + Duration::hours(8));
 
-  const auto first = rig.log.first_infection_seen();
+  const auto first = rig.log().first_infection_seen();
   ASSERT_TRUE(first.has_value());
   // Infection at 3.5 h; next measurement 3:40; next collection 4 h (+net).
   EXPECT_GE(first->ns(), (Time::zero() + Duration::hours(4)).ns());
@@ -139,13 +79,11 @@ TEST(Collector, DetectsInfectionThroughTheDaemonPath) {
 TEST(AuditLog, EmpiricalQoAMatchesConfiguration) {
   Rig rig;
   rig.prover.start();
-  Collector collector(rig.queue, rig.network, rig.collector_node,
-                      rig.prover_node, rig.verifier, rig.log, fast_config());
-  collector.start();
+  rig.service.start();
   rig.queue.run_until(Time::zero() + Duration::hours(24) +
                       Duration::minutes(1));
 
-  const auto qoa = rig.log.empirical_qoa();
+  const auto qoa = rig.log().empirical_qoa();
   EXPECT_EQ(qoa.rounds, 24u);
   // T_M = 10 min; collections land just past the hour: freshness is the
   // network delay above 0 ~ up to T_M. Mean must stay below T_M.

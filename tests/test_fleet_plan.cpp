@@ -9,7 +9,6 @@
 
 #include "scenario/scenario.h"
 #include "scenario/sharded_runner.h"
-#include "swarm/fleet.h"
 #include "swarm/provision.h"
 
 namespace erasmus::swarm {
@@ -152,16 +151,6 @@ TEST(ParseArchMix, GrammarAndErrors) {
   EXPECT_THROW(parse_arch_mix("hydra:0.5,"), std::invalid_argument);
   EXPECT_THROW(parse_arch_mix("sgx:1"), std::invalid_argument);
   EXPECT_THROW(parse_arch_mix("hydra:x"), std::invalid_argument);
-}
-
-TEST(Fleet, ProverIsBoundsChecked) {
-  sim::EventQueue queue;
-  DeviceSpec base;
-  base.app_ram_bytes = 512;
-  Fleet fleet(queue, FleetPlan::uniform(3, 7, base));
-  EXPECT_NO_THROW(fleet.prover(2));
-  EXPECT_THROW(fleet.prover(3), std::out_of_range);
-  EXPECT_THROW(fleet.spec(3), std::out_of_range);
 }
 
 scenario::ShardedFleetConfig heterogeneous_config(size_t threads) {

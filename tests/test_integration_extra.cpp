@@ -6,8 +6,8 @@
 
 #include <algorithm>
 
+#include "attest/directory.h"
 #include "attest/prover.h"
-#include "attest/verifier.h"
 #include "crypto/hkdf.h"
 #include "overlay/collector.h"
 #include "overlay/relay_node.h"
@@ -18,11 +18,10 @@ namespace erasmus {
 namespace {
 
 using attest::CollectRequest;
+using attest::DeviceRecord;
 using attest::OdRequest;
 using attest::Prover;
 using attest::ProverConfig;
-using attest::Verifier;
-using attest::VerifierConfig;
 using crypto::MacAlgo;
 using sim::Duration;
 using sim::Time;
@@ -43,19 +42,19 @@ TEST(HydraIntegration, FullErasmusLoopOnHydra) {
                 std::make_unique<attest::RegularScheduler>(
                     Duration::minutes(10)),
                 pc);
-  VerifierConfig vc;
-  vc.algo = pc.algo;
-  vc.key = test_key();
-  vc.golden_digest = crypto::Hash::digest(
-      attest::hash_for(pc.algo), arch.memory().view(arch.app_region(), true));
-  Verifier verifier(std::move(vc));
+  DeviceRecord record;
+  record.algo = pc.algo;
+  record.key = test_key();
+  record.set_golden(crypto::Hash::digest(
+      attest::hash_for(pc.algo), arch.memory().view(arch.app_region(), true)));
 
   prover.start();
   queue.run_until(Time::zero() + Duration::hours(2));
   EXPECT_EQ(prover.stats().measurements, 12u);
 
   const auto res = prover.handle_collect(CollectRequest{12});
-  const auto report = verifier.verify_collection(res.response, queue.now());
+  const auto report =
+      attest::verify_collection(record, res.response, queue.now());
   EXPECT_TRUE(report.device_trustworthy());
   EXPECT_EQ(report.verdicts.size(), 12u);
 }
@@ -80,18 +79,17 @@ TEST(NetworkIntegration, ErasmusOdOverSimulatedUdp) {
                 std::make_unique<attest::RegularScheduler>(
                     Duration::minutes(10)),
                 ProverConfig{});
-  VerifierConfig vc;
-  vc.key = test_key();
-  vc.golden_digest = crypto::Hash::digest(
-      crypto::HashAlgo::kSha256, arch.memory().view(arch.app_region(), true));
-  Verifier verifier(std::move(vc));
+  DeviceRecord record;
+  record.key = test_key();
+  record.set_golden(crypto::Hash::digest(
+      crypto::HashAlgo::kSha256, arch.memory().view(arch.app_region(), true)));
 
   net::Network network(queue, Duration::millis(3));
   const net::NodeId vrf = network.add_node({});
   const net::NodeId prv = network.add_node({});
   prover.bind(network, prv);
 
-  std::optional<Verifier::OdReport> od_report;
+  std::optional<attest::OdReport> od_report;
   uint64_t sent_treq = 0;
   network.set_handler(vrf, [&](const net::Datagram& d) {
     const auto framed = attest::unframe(d.payload);
@@ -99,13 +97,14 @@ TEST(NetworkIntegration, ErasmusOdOverSimulatedUdp) {
     ASSERT_EQ(framed->first, attest::MsgType::kOdResponse);
     const auto resp = attest::OdResponse::deserialize(framed->second);
     ASSERT_TRUE(resp.has_value());
-    od_report = verifier.verify_od_response(*resp, queue.now(), sent_treq);
+    od_report =
+        attest::verify_od_response(record, *resp, queue.now(), sent_treq);
   });
 
   prover.start();
   queue.schedule_at(Time::zero() + Duration::minutes(45), [&] {
     sent_treq = 45 * 60;  // RROC ticks at that moment
-    const OdRequest req = verifier.make_od_request(sent_treq, 3);
+    const OdRequest req = attest::make_od_request(record, sent_treq, 3);
     network.send(vrf, prv, attest::frame(attest::MsgType::kOdRequest,
                                          req.serialize()));
   });
@@ -159,19 +158,20 @@ TEST(Composition, IrregularLenientScheduleStillVerifies) {
   const attest::Scheduler* sched_ptr = sched.get();
   Prover prover(queue, arch, arch.app_region(), arch.store_region(),
                 std::move(sched), pc);
-  VerifierConfig vc;
-  vc.key = test_key();
-  vc.golden_digest = crypto::Hash::digest(
-      crypto::HashAlgo::kSha256, arch.memory().view(arch.app_region(), true));
-  Verifier verifier(std::move(vc));
+  DeviceRecord record;
+  record.key = test_key();
+  record.set_golden(crypto::Hash::digest(
+      crypto::HashAlgo::kSha256, arch.memory().view(arch.app_region(), true)));
   const uint64_t t0 = sched_ptr->next_interval(0) / Duration::seconds(1);
-  verifier.set_schedule(sched_ptr, t0);
+  record.scheduler = sched_ptr;
+  record.schedule_t0 = t0;
 
   prover.start();
   queue.run_until(Time::zero() + Duration::hours(6));
   ASSERT_GT(prover.stats().measurements, 20u);
   const auto res = prover.handle_collect(CollectRequest{16});
-  const auto report = verifier.verify_collection(res.response, queue.now());
+  const auto report =
+      attest::verify_collection(record, res.response, queue.now());
   EXPECT_TRUE(report.device_trustworthy()) << report.note;
 }
 

@@ -34,6 +34,8 @@ TEST(TraceFilter, ParsesKnownNames) {
       parse_subsystem_filter(
           "runner,service,window,overlay,device,energy,adversary"),
       all_subsystems());
+  // The list `erasmus_run describe` prints and the parse error quotes.
+  EXPECT_EQ(parse_subsystem_filter(subsystem_names()), all_subsystems());
 }
 
 TEST(TraceFilter, ThrowsOnUnknownOrEmptyName) {

@@ -4,9 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "analysis/detection.h"
+#include "attest/directory.h"
 #include "attest/prover.h"
 #include "attest/qoa.h"
-#include "attest/verifier.h"
 #include "hw/code_size.h"
 #include "hw/synthesis.h"
 #include "malware/campaign.h"
@@ -18,11 +18,10 @@ namespace erasmus {
 namespace {
 
 using attest::CollectRequest;
+using attest::DeviceRecord;
 using attest::Prover;
 using attest::ProverConfig;
 using attest::RegularScheduler;
-using attest::Verifier;
-using attest::VerifierConfig;
 using crypto::MacAlgo;
 using sim::Duration;
 using sim::Time;
@@ -35,21 +34,21 @@ struct Rig {
   sim::EventQueue queue;
   hw::SmartPlusArch arch;
   Prover prover;
-  Verifier verifier;
+  DeviceRecord record;
 
   explicit Rig(ProverConfig pc = {}, size_t app_bytes = 2048)
       : arch(test_key(), 4096, app_bytes, 32 * kRecordBytes),
         prover(queue, arch, arch.app_region(), arch.store_region(),
                std::make_unique<RegularScheduler>(Duration::minutes(10)),
                pc),
-        verifier([&] {
-          VerifierConfig vc;
-          vc.algo = pc.algo;
-          vc.key = test_key();
-          vc.golden_digest = crypto::Hash::digest(
+        record([&] {
+          DeviceRecord rec;
+          rec.algo = pc.algo;
+          rec.key = test_key();
+          rec.set_golden(crypto::Hash::digest(
               attest::hash_for(pc.algo),
-              arch.memory().view(arch.app_region(), true));
-          return vc;
+              arch.memory().view(arch.app_region(), true)));
+          return rec;
         }()) {}
 };
 
@@ -123,7 +122,8 @@ TEST(PaperClaims, FreshnessAveragesHalfTm) {
   rig.prover.start();
   const uint64_t t0 =
       rig.prover.scheduler().next_interval(0) / Duration::seconds(1);
-  rig.verifier.set_schedule(&rig.prover.scheduler(), t0);
+  rig.record.scheduler = &rig.prover.scheduler();
+  rig.record.schedule_t0 = t0;
 
   sim::Rng rng(5);
   uint64_t freshness_sum = 0;
@@ -134,7 +134,7 @@ TEST(PaperClaims, FreshnessAveragesHalfTm) {
     rig.queue.run_until(at);
     const auto res = rig.prover.handle_collect(CollectRequest{4});
     const auto report =
-        rig.verifier.verify_collection(res.response, rig.queue.now());
+        attest::verify_collection(rig.record, res.response, rig.queue.now());
     ASSERT_TRUE(report.freshness.has_value());
     EXPECT_LE(report.freshness->ns(), Duration::minutes(10).ns());
     freshness_sum += report.freshness->ns();
@@ -207,7 +207,7 @@ TEST(PaperClaims, MobileMalwareDetectionBoundary) {
     rig.queue.run_until(Time::zero() + Duration::hours(1));
     const auto res = rig.prover.handle_collect(CollectRequest{6});
     const auto report =
-        rig.verifier.verify_collection(res.response, rig.queue.now());
+        attest::verify_collection(rig.record, res.response, rig.queue.now());
     EXPECT_EQ(report.infection_detected, expect_detect)
         << "dwell=" << dwell_min << " min";
   }

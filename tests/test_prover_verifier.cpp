@@ -3,8 +3,8 @@
 // (Table 2), availability policies (§5) and the network binding.
 #include <gtest/gtest.h>
 
+#include "attest/directory.h"
 #include "attest/prover.h"
-#include "attest/verifier.h"
 
 namespace erasmus::attest {
 namespace {
@@ -21,7 +21,7 @@ struct Rig {
   sim::EventQueue queue;
   hw::SmartPlusArch arch;
   Prover prover;
-  Verifier verifier;
+  DeviceRecord record;  // the verifier's view of the device
 
   explicit Rig(Duration tm = Duration::minutes(10), size_t slots = 16,
                ProverConfig config = {},
@@ -31,21 +31,22 @@ struct Rig {
                sched ? std::move(sched)
                      : std::make_unique<RegularScheduler>(tm),
                config),
-        verifier([&] {
-          VerifierConfig vc;
-          vc.algo = config.algo;
-          vc.key = test_key();
-          vc.golden_digest = crypto::Hash::digest(
+        record([&] {
+          DeviceRecord rec;
+          rec.algo = config.algo;
+          rec.key = test_key();
+          rec.set_golden(crypto::Hash::digest(
               hash_for(config.algo),
-              arch.memory().view(arch.app_region(), true));
-          return vc;
+              arch.memory().view(arch.app_region(), true)));
+          return rec;
         }()) {}
 
   void start_and_track_schedule() {
     prover.start();
     const uint64_t t0 =
         prover.scheduler().next_interval(0) / Duration::seconds(1);
-    verifier.set_schedule(&prover.scheduler(), t0);
+    record.scheduler = &prover.scheduler();
+    record.schedule_t0 = t0;
   }
 
   void run_for(Duration d) { queue.run_until(queue.now() + d); }
@@ -88,7 +89,7 @@ TEST(Collection, HealthyDeviceVerifiesClean) {
 
   const auto res = rig.prover.handle_collect(CollectRequest{6});
   const auto report =
-      rig.verifier.verify_collection(res.response, rig.queue.now(), 6);
+      verify_collection(rig.record, res.response, rig.queue.now(), 6);
   EXPECT_FALSE(report.infection_detected);
   EXPECT_FALSE(report.tampering_detected);
   EXPECT_TRUE(report.device_trustworthy());
@@ -105,7 +106,7 @@ TEST(Collection, FreshnessBoundedByTm) {
 
   const auto res = rig.prover.handle_collect(CollectRequest{3});
   const auto report =
-      rig.verifier.verify_collection(res.response, rig.queue.now());
+      verify_collection(rig.record, res.response, rig.queue.now());
   ASSERT_TRUE(report.freshness.has_value());
   EXPECT_EQ(report.freshness->ns(), Duration::minutes(5).ns());
   EXPECT_LE(report.freshness->ns(), Duration::minutes(10).ns());
@@ -166,7 +167,7 @@ TEST(Collection, InfectionVisibleInHistoryAfterMalwareLeft) {
 
   const auto res = rig.prover.handle_collect(CollectRequest{6});
   const auto report =
-      rig.verifier.verify_collection(res.response, rig.queue.now());
+      verify_collection(rig.record, res.response, rig.queue.now());
   EXPECT_TRUE(report.infection_detected);
   EXPECT_FALSE(report.tampering_detected);
   // Exactly one measurement (t = 30 min) is flagged.
@@ -195,7 +196,7 @@ TEST(Collection, MobileMalwareBetweenMeasurementsEscapes) {
 
   const auto res = rig.prover.handle_collect(CollectRequest{6});
   const auto report =
-      rig.verifier.verify_collection(res.response, rig.queue.now());
+      verify_collection(rig.record, res.response, rig.queue.now());
   EXPECT_FALSE(report.infection_detected)
       << "this is exactly the on-demand blind spot ERASMUS narrows via T_M";
   EXPECT_TRUE(report.device_trustworthy());
@@ -209,7 +210,7 @@ TEST(Collection, CorruptedRecordFlagsTampering) {
                                     kRecordBytes - 1, 0x40);
   const auto res = rig.prover.handle_collect(CollectRequest{6});
   const auto report =
-      rig.verifier.verify_collection(res.response, rig.queue.now(), 6);
+      verify_collection(rig.record, res.response, rig.queue.now(), 6);
   EXPECT_TRUE(report.tampering_detected);
   EXPECT_FALSE(report.device_trustworthy());
 }
@@ -222,7 +223,7 @@ TEST(Collection, ErasedRecordFlagsGapAndShortResponse) {
   const auto res = rig.prover.handle_collect(CollectRequest{6});
   EXPECT_EQ(res.response.measurements.size(), 5u);
   const auto report =
-      rig.verifier.verify_collection(res.response, rig.queue.now(), 6);
+      verify_collection(rig.record, res.response, rig.queue.now(), 6);
   EXPECT_TRUE(report.tampering_detected);
   EXPECT_GE(report.missing, 1u);
 }
@@ -235,7 +236,7 @@ TEST(Collection, ReorderedRecordsFlagTampering) {
                                  rig.prover.latest_index() - 1);
   const auto res = rig.prover.handle_collect(CollectRequest{6});
   const auto report =
-      rig.verifier.verify_collection(res.response, rig.queue.now(), 6);
+      verify_collection(rig.record, res.response, rig.queue.now(), 6);
   EXPECT_TRUE(report.tampering_detected);
 }
 
@@ -246,7 +247,7 @@ TEST(Collection, EmptyResponseBeforeFirstMeasurementIsAnomalous) {
   const auto res = rig.prover.handle_collect(CollectRequest{3});
   EXPECT_TRUE(res.response.measurements.empty());
   const auto report =
-      rig.verifier.verify_collection(res.response, rig.queue.now());
+      verify_collection(rig.record, res.response, rig.queue.now());
   EXPECT_FALSE(report.freshness.has_value());
   EXPECT_TRUE(report.tampering_detected) << "no authentic measurement";
 }
@@ -259,10 +260,10 @@ TEST(OnDemand, AuthenticRequestYieldsFreshMeasurement) {
   rig.run_for(Duration::minutes(45));
 
   const uint64_t now_ticks = rig.prover.rroc().read();
-  const OdRequest req = rig.verifier.make_od_request(now_ticks, 0);
+  const OdRequest req = make_od_request(rig.record, now_ticks, 0);
   const auto res = rig.prover.handle_od(req);
   ASSERT_TRUE(res.response.has_value());
-  const auto report = rig.verifier.verify_od_response(
+  const auto report = verify_od_response(rig.record, 
       *res.response, rig.queue.now(), req.treq);
   EXPECT_TRUE(report.fresh_valid);
   EXPECT_EQ(report.fresh.status, MeasurementStatus::kHealthy);
@@ -275,11 +276,11 @@ TEST(OnDemand, ErasmusOdAttachesHistory) {
   rig.run_for(Duration::minutes(45));
 
   const OdRequest req =
-      rig.verifier.make_od_request(rig.prover.rroc().read(), 4);
+      make_od_request(rig.record, rig.prover.rroc().read(), 4);
   const auto res = rig.prover.handle_od(req);
   ASSERT_TRUE(res.response.has_value());
   EXPECT_EQ(res.response->history.size(), 4u);
-  const auto report = rig.verifier.verify_od_response(
+  const auto report = verify_od_response(rig.record, 
       *res.response, rig.queue.now(), req.treq);
   EXPECT_TRUE(report.fresh_valid);
   EXPECT_FALSE(report.history.infection_detected);
@@ -308,7 +309,7 @@ TEST(OnDemand, StaleRequestRejected) {
   rig.prover.start();
   rig.run_for(Duration::hours(1));
   const uint64_t stale = rig.prover.rroc().read() - 100;
-  const OdRequest req = rig.verifier.make_od_request(stale, 0);
+  const OdRequest req = make_od_request(rig.record, stale, 0);
   EXPECT_FALSE(rig.prover.handle_od(req).response.has_value());
 }
 
@@ -317,7 +318,7 @@ TEST(OnDemand, ReplayRejected) {
   rig.prover.start();
   rig.run_for(Duration::hours(1));
   const OdRequest req =
-      rig.verifier.make_od_request(rig.prover.rroc().read(), 0);
+      make_od_request(rig.record, rig.prover.rroc().read(), 0);
   EXPECT_TRUE(rig.prover.handle_od(req).response.has_value());
   EXPECT_FALSE(rig.prover.handle_od(req).response.has_value())
       << "t_req watermark must advance";
@@ -329,7 +330,7 @@ TEST(OnDemand, FutureTimestampRejected) {
   rig.prover.start();
   rig.run_for(Duration::hours(1));
   const OdRequest req =
-      rig.verifier.make_od_request(rig.prover.rroc().read() + 50, 0);
+      make_od_request(rig.record, rig.prover.rroc().read() + 50, 0);
   EXPECT_FALSE(rig.prover.handle_od(req).response.has_value());
 }
 
@@ -347,18 +348,17 @@ TEST(OnDemand, CostDominatedByMeasurement) {
   Prover prover(queue, arch, arch.app_region(), arch.store_region(),
                 std::make_unique<RegularScheduler>(Duration::minutes(10)),
                 pc);
-  VerifierConfig vc;
-  vc.algo = pc.algo;
-  vc.key = test_key();
-  vc.golden_digest = crypto::Hash::digest(
-      hash_for(pc.algo), arch.memory().view(arch.app_region(), true));
-  Verifier verifier(std::move(vc));
+  DeviceRecord record;
+  record.algo = pc.algo;
+  record.key = test_key();
+  record.set_golden(crypto::Hash::digest(
+      hash_for(pc.algo), arch.memory().view(arch.app_region(), true)));
 
   prover.start();
   queue.run_until(Time::zero() + Duration::minutes(61));  // idle instant
 
   const auto collect = prover.handle_collect(CollectRequest{6});
-  const OdRequest req = verifier.make_od_request(prover.rroc().read(), 6);
+  const OdRequest req = make_od_request(record, prover.rroc().read(), 6);
   const auto od = prover.handle_od(req);
   ASSERT_TRUE(od.response.has_value());
   EXPECT_GT(od.processing.ns() / collect.processing.ns(), 100u);
@@ -425,7 +425,7 @@ TEST(IrregularIntegration, VerifierReplaysScheduleWithoutFalseAlarms) {
 
   const auto res = rig.prover.handle_collect(CollectRequest{10});
   const auto report =
-      rig.verifier.verify_collection(res.response, rig.queue.now(), 10);
+      verify_collection(rig.record, res.response, rig.queue.now(), 10);
   EXPECT_FALSE(report.tampering_detected) << report.note;
   EXPECT_FALSE(report.infection_detected);
 }
@@ -448,7 +448,7 @@ TEST(NetworkBinding, CollectOverSimulatedUdp) {
     ASSERT_EQ(framed->first, MsgType::kCollectResponse);
     const auto resp = CollectResponse::deserialize(framed->second);
     ASSERT_TRUE(resp.has_value());
-    report = rig.verifier.verify_collection(*resp, rig.queue.now());
+    report = verify_collection(rig.record, *resp, rig.queue.now());
   });
 
   rig.queue.schedule_at(Time::zero() + Duration::hours(1), [&] {

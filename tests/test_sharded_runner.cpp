@@ -167,9 +167,43 @@ TEST(ShardedFleetRunner, AbsentDevicesAreNotCollected) {
   ASSERT_EQ(rounds.size(), 1u);
   EXPECT_EQ(rounds[0].present, cfg.plan.devices() - 2);
   EXPECT_EQ(rounds[0].reachable, cfg.plan.devices() - 2);
+  EXPECT_EQ(rounds[0].healthy, cfg.plan.devices() - 2) << "clean fleet";
   // Absent provers took no part: their timers were never started.
   EXPECT_EQ(runner.prover(5).stats().collections, 0u);
   EXPECT_EQ(runner.prover(5).stats().measurements, 0u);
+}
+
+TEST(ShardedFleetRunner, StaggeredMeasurementsSpreadOverPeriod) {
+  ShardedFleetConfig cfg = small_config(1);
+  cfg.rounds = 1;
+  cfg.round_interval = Duration::minutes(10);
+  NullSink sink;
+  ShardedFleetRunner runner(cfg);
+  runner.run(sink);
+  // Offsets are (id+1)*T_M/n: every device has measured exactly once
+  // after one T_M.
+  for (swarm::DeviceId id = 0; id < runner.size(); ++id) {
+    EXPECT_EQ(runner.prover(id).stats().measurements, 1u) << "device " << id;
+  }
+}
+
+TEST(ShardedFleetRunner, PerDeviceKeysAreIndependent) {
+  ShardedFleetConfig cfg = small_config(1);
+  cfg.rounds = 1;
+  cfg.round_interval = Duration::minutes(15);
+  NullSink sink;
+  ShardedFleetRunner runner(cfg);
+  runner.run(sink);
+  // Device 1's measurement must not verify under device 0's key.
+  attest::Prover& p1 = runner.prover(1);
+  attest::CollectResponse cross;
+  cross.measurements = p1.store().latest(p1.latest_index(), 1);
+  ASSERT_EQ(cross.measurements.size(), 1u);
+  const auto report = attest::verify_collection(
+      runner.directory().record(0), cross,
+      Time::zero() + cfg.round_interval);
+  EXPECT_TRUE(report.tampering_detected)
+      << "cross-device measurement must fail MAC verification";
 }
 
 TEST(ShardedFleetRunner, ValidatesConfig) {

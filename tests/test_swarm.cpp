@@ -1,9 +1,7 @@
 // Tests for the swarm layer (§6): topology, mobility, the on-demand vs.
-// ERASMUS-collection protocol comparison, staggered scheduling, QoSA and
-// the full-device Fleet.
+// ERASMUS-collection protocol comparison, staggered scheduling and QoSA.
 #include <gtest/gtest.h>
 
-#include "swarm/fleet.h"
 #include "swarm/mobility.h"
 #include "swarm/protocols.h"
 #include "swarm/qosa.h"
@@ -309,82 +307,6 @@ TEST(Qosa, AllHealthyRequiresEveryDevice) {
       QosaLevel::kBinary, {{0, true, true}, {1, false, false}}, topo);
   EXPECT_FALSE(unattested.all_healthy);
   EXPECT_EQ(to_string(QosaLevel::kFull), "full");
-}
-
-DeviceSpec small_spec() {
-  DeviceSpec spec;
-  spec.tm = Duration::minutes(10);
-  spec.app_ram_bytes = 512;
-  return spec;
-}
-
-TEST(Fleet, StaggeredMeasurementsSpreadOverPeriod) {
-  sim::EventQueue queue;
-  Fleet fleet(queue, FleetPlan::uniform(5, /*key_seed=*/7, small_spec()));
-  fleet.start();
-  queue.run_until(Time::zero() + Duration::minutes(10));
-  // Offsets are i*T_M/5: all five have measured exactly once after one T_M.
-  for (DeviceId id = 0; id < 5; ++id) {
-    EXPECT_EQ(fleet.prover(id).stats().measurements, 1u) << "device " << id;
-  }
-}
-
-TEST(Fleet, CollectRoundVerifiesHealthyDevices) {
-  sim::EventQueue queue;
-  FleetPlan plan = FleetPlan::uniform(6, /*key_seed=*/7, small_spec());
-  plan.mobility.field_size = 40.0;   // dense: likely fully connected
-  plan.mobility.radio_range = 60.0;
-  Fleet fleet(queue, plan);
-  fleet.start();
-  queue.run_until(Time::zero() + Duration::hours(1));
-
-  const auto statuses = fleet.collect_round(/*root=*/0, /*k=*/6);
-  ASSERT_EQ(statuses.size(), 6u);
-  size_t attested = 0, healthy = 0;
-  for (const auto& s : statuses) {
-    attested += s.attested;
-    healthy += s.healthy;
-  }
-  EXPECT_EQ(attested, 6u) << "radio range covers the whole field";
-  EXPECT_EQ(healthy, 6u);
-}
-
-TEST(Fleet, InfectedDeviceFlaggedUnhealthy) {
-  sim::EventQueue queue;
-  FleetPlan plan = FleetPlan::uniform(4, /*key_seed=*/7, small_spec());
-  plan.mobility.field_size = 30.0;
-  plan.mobility.radio_range = 60.0;
-  Fleet fleet(queue, plan);
-  fleet.start();
-  // Persistent malware on device 2.
-  queue.schedule_at(Time::zero() + Duration::minutes(15), [&] {
-    fleet.prover(2).memory().write(
-        fleet.prover(2).attested_region(), 10, bytes_of("EVIL"), false);
-  });
-  queue.run_until(Time::zero() + Duration::hours(1));
-
-  const auto statuses = fleet.collect_round(0, 6);
-  EXPECT_TRUE(statuses[0].healthy);
-  EXPECT_TRUE(statuses[1].healthy);
-  EXPECT_FALSE(statuses[2].healthy);
-  EXPECT_TRUE(statuses[3].healthy);
-}
-
-TEST(Fleet, PerDeviceKeysAreIndependent) {
-  sim::EventQueue queue;
-  Fleet fleet(queue, FleetPlan::uniform(3, /*key_seed=*/7, small_spec()));
-  fleet.start();
-  queue.run_until(Time::zero() + Duration::minutes(15));
-  // Device 1's measurement must not verify under device 0's key.
-  const auto m =
-      fleet.prover(1).store().latest(fleet.prover(1).latest_index(), 1);
-  ASSERT_EQ(m.size(), 1u);
-  attest::CollectResponse cross;
-  cross.measurements = m;
-  const auto report = attest::verify_collection(fleet.directory().record(0),
-                                                cross, queue.now());
-  EXPECT_TRUE(report.tampering_detected)
-      << "cross-device measurement must fail MAC verification";
 }
 
 }  // namespace

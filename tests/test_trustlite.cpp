@@ -3,8 +3,8 @@
 // stack runs on TrustLiteArch.
 #include <gtest/gtest.h>
 
+#include "attest/directory.h"
 #include "attest/prover.h"
-#include "attest/verifier.h"
 #include "hw/trustlite.h"
 #include "malware/malware.h"
 
@@ -12,10 +12,9 @@ namespace erasmus {
 namespace {
 
 using attest::CollectRequest;
+using attest::DeviceRecord;
 using attest::Prover;
 using attest::ProverConfig;
-using attest::Verifier;
-using attest::VerifierConfig;
 using hw::Access;
 using hw::TrustLiteArch;
 using sim::Duration;
@@ -81,25 +80,25 @@ TEST(TrustLite, InterruptsAllowedUnlikeSmartPlus) {
 }
 
 TEST(TrustLite, FullErasmusStackRunsUnchanged) {
-  // The paper's applicability claim, executed: same Prover, same Verifier,
-  // different architecture.
+  // The paper's applicability claim, executed: same Prover, same verifier
+  // core, different architecture.
   sim::EventQueue queue;
   auto arch = make_arch();
   Prover prover(queue, arch, arch.app_region(), arch.store_region(),
                 std::make_unique<attest::RegularScheduler>(
                     Duration::minutes(10)),
                 ProverConfig{});
-  VerifierConfig vc;
-  vc.key = test_key();
-  vc.golden_digest = crypto::Hash::digest(
-      crypto::HashAlgo::kSha256, arch.memory().view(arch.app_region(), true));
-  Verifier verifier(std::move(vc));
+  DeviceRecord record;
+  record.key = test_key();
+  record.set_golden(crypto::Hash::digest(
+      crypto::HashAlgo::kSha256, arch.memory().view(arch.app_region(), true)));
 
   prover.start();
   queue.run_until(Time::zero() + Duration::hours(1));
   EXPECT_EQ(prover.stats().measurements, 6u);
   const auto res = prover.handle_collect(CollectRequest{6});
-  const auto report = verifier.verify_collection(res.response, queue.now());
+  const auto report =
+      attest::verify_collection(record, res.response, queue.now());
   EXPECT_TRUE(report.device_trustworthy());
 }
 
@@ -110,11 +109,10 @@ TEST(TrustLite, MalwareDetectionWorksOnTrustLite) {
                 std::make_unique<attest::RegularScheduler>(
                     Duration::minutes(10)),
                 ProverConfig{});
-  VerifierConfig vc;
-  vc.key = test_key();
-  vc.golden_digest = crypto::Hash::digest(
-      crypto::HashAlgo::kSha256, arch.memory().view(arch.app_region(), true));
-  Verifier verifier(std::move(vc));
+  DeviceRecord record;
+  record.key = test_key();
+  record.set_golden(crypto::Hash::digest(
+      crypto::HashAlgo::kSha256, arch.memory().view(arch.app_region(), true)));
 
   prover.start();
   malware::MobileMalware mw(queue, prover);
@@ -122,8 +120,8 @@ TEST(TrustLite, MalwareDetectionWorksOnTrustLite) {
   queue.run_until(Time::zero() + Duration::hours(1));
 
   const auto res = prover.handle_collect(CollectRequest{6});
-  EXPECT_TRUE(
-      verifier.verify_collection(res.response, queue.now()).infection_detected);
+  EXPECT_TRUE(attest::verify_collection(record, res.response, queue.now())
+                  .infection_detected);
 }
 
 TEST(TrustLite, ErasmusOdWorksOnTrustLite) {
@@ -133,18 +131,18 @@ TEST(TrustLite, ErasmusOdWorksOnTrustLite) {
                 std::make_unique<attest::RegularScheduler>(
                     Duration::minutes(10)),
                 ProverConfig{});
-  VerifierConfig vc;
-  vc.key = test_key();
-  vc.golden_digest = crypto::Hash::digest(
-      crypto::HashAlgo::kSha256, arch.memory().view(arch.app_region(), true));
-  Verifier verifier(std::move(vc));
+  DeviceRecord record;
+  record.key = test_key();
+  record.set_golden(crypto::Hash::digest(
+      crypto::HashAlgo::kSha256, arch.memory().view(arch.app_region(), true)));
   prover.start();
   queue.run_until(Time::zero() + Duration::minutes(45));
-  const auto req = verifier.make_od_request(prover.rroc().read(), 3);
+  const auto req = attest::make_od_request(record, prover.rroc().read(), 3);
   const auto res = prover.handle_od(req);
   ASSERT_TRUE(res.response.has_value());
-  EXPECT_TRUE(verifier.verify_od_response(*res.response, queue.now(), req.treq)
-                  .fresh_valid);
+  EXPECT_TRUE(
+      attest::verify_od_response(record, *res.response, queue.now(), req.treq)
+          .fresh_valid);
 }
 
 }  // namespace
