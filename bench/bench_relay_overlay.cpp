@@ -10,9 +10,12 @@
 // accepted reports (how deep collection actually reached) and the relay
 // economy (floods forwarded, reports relayed/dropped, route repairs).
 // Metrics must stay byte-identical across thread counts -- the bench
-// aborts otherwise. Emits BENCH_relay_overlay.json so later overlay work
-// (smarter flood scoping, per-subtree retries, queue-aware routing) has a
-// baseline to beat.
+// aborts otherwise. Every cell also reports link_checks_per_tx: link-filter
+// evaluations per radio transmission, the machine-independent cost the
+// grid-indexed broadcast keeps at O(neighbours) instead of O(devices).
+// Emits BENCH_relay_overlay.json so later overlay work (smarter flood
+// scoping, per-subtree retries, queue-aware routing) has a baseline to
+// beat.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -114,6 +117,15 @@ scenario::ShardedFleetConfig cell_config(bool aggregated) {
   return cfg;
 }
 
+/// Link-filter evaluations per radio transmission on the overlay network.
+double link_checks_per_tx(const scenario::ShardedFleetRunner& runner) {
+  const net::Network::Stats& net = runner.overlay_network()->stats();
+  return net.transmissions == 0
+             ? 0.0
+             : static_cast<double>(net.link_checks) /
+                   static_cast<double>(net.transmissions);
+}
+
 struct CellRun {
   size_t collected = 0;
   size_t healthy = 0;
@@ -121,6 +133,7 @@ struct CellRun {
   uint64_t clusters = 0;
   uint64_t aggregated_sessions = 0;
   uint64_t demand_fetches = 0;
+  double link_checks_per_tx = 0.0;
   double wall_ms = 0.0;
 };
 
@@ -144,6 +157,7 @@ CellRun run_cell(bool aggregated) {
   r.clusters = runner.overlay_totals().aggregates_received;
   r.aggregated_sessions = runner.service().stats().aggregated_sessions;
   r.demand_fetches = runner.service().stats().demand_fetches;
+  r.link_checks_per_tx = link_checks_per_tx(runner);
   r.wall_ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - t0)
                   .count();
@@ -155,6 +169,7 @@ struct BenchRun {
   double round_ms = 0.0;           // wall per collection round
   double collections_per_s = 0.0;  // device-collections per wall second
   size_t collected = 0;
+  double link_checks_per_tx = 0.0;
   scenario::ShardedFleetRunner::OverlayTotals totals;
   std::string metrics_json;
 };
@@ -184,6 +199,7 @@ BenchRun run_at(size_t threads) {
           ? 0.0
           : static_cast<double>(result.collected) / (run_ms / 1000.0);
   result.totals = runner.overlay_totals();
+  result.link_checks_per_tx = link_checks_per_tx(runner);
   result.metrics_json = out.str();
   return result;
 }
@@ -252,7 +268,9 @@ int main(int argc, char** argv) {
       reports == 0 ? 0.0
                    : static_cast<double>(weighted) /
                          static_cast<double>(reports);
-  std::printf("\nmean relay hops: %.2f\n", mean_hops);
+  std::printf("\nmean relay hops: %.2f, link checks per transmission: "
+              "%.1f\n",
+              mean_hops, last.link_checks_per_tx);
   std::printf("floods forwarded: %llu, reports relayed: %llu, dropped: "
               "%llu, route repairs: %llu\n\n",
               static_cast<unsigned long long>(last.totals.floods_forwarded),
@@ -262,6 +280,7 @@ int main(int argc, char** argv) {
   bench.sample("mean_relay_hops", mean_hops);
   bench.sample("reports_relayed", static_cast<double>(last.totals.reports_relayed));
   bench.sample("route_repairs", static_cast<double>(last.totals.route_repairs));
+  bench.sample("link_checks_per_tx", last.link_checks_per_tx);
 
   std::printf("metrics byte-identical across thread counts: %s\n\n",
               deterministic ? "yes" : "NO (BUG)");
@@ -282,16 +301,18 @@ int main(int argc, char** argv) {
 
   analysis::Table cell_table({"mode", "radio tx B/device", "collected",
                               "healthy", "clusters", "demand fetches",
-                              "wall ms"});
+                              "link checks/tx", "wall ms"});
   cell_table.add_row({"per-device", analysis::fmt(noagg.tx_bytes_per_device, 0),
                       std::to_string(noagg.collected),
                       std::to_string(noagg.healthy), "-", "-",
+                      analysis::fmt(noagg.link_checks_per_tx, 1),
                       analysis::fmt(noagg.wall_ms, 0)});
   cell_table.add_row({"aggregated", analysis::fmt(agg.tx_bytes_per_device, 0),
                       std::to_string(agg.collected),
                       std::to_string(agg.healthy),
                       std::to_string(agg.clusters),
                       std::to_string(agg.demand_fetches),
+                      analysis::fmt(agg.link_checks_per_tx, 1),
                       analysis::fmt(agg.wall_ms, 0)});
   std::printf("%s\n", cell_table.render().c_str());
   std::printf("radio bytes/device compression: %.2fx\n\n", compression);
@@ -308,6 +329,8 @@ int main(int argc, char** argv) {
                static_cast<double>(agg.aggregated_sessions));
   bench.sample("agg10k_demand_fetches",
                static_cast<double>(agg.demand_fetches));
+  bench.sample("noagg10k_link_checks_per_tx", noagg.link_checks_per_tx);
+  bench.sample("agg10k_link_checks_per_tx", agg.link_checks_per_tx);
   bench.sample("noagg10k_wall_ms", noagg.wall_ms);
   bench.sample("agg10k_wall_ms", agg.wall_ms);
 

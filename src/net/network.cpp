@@ -1,5 +1,6 @@
 #include "net/network.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace erasmus::net {
@@ -7,6 +8,7 @@ namespace erasmus::net {
 NodeId Network::add_node(Handler handler) {
   handlers_.push_back(std::move(handler));
   node_stats_.emplace_back();
+  exempt_.push_back(unasked_);  // earlier broadcasts never offered to it
   return static_cast<NodeId>(handlers_.size() - 1);
 }
 
@@ -22,16 +24,21 @@ bool Network::admit(NodeId src, NodeId dst, size_t payload_bytes) {
   stats_.bytes_sent += payload_bytes;
   ++node_stats_[dst].sent;
   node_stats_[dst].bytes_sent += payload_bytes;
-  if (filter_ && !filter_(src, dst)) {
-    ++stats_.dropped_disconnected;
-    ++node_stats_[dst].dropped_disconnected;
-    return false;
+  if (filter_) {
+    ++stats_.link_checks;
+    if (!filter_(src, dst)) {
+      ++stats_.dropped_disconnected;
+      ++node_stats_[dst].dropped_disconnected;
+      return false;
+    }
   }
   if (loss_probability_ > 0.0 && rng_.chance(loss_probability_)) {
     ++stats_.dropped_loss;
     ++node_stats_[dst].dropped_loss;
     return false;
   }
+  stats_.phys_rx_bytes += payload_bytes;
+  if (energy_tap_) energy_tap_(dst, payload_bytes, /*tx=*/false);
   return true;
 }
 
@@ -43,50 +50,105 @@ void Network::deliver(Datagram dgram) {
   });
 }
 
-void Network::send(NodeId src, NodeId dst, Bytes payload) {
-  if (src >= handlers_.size() || dst >= handlers_.size()) {
-    throw std::out_of_range("Network: unknown endpoint");
-  }
-  stats_.phys_tx_bytes += payload.size();
-  if (energy_tap_) energy_tap_(src, payload.size(), /*tx=*/true);
-  if (!admit(src, dst, payload.size())) return;
-  stats_.phys_rx_bytes += payload.size();
-  if (energy_tap_) energy_tap_(dst, payload.size(), /*tx=*/false);
-  deliver(Datagram{src, dst, std::move(payload)});
-}
-
-void Network::broadcast(NodeId src, const std::vector<NodeId>& dsts,
-                        ByteView payload) {
-  if (src >= handlers_.size()) {
-    throw std::out_of_range("Network: unknown endpoint");
-  }
-  // One physical transmission: the sender's radio is charged once, not
-  // per destination (Stats::bytes_sent stays per-attempt -- it counts
-  // offered load, the tap counts joules).
-  if (!dsts.empty()) stats_.phys_tx_bytes += payload.size();
-  if (energy_tap_ && !dsts.empty()) {
-    energy_tap_(src, payload.size(), /*tx=*/true);
-  }
-  for (const NodeId dst : dsts) {
-    if (dst >= handlers_.size()) {
-      throw std::out_of_range("Network: unknown endpoint");
-    }
-    // Same per-destination draw and event order as the equivalent send()
-    // loop -- but the payload is only copied for destinations that are
-    // actually delivered to, which is what makes swarm-wide radio floods
-    // (1 sender x N destinations, most out of range) affordable.
-    if (!admit(src, dst, payload.size())) continue;
-    stats_.phys_rx_bytes += payload.size();
-    if (energy_tap_) energy_tap_(dst, payload.size(), /*tx=*/false);
+void Network::offer(NodeId src, NodeId dst, ByteView payload) {
+  // The payload is only copied for destinations actually delivered to,
+  // which is what makes swarm-wide radio floods (1 sender x N
+  // destinations, most out of range) affordable.
+  if (admit(src, dst, payload.size())) {
     deliver(Datagram{src, dst, Bytes(payload.begin(), payload.end())});
   }
 }
 
-const Network::Stats& Network::node_stats(NodeId dst) const {
+void Network::key_radio(NodeId src, size_t payload_bytes) {
+  // One physical transmission: the sender's radio is charged once, not
+  // per destination (Stats::bytes_sent stays per-attempt -- it counts
+  // offered load, the tap counts joules).
+  ++stats_.transmissions;
+  stats_.phys_tx_bytes += payload_bytes;
+  if (energy_tap_) energy_tap_(src, payload_bytes, /*tx=*/true);
+}
+
+void Network::send(NodeId src, NodeId dst, Bytes payload) {
+  if (src >= handlers_.size() || dst >= handlers_.size()) {
+    throw std::out_of_range("Network: unknown endpoint");
+  }
+  key_radio(src, payload.size());
+  if (admit(src, dst, payload.size())) {
+    deliver(Datagram{src, dst, std::move(payload)});
+  }
+}
+
+void Network::broadcast(NodeId src, const std::vector<NodeId>& dsts,
+                        ByteView payload) {
+  const size_t n = handlers_.size();
+  if (src >= n || std::any_of(dsts.begin(), dsts.end(),
+                              [n](NodeId dst) { return dst >= n; })) {
+    throw std::out_of_range("Network: unknown endpoint");
+  }
+  if (dsts.empty()) return;
+  key_radio(src, payload.size());
+  // Same per-destination draw and event order as the equivalent send()
+  // loop.
+  for (const NodeId dst : dsts) offer(src, dst, payload);
+}
+
+void Network::exempt(NodeId node, size_t payload_bytes) {
+  ++exempt_[node].count;
+  exempt_[node].bytes += payload_bytes;
+}
+
+void Network::broadcast_all(NodeId src, NodeId except, ByteView payload) {
+  const size_t n = handlers_.size();
+  if (src >= n) throw std::out_of_range("Network: unknown endpoint");
+  const bool excepted = except != src && except < n;
+  const size_t offered = n - 1 - (excepted ? 1 : 0);
+  if (offered == 0) return;
+  key_radio(src, payload.size());
+  // Asked after the sender's tap: whatever the charge changed (a sender
+  // that just browned out) is what the filter would see too.
+  if (!filter_ || !range_query_ || !range_query_(src, candidates_)) {
+    for (NodeId dst = 0; dst < n; ++dst) {
+      if (dst != src && dst != except) offer(src, dst, payload);
+    }
+    return;
+  }
+  for (size_t i = 0; i < candidates_.size(); ++i) {
+    if (candidates_[i] >= n ||
+        (i > 0 && candidates_[i] <= candidates_[i - 1])) {
+      throw std::logic_error(
+          "Network: range query answered unknown or unordered nodes");
+    }
+  }
+  // Every offered node the query left out is refused without asking the
+  // filter: account it in bulk (node_stats() derives the per-node share),
+  // then visit the candidates in ascending id like the full scan does.
+  ++unasked_.count;
+  unasked_.bytes += payload.size();
+  exempt(src, payload.size());
+  if (excepted) exempt(except, payload.size());
+  size_t asked = 0;
+  for (const NodeId dst : candidates_) {
+    if (dst == src || dst == except) continue;
+    exempt(dst, payload.size());
+    ++asked;
+    offer(src, dst, payload);
+  }
+  const uint64_t refused = offered - asked;
+  stats_.sent += refused;
+  stats_.bytes_sent += refused * payload.size();
+  stats_.dropped_disconnected += refused;
+}
+
+Network::Stats Network::node_stats(NodeId dst) const {
   if (dst >= node_stats_.size()) {
     throw std::out_of_range("Network: unknown node");
   }
-  return node_stats_[dst];
+  Stats s = node_stats_[dst];
+  const uint64_t refused = unasked_.count - exempt_[dst].count;
+  s.sent += refused;
+  s.bytes_sent += unasked_.bytes - exempt_[dst].bytes;
+  s.dropped_disconnected += refused;
+  return s;
 }
 
 }  // namespace erasmus::net

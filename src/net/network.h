@@ -35,6 +35,11 @@ class Network {
   using Handler = std::function<void(const Datagram&)>;
   /// Returns true when src->dst is currently connected.
   using LinkFilter = std::function<bool(NodeId, NodeId)>;
+  /// Optional companion of a link filter, asked once per broadcast_all():
+  /// either fills `out` with an ascending superset of the nodes the filter
+  /// can accept from `src` at this instant and returns true, or returns
+  /// false to decline (every offered node then goes to the filter).
+  using RangeQuery = std::function<bool(NodeId src, std::vector<NodeId>& out)>;
 
   Network(sim::EventQueue& queue, sim::Duration latency,
           double loss_probability = 0.0, uint64_t seed = 1)
@@ -48,8 +53,12 @@ class Network {
   void set_handler(NodeId node, Handler handler);
 
   /// Imposes a connectivity predicate evaluated at send time; nullptr means
-  /// full connectivity.
-  void set_link_filter(LinkFilter filter) { filter_ = std::move(filter); }
+  /// full connectivity. `query` (see RangeQuery) only narrows which nodes
+  /// broadcast_all() asks the filter about; it never replaces the filter.
+  void set_link_filter(LinkFilter filter, RangeQuery query = nullptr) {
+    filter_ = std::move(filter);
+    range_query_ = std::move(query);
+  }
 
   /// Radio-energy tap, invoked at send time: once with tx=true per
   /// physical transmission (a broadcast keys the radio ONCE however many
@@ -69,9 +78,20 @@ class Network {
   /// draw and one delivery event per destination, in `dsts` order --
   /// byte-identical to the equivalent send() loop, but the payload is
   /// only copied for destinations actually delivered to. Used for
-  /// batched collection-round dispatch and overlay radio floods.
+  /// batched collection-round dispatch. Every id is validated before
+  /// anything is charged or scheduled: an unknown one throws
+  /// std::out_of_range with no side effect.
   void broadcast(NodeId src, const std::vector<NodeId>& dsts,
                  ByteView payload);
+
+  /// A radio transmission heard by whoever is in range: offers the payload
+  /// to every registered node except `src` and `except`, in ascending id
+  /// -- byte-identical to broadcast() over that list. With a range query
+  /// that answers, only its candidates are link-checked; every other
+  /// offered node is accounted exactly as a filter refusal (sent,
+  /// bytes_sent, dropped_disconnected, node_stats) without being visited,
+  /// which makes a flood O(neighbours) instead of O(nodes).
+  void broadcast_all(NodeId src, NodeId except, ByteView payload);
 
   /// Replaces the per-datagram loss probability mid-run (scheduled
   /// loss-burst fault injection, src/adversary). Takes effect at the next
@@ -102,16 +122,35 @@ class Network {
     /// shared transmission is exactly the double count avoided here.)
     uint64_t phys_tx_bytes = 0;
     uint64_t phys_rx_bytes = 0;
+    /// Machine-independent work counters (node_stats() keeps them zero):
+    /// link-filter evaluations, and transmissions -- send() calls plus
+    /// broadcasts offered to at least one node. Their ratio is the cost
+    /// of a transmission in link checks.
+    uint64_t link_checks = 0;
+    uint64_t transmissions = 0;
   };
   const Stats& stats() const { return stats_; }
   /// Delivery stats for traffic TO one node (what did device d actually
   /// receive / lose?) -- the per-device observability fleet debugging
   /// needs.
-  const Stats& node_stats(NodeId dst) const;
+  Stats node_stats(NodeId dst) const;
 
  private:
-  /// Stats + link-filter + loss draw for one (src, dst); true = deliver.
+  /// Destinations a range query spared the filter, as (count, bytes).
+  struct Unasked {
+    uint64_t count = 0;
+    uint64_t bytes = 0;
+  };
+
+  /// Stats + link-filter + loss draw for one (src, dst), and the receiver's
+  /// rx accounting when it passes; true = deliver.
   bool admit(NodeId src, NodeId dst, size_t payload_bytes);
+  /// admit(), then a delivery carrying a copy of the payload.
+  void offer(NodeId src, NodeId dst, ByteView payload);
+  /// The sender's side of one physical transmission.
+  void key_radio(NodeId src, size_t payload_bytes);
+  /// Takes `node` out of the current answered broadcast's unasked set.
+  void exempt(NodeId node, size_t payload_bytes);
   void deliver(Datagram dgram);
 
   sim::EventQueue& queue_;
@@ -119,10 +158,18 @@ class Network {
   double loss_probability_;
   sim::Rng rng_;
   LinkFilter filter_;
+  RangeQuery range_query_;
   EnergyTap energy_tap_;
   std::vector<Handler> handlers_;
   Stats stats_;
   std::vector<Stats> node_stats_;  // indexed by destination
+  /// Per-destination refusals the range query accounted in bulk, derived
+  /// on read: every node counts one per answered broadcast, minus those
+  /// it was exempt from (sender, `except`, candidate, or not registered
+  /// yet).
+  Unasked unasked_;
+  std::vector<Unasked> exempt_;  // indexed by node
+  std::vector<NodeId> candidates_;  // range query reuse
 };
 
 }  // namespace erasmus::net

@@ -30,7 +30,7 @@ class RelayCollector {
  public:
   /// The verifier endpoint is node `self` on `network`; `directory` maps
   /// device ids to their overlay node ids and holds each device's record.
-  /// `num_nodes` bounds the flood loop (devices + this endpoint).
+  /// `num_nodes` counts the overlay's nodes (devices + this endpoint).
   RelayCollector(sim::EventQueue& queue, net::Network& network,
                  net::NodeId self, attest::DeviceDirectory& directory,
                  size_t num_nodes, RelayCollectorConfig config = {});

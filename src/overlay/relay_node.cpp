@@ -17,9 +17,9 @@ constexpr size_t kMaxAlternates = 4;
 
 RelayNode::RelayNode(sim::EventQueue& queue, net::Network& network,
                      net::NodeId self, attest::Prover& prover,
-                     size_t num_nodes, RelayNodeConfig config)
+                     RelayNodeConfig config)
     : queue_(queue), network_(network), self_(self), prover_(prover),
-      num_nodes_(num_nodes), config_(config) {
+      config_(config) {
   network_.set_handler(self_,
                        [this](const net::Datagram& d) { on_datagram(d); });
   if (obs::Registry* reg = config_.metrics) {
@@ -49,19 +49,6 @@ void RelayNode::schedule(sim::Duration delay, std::function<void()> fn) {
     fn();
   });
   pending_events_.insert(*id);
-}
-
-void RelayNode::physical_broadcast(ByteView payload, net::NodeId except) {
-  // Offer the datagram to every node; the network's link filter delivers
-  // only to nodes in radio range at this instant (§6 semantics). One
-  // broadcast call so the payload is only copied per actual delivery.
-  scratch_dsts_.clear();
-  scratch_dsts_.reserve(num_nodes_);
-  for (net::NodeId node = 0; node < num_nodes_; ++node) {
-    if (node == self_ || node == except) continue;
-    scratch_dsts_.push_back(node);
-  }
-  network_.broadcast(self_, scratch_dsts_, payload);
 }
 
 void RelayNode::on_datagram(const net::Datagram& dgram) {
@@ -347,8 +334,10 @@ void RelayNode::handle_flood(const CollectFlood& flood, net::NodeId from) {
     next.ttl = flood.ttl - 1;
     next.depth = static_cast<uint8_t>(std::min<uint32_t>(depth, 255));
     ++stats_.floods_forwarded;
-    physical_broadcast(frame_relay(RelayMsg::kCollectFlood, next.serialize()),
-                       from);
+    // Offered to every node but the one it came from; the network's link
+    // filter delivers only to nodes in radio range at this instant (§6).
+    network_.broadcast_all(
+        self_, from, frame_relay(RelayMsg::kCollectFlood, next.serialize()));
   }
 }
 

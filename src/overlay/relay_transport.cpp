@@ -75,14 +75,9 @@ void RelayTransport::launch_flood(std::vector<net::NodeId> targets,
                  {"targets", static_cast<uint64_t>(flood.targets.size())},
                  {"ttl", static_cast<uint64_t>(flood.ttl)}});
 
-  const Bytes payload =
-      frame_relay(RelayMsg::kCollectFlood, flood.serialize());
-  scratch_dsts_.clear();
-  scratch_dsts_.reserve(num_nodes_);
-  for (net::NodeId node = 0; node < num_nodes_; ++node) {
-    if (node != self_) scratch_dsts_.push_back(node);
-  }
-  network_.broadcast(self_, scratch_dsts_, payload);
+  network_.broadcast_all(self_, /*except=*/self_,
+                         frame_relay(RelayMsg::kCollectFlood,
+                                     flood.serialize()));
 }
 
 void RelayTransport::launch_scoped(CachedRoute& route, attest::MsgType type,

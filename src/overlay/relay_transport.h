@@ -81,7 +81,8 @@ struct RelayTransportConfig {
 class RelayTransport : public attest::Transport {
  public:
   /// Attaches to `self` (already registered on `network`); node ids
-  /// [0, num_nodes) exist, relay nodes and this endpoint included.
+  /// [0, num_nodes) exist, relay nodes and this endpoint included. The
+  /// count sizes the route table and bounds accepted report origins.
   RelayTransport(net::Network& network, net::NodeId self, size_t num_nodes,
                  RelayTransportConfig config = {});
   ~RelayTransport() override;
@@ -181,7 +182,6 @@ class RelayTransport : public attest::Transport {
   AggregateReceiver aggregate_receiver_;
 
   uint32_t next_flood_ = 1;
-  std::vector<net::NodeId> scratch_dsts_;  // flood-launch reuse
   std::map<uint32_t, std::set<net::NodeId>> delivered_;  // flood -> origins
   /// Aggregate dedup, keyed by head but kept apart from delivered_: a
   /// head both BUILDS an aggregate and sends its own raw report up the

@@ -208,8 +208,27 @@ void ShardedFleetRunner::build_overlay() {
     overlay_net_->add_node({});  // handler installed by the RelayNode
   }
   verifier_node_ = overlay_net_->add_node({});
+  // The radio's link model at the coordinator's current instant (mobility
+  // + churn + partitions; the verifier rides on `root`). Its range query
+  // lets each flood ask only the sender's grid neighbourhood; the grid is
+  // built lazily at the first broadcast. Single-threaded invariant: both
+  // run only from coordinator events (floods, relays), while every shard
+  // queue is parked at the barrier -- so the shared mobility RNG is
+  // consumed in deterministic order regardless of thread count.
+  swarm::RadioLinks::Allowed allowed;
+  if (engine_) {
+    allowed = [this](swarm::DeviceId a, swarm::DeviceId b, sim::Time at) {
+      return engine_->link_allowed(a, b, at);
+    };
+  }
+  radio_ = std::make_unique<swarm::RadioLinks>(
+      mobility_, coordinator_queue_, config_.root,
+      [this](swarm::DeviceId id) { return active(id); }, std::move(allowed));
   overlay_net_->set_link_filter(
-      [this](net::NodeId a, net::NodeId b) { return link_up(a, b); });
+      [this](net::NodeId a, net::NodeId b) { return radio_->link_up(a, b); },
+      [this](net::NodeId src, std::vector<net::NodeId>& out) {
+        return radio_->candidates(src, out);
+      });
 
   if (energy_meter_) {
     // Radio joules: tx once per physical transmission, rx per delivered
@@ -272,10 +291,9 @@ void ShardedFleetRunner::build_overlay() {
       }
     }
     relay_nodes_.push_back(std::make_unique<overlay::RelayNode>(
-        coordinator_queue_, *overlay_net_, id, *stacks_[id].prover,
-        specs_.size() + 1, nc));
+        coordinator_queue_, *overlay_net_, id, *stacks_[id].prover, nc));
     relay_nodes_.back()->set_link_probe(
-        [this](net::NodeId a, net::NodeId b) { return link_up(a, b); });
+        [this](net::NodeId a, net::NodeId b) { return radio_->link_up(a, b); });
   }
 
   overlay::RelayTransportConfig tc;
@@ -412,34 +430,6 @@ size_t ShardedFleetRunner::sweep_dark() {
   return newly;
 }
 
-bool ShardedFleetRunner::link_up(net::NodeId a, net::NodeId b) {
-  // Departed devices are radio-silent; the verifier is co-located with the
-  // root device (same position, distance zero).
-  const auto device = [this](net::NodeId n) {
-    return n == verifier_node_ ? config_.root
-                               : static_cast<swarm::DeviceId>(n);
-  };
-  // active() also mutes dark devices: a dead battery keys no radio. (An
-  // in-flight frame addressed to a device that went dark after the send
-  // admit is instead dropped by the RelayNode's dark gate.)
-  if (a != verifier_node_ && !active(a)) return false;
-  if (b != verifier_node_ && !active(b)) return false;
-  const swarm::DeviceId da = device(a);
-  const swarm::DeviceId db = device(b);
-  if (da == db) return true;
-  // Scheduled partitions veto the link before mobility is consulted. The
-  // partition schedule is pure config, so the veto -- and therefore the
-  // mobility RNG draw order -- stays deterministic at any thread count.
-  if (engine_ && !engine_->link_allowed(da, db, coordinator_queue_.now())) {
-    return false;
-  }
-  // Single-threaded invariant: the link filter only runs from coordinator
-  // events (floods, relays), while every shard queue is parked at the
-  // barrier -- so the shared mobility RNG is consumed in deterministic
-  // order regardless of thread count.
-  return mobility_.connected(da, db, coordinator_queue_.now());
-}
-
 attest::Prover& ShardedFleetRunner::prover(swarm::DeviceId id) {
   if (id >= stacks_.size()) {
     throw_bad_device_id("ShardedFleetRunner::prover", id, stacks_.size());
@@ -468,6 +458,7 @@ void ShardedFleetRunner::set_present(swarm::DeviceId id, bool present) {
   }
   if (present_[id] == present) return;
   present_[id] = present;
+  if (radio_) radio_->invalidate();
   if (trace_ && trace_->enabled(obs::Subsystem::kRunner)) {
     // Churn only happens at barriers (round hook) or before run(), both
     // coordinator-side, so direct emission keeps deterministic order.

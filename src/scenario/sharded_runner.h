@@ -49,6 +49,7 @@
 #include "overlay/relay_transport.h"
 #include "scenario/metrics.h"
 #include "swarm/provision.h"
+#include "swarm/radio_links.h"
 
 namespace erasmus::scenario {
 
@@ -269,9 +270,6 @@ class ShardedFleetRunner {
   /// the "scoped_retry" row -- emitted right after the round's collection.
   void emit_window_round(MetricsSink& sink, size_t round,
                          const overlay::RelayTransport::Stats& before);
-  /// Connectivity predicate of the overlay radio at the coordinator's
-  /// current instant (mobility + churn; the verifier rides on `root`).
-  bool link_up(net::NodeId a, net::NodeId b);
   void build_overlay();
   void emit_overlay_round(MetricsSink& sink, size_t round,
                           const OverlayTotals& before);
@@ -368,6 +366,7 @@ class ShardedFleetRunner {
   // kOverlay wiring: a radio network on the coordinator queue; node ids
   // are device ids, the verifier endpoint is node `fleet size`.
   std::unique_ptr<net::Network> overlay_net_;
+  std::unique_ptr<swarm::RadioLinks> radio_;
   std::vector<std::unique_ptr<overlay::RelayNode>> relay_nodes_;
   std::unique_ptr<overlay::RelayTransport> relay_transport_;
   net::NodeId verifier_node_ = 0;

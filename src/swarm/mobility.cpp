@@ -73,6 +73,13 @@ Point RandomWaypointMobility::position(DeviceId node, sim::Time t) {
                s.from.y + (s.to.y - s.from.y) * f};
 }
 
+bool RandomWaypointMobility::reaches(DeviceId node, sim::Time t) const {
+  if (node >= segments_.size()) {
+    throw std::out_of_range("RandomWaypointMobility: bad device id");
+  }
+  return segments_[node].back().end >= t;
+}
+
 bool RandomWaypointMobility::connected(DeviceId a, DeviceId b, sim::Time t) {
   return distance(position(a, t), position(b, t)) <= config_.radio_range;
 }

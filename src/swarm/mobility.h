@@ -44,6 +44,12 @@ class RandomWaypointMobility {
 
   Point position(DeviceId node, sim::Time t);
 
+  /// True when `node`'s trajectory already reaches `t`, i.e. position(node,
+  /// t) would draw nothing from the shared RNG. A caller that skips a
+  /// position query must first know it could not have extended anything:
+  /// skipping an extension shifts every later draw (DETERMINISM.md R4).
+  bool reaches(DeviceId node, sim::Time t) const;
+
   bool connected(DeviceId a, DeviceId b, sim::Time t);
 
   /// Full adjacency snapshot at time t.

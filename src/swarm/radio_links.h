@@ -1,0 +1,113 @@
+// The overlay radio's link model: who hears whom at an instant, and who
+// could.
+//
+// Node ids [0, devices) are the mobility model's devices; node `devices`
+// is the verifier endpoint, co-located with `root` (same position,
+// distance zero). link_up() is the radio's connectivity predicate: an
+// inactive device (departed, or battery dark) keys and hears nothing, a
+// scheduled partition vetoes the pair, and otherwise the pair is
+// connected when distance(a, b) <= radio_range at the clock's instant.
+//
+// candidates() answers net::Network's broadcast range query from a
+// NeighbourGrid of the instant's positions: the sender's 3x3 cell block
+// in ascending id, plus the verifier when the root's cell is in it. The
+// grid only chooses whom to ask -- every candidate still goes through
+// link_up() (docs/DETERMINISM.md R5). It declines while any device the
+// full scan would query has a trajectory that does not reach the instant
+// yet: the scan's position queries extend trajectories from one shared
+// RNG, so skipping one would shift every later draw (R4). A declined
+// broadcast scans all nodes, extending trajectories in exactly the order
+// it always did.
+#pragma once
+
+#include <functional>
+#include <vector>
+
+#include "net/network.h"
+#include "sim/event_queue.h"
+#include "swarm/mobility.h"
+
+namespace erasmus::swarm {
+
+/// Uniform grid over a square field for "who could be within radio range
+/// of p?" queries. Cells are slightly wider than the radio range, so a
+/// pair the range predicate accepts always sits in the same or adjacent
+/// cells: the grid over-approximates, it never drops an in-range pair.
+class NeighbourGrid {
+ public:
+  struct Entry {
+    DeviceId id = 0;
+    Point p;
+  };
+
+  NeighbourGrid(double field_size, double radio_range);
+
+  /// Replaces the grid's contents; `entries` must be in ascending id.
+  void build(const std::vector<Entry>& entries);
+  /// Appends the ids in the 3x3 cell block around `p` to `out`, ascending.
+  void block(Point p, std::vector<DeviceId>& out) const;
+  /// True when `q`'s cell is in the 3x3 block around `p`.
+  bool in_block(Point p, Point q) const;
+
+ private:
+  /// Cell column (or row) of one coordinate, clamped to the grid.
+  size_t index(double v) const;
+
+  double cell_ = 1.0;
+  size_t side_ = 1;
+  std::vector<uint32_t> cell_start_;  // offsets into ids_, side_^2 + 1
+  std::vector<DeviceId> ids_;         // by cell, ascending within a cell
+  std::vector<uint32_t> entry_cell_;  // build() reuse
+};
+
+class RadioLinks {
+ public:
+  /// Is the device keying its radio (present, battery not dark)?
+  using Active = std::function<bool(DeviceId)>;
+  /// Partition veto: false while a scheduled partition separates a and b.
+  using Allowed = std::function<bool(DeviceId a, DeviceId b, sim::Time at)>;
+
+  /// `clock` supplies the instant both queries answer for.
+  RadioLinks(RandomWaypointMobility& mobility, const sim::EventQueue& clock,
+             DeviceId root, Active active, Allowed allowed = nullptr);
+
+  /// The verifier endpoint's node id: one past the last device.
+  net::NodeId verifier() const { return verifier_; }
+
+  /// The radio's link filter (net::Network::LinkFilter).
+  bool link_up(net::NodeId a, net::NodeId b);
+  /// The radio's range query (net::Network::RangeQuery).
+  bool candidates(net::NodeId src, std::vector<net::NodeId>& out);
+  /// A device joined or left: rebuild before the next query. (Going dark
+  /// needs no call -- it only shrinks the set the grid covers.)
+  void invalidate() { fresh_ = false; }
+
+ private:
+  DeviceId device(net::NodeId node) const {
+    return node == verifier_ ? root_ : static_cast<DeviceId>(node);
+  }
+  /// Could a full scan query this device's position? Every active device
+  /// can, and so can the root even when inactive: it stands in for the
+  /// verifier.
+  bool scanned(DeviceId id) const { return id == root_ || active_(id); }
+
+  RandomWaypointMobility& mobility_;
+  const sim::EventQueue& clock_;
+  DeviceId root_;
+  net::NodeId verifier_;
+  Active active_;
+  Allowed allowed_;
+  NeighbourGrid grid_;
+  /// pending_ (and the grid, once built_) describe instant at_ under the
+  /// current membership.
+  bool fresh_ = false;
+  bool built_ = false;
+  sim::Time at_;
+  /// Scanned devices whose trajectory stops before at_: the query
+  /// declines until the scan has extended every one of them.
+  std::vector<DeviceId> pending_;
+  std::vector<Point> pos_;  // by device id, valid for grid members
+  std::vector<NeighbourGrid::Entry> entries_;  // build reuse
+};
+
+}  // namespace erasmus::swarm

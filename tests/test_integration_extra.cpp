@@ -212,7 +212,7 @@ TEST(MobilityRelay, PacketLevelCollectionOverMovingSwarm) {
     const net::NodeId node = network.add_node({});
     directory.add(node, std::move(record));
     relay_nodes.push_back(std::make_unique<overlay::RelayNode>(
-        queue, network, node, *prover, mc.devices + 1));
+        queue, network, node, *prover));
     archs.push_back(std::move(arch));
     provers.push_back(std::move(prover));
   }

@@ -1,8 +1,13 @@
 // Tests for the simulated datagram network: latency, loss, link filters,
-// delivery statistics.
+// delivery statistics, and the range-query broadcast checked against the
+// full scan over a mobility-backed radio.
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "net/network.h"
+#include "sim/rng.h"
+#include "swarm/radio_links.h"
 
 namespace erasmus::net {
 namespace {
@@ -182,6 +187,262 @@ TEST(Network, BroadcastDrawsLossPerDestination) {
   q.run();
   // Independent per-destination draws: ~75% of 4000 get through.
   EXPECT_NEAR(static_cast<double>(received) / 4000.0, 0.75, 0.03);
+}
+
+TEST(Network, BroadcastToAnUnknownNodeHasNoSideEffect) {
+  EventQueue q;
+  Network net(q, Duration::millis(1));
+  size_t taps = 0;
+  net.set_energy_tap([&](NodeId, size_t, bool) { ++taps; });
+  const NodeId a = net.add_node({});
+  const NodeId b = net.add_node([](const Datagram&) {});
+  EXPECT_THROW(net.broadcast(a, {b, 99}, Bytes{1, 2}), std::out_of_range);
+  q.run();
+  EXPECT_EQ(taps, 0u);
+  EXPECT_EQ(net.stats().sent, 0u);
+  EXPECT_EQ(net.stats().bytes_sent, 0u);
+  EXPECT_EQ(net.stats().phys_tx_bytes, 0u);
+  EXPECT_EQ(net.stats().transmissions, 0u);
+  EXPECT_EQ(net.stats().delivered, 0u);
+  EXPECT_EQ(net.node_stats(b).sent, 0u);
+  EXPECT_EQ(net.node_stats(b).delivered, 0u);
+}
+
+// Every field but link_checks, which is exactly what a range query saves.
+auto outcome(const Network::Stats& s) {
+  return std::tuple(s.sent, s.delivered, s.dropped_loss,
+                    s.dropped_disconnected, s.bytes_sent, s.phys_tx_bytes,
+                    s.phys_rx_bytes, s.transmissions);
+}
+
+TEST(Network, BroadcastAllAccountsUnaskedNodesAsRefusals) {
+  // Node 0 transmits, node 5 is excepted; the filter accepts 2 and 4.
+  // The query's answer {1, 2, 4} is a superset: 3 and 6 are refused
+  // without a link check, exactly as the full scan refuses them.
+  struct Rig {
+    EventQueue q;
+    Network net{q, Duration::millis(1)};
+    std::vector<NodeId> heard;
+    size_t tx_taps = 0;
+    explicit Rig(Network::RangeQuery query) {
+      for (int i = 0; i < 7; ++i) {
+        net.add_node([this](const Datagram& d) { heard.push_back(d.dst); });
+      }
+      net.set_link_filter([](NodeId, NodeId d) { return d == 2 || d == 4; },
+                          std::move(query));
+      net.set_energy_tap([this](NodeId, size_t, bool tx) { tx_taps += tx; });
+    }
+  };
+  Rig scan(nullptr);
+  Rig indexed([](NodeId, std::vector<NodeId>& out) {
+    out = {1, 2, 4};
+    return true;
+  });
+  for (Rig* r : {&scan, &indexed}) {
+    r->net.broadcast_all(0, 5, Bytes{7, 7, 7});
+    r->q.run();
+    EXPECT_EQ(r->heard, (std::vector<NodeId>{2, 4}));
+    EXPECT_EQ(r->tx_taps, 1u);
+    EXPECT_EQ(r->net.stats().sent, 5u) << "every node but src and except";
+    EXPECT_EQ(r->net.stats().dropped_disconnected, 3u);
+    EXPECT_EQ(r->net.stats().transmissions, 1u);
+  }
+  EXPECT_EQ(scan.net.stats().link_checks, 5u);
+  EXPECT_EQ(indexed.net.stats().link_checks, 3u);
+  EXPECT_EQ(outcome(scan.net.stats()), outcome(indexed.net.stats()));
+  for (NodeId n = 0; n < 7; ++n) {
+    EXPECT_EQ(outcome(scan.net.node_stats(n)),
+              outcome(indexed.net.node_stats(n)))
+        << "node " << n;
+  }
+  EXPECT_EQ(indexed.net.node_stats(6).bytes_sent, 3u);
+  // A node registered later was never offered those broadcasts.
+  EXPECT_EQ(indexed.net.node_stats(indexed.net.add_node({})).sent, 0u);
+}
+
+TEST(Network, BroadcastAllKeysTheRadioEvenWithoutCandidates) {
+  EventQueue q;
+  Network net(q, Duration::millis(1));
+  size_t tx_taps = 0;
+  net.set_energy_tap([&](NodeId, size_t, bool tx) { tx_taps += tx; });
+  for (int i = 0; i < 4; ++i) net.add_node({});
+  net.set_link_filter([](NodeId, NodeId) { return true; },
+                      [](NodeId, std::vector<NodeId>& out) {
+                        out.clear();
+                        return true;
+                      });
+  net.broadcast_all(1, 1, Bytes{1, 2});
+  EXPECT_EQ(tx_taps, 1u);
+  EXPECT_EQ(net.stats().phys_tx_bytes, 2u);
+  EXPECT_EQ(net.stats().sent, 3u);
+  EXPECT_EQ(net.stats().dropped_disconnected, 3u);
+  EXPECT_EQ(net.stats().link_checks, 0u);
+  EXPECT_EQ(net.node_stats(0).dropped_disconnected, 1u);
+  EXPECT_EQ(net.node_stats(1).sent, 0u) << "the sender is never offered";
+  // A lone node offers nothing and keys nothing.
+  EventQueue q1;
+  Network lone(q1, Duration::millis(1));
+  lone.add_node({});
+  lone.broadcast_all(0, 0, Bytes{1});
+  EXPECT_EQ(lone.stats().transmissions, 0u);
+  EXPECT_EQ(lone.stats().phys_tx_bytes, 0u);
+}
+
+// A mobility-backed overlay radio: devices [0, kDevices) plus a verifier
+// node co-located with the root, filtered by swarm::RadioLinks::link_up,
+// with or without its grid range query. Devices leave and rejoin (as the
+// runner's churn does), run dry after a per-device transmission budget
+// (the energy tap darkens them mid-instant, as a battery does), and a
+// scheduled partition vetoes links across id classes.
+struct RadioRig {
+  static constexpr size_t kDevices = 150;
+  static constexpr swarm::DeviceId kRoot = 40;
+
+  static swarm::MobilityConfig mobility_config() {
+    swarm::MobilityConfig m;
+    m.devices = kDevices;
+    m.field_size = 500.0;
+    m.radio_range = 60.0;
+    m.speed_min = 1.0;
+    m.speed_max = 25.0;
+    m.seed = 11;
+    return m;
+  }
+  static bool partitioned(swarm::DeviceId a, swarm::DeviceId b, Time at) {
+    const int64_t minute = static_cast<int64_t>(at.ns() / 60'000'000'000ull);
+    return minute % 7 >= 4 && (a % 3 == 0) != (b % 3 == 0);
+  }
+
+  EventQueue queue;
+  swarm::RandomWaypointMobility mobility{mobility_config()};
+  std::vector<bool> present = std::vector<bool>(kDevices, true);
+  std::vector<int> tx_budget = std::vector<int>(kDevices, 0);
+  Network net{queue, Duration::millis(2), /*loss=*/0.1, /*seed=*/5};
+  swarm::RadioLinks links{
+      mobility, queue, kRoot,
+      [this](swarm::DeviceId id) { return present[id] && tx_budget[id] > 0; },
+      [](swarm::DeviceId a, swarm::DeviceId b, Time at) {
+        return !partitioned(a, b, at);
+      }};
+  std::vector<std::tuple<uint64_t, NodeId, NodeId, size_t>> heard;
+  size_t answered = 0;
+  size_t declined = 0;
+
+  explicit RadioRig(bool indexed) {
+    sim::Rng budgets(3);
+    for (int& b : tx_budget) b = static_cast<int>(budgets.uniform(10, 400));
+    for (size_t n = 0; n <= kDevices; ++n) {
+      net.add_node([this](const Datagram& d) {
+        heard.emplace_back(queue.now().ns(), d.src, d.dst, d.payload.size());
+      });
+    }
+    Network::RangeQuery query;
+    if (indexed) {
+      query = [this](NodeId src, std::vector<NodeId>& out) {
+        const bool ok = links.candidates(src, out);
+        ++(ok ? answered : declined);
+        return ok;
+      };
+    }
+    net.set_link_filter(
+        [this](NodeId a, NodeId b) { return links.link_up(a, b); }, query);
+    net.set_energy_tap([this](NodeId node, size_t, bool tx) {
+      if (tx && node < kDevices && tx_budget[node] > 0) --tx_budget[node];
+    });
+  }
+};
+
+TEST(Network, GridRangeQueryMatchesTheFullScanOverMobility) {
+  // One seeded script, replayed on both rigs: broadcasts (from the
+  // verifier, from departed and drained devices, excepting the verifier
+  // or a random node), unicasts that extend trajectories in between,
+  // churn (the root included), and clock steps from zero (same instant)
+  // to minutes (every trajectory must extend).
+  struct Op {
+    int kind;
+    NodeId a;
+    NodeId b;
+    uint64_t step_ns;
+  };
+  constexpr NodeId kVerifier = RadioRig::kDevices;
+  constexpr size_t kOps = 3000;
+  const auto root_away = [](size_t i) {
+    return i >= kOps / 3 && i < 2 * kOps / 3;
+  };
+  sim::Rng script_rng(2024);
+  std::vector<Op> script;
+  for (size_t i = 0; i < kOps; ++i) {
+    const auto node = [&] {
+      return static_cast<NodeId>(script_rng.next_below(kVerifier + 1));
+    };
+    Op op{static_cast<int>(script_rng.next_below(10)), node(), node(), 0};
+    if (op.kind == 0) {
+      static constexpr uint64_t kSteps[] = {0, 1'000'000, 2'000'000,
+                                            10'000'000'000ull,
+                                            300'000'000'000ull};
+      op.step_ns = kSteps[script_rng.next_below(5)];
+    }
+    // Re-floods except the node they came from -- often the verifier.
+    // While the root is away, such floods are the only traffic that
+    // leaves its trajectory behind the clock, so they dominate there.
+    if (op.kind >= 3 && script_rng.chance(root_away(i) ? 0.8 : 0.3)) {
+      op.b = kVerifier;
+    }
+    script.push_back(op);
+  }
+
+  RadioRig scan(/*indexed=*/false);
+  RadioRig indexed(/*indexed=*/true);
+  for (RadioRig* rig : {&scan, &indexed}) {
+    for (size_t i = 0; i < script.size(); ++i) {
+      const Op& op = script[i];
+      // The root is away for the middle third: the verifier keeps
+      // standing in at its position.
+      if (rig->present[RadioRig::kRoot] == root_away(i)) {
+        rig->present[RadioRig::kRoot] = !root_away(i);
+        rig->links.invalidate();
+      }
+      const Bytes payload(1 + op.a % 23, static_cast<uint8_t>(i));
+      switch (op.kind) {
+        case 0:
+          rig->queue.run_until(rig->queue.now() + Duration(op.step_ns));
+          break;
+        case 1:
+          if (op.a < kVerifier && op.a != RadioRig::kRoot) {
+            rig->present[op.a] = !rig->present[op.a];
+            rig->links.invalidate();
+          }
+          break;
+        case 2:
+          rig->net.send(op.a, op.b, payload);
+          break;
+        default:
+          rig->net.broadcast_all(op.a, op.b, payload);
+          break;
+      }
+    }
+    rig->queue.run();
+  }
+
+  EXPECT_GT(indexed.answered, 1000u);
+  EXPECT_GT(indexed.declined, 10u) << "the script must force extensions";
+  EXPECT_GT(scan.net.stats().dropped_loss, 0u);
+  EXPECT_EQ(scan.heard, indexed.heard);
+  EXPECT_EQ(outcome(scan.net.stats()), outcome(indexed.net.stats()));
+  EXPECT_LT(indexed.net.stats().link_checks * 3, scan.net.stats().link_checks);
+  for (NodeId n = 0; n <= kVerifier; ++n) {
+    EXPECT_EQ(outcome(scan.net.node_stats(n)),
+              outcome(indexed.net.node_stats(n)))
+        << "node " << n;
+  }
+  // Same trajectory RNG consumption: later positions agree everywhere.
+  const Time later = scan.queue.now() + Duration::minutes(20);
+  for (swarm::DeviceId d = 0; d < RadioRig::kDevices; ++d) {
+    const swarm::Point p = scan.mobility.position(d, later);
+    const swarm::Point q = indexed.mobility.position(d, later);
+    EXPECT_EQ(p.x, q.x) << "device " << d;
+    EXPECT_EQ(p.y, q.y) << "device " << d;
+  }
 }
 
 TEST(Network, InFlightOrderPreservedPerLink) {

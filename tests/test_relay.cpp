@@ -51,8 +51,7 @@ struct OverlayRig {
 
       const net::NodeId node = network.add_node({});
       nodes.push_back(std::make_unique<RelayNode>(queue, network, node,
-                                                  *prover, n + 1,
-                                                  node_config));
+                                                  *prover, node_config));
 
       attest::DeviceRecord record;
       record.key = device_key(id);

@@ -111,6 +111,27 @@ TEST(ShardedFleetRunner, OverlayBackendActuallyRelaysMultiHop) {
       << "a 120 m field with 50 m radios needs real multi-hop";
 }
 
+TEST(ShardedFleetRunner, OverlayFloodsLinkCheckOnlyTheSendersNeighbourhood) {
+  // Twelve radio ranges across: a sender's 3x3 grid block is a small
+  // share of the field, so each flood is offered to every node but
+  // link-checked against only a few of them.
+  ShardedFleetConfig cfg = overlay_config(2);
+  const swarm::MobilityConfig mobility = cfg.plan.mobility;
+  swarm::DeviceSpec base;
+  base.app_ram_bytes = 1024;
+  base.store_slots = 16;
+  cfg.plan = swarm::FleetPlan::uniform(200, /*key_seed=*/42, base);
+  cfg.plan.mobility = mobility;
+  cfg.plan.mobility.field_size = 600.0;
+  cfg.rounds = 1;
+  NullSink sink;
+  ShardedFleetRunner runner(cfg);
+  runner.run(sink);
+  const net::Network::Stats& net = runner.overlay_network()->stats();
+  EXPECT_GT(net.transmissions, 0u);
+  EXPECT_LT(net.link_checks * 3, net.sent);
+}
+
 TEST(ShardedFleetRunner, MoreThreadsThanDevicesClampsToFleetSize) {
   ShardedFleetConfig cfg = small_config(64);
   cfg.plan.set_devices(3);

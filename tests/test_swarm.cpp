@@ -1,10 +1,15 @@
-// Tests for the swarm layer (§6): topology, mobility, the on-demand vs.
-// ERASMUS-collection protocol comparison, staggered scheduling and QoSA.
+// Tests for the swarm layer (§6): topology, mobility, the radio's
+// neighbour grid, the on-demand vs. ERASMUS-collection protocol
+// comparison, staggered scheduling and QoSA.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "sim/rng.h"
 #include "swarm/mobility.h"
 #include "swarm/protocols.h"
 #include "swarm/qosa.h"
+#include "swarm/radio_links.h"
 #include "swarm/topology.h"
 
 namespace erasmus::swarm {
@@ -190,6 +195,89 @@ TEST(Mobility, SnapshotMatchesPairwiseConnectivity) {
       EXPECT_EQ(topo.connected(a, b), m.connected(a, b, t));
     }
   }
+}
+
+TEST(Mobility, ReachesTellsWhetherAQueryWouldDraw) {
+  MobilityConfig cfg;
+  cfg.devices = 3;
+  RandomWaypointMobility m(cfg);
+  const Time later = Time::zero() + Duration::minutes(45);
+  EXPECT_TRUE(m.reaches(1, Time::zero()));
+  EXPECT_FALSE(m.reaches(1, later));
+  m.position(1, later);
+  EXPECT_TRUE(m.reaches(1, later));
+  EXPECT_FALSE(m.reaches(2, later)) << "extension is per device";
+  EXPECT_THROW(m.reaches(3, later), std::out_of_range);
+}
+
+// The grid may over-approximate but never drop a pair the range predicate
+// accepts: every block is ascending and contains every point within
+// radio_range -- including pairs exactly radio_range apart straddling
+// cell boundaries, and points on the field's edges and corners.
+TEST(NeighbourGrid, BlockIsAnAscendingSupersetOfTheInRangeSet) {
+  constexpr double kField = 300.0;
+  constexpr double kRange = 30.0;
+  std::vector<Point> pts = {{0, 0},          {kField, 0},     {0, kField},
+                            {kField, kField}, {kField / 2, 0}, {kField, 150},
+                            {0, 150},        {150, kField}};
+  // Exactly-in-range pairs: horizontal, vertical and 3-4-5 diagonal
+  // offsets of 30 m, anchored just below, on and just above multiples of
+  // the range (where a grid with cell side == range puts its borders).
+  for (int k = 0; k <= 10; ++k) {
+    for (const double eps : {-1e-9, 0.0, 1e-9}) {
+      const double x = std::clamp(k * kRange + eps, 0.0, kField);
+      for (const double y : {0.0, 77.0, kField - kRange}) {
+        pts.push_back({x, y});
+        pts.push_back({x + kRange, y});
+        pts.push_back({y, x});
+        pts.push_back({y, x + kRange});
+        pts.push_back({x + 18.0, y + 24.0});
+      }
+    }
+  }
+  sim::Rng rng(99);
+  for (int i = 0; i < 400; ++i) {
+    pts.push_back({rng.next_double() * kField, rng.next_double() * kField});
+  }
+  std::vector<NeighbourGrid::Entry> entries;
+  for (DeviceId id = 0; id < pts.size(); ++id) entries.push_back({id, pts[id]});
+  NeighbourGrid grid(kField, kRange);
+  grid.build(entries);
+
+  size_t boundary_pairs = 0;
+  std::vector<DeviceId> block;
+  for (DeviceId a = 0; a < pts.size(); ++a) {
+    block.clear();
+    grid.block(pts[a], block);
+    ASSERT_TRUE(std::is_sorted(block.begin(), block.end()));
+    ASSERT_EQ(std::adjacent_find(block.begin(), block.end()), block.end());
+    EXPECT_LT(block.size(), pts.size()) << "the grid prunes nothing";
+    for (DeviceId b = 0; b < pts.size(); ++b) {
+      if (distance(pts[a], pts[b]) > kRange) continue;
+      if (distance(pts[a], pts[b]) == kRange) ++boundary_pairs;
+      EXPECT_TRUE(std::binary_search(block.begin(), block.end(), b))
+          << "(" << pts[a].x << "," << pts[a].y << ") misses (" << pts[b].x
+          << "," << pts[b].y << ")";
+      EXPECT_TRUE(grid.in_block(pts[a], pts[b]));
+    }
+  }
+  EXPECT_GT(boundary_pairs, 100u) << "exact-range pairs must be exercised";
+}
+
+TEST(NeighbourGrid, DegenerateGeometryFallsBackToFewCells) {
+  // No range, no field: one cell holding everyone.
+  NeighbourGrid flat(0.0, 0.0);
+  flat.build({{0, {0, 0}}, {1, {0, 0}}});
+  std::vector<DeviceId> out;
+  flat.block({0, 0}, out);
+  EXPECT_EQ(out, (std::vector<DeviceId>{0, 1}));
+  // A range far below the field still yields a bounded grid, and the
+  // block still covers points within range.
+  NeighbourGrid fine(1e6, 1e-3);
+  fine.build({{0, {10.0, 10.0}}, {1, {10.0005, 10.0}}, {2, {9e5, 9e5}}});
+  out.clear();
+  fine.block({10.0, 10.0}, out);
+  EXPECT_EQ(out, (std::vector<DeviceId>{0, 1}));
 }
 
 TEST(Protocols, StaticSwarmBothProtocolsReachEveryone) {
