@@ -41,7 +41,7 @@ RelayCollector::RelayCollector(sim::EventQueue& queue, net::Network& network,
   service_.set_observer([this](
       const attest::AttestationService::SessionOutcome& outcome) {
     if (outcome.device >= statuses_.size()) return;
-    swarm::DeviceStatus& status = statuses_[outcome.device];
+    DeviceStatus& status = statuses_[outcome.device];
     if (!outcome.reachable) return;  // retry budget exhausted: unreachable
     status.attested = true;
     status.healthy = outcome.report.device_trustworthy() &&

@@ -12,9 +12,15 @@
 #include "attest/directory.h"
 #include "attest/service.h"
 #include "overlay/relay_transport.h"
-#include "swarm/qosa.h"
 
 namespace erasmus::overlay {
+
+/// One device's outcome in a collection round.
+struct DeviceStatus {
+  attest::DeviceId device = 0;
+  bool attested = false;  // report reached the verifier this round
+  bool healthy = false;   // report verified and matched the golden digest
+};
 
 struct RelayCollectorConfig {
   RelayTransportConfig transport;
@@ -36,7 +42,7 @@ class RelayCollector {
                  size_t num_nodes, RelayCollectorConfig config = {});
 
   struct RoundResult {
-    std::vector<swarm::DeviceStatus> statuses;  // indexed by device id
+    std::vector<DeviceStatus> statuses;  // indexed by device id
     size_t reports_received = 0;
     sim::Duration elapsed;  // flood to last accepted report
   };
@@ -57,7 +63,7 @@ class RelayCollector {
   attest::AttestationService service_;
 
   // Per-round capture, filled by the service observer.
-  std::vector<swarm::DeviceStatus> statuses_;
+  std::vector<DeviceStatus> statuses_;
   size_t reports_ = 0;
   sim::Time round_start_;
   sim::Time last_report_at_;

@@ -96,8 +96,10 @@ ShardedFleetRunner::ShardedFleetRunner(ShardedFleetConfig config)
     shard.queue = std::make_unique<sim::EventQueue>();
   }
   // One pool for every parallel phase (shard advance, batch serve, batched
-  // verify, adjacency rows). With one shard it degenerates to inline
-  // execution on the calling thread.
+  // verify). With one shard it degenerates to inline execution on the
+  // calling thread. Mobility's snapshot() rows use it too, for the
+  // analytic §6 protocols run on mobility() -- collection itself asks
+  // RadioLinks, never the snapshot.
   executor_ = std::make_unique<common::ParallelExecutor>(shards_.size());
   mobility_.set_executor(executor_.get());
 
@@ -131,6 +133,21 @@ ShardedFleetRunner::ShardedFleetRunner(ShardedFleetConfig config)
   trace_ = obs::global_trace();
   if (trace_) trace_->attach_shards(shards_.size());
   build_adversary();
+  // The link model of both backends at the coordinator's current instant
+  // (mobility + churn + partitions; the verifier rides on `root`).
+  // Single-threaded invariant: it is queried only at barriers or from
+  // coordinator events (floods, relays), while every shard queue is
+  // parked -- so the shared mobility RNG is consumed in deterministic
+  // order regardless of thread count.
+  swarm::RadioLinks::Allowed allowed;
+  if (engine_) {
+    allowed = [this](swarm::DeviceId a, swarm::DeviceId b, sim::Time at) {
+      return engine_->link_allowed(a, b, at);
+    };
+  }
+  radio_ = std::make_unique<swarm::RadioLinks>(
+      mobility_, coordinator_queue_, config_.root,
+      [this](swarm::DeviceId id) { return active(id); }, std::move(allowed));
   if (config_.energy.metered) build_energy_meter();
   attach_device_observers();
 
@@ -208,22 +225,8 @@ void ShardedFleetRunner::build_overlay() {
     overlay_net_->add_node({});  // handler installed by the RelayNode
   }
   verifier_node_ = overlay_net_->add_node({});
-  // The radio's link model at the coordinator's current instant (mobility
-  // + churn + partitions; the verifier rides on `root`). Its range query
-  // lets each flood ask only the sender's grid neighbourhood; the grid is
-  // built lazily at the first broadcast. Single-threaded invariant: both
-  // run only from coordinator events (floods, relays), while every shard
-  // queue is parked at the barrier -- so the shared mobility RNG is
-  // consumed in deterministic order regardless of thread count.
-  swarm::RadioLinks::Allowed allowed;
-  if (engine_) {
-    allowed = [this](swarm::DeviceId a, swarm::DeviceId b, sim::Time at) {
-      return engine_->link_allowed(a, b, at);
-    };
-  }
-  radio_ = std::make_unique<swarm::RadioLinks>(
-      mobility_, coordinator_queue_, config_.root,
-      [this](swarm::DeviceId id) { return active(id); }, std::move(allowed));
+  // The range query lets each flood ask only the sender's grid
+  // neighbourhood; the grid is built lazily at the first broadcast.
   overlay_net_->set_link_filter(
       [this](net::NodeId a, net::NodeId b) { return radio_->link_up(a, b); },
       [this](net::NodeId src, std::vector<net::NodeId>& out) {
@@ -458,7 +461,7 @@ void ShardedFleetRunner::set_present(swarm::DeviceId id, bool present) {
   }
   if (present_[id] == present) return;
   present_[id] = present;
-  if (radio_) radio_->invalidate();
+  radio_->invalidate();
   if (trace_ && trace_->enabled(obs::Subsystem::kRunner)) {
     // Churn only happens at barriers (round hook) or before run(), both
     // coordinator-side, so direct emission keeps deterministic order.
@@ -554,36 +557,11 @@ FleetRoundResult ShardedFleetRunner::collect_round(size_t round,
   };
 
   if (config_.backend == CollectionBackend::kDirect) {
-    // Single-threaded: mobility's lazy trajectory extension shares one
-    // RNG, so it must only ever be queried here, in deterministic order.
-    swarm::Topology topo = mobility_.snapshot(at);
-    for (swarm::DeviceId id = 0; id < stacks_.size(); ++id) {
-      // Dark devices relay nothing either: prune them from the tree like
-      // departed ones.
-      if (active(id)) continue;
-      for (const swarm::DeviceId nb : topo.neighbors(id)) {
-        topo.remove_edge(id, nb);
-      }
-    }
-    if (engine_) {
-      // Scheduled partitions cut the direct backend's tree exactly like
-      // the overlay's link filter: edges across the cut disappear.
-      for (swarm::DeviceId id = 0; id < stacks_.size(); ++id) {
-        for (const swarm::DeviceId nb : topo.neighbors(id)) {
-          if (!engine_->link_allowed(id, nb, at)) topo.remove_edge(id, nb);
-        }
-      }
-    }
-    const auto tree = topo.bfs_tree(config_.root);
-
-    std::vector<attest::DeviceId> targets;
-    targets.reserve(stacks_.size());
-    for (swarm::DeviceId id = 0; id < stacks_.size(); ++id) {
-      if (!active(id) || !tree.parent[id].has_value()) continue;
-      targets.push_back(id);
-    }
+    // Whoever has a multi-hop path to the root under the radio's link
+    // rules (departed and dark devices relay nothing, partitions cut).
     // Over the DirectTransport every session completes synchronously at
-    // `at`, in global id order.
+    // `at`, in global id order -- the order reachable() returns.
+    const std::vector<attest::DeviceId> targets = radio_->reachable();
     const auto outcomes =
         service_->collect_now(targets, static_cast<uint32_t>(config_.k));
     result.reachable = outcomes.size();

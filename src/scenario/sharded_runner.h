@@ -20,12 +20,12 @@
 //    barrier instants under coordinator control, sequenced in global
 //    device-id order.
 //  * Barrier-phase work that IS parallel (the kDirect batch serve, the
-//    batched report verify, mobility's adjacency rows) is restricted to
-//    order-free shapes: pure functions into disjoint per-item slots, or
-//    SPSC channels (net/shard_channels.h) whose drain order is a pure
-//    function of (domain, sequence) -- with domain counts fixed by the
-//    fleet, never by the thread count. Results are then folded back in
-//    sequentially, in the exact order the serial code produced them.
+//    batched report verify) is restricted to order-free shapes: pure
+//    functions into disjoint per-item slots, or SPSC channels
+//    (net/shard_channels.h) whose drain order is a pure function of
+//    (domain, sequence) -- with domain counts fixed by the fleet, never by
+//    the thread count. Results are then folded back in sequentially, in
+//    the exact order the serial code produced them.
 // Hence metrics output is bit-for-bit identical for a fixed seed regardless
 // of thread count, and `threads` is purely a wall-clock knob.
 #pragma once
@@ -55,9 +55,9 @@ namespace erasmus::scenario {
 
 /// How collection rounds reach the fleet at barriers.
 enum class CollectionBackend : uint8_t {
-  /// In-process DirectTransport: every tree-reachable device is served
-  /// synchronously at the barrier instant (reachability judged from a
-  /// topology snapshot).
+  /// In-process DirectTransport: every device with a multi-hop path to
+  /// the root is served synchronously at the barrier instant (reachability
+  /// judged by the radio's link model, swarm::RadioLinks::reachable()).
   kDirect,
   /// The packet-level multi-hop overlay: the AttestationService floods
   /// over a simulated radio network and reports hop back store-and-forward
@@ -332,9 +332,10 @@ class ShardedFleetRunner {
   swarm::RandomWaypointMobility mobility_;
   /// One persistent worker pool for EVERY parallel phase the runner owns:
   /// shard advances between barriers, the transport's domain-parallel
-  /// collect serve, the service's batched verify and mobility's adjacency
-  /// rows. Sized to the shard count (1 = all phases inline on the calling
-  /// thread, same code path, zero synchronization).
+  /// collect serve and the service's batched verify (plus mobility's
+  /// snapshot() rows, when a caller of mobility() asks for one). Sized to
+  /// the shard count (1 = all phases inline on the calling thread, same
+  /// code path, zero synchronization).
   std::unique_ptr<common::ParallelExecutor> executor_;
   std::vector<Shard> shards_;
   std::vector<swarm::DeviceStack> stacks_;  // indexed by global DeviceId
@@ -363,10 +364,12 @@ class ShardedFleetRunner {
   sim::EventQueue coordinator_queue_;
   attest::DeviceDirectory directory_;
   attest::DirectTransport direct_transport_;
+  /// The link model of both backends: kDirect's reachability, kOverlay's
+  /// link filter and range query.
+  std::unique_ptr<swarm::RadioLinks> radio_;
   // kOverlay wiring: a radio network on the coordinator queue; node ids
   // are device ids, the verifier endpoint is node `fleet size`.
   std::unique_ptr<net::Network> overlay_net_;
-  std::unique_ptr<swarm::RadioLinks> radio_;
   std::vector<std::unique_ptr<overlay::RelayNode>> relay_nodes_;
   std::unique_ptr<overlay::RelayTransport> relay_transport_;
   net::NodeId verifier_node_ = 0;

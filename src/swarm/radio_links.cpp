@@ -141,4 +141,29 @@ bool RadioLinks::candidates(net::NodeId src, std::vector<net::NodeId>& out) {
   return true;
 }
 
+std::vector<DeviceId> RadioLinks::reachable() {
+  // Every device's position first, active or not, in ascending id -- the
+  // draws snapshot() makes (R4). Afterwards every trajectory reaches the
+  // instant, so candidates() cannot decline and link_up() draws nothing.
+  const sim::Time now = clock_.now();
+  for (DeviceId id = 0; id < verifier_; ++id) mobility_.position(id, now);
+  std::vector<DeviceId> reached;
+  if (!active_(root_)) return reached;
+  std::vector<bool> seen(verifier_, false);
+  seen[root_] = true;
+  reached.push_back(root_);
+  std::vector<net::NodeId> near;
+  for (size_t head = 0; head < reached.size(); ++head) {
+    const DeviceId v = reached[head];
+    candidates(v, near);
+    for (const net::NodeId u : near) {
+      if (u == verifier_ || seen[u] || !link_up(v, u)) continue;
+      seen[u] = true;
+      reached.push_back(u);
+    }
+  }
+  std::sort(reached.begin(), reached.end());
+  return reached;
+}
+
 }  // namespace erasmus::swarm

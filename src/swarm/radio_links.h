@@ -1,9 +1,9 @@
-// The overlay radio's link model: who hears whom at an instant, and who
-// could.
+// The fleet's link model, for both collection backends: who hears whom at
+// an instant, and who could.
 //
 // Node ids [0, devices) are the mobility model's devices; node `devices`
 // is the verifier endpoint, co-located with `root` (same position,
-// distance zero). link_up() is the radio's connectivity predicate: an
+// distance zero). link_up() is the one connectivity predicate: an
 // inactive device (departed, or battery dark) keys and hears nothing, a
 // scheduled partition vetoes the pair, and otherwise the pair is
 // connected when distance(a, b) <= radio_range at the clock's instant.
@@ -18,6 +18,11 @@
 // RNG, so skipping one would shift every later draw (R4). A declined
 // broadcast scans all nodes, extending trajectories in exactly the order
 // it always did.
+//
+// reachable() is the in-process backend's reachability: every device's
+// position in ascending id (the draw order of
+// RandomWaypointMobility::snapshot), then a BFS from the root over the
+// grid's candidates, each edge accepted only through link_up().
 #pragma once
 
 #include <functional>
@@ -78,6 +83,10 @@ class RadioLinks {
   bool link_up(net::NodeId a, net::NodeId b);
   /// The radio's range query (net::Network::RangeQuery).
   bool candidates(net::NodeId src, std::vector<net::NodeId>& out);
+  /// The devices with a multi-hop path to the root at the clock's
+  /// instant, in ascending id; none when the root is inactive. The
+  /// verifier endpoint is never part of a path.
+  std::vector<DeviceId> reachable();
   /// A device joined or left: rebuild before the next query. (Going dark
   /// needs no call -- it only shrinks the set the grid covers.)
   void invalidate() { fresh_ = false; }

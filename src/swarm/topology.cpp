@@ -24,6 +24,7 @@ bool Topology::connected(DeviceId a, DeviceId b) const {
 }
 
 std::vector<DeviceId> Topology::neighbors(DeviceId v) const {
+  if (v >= n_) throw std::out_of_range("Topology: bad device id");
   std::vector<DeviceId> out;
   for (DeviceId u = 0; u < n_; ++u) {
     if (u != v && adj_[idx(v, u)]) out.push_back(u);

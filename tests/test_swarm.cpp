@@ -1,14 +1,14 @@
 // Tests for the swarm layer (§6): topology, mobility, the radio's
-// neighbour grid, the on-demand vs. ERASMUS-collection protocol
-// comparison, staggered scheduling and QoSA.
+// neighbour grid and reachability, the on-demand vs. ERASMUS-collection
+// protocol comparison and staggered scheduling.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "sim/event_queue.h"
 #include "sim/rng.h"
 #include "swarm/mobility.h"
 #include "swarm/protocols.h"
-#include "swarm/qosa.h"
 #include "swarm/radio_links.h"
 #include "swarm/topology.h"
 
@@ -34,6 +34,8 @@ TEST(Topology, SelfLoopsIgnoredAndBoundsChecked) {
   EXPECT_FALSE(t.connected(1, 1));
   EXPECT_THROW(t.add_edge(0, 3), std::out_of_range);
   EXPECT_THROW(t.connected(3, 0), std::out_of_range);
+  EXPECT_THROW(t.neighbors(99), std::out_of_range);
+  EXPECT_THROW(t.neighbors(3), std::out_of_range);
 }
 
 TEST(Topology, NeighborsAndEdgeCount) {
@@ -280,6 +282,99 @@ TEST(NeighbourGrid, DegenerateGeometryFallsBackToFewCells) {
   EXPECT_EQ(out, (std::vector<DeviceId>{0, 1}));
 }
 
+// The in-process backend's reachability against the snapshot-and-prune
+// tree it replaced: snapshot(), strip the edges of inactive devices and
+// of vetoed pairs, BFS from the root, keep the active reached devices.
+// One seeded script drives both mobility instances: clock steps from a
+// repeated instant to hours, churn (the root included) followed by
+// invalidate(), brown-outs without it, and a half-fleet partition.
+TEST(RadioLinks, ReachableMatchesThePrunedSnapshotTree) {
+  MobilityConfig cfg;
+  cfg.devices = 300;
+  cfg.field_size = 600.0;
+  cfg.radio_range = 60.0;
+  cfg.speed_min = 1.0;
+  cfg.speed_max = 25.0;
+  cfg.seed = 11;
+  constexpr DeviceId kRoot = 7;
+  const DeviceId n = static_cast<DeviceId>(cfg.devices);
+  RandomWaypointMobility links_mobility(cfg);
+  RandomWaypointMobility snapshot_mobility(cfg);
+  sim::EventQueue clock;
+  std::vector<bool> present(n, true);
+  std::vector<bool> dark(n, false);
+  bool partitioned = false;
+  const auto active = [&](DeviceId id) { return present[id] && !dark[id]; };
+  const auto allowed = [&](DeviceId a, DeviceId b) {
+    return !partitioned || (a < n / 2) == (b < n / 2);
+  };
+  RadioLinks links(links_mobility, clock, kRoot, active,
+                   [&](DeviceId a, DeviceId b, Time) { return allowed(a, b); });
+
+  static constexpr uint64_t kStepsNs[] = {
+      0, 1'000'000'000ull, 30'000'000'000ull, 600'000'000'000ull,
+      3 * 3'600'000'000'000ull};
+  sim::Rng script(2026);
+  size_t most_reached = 0;
+  size_t root_away = 0;
+  size_t cut = 0;
+  size_t dark_at_same_instant = 0;
+  for (int instant = 0; instant < 40; ++instant) {
+    const uint64_t step = kStepsNs[script.next_below(5)];
+    clock.advance_to(clock.now() + Duration(step));
+    if (script.chance(0.5)) {
+      for (int c = 0; c < 8; ++c) {
+        const DeviceId id = static_cast<DeviceId>(script.next_below(n));
+        present[id] = !present[id];
+      }
+      if (script.chance(0.25)) present[kRoot] = !present[kRoot];
+      links.invalidate();  // membership changed, as set_present does
+    }
+    // A battery empties without telling the grid.
+    const size_t drained = script.next_below(3);
+    for (size_t c = 0; c < drained; ++c) {
+      dark[script.next_below(n)] = true;
+    }
+    if (step == 0 && drained > 0) ++dark_at_same_instant;
+    partitioned = script.chance(0.3);
+
+    const std::vector<DeviceId> got = links.reachable();
+
+    Topology topo = snapshot_mobility.snapshot(clock.now());
+    for (DeviceId id = 0; id < n; ++id) {
+      if (active(id)) continue;
+      for (const DeviceId nb : topo.neighbors(id)) topo.remove_edge(id, nb);
+    }
+    for (DeviceId id = 0; id < n; ++id) {
+      for (const DeviceId nb : topo.neighbors(id)) {
+        if (!allowed(id, nb)) topo.remove_edge(id, nb);
+      }
+    }
+    const Topology::SpanningTree tree = topo.bfs_tree(kRoot);
+    std::vector<DeviceId> want;
+    for (DeviceId id = 0; id < n; ++id) {
+      if (active(id) && tree.parent[id].has_value()) want.push_back(id);
+    }
+    ASSERT_EQ(got, want) << "instant " << instant;
+    most_reached = std::max(most_reached, got.size());
+    if (!active(kRoot)) ++root_away;
+    if (partitioned && !got.empty()) ++cut;
+  }
+  EXPECT_GT(most_reached, 100u) << "the script must reach a large component";
+  EXPECT_GT(root_away, 0u) << "the script must take the root away";
+  EXPECT_GT(cut, 0u) << "the script must partition a live fleet";
+  EXPECT_GT(dark_at_same_instant, 0u)
+      << "the script must darken devices the current grid still holds";
+  // Same trajectory RNG consumption: later positions agree everywhere.
+  const Time later = clock.now() + Duration::minutes(20);
+  for (DeviceId id = 0; id < n; ++id) {
+    const Point p = links_mobility.position(id, later);
+    const Point q = snapshot_mobility.position(id, later);
+    EXPECT_EQ(p.x, q.x) << "device " << id;
+    EXPECT_EQ(p.y, q.y) << "device " << id;
+  }
+}
+
 TEST(Protocols, StaticSwarmBothProtocolsReachEveryone) {
   MobilityConfig cfg;
   cfg.devices = 12;
@@ -364,37 +459,6 @@ TEST(Protocols, StaggeringWithLongMeasurements) {
   const size_t busy = max_concurrent_busy(
       10, Duration::minutes(10), Duration::minutes(3), /*staggered=*/true);
   EXPECT_EQ(busy, 3u);
-}
-
-TEST(Qosa, LevelsCarryIncreasingInformation) {
-  Topology topo(3);
-  topo.add_edge(0, 1);
-  std::vector<DeviceStatus> statuses = {
-      {0, true, true}, {1, true, true}, {2, true, false}};
-
-  const auto binary = make_report(QosaLevel::kBinary, statuses, topo);
-  EXPECT_FALSE(binary.all_healthy);
-  EXPECT_TRUE(binary.devices.empty());
-  EXPECT_TRUE(binary.edges.empty());
-
-  const auto list = make_report(QosaLevel::kList, statuses, topo);
-  EXPECT_EQ(list.devices.size(), 3u);
-  EXPECT_TRUE(list.edges.empty());
-
-  const auto full = make_report(QosaLevel::kFull, statuses, topo);
-  EXPECT_EQ(full.devices.size(), 3u);
-  EXPECT_EQ(full.edges.size(), 1u);
-}
-
-TEST(Qosa, AllHealthyRequiresEveryDevice) {
-  Topology topo(2);
-  const auto good = make_report(
-      QosaLevel::kBinary, {{0, true, true}, {1, true, true}}, topo);
-  EXPECT_TRUE(good.all_healthy);
-  const auto unattested = make_report(
-      QosaLevel::kBinary, {{0, true, true}, {1, false, false}}, topo);
-  EXPECT_FALSE(unattested.all_healthy);
-  EXPECT_EQ(to_string(QosaLevel::kFull), "full");
 }
 
 }  // namespace
