@@ -48,10 +48,17 @@ std::string BenchReport::to_json() const {
     const Summary s = summarize(values);
     const double p99 = quantile(values, 0.99);
     out += (i ? ",\n    " : "\n    ");
-    out += "\"" + json_escape(name) + "\": {\"count\": " +
-           std::to_string(s.count) + ", \"mean\": " + format_double(s.mean) +
-           ", \"p50\": " + format_double(s.p50) +
-           ", \"p99\": " + format_double(p99) + "}";
+    out += '"';
+    out += json_escape(name);
+    out += "\": {\"count\": ";
+    out += std::to_string(s.count);
+    out += ", \"mean\": ";
+    out += format_double(s.mean);
+    out += ", \"p50\": ";
+    out += format_double(s.p50);
+    out += ", \"p99\": ";
+    out += format_double(p99);
+    out += '}';
   }
   out += quantities_.empty() ? "}" : "\n  }";
   out += "\n}\n";

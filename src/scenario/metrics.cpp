@@ -16,8 +16,11 @@ std::string Value::to_plain() const {
 }
 
 std::string Value::to_json() const {
-  if (kind_ == Kind::kStr) return "\"" + json_escape(str_) + "\"";
-  return to_plain();
+  if (kind_ != Kind::kStr) return to_plain();
+  std::string out = "\"";
+  out += json_escape(str_);
+  out += '"';
+  return out;
 }
 
 // --- CsvSink -----------------------------------------------------------------
