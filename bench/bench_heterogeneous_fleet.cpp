@@ -148,6 +148,8 @@ int main(int argc, char** argv) {
     bench.sample(prefix + "shard_work_ms", r.phases.shard_work_ms);
     bench.sample(prefix + "barrier_wait_ms", r.phases.barrier_wait_ms);
     bench.sample(prefix + "coord_drain_ms", r.phases.coordinator_ms);
+    // The part of the drain spent in RadioLinks::reachable().
+    bench.sample(prefix + "reach_ms", r.phases.reachability_ms);
     last = r;
   }
   bench.sample("collected", static_cast<double>(last.collected));

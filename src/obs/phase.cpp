@@ -16,6 +16,10 @@ void PhaseProfiler::record_coordinator(double wall_ms) {
   coordinator_ms_ += wall_ms;
 }
 
+void PhaseProfiler::record_reachability(double wall_ms) {
+  reachability_ms_ += wall_ms;
+}
+
 PhaseProfiler::Report PhaseProfiler::report() const {
   Report r;
   r.rounds = rounds_;
@@ -26,6 +30,7 @@ PhaseProfiler::Report PhaseProfiler::report() const {
   // independently, so tiny negative residues are measurement noise.
   r.barrier_wait_ms = std::max(0.0, n * advance_wall_ms_ - busy_ms_);
   r.coordinator_ms = coordinator_ms_;
+  r.reachability_ms = reachability_ms_;
   const double total = n * (advance_wall_ms_ + coordinator_ms_);
   if (total > 0.0) {
     r.barrier_wait_share =

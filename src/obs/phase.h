@@ -11,6 +11,9 @@
 //                    (threads x advance wall - shard busy)
 //   coordinator   -- wall time of the single-threaded barrier work, during
 //                    which threads-1 workers have nothing to do
+//   reachability  -- the part of coordinator spent deciding who is
+//                    reachable (kDirect's RadioLinks::reachable()); a
+//                    split of coordinator, not a fourth phase
 //
 // barrier_wait_share() is the headline: the fraction of available worker
 // thread-time NOT spent advancing shards. Flat thread scaling with a high
@@ -32,6 +35,9 @@ class PhaseProfiler {
   void record_advance(size_t threads, double busy_ms_sum, double wall_ms);
   /// One single-threaded coordinator drain of `wall_ms`.
   void record_coordinator(double wall_ms);
+  /// `wall_ms` of reachability inside a drain that record_coordinator()
+  /// also counts.
+  void record_reachability(double wall_ms);
 
   struct Report {
     uint64_t rounds = 0;
@@ -39,6 +45,8 @@ class PhaseProfiler {
     double shard_work_ms = 0.0;
     double barrier_wait_ms = 0.0;
     double coordinator_ms = 0.0;
+    /// Included in coordinator_ms.
+    double reachability_ms = 0.0;
     /// (barrier_wait + (threads-1) x coordinator) / total thread-time;
     /// 0 when nothing was recorded.
     double barrier_wait_share = 0.0;
@@ -51,6 +59,7 @@ class PhaseProfiler {
   double busy_ms_ = 0.0;
   double advance_wall_ms_ = 0.0;
   double coordinator_ms_ = 0.0;
+  double reachability_ms_ = 0.0;
 };
 
 }  // namespace erasmus::obs

@@ -561,7 +561,12 @@ FleetRoundResult ShardedFleetRunner::collect_round(size_t round,
     // rules (departed and dark devices relay nothing, partitions cut).
     // Over the DirectTransport every session completes synchronously at
     // `at`, in global id order -- the order reachable() returns.
+    const auto reach_start = std::chrono::steady_clock::now();
     const std::vector<attest::DeviceId> targets = radio_->reachable();
+    phases_.record_reachability(
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - reach_start)
+            .count());
     const auto outcomes =
         service_->collect_now(targets, static_cast<uint32_t>(config_.k));
     result.reachable = outcomes.size();

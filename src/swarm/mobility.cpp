@@ -80,8 +80,12 @@ bool RandomWaypointMobility::reaches(DeviceId node, sim::Time t) const {
   return segments_[node].back().end >= t;
 }
 
+bool RandomWaypointMobility::in_range(Point a, Point b) const {
+  return distance(a, b) <= config_.radio_range;
+}
+
 bool RandomWaypointMobility::connected(DeviceId a, DeviceId b, sim::Time t) {
-  return distance(position(a, t), position(b, t)) <= config_.radio_range;
+  return in_range(position(a, t), position(b, t));
 }
 
 Topology RandomWaypointMobility::snapshot(sim::Time t) {
@@ -95,13 +99,13 @@ Topology RandomWaypointMobility::snapshot(sim::Time t) {
     // Each row's neighbor list goes into its own slot; the merge below is
     // sequential in row order, so the adjacency bits are written in the
     // exact order the serial loop writes them. The range predicate is the
-    // serial one verbatim (sqrt included): a squared-distance shortcut
-    // would flip borderline edges and diverge every downstream result.
+    // serial one (sqrt included): a squared-distance shortcut would flip
+    // borderline edges and diverge every downstream result.
     const size_t n = config_.devices;
     std::vector<std::vector<DeviceId>> nbrs(n);
     executor_->run(n, [&](size_t a) {
       for (size_t b = a + 1; b < n; ++b) {
-        if (distance(pos[a], pos[b]) <= config_.radio_range) {
+        if (in_range(pos[a], pos[b])) {
           nbrs[a].push_back(static_cast<DeviceId>(b));
         }
       }
@@ -113,9 +117,7 @@ Topology RandomWaypointMobility::snapshot(sim::Time t) {
   }
   for (DeviceId a = 0; a < config_.devices; ++a) {
     for (DeviceId b = a + 1; b < config_.devices; ++b) {
-      if (distance(pos[a], pos[b]) <= config_.radio_range) {
-        topo.add_edge(a, b);
-      }
+      if (in_range(pos[a], pos[b])) topo.add_edge(a, b);
     }
   }
   return topo;

@@ -1,7 +1,8 @@
 // Random-waypoint mobility model over a square field.
 //
 // Each device moves toward a random waypoint at a random speed, picks a new
-// waypoint on arrival, and is connected to every device within radio range.
+// waypoint on arrival, and is connected to every device within radio range
+// (in_range(), the one range test every link path evaluates).
 // Trajectories are generated lazily and kept, so position(node, t) is
 // well-defined for any already-reached or future t and the model can be
 // queried out of order within a protocol round (hops at different times).
@@ -49,6 +50,11 @@ class RandomWaypointMobility {
   /// position query must first know it could not have extended anything:
   /// skipping an extension shifts every later draw (DETERMINISM.md R4).
   bool reaches(DeviceId node, sim::Time t) const;
+
+  /// The range test, distance(a, b) <= radio_range. connected(),
+  /// snapshot() and RadioLinks::reachable() all call it, so no two paths
+  /// can round a borderline pair differently (DETERMINISM.md R5).
+  bool in_range(Point a, Point b) const;
 
   bool connected(DeviceId a, DeviceId b, sim::Time t);
 

@@ -59,17 +59,7 @@ void NeighbourGrid::build(const std::vector<Entry>& entries) {
 
 void NeighbourGrid::block(Point p, std::vector<DeviceId>& out) const {
   const size_t first = out.size();
-  const size_t cx = index(p.x);
-  const size_t cy = index(p.y);
-  const size_t x0 = cx == 0 ? 0 : cx - 1;
-  const size_t x1 = std::min(cx + 1, side_ - 1);
-  const size_t y0 = cy == 0 ? 0 : cy - 1;
-  const size_t y1 = std::min(cy + 1, side_ - 1);
-  for (size_t y = y0; y <= y1; ++y) {
-    // A row's cells are contiguous in ids_.
-    out.insert(out.end(), ids_.begin() + cell_start_[y * side_ + x0],
-               ids_.begin() + cell_start_[y * side_ + x1 + 1]);
-  }
+  for_each_in_block(p, [&out](DeviceId id) { out.push_back(id); });
   std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end());
 }
 
@@ -125,14 +115,11 @@ bool RadioLinks::candidates(net::NodeId src, std::vector<net::NodeId>& out) {
   if (!pending_.empty()) return false;
   if (!built_) {
     pos_.resize(verifier_);
-    entries_.clear();
     for (DeviceId id = 0; id < verifier_; ++id) {
-      if (!scanned(id)) continue;
-      pos_[id] = mobility_.position(id, now);  // reaches now: draws nothing
-      entries_.push_back({id, pos_[id]});
+      // Reaches now: draws nothing.
+      if (scanned(id)) pos_[id] = mobility_.position(id, now);
     }
-    grid_.build(entries_);
-    built_ = true;
+    index_grid(now);
   }
   const Point p = pos_[device(src)];
   grid_.block(p, out);
@@ -141,26 +128,49 @@ bool RadioLinks::candidates(net::NodeId src, std::vector<net::NodeId>& out) {
   return true;
 }
 
+void RadioLinks::index_grid(sim::Time now) {
+  // link_up()'s dark/departed gates, once per device: only the devices a
+  // full scan could query enter the grid.
+  entries_.clear();
+  for (DeviceId id = 0; id < verifier_; ++id) {
+    if (scanned(id)) entries_.push_back({id, pos_[id]});
+  }
+  grid_.build(entries_);
+  fresh_ = true;
+  built_ = true;
+  at_ = now;
+  pending_.clear();  // every scanned trajectory reaches now
+}
+
 std::vector<DeviceId> RadioLinks::reachable() {
   // Every device's position first, active or not, in ascending id -- the
-  // draws snapshot() makes (R4). Afterwards every trajectory reaches the
-  // instant, so candidates() cannot decline and link_up() draws nothing.
+  // draws snapshot() makes (R4). Nothing below queries a position.
   const sim::Time now = clock_.now();
-  for (DeviceId id = 0; id < verifier_; ++id) mobility_.position(id, now);
+  pos_.resize(verifier_);
+  for (DeviceId id = 0; id < verifier_; ++id) {
+    pos_[id] = mobility_.position(id, now);
+  }
+  // Indexed on every call, even when the instant's grid is fresh: a device
+  // that went dark since that indexing must not enter the BFS below, which
+  // applies no gate of its own.
+  index_grid(now);
   std::vector<DeviceId> reached;
   if (!active_(root_)) return reached;
+  // The root is active, so every grid member is. An edge needs the range
+  // test and the partition veto; the BFS's visiting order cannot change
+  // the reached set, which is returned sorted.
   std::vector<bool> seen(verifier_, false);
   seen[root_] = true;
   reached.push_back(root_);
-  std::vector<net::NodeId> near;
   for (size_t head = 0; head < reached.size(); ++head) {
     const DeviceId v = reached[head];
-    candidates(v, near);
-    for (const net::NodeId u : near) {
-      if (u == verifier_ || seen[u] || !link_up(v, u)) continue;
+    const Point pv = pos_[v];
+    grid_.for_each_in_block(pv, [&](DeviceId u) {
+      if (seen[u] || !mobility_.in_range(pv, pos_[u])) return;
+      if (allowed_ && !allowed_(v, u, now)) return;
       seen[u] = true;
       reached.push_back(u);
-    }
+    });
   }
   std::sort(reached.begin(), reached.end());
   return reached;

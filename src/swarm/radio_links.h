@@ -21,10 +21,14 @@
 //
 // reachable() is the in-process backend's reachability: every device's
 // position in ascending id (the draw order of
-// RandomWaypointMobility::snapshot), then a BFS from the root over the
-// grid's candidates, each edge accepted only through link_up().
+// RandomWaypointMobility::snapshot), the grid indexed from those
+// positions, then a BFS from the root that reads only them. link_up()'s
+// dark/departed gates ran once per device at indexing, so each candidate
+// pair costs the shared range test (RandomWaypointMobility::in_range)
+// and the partition veto -- no mobility query, no per-pair link_up().
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <vector>
 
@@ -51,6 +55,25 @@ class NeighbourGrid {
   void build(const std::vector<Entry>& entries);
   /// Appends the ids in the 3x3 cell block around `p` to `out`, ascending.
   void block(Point p, std::vector<DeviceId>& out) const;
+  /// Calls `visit(id)` for each id in the 3x3 cell block around `p`, cell
+  /// by cell: ascending within a cell only. For callers whose result does
+  /// not depend on the visiting order.
+  template <typename Visit>
+  void for_each_in_block(Point p, Visit&& visit) const {
+    const size_t cx = index(p.x);
+    const size_t cy = index(p.y);
+    const size_t x0 = cx == 0 ? 0 : cx - 1;
+    const size_t x1 = std::min(cx + 1, side_ - 1);
+    const size_t y0 = cy == 0 ? 0 : cy - 1;
+    const size_t y1 = std::min(cy + 1, side_ - 1);
+    for (size_t y = y0; y <= y1; ++y) {
+      // A row's cells are contiguous in ids_.
+      const uint32_t end = cell_start_[y * side_ + x1 + 1];
+      for (uint32_t i = cell_start_[y * side_ + x0]; i < end; ++i) {
+        visit(ids_[i]);
+      }
+    }
+  }
   /// True when `q`'s cell is in the 3x3 block around `p`.
   bool in_block(Point p, Point q) const;
 
@@ -85,7 +108,8 @@ class RadioLinks {
   bool candidates(net::NodeId src, std::vector<net::NodeId>& out);
   /// The devices with a multi-hop path to the root at the clock's
   /// instant, in ascending id; none when the root is inactive. The
-  /// verifier endpoint is never part of a path.
+  /// verifier endpoint is never part of a path. Re-indexes the instant's
+  /// grid on every call; a later candidates() at the instant reuses it.
   std::vector<DeviceId> reachable();
   /// A device joined or left: rebuild before the next query. (Going dark
   /// needs no call -- it only shrinks the set the grid covers.)
@@ -99,6 +123,9 @@ class RadioLinks {
   /// can, and so can the root even when inactive: it stands in for the
   /// verifier.
   bool scanned(DeviceId id) const { return id == root_ || active_(id); }
+  /// Builds the grid of instant `now` from pos_, which must hold every
+  /// scanned device's position at `now`, and marks it fresh.
+  void index_grid(sim::Time now);
 
   RandomWaypointMobility& mobility_;
   const sim::EventQueue& clock_;
@@ -115,7 +142,9 @@ class RadioLinks {
   /// Scanned devices whose trajectory stops before at_: the query
   /// declines until the scan has extended every one of them.
   std::vector<DeviceId> pending_;
-  std::vector<Point> pos_;  // by device id, valid for grid members
+  /// By device id, at the last indexing: every device after reachable(),
+  /// the grid members after candidates().
+  std::vector<Point> pos_;
   std::vector<NeighbourGrid::Entry> entries_;  // build reuse
 };
 

@@ -277,6 +277,26 @@ TEST(PhaseProfiler, ReportMath) {
   EXPECT_DOUBLE_EQ(report.barrier_wait_share, 27.0 / 60.0);
 }
 
+TEST(PhaseProfiler, ReachabilityIsASplitOfTheCoordinator) {
+  PhaseProfiler with;
+  PhaseProfiler without;
+  for (PhaseProfiler* p : {&with, &without}) {
+    p->record_advance(4, /*busy_ms_sum=*/28.0, /*wall_ms=*/10.0);
+    p->record_coordinator(5.0);
+    p->record_advance(4, /*busy_ms_sum=*/30.0, /*wall_ms=*/9.0);
+    p->record_coordinator(6.0);
+  }
+  with.record_reachability(1.5);
+  with.record_reachability(2.25);
+  const auto report = with.report();
+  EXPECT_DOUBLE_EQ(report.reachability_ms, 3.75);
+  EXPECT_DOUBLE_EQ(without.report().reachability_ms, 0.0);
+  // Already inside coordinator_ms: the share's total is unchanged.
+  EXPECT_DOUBLE_EQ(report.coordinator_ms, 11.0);
+  EXPECT_DOUBLE_EQ(report.barrier_wait_share,
+                   without.report().barrier_wait_share);
+}
+
 TEST(PhaseProfiler, BarrierWaitClampsAtZero) {
   // Timer jitter can make busy_sum exceed threads*wall; the wait must
   // clamp to zero rather than go negative.

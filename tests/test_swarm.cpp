@@ -215,7 +215,8 @@ TEST(Mobility, ReachesTellsWhetherAQueryWouldDraw) {
 // The grid may over-approximate but never drop a pair the range predicate
 // accepts: every block is ascending and contains every point within
 // radio_range -- including pairs exactly radio_range apart straddling
-// cell boundaries, and points on the field's edges and corners.
+// cell boundaries, and points on the field's edges and corners. The
+// unordered visitor covers the same ids as the block.
 TEST(NeighbourGrid, BlockIsAnAscendingSupersetOfTheInRangeSet) {
   constexpr double kField = 300.0;
   constexpr double kRange = 30.0;
@@ -248,11 +249,17 @@ TEST(NeighbourGrid, BlockIsAnAscendingSupersetOfTheInRangeSet) {
 
   size_t boundary_pairs = 0;
   std::vector<DeviceId> block;
+  std::vector<DeviceId> visited;
   for (DeviceId a = 0; a < pts.size(); ++a) {
     block.clear();
     grid.block(pts[a], block);
     ASSERT_TRUE(std::is_sorted(block.begin(), block.end()));
     ASSERT_EQ(std::adjacent_find(block.begin(), block.end()), block.end());
+    visited.clear();
+    grid.for_each_in_block(pts[a],
+                           [&](DeviceId id) { visited.push_back(id); });
+    std::sort(visited.begin(), visited.end());
+    ASSERT_EQ(visited, block);
     EXPECT_LT(block.size(), pts.size()) << "the grid prunes nothing";
     for (DeviceId b = 0; b < pts.size(); ++b) {
       if (distance(pts[a], pts[b]) > kRange) continue;
@@ -287,7 +294,8 @@ TEST(NeighbourGrid, DegenerateGeometryFallsBackToFewCells) {
 // of vetoed pairs, BFS from the root, keep the active reached devices.
 // One seeded script drives both mobility instances: clock steps from a
 // repeated instant to hours, churn (the root included) followed by
-// invalidate(), brown-outs without it, and a half-fleet partition.
+// invalidate(), brown-outs without it -- among them devices the previous
+// call reached, at the same instant -- and a half-fleet partition.
 TEST(RadioLinks, ReachableMatchesThePrunedSnapshotTree) {
   MobilityConfig cfg;
   cfg.devices = 300;
@@ -310,6 +318,24 @@ TEST(RadioLinks, ReachableMatchesThePrunedSnapshotTree) {
   };
   RadioLinks links(links_mobility, clock, kRoot, active,
                    [&](DeviceId a, DeviceId b, Time) { return allowed(a, b); });
+  const auto pruned_tree = [&] {
+    Topology topo = snapshot_mobility.snapshot(clock.now());
+    for (DeviceId id = 0; id < n; ++id) {
+      if (active(id)) continue;
+      for (const DeviceId nb : topo.neighbors(id)) topo.remove_edge(id, nb);
+    }
+    for (DeviceId id = 0; id < n; ++id) {
+      for (const DeviceId nb : topo.neighbors(id)) {
+        if (!allowed(id, nb)) topo.remove_edge(id, nb);
+      }
+    }
+    const Topology::SpanningTree tree = topo.bfs_tree(kRoot);
+    std::vector<DeviceId> want;
+    for (DeviceId id = 0; id < n; ++id) {
+      if (active(id) && tree.parent[id].has_value()) want.push_back(id);
+    }
+    return want;
+  };
 
   static constexpr uint64_t kStepsNs[] = {
       0, 1'000'000'000ull, 30'000'000'000ull, 600'000'000'000ull,
@@ -335,30 +361,24 @@ TEST(RadioLinks, ReachableMatchesThePrunedSnapshotTree) {
     for (size_t c = 0; c < drained; ++c) {
       dark[script.next_below(n)] = true;
     }
-    if (step == 0 && drained > 0) ++dark_at_same_instant;
     partitioned = script.chance(0.3);
 
     const std::vector<DeviceId> got = links.reachable();
-
-    Topology topo = snapshot_mobility.snapshot(clock.now());
-    for (DeviceId id = 0; id < n; ++id) {
-      if (active(id)) continue;
-      for (const DeviceId nb : topo.neighbors(id)) topo.remove_edge(id, nb);
-    }
-    for (DeviceId id = 0; id < n; ++id) {
-      for (const DeviceId nb : topo.neighbors(id)) {
-        if (!allowed(id, nb)) topo.remove_edge(id, nb);
-      }
-    }
-    const Topology::SpanningTree tree = topo.bfs_tree(kRoot);
-    std::vector<DeviceId> want;
-    for (DeviceId id = 0; id < n; ++id) {
-      if (active(id) && tree.parent[id].has_value()) want.push_back(id);
-    }
-    ASSERT_EQ(got, want) << "instant " << instant;
+    ASSERT_EQ(got, pruned_tree()) << "instant " << instant;
     most_reached = std::max(most_reached, got.size());
     if (!active(kRoot)) ++root_away;
     if (partitioned && !got.empty()) ++cut;
+
+    // A device just reached browns out at the same instant: the next call
+    // must not walk the grid that still holds it.
+    if (!got.empty() && script.chance(0.5)) {
+      const DeviceId id = got[script.next_below(got.size())];
+      if (id == kRoot) continue;
+      dark[id] = true;
+      ++dark_at_same_instant;
+      ASSERT_EQ(links.reachable(), pruned_tree())
+          << "instant " << instant << " after device " << id << " went dark";
+    }
   }
   EXPECT_GT(most_reached, 100u) << "the script must reach a large component";
   EXPECT_GT(root_away, 0u) << "the script must take the root away";
@@ -370,6 +390,91 @@ TEST(RadioLinks, ReachableMatchesThePrunedSnapshotTree) {
   for (DeviceId id = 0; id < n; ++id) {
     const Point p = links_mobility.position(id, later);
     const Point q = snapshot_mobility.position(id, later);
+    EXPECT_EQ(p.x, q.x) << "device " << id;
+    EXPECT_EQ(p.y, q.y) << "device " << id;
+  }
+}
+
+// reachable() indexes the instant's grid, and a later candidates() at that
+// instant reuses it. A twin over its own mobility makes the same
+// positions pass and indexes at its first query, never calling
+// reachable(): both must answer every broadcast alike -- also after
+// brown-outs that follow the indexing, which only link_up() refuses --
+// and leave the trajectory RNG in the same state.
+TEST(RadioLinks, CandidatesAfterReachableMatchATwinThatNeverCallsIt) {
+  MobilityConfig cfg;
+  cfg.devices = 300;
+  cfg.field_size = 600.0;
+  cfg.radio_range = 60.0;
+  cfg.speed_min = 1.0;
+  cfg.speed_max = 25.0;
+  cfg.seed = 5;
+  constexpr DeviceId kRoot = 3;
+  const DeviceId n = static_cast<DeviceId>(cfg.devices);
+  RandomWaypointMobility links_mobility(cfg);
+  RandomWaypointMobility twin_mobility(cfg);
+  sim::EventQueue clock;
+  std::vector<bool> present(n, true);
+  std::vector<bool> dark(n, false);
+  const auto active = [&](DeviceId id) { return present[id] && !dark[id]; };
+  RadioLinks links(links_mobility, clock, kRoot, active);
+  RadioLinks twin(twin_mobility, clock, kRoot, active);
+
+  sim::Rng script(314);
+  size_t stale_members = 0;
+  size_t root_away = 0;
+  std::vector<net::NodeId> got;
+  std::vector<net::NodeId> want;
+  for (int instant = 0; instant < 30; ++instant) {
+    clock.advance_to(clock.now() +
+                     Duration::seconds(1 + script.next_below(900)));
+    if (script.chance(0.5)) {
+      for (int c = 0; c < 8; ++c) {
+        const DeviceId id = static_cast<DeviceId>(script.next_below(n));
+        present[id] = !present[id];
+      }
+      if (script.chance(0.25)) present[kRoot] = !present[kRoot];
+      links.invalidate();
+      twin.invalidate();
+    }
+    // Dark before the indexing: neither grid holds these.
+    for (size_t c = script.next_below(3); c > 0; --c) {
+      dark[script.next_below(n)] = true;
+    }
+    if (!active(kRoot)) ++root_away;
+
+    links.reachable();
+    for (DeviceId id = 0; id < n; ++id) twin_mobility.position(id, clock.now());
+    ASSERT_TRUE(twin.candidates(twin.verifier(), want));  // indexes
+
+    // Dark after the indexing, at the same instant: both grids still
+    // hold these, and the first candidates() of `links` comes after.
+    std::vector<DeviceId> darkened;
+    for (size_t c = 1 + script.next_below(4); c > 0; --c) {
+      const DeviceId id = static_cast<DeviceId>(script.next_below(n));
+      if (active(id)) darkened.push_back(id);
+      dark[id] = true;
+    }
+    // Every node as a sender, the verifier last.
+    for (net::NodeId src = 0; src <= links.verifier(); ++src) {
+      ASSERT_TRUE(links.candidates(src, got));
+      ASSERT_TRUE(twin.candidates(src, want));
+      ASSERT_EQ(got, want) << "instant " << instant << " source " << src;
+      for (const net::NodeId u : got) {
+        if (std::find(darkened.begin(), darkened.end(), u) != darkened.end()) {
+          ++stale_members;
+        }
+      }
+    }
+  }
+  EXPECT_GT(stale_members, 0u)
+      << "the script must query a grid holding a device darkened after "
+         "its indexing";
+  EXPECT_GT(root_away, 0u) << "the script must take the root away";
+  const Time later = clock.now() + Duration::minutes(20);
+  for (DeviceId id = 0; id < n; ++id) {
+    const Point p = links_mobility.position(id, later);
+    const Point q = twin_mobility.position(id, later);
     EXPECT_EQ(p.x, q.x) << "device " << id;
     EXPECT_EQ(p.y, q.y) << "device " << id;
   }
