@@ -3,15 +3,16 @@
 // The head holds the child CollectResponses that flow through it for a
 // bounded aggregation window, judges each against its OWN latest
 // self-measurement digest, and folds everything into the canonical
-// AggregateFrame. The digest-equality judgment is sound exactly when the
-// fleet runs a uniform image (every healthy device measures the same
-// bytes): a diverging digest is not proof of infection -- the head holds
-// no keys and proves nothing -- it is a cheap, unforgeable-to-improve
-// triage signal. A cleared bit costs one demand fetch of raw evidence;
-// a head lying with a SET bit is caught the moment that member's
-// evidence is audited against the hash-tree root, and a head cannot
-// clear bits to any effect beyond pushing members back onto the raw
-// path it was supposed to compress.
+// AggregateFrame, which climbs the tree in an overlay::RelayReport of
+// kind kAggregateReport (overlay/wire.h). The digest-equality judgment
+// is sound exactly when the fleet runs a uniform image (every healthy
+// device measures the same bytes): a diverging digest is not proof of
+// infection -- the head holds no keys and proves nothing -- it is a
+// cheap, unforgeable-to-improve triage signal. A cleared bit costs one
+// demand fetch of raw evidence; a head lying with a SET bit is caught the
+// moment that member's evidence is audited against the hash-tree root,
+// and a head cannot clear bits to any effect beyond pushing members back
+// onto the raw path it was supposed to compress.
 #pragma once
 
 #include <map>
@@ -39,7 +40,8 @@ class Combiner {
   Combiner(crypto::HashAlgo hash, Bytes reference_digest);
 
   /// Absorbs one child report (the raw inner response bytes of a
-  /// RelayReport). Duplicate origins keep the first evidence.
+  /// kRelayReport; aggregates are never absorbed). Duplicate origins keep
+  /// the first evidence.
   void absorb(net::NodeId origin, ByteView response);
 
   size_t members() const { return entries_.size(); }

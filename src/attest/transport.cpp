@@ -63,12 +63,11 @@ void DirectTransport::enable_batch_serve(common::ParallelExecutor& executor,
   domain_base_ = lo;
   domain_span_ = static_cast<size_t>(hi - lo) + 1;
   // The domain count is a property of the FLEET, never of the thread
-  // count: channel traffic (and everything derived from it) must be
+  // count: the local/cross split (and everything derived from it) must be
   // byte-identical at any thread count, so the partition cannot follow
   // the executor's width.
   domains_ = std::min(domains, domain_span_);
   if (domains_ == 0) domains_ = 1;
-  channels_ = std::make_unique<net::ShardChannels>(domains_);
   sink_domain_ = domain_of(sink);
 }
 
@@ -144,44 +143,52 @@ void DirectTransport::broadcast(const std::vector<net::NodeId>& peers,
 
 void DirectTransport::serve_collect_batch(
     const std::vector<net::NodeId>& peers, const CollectRequest& req) {
-  // Partition the batch by radio domain, preserving batch order within
-  // each domain (that order becomes the per-channel sequence).
-  std::vector<std::vector<net::NodeId>> by_domain(domains_);
-  for (const net::NodeId peer : peers) {
-    by_domain[domain_of(peer)].push_back(peer);
+  // Partition the batch's slot indices by radio domain, preserving batch
+  // order within each domain: a peer listed twice is served twice, in
+  // order, by the same worker -- as the send() loop would.
+  std::vector<std::vector<size_t>> by_domain(domains_);
+  for (size_t i = 0; i < peers.size(); ++i) {
+    by_domain[domain_of(peers[i])].push_back(i);
   }
   std::vector<size_t> live;
   live.reserve(domains_);
   for (size_t d = 0; d < domains_; ++d) {
     if (!by_domain[d].empty()) live.push_back(d);
   }
-  // Parallel phase: each domain serves its own provers. A prover touches
-  // only its own state and handle_collect is crypto-free (records are
-  // pre-MAC'd at measurement time), so the only shared structure is the
-  // read-only prover table. Responses go onto the domain->sink channel.
+  // Parallel phase: each domain serves its own provers into their peers'
+  // slots. A prover touches only its own state and handle_collect is
+  // crypto-free (records are pre-MAC'd at measurement time), so the only
+  // shared structure is the read-only prover table.
+  struct Reply {
+    bool served = false;
+    sim::Duration processing;
+    Bytes body;
+  };
+  std::vector<Reply> slots(peers.size());
   executor_->run(live.size(), [&](size_t j) {
-    const size_t d = live[j];
-    for (const net::NodeId peer : by_domain[d]) {
-      const auto it = provers_.find(peer);
+    for (const size_t i : by_domain[live[j]]) {
+      const auto it = provers_.find(peers[i]);
       if (it == provers_.end()) continue;  // silent drop, like send()
       const auto res = it->second->handle_collect(req);
-      net::ChannelFrame frame;
-      frame.src = peer;
-      frame.tag = static_cast<uint32_t>(MsgType::kCollectResponse);
-      frame.aux = res.processing.ns();
-      frame.payload = res.response.serialize();
-      channels_->push(d, sink_domain_, std::move(frame));
+      slots[i] = {true, res.processing, res.response.serialize()};
     }
   });
-  // Drain phase, after the join: deliver in (domain, sequence) order --
-  // for an id-sorted batch over contiguous domains, exactly the
-  // sequential loop's order.
-  channels_->drain(sink_domain_, [this](const net::ChannelFrame& frame) {
-    last_processing_ = sim::Duration(frame.aux);
+  // Delivery, after the join: batch order, exactly the send() loop's.
+  bool delivered = false;
+  for (size_t i = 0; i < peers.size(); ++i) {
+    if (!slots[i].served) continue;
+    delivered = true;
+    if (domain_of(peers[i]) == sink_domain_) {
+      ++batch_counters_.frames_local;
+    } else {
+      ++batch_counters_.frames_cross;
+    }
+    last_processing_ = slots[i].processing;
     if (receiver_) {
-      receiver_(frame.src, static_cast<MsgType>(frame.tag), frame.payload);
+      receiver_(peers[i], MsgType::kCollectResponse, slots[i].body);
     }
-  });
+  }
+  if (delivered) ++batch_counters_.drains;
 }
 
 void DirectTransport::set_receiver(Receiver receiver) {

@@ -19,14 +19,12 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "attest/protocol.h"
 #include "common/parallel.h"
 #include "net/network.h"
-#include "net/shard_channels.h"
 #include "sim/time.h"
 
 namespace erasmus::attest {
@@ -133,21 +131,28 @@ class DirectTransport : public Transport {
 
   /// Shard-local radio domains: partitions the attached endpoints into
   /// `domains` contiguous-id blocks and serves collect broadcasts domain-
-  /// parallel. Each domain's worker runs its own provers and pushes the
-  /// response frames onto its domain->sink channel; the frames are then
-  /// drained into the receiver in deterministic (domain, sequence) order.
-  /// For an id-sorted batch over contiguous domains that is exactly the
-  /// order the sequential loop delivered, so observable behaviour is
-  /// unchanged -- only the prover-side work runs in parallel. `sink` is
-  /// the endpoint the verifier is co-located with: frames from its domain
-  /// count as local traffic, everything else as cross-domain.
+  /// parallel. Each domain's worker runs its own provers and writes each
+  /// reply into that peer's batch slot (DETERMINISM.md R1); the slots are
+  /// then delivered to the receiver in batch order -- the send() loop's
+  /// order for any batch, so observable behaviour is unchanged and only
+  /// the prover-side work runs in parallel. `sink` is the endpoint the
+  /// verifier is co-located with: replies from its domain count as local
+  /// traffic, everything else as cross-domain.
   /// Call AFTER the last attach(); `executor` must outlive the transport.
   void enable_batch_serve(common::ParallelExecutor& executor, size_t domains,
                           net::NodeId sink);
   /// The domain an attached endpoint belongs to (batch serve only).
   size_t domain_of(net::NodeId node) const;
-  /// Channel traffic counters (nullptr until batch serve is enabled).
-  const net::ShardChannels* channels() const { return channels_.get(); }
+
+  /// Cumulative batch-serve traffic, counted at delivery. The runner
+  /// mirrors these into its channels/* metrics, whose names every kDirect
+  /// metrics table and the fleet benchmark's golden digest pin.
+  struct BatchCounters {
+    uint64_t frames_local = 0;  // replies from the sink's own domain
+    uint64_t frames_cross = 0;  // replies that crossed domains
+    uint64_t drains = 0;        // batch serves that delivered >= 1 reply
+  };
+  const BatchCounters& batch_counters() const { return batch_counters_; }
 
  private:
   /// Per-peer dispatch of an already-decoded request (send() and
@@ -164,7 +169,7 @@ class DirectTransport : public Transport {
 
   // Batch serve state (inert until enable_batch_serve).
   common::ParallelExecutor* executor_ = nullptr;
-  std::unique_ptr<net::ShardChannels> channels_;
+  BatchCounters batch_counters_;
   size_t domains_ = 0;
   size_t sink_domain_ = 0;
   net::NodeId domain_base_ = 0;  // attached id range: [base, base + span)

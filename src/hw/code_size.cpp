@@ -1,10 +1,8 @@
 #include "hw/code_size.h"
 
-namespace erasmus::hw {
+#include <stdexcept>
 
-std::string to_string(ArchKind arch) {
-  return arch == ArchKind::kSmartPlus ? "SMART+" : "HYDRA";
-}
+namespace erasmus::hw {
 
 std::string to_string(AttestMode mode) {
   return mode == AttestMode::kOnDemand ? "On-Demand" : "ERASMUS";
@@ -56,7 +54,16 @@ const CodeSizeModel& CodeSizeModel::for_arch(ArchKind arch) {
       /*mac_sha256_kb=*/3.60,
       /*mac_blake2s_kb=*/10.93,
   };
-  return arch == ArchKind::kSmartPlus ? kSmartPlus : kHydra;
+  switch (arch) {
+    case ArchKind::kSmartPlus:
+      return kSmartPlus;
+    case ArchKind::kHydra:
+      return kHydra;
+    case ArchKind::kTrustLite:
+      break;
+  }
+  throw std::invalid_argument(
+      "CodeSizeModel: Table 1 has no TrustLite column");
 }
 
 }  // namespace erasmus::hw

@@ -21,13 +21,12 @@
 #include <string>
 
 #include "crypto/mac.h"
+#include "hw/factory.h"
 
 namespace erasmus::hw {
 
-enum class ArchKind { kSmartPlus, kHydra };
 enum class AttestMode { kOnDemand, kErasmus };
 
-std::string to_string(ArchKind arch);
 std::string to_string(AttestMode mode);
 
 /// Component inventory for one architecture, in KB.
@@ -47,6 +46,8 @@ struct CodeSizeModel {
   std::optional<double> executable_kb(AttestMode mode,
                                       crypto::MacAlgo algo) const;
 
+  /// SMART+ or HYDRA; throws std::invalid_argument for TrustLite, which
+  /// has no Table 1 column.
   static const CodeSizeModel& for_arch(ArchKind arch);
 };
 

@@ -74,118 +74,14 @@ void RelayNode::on_datagram(const net::Datagram& dgram) {
       handle_flood(*flood, dgram.src);
       return;
     }
-    case RelayMsg::kRelayReport: {
-      auto report = RelayReport::deserialize(framed->second);
+    case RelayMsg::kRelayReport:
+    case RelayMsg::kAggregateReport: {
+      auto report = RelayReport::deserialize(framed->first, framed->second);
       if (!report) {
         ++stats_.malformed_frames;
         return;
       }
-      // Pure relay: never parse the inner response. Unknown flood (never
-      // heard it, or route state already pruned) -> nowhere to send it.
-      const auto it = routes_.find(report->flood);
-      if (it == routes_.end()) {
-        ++stats_.reports_orphaned;
-        return;
-      }
-      // A compromised relay discards what it was trusted to carry. Placed
-      // after the route lookup so only frames this node would actually
-      // have relayed count as attack losses.
-      if (config_.compromise.drop_relayed) {
-        ++stats_.dropped_adversarial;
-        if (obs::TraceRecorder* trace = config_.trace;
-            trace && trace->enabled(obs::Subsystem::kOverlay)) {
-          trace->instant(obs::Subsystem::kOverlay, queue_.now(),
-                         "adversarial_drop",
-                         {{"node", static_cast<uint64_t>(self_)},
-                          {"flood", static_cast<uint64_t>(report->flood)},
-                          {"origin", static_cast<uint64_t>(report->origin)}});
-        }
-        return;
-      }
-      // Head role: while the aggregation window is open, child reports
-      // stop here and fold into the cluster aggregate instead of climbing
-      // on. Reports arriving after the flush relay raw as usual.
-      const auto agg = aggs_.find(report->flood);
-      if (agg != aggs_.end()) {
-        agg->second.absorb(report->origin, report->response);
-        ++stats_.reports_absorbed;
-        if (agg->second.members() >= config_.aggregation.max_members) {
-          flush_aggregate(report->flood);
-        }
-        return;
-      }
-      ++report->hops;
-      report->path.push_back(self_);
-      if (config_.compromise.corrupt_relayed) {
-        // Scribble instead of drop: the mangled frame still burns this
-        // node's queue slot and forward spacing, then fails to parse at
-        // the next hop (its malformed_frames). Truncating the tail keeps
-        // the relay framing header valid but breaks the inner
-        // deserialize, which insists on consuming the frame exactly.
-        ++stats_.corrupted_adversarial;
-        if (obs::TraceRecorder* trace = config_.trace;
-            trace && trace->enabled(obs::Subsystem::kOverlay)) {
-          trace->instant(obs::Subsystem::kOverlay, queue_.now(),
-                         "adversarial_corrupt",
-                         {{"node", static_cast<uint64_t>(self_)},
-                          {"flood", static_cast<uint64_t>(report->flood)},
-                          {"origin", static_cast<uint64_t>(report->origin)}});
-        }
-        Bytes frame = frame_relay(RelayMsg::kRelayReport, report->serialize());
-        frame.resize(frame.size() - frame.size() / 3);
-        enqueue_frame(report->flood, report->origin, std::move(frame),
-                      /*relayed=*/true, /*aggregate=*/false);
-        return;
-      }
-      enqueue_report(std::move(*report), /*relayed=*/true);
-      return;
-    }
-    case RelayMsg::kAggregateReport: {
-      auto agg = AggregateReport::deserialize(framed->second);
-      if (!agg) {
-        ++stats_.malformed_frames;
-        return;
-      }
-      // Aggregates relay exactly like reports -- opaque payload, hop and
-      // path bookkeeping, queue piggyback. No re-aggregation: a deeper
-      // head's aggregate passes a shallower head unchanged.
-      const auto it = routes_.find(agg->flood);
-      if (it == routes_.end()) {
-        ++stats_.reports_orphaned;
-        return;
-      }
-      if (config_.compromise.drop_relayed) {
-        ++stats_.dropped_adversarial;
-        if (obs::TraceRecorder* trace = config_.trace;
-            trace && trace->enabled(obs::Subsystem::kOverlay)) {
-          trace->instant(obs::Subsystem::kOverlay, queue_.now(),
-                         "adversarial_drop",
-                         {{"node", static_cast<uint64_t>(self_)},
-                          {"flood", static_cast<uint64_t>(agg->flood)},
-                          {"origin", static_cast<uint64_t>(agg->head)}});
-        }
-        return;
-      }
-      ++agg->hops;
-      agg->path.push_back(self_);
-      if (config_.compromise.corrupt_relayed) {
-        ++stats_.corrupted_adversarial;
-        if (obs::TraceRecorder* trace = config_.trace;
-            trace && trace->enabled(obs::Subsystem::kOverlay)) {
-          trace->instant(obs::Subsystem::kOverlay, queue_.now(),
-                         "adversarial_corrupt",
-                         {{"node", static_cast<uint64_t>(self_)},
-                          {"flood", static_cast<uint64_t>(agg->flood)},
-                          {"origin", static_cast<uint64_t>(agg->head)}});
-        }
-        Bytes frame =
-            frame_relay(RelayMsg::kAggregateReport, agg->serialize());
-        frame.resize(frame.size() - frame.size() / 3);
-        enqueue_frame(agg->flood, agg->head, std::move(frame),
-                      /*relayed=*/true, /*aggregate=*/true);
-        return;
-      }
-      enqueue_aggregate(std::move(*agg), /*relayed=*/true);
+      relay(std::move(*report));
       return;
     }
     case RelayMsg::kScopedRequest: {
@@ -217,6 +113,65 @@ void RelayNode::on_datagram(const net::Datagram& dgram) {
       return;
     }
   }
+}
+
+void RelayNode::trace_adversarial(const char* name,
+                                  const RelayReport& report) {
+  obs::TraceRecorder* trace = config_.trace;
+  if (!trace || !trace->enabled(obs::Subsystem::kOverlay)) return;
+  trace->instant(obs::Subsystem::kOverlay, queue_.now(), name,
+                 {{"node", static_cast<uint64_t>(self_)},
+                  {"flood", static_cast<uint64_t>(report.flood)},
+                  {"origin", static_cast<uint64_t>(report.origin)}});
+}
+
+void RelayNode::relay(RelayReport report) {
+  // Pure relay: never parse the payload. Unknown flood (never heard it,
+  // or route state already pruned) -> nowhere to send it.
+  if (routes_.find(report.flood) == routes_.end()) {
+    ++stats_.reports_orphaned;
+    return;
+  }
+  // A compromised relay discards what it was trusted to carry. Placed
+  // after the route lookup so only frames this node would actually have
+  // relayed count as attack losses.
+  if (config_.compromise.drop_relayed) {
+    ++stats_.dropped_adversarial;
+    trace_adversarial("adversarial_drop", report);
+    return;
+  }
+  // Head role: while the aggregation window is open, child reports stop
+  // here and fold into the cluster aggregate instead of climbing on.
+  // Reports arriving after the flush relay raw as usual, and a deeper
+  // head's aggregate passes unchanged (no re-aggregation).
+  if (!report.aggregate()) {
+    const auto agg = aggs_.find(report.flood);
+    if (agg != aggs_.end()) {
+      agg->second.absorb(report.origin, report.response);
+      ++stats_.reports_absorbed;
+      if (agg->second.members() >= config_.aggregation.max_members) {
+        flush_aggregate(report.flood);
+      }
+      return;
+    }
+  }
+  ++report.hops;
+  report.path.push_back(self_);
+  if (config_.compromise.corrupt_relayed) {
+    // Scribble instead of drop: the mangled frame still burns this node's
+    // queue slot and forward spacing, then fails to parse at the next hop
+    // (its malformed_frames). Truncating the tail keeps the relay framing
+    // header valid but breaks the inner deserialize, which insists on
+    // consuming the frame exactly.
+    ++stats_.corrupted_adversarial;
+    trace_adversarial("adversarial_corrupt", report);
+    Bytes frame = report.frame();
+    frame.resize(frame.size() - frame.size() / 3);
+    enqueue_frame(report.flood, report.origin, std::move(frame),
+                  /*relayed=*/true, report.aggregate());
+    return;
+  }
+  enqueue_report(std::move(report), /*relayed=*/true);
 }
 
 void RelayNode::handle_scoped(ScopedRequest request, net::NodeId from) {
@@ -393,11 +348,12 @@ void RelayNode::flush_aggregate(uint32_t flood_id) {
                                      aggregate::aggregate_mac_input(frame));
   });
   ++stats_.aggregates_built;
-  AggregateReport env;
+  RelayReport env;
+  env.kind = RelayMsg::kAggregateReport;
   env.flood = flood_id;
-  env.head = self_;
+  env.origin = self_;
   env.path.push_back(self_);
-  env.payload = frame.serialize();
+  env.response = frame.serialize();
   if (obs::TraceRecorder* trace = config_.trace;
       trace && trace->enabled(obs::Subsystem::kOverlay)) {
     trace->instant(obs::Subsystem::kOverlay, queue_.now(), "aggregate_built",
@@ -405,9 +361,10 @@ void RelayNode::flush_aggregate(uint32_t flood_id) {
                     {"flood", static_cast<uint64_t>(flood_id)},
                     {"members", static_cast<uint64_t>(frame.members.size())},
                     {"raw_bytes", static_cast<uint64_t>(frame.raw_bytes)},
-                    {"wire_bytes", static_cast<uint64_t>(env.payload.size())}});
+                    {"wire_bytes",
+                     static_cast<uint64_t>(env.response.size())}});
   }
-  enqueue_aggregate(std::move(env), /*relayed=*/false);
+  enqueue_report(std::move(env), /*relayed=*/false);
 }
 
 void RelayNode::serve(uint32_t flood_id, uint8_t inner_type,
@@ -496,16 +453,8 @@ void RelayNode::enqueue_report(RelayReport report, bool relayed) {
   // Congestion piggyback: the report remembers the most saturated queue
   // it crossed, measured as this queue will stand once it joins it.
   report.queue = std::max(report.queue, occupancy_byte());
-  enqueue_frame(report.flood, report.origin,
-                frame_relay(RelayMsg::kRelayReport, report.serialize()),
-                relayed, /*aggregate=*/false);
-}
-
-void RelayNode::enqueue_aggregate(AggregateReport agg, bool relayed) {
-  agg.queue = std::max(agg.queue, occupancy_byte());
-  enqueue_frame(agg.flood, agg.head,
-                frame_relay(RelayMsg::kAggregateReport, agg.serialize()),
-                relayed, /*aggregate=*/true);
+  enqueue_frame(report.flood, report.origin, report.frame(), relayed,
+                report.aggregate());
 }
 
 void RelayNode::drain_one() {

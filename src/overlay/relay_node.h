@@ -9,7 +9,9 @@
 //  * relay    -- reports from deeper nodes are stored in a bounded
 //    store-and-forward queue and forwarded one per `forward_spacing`
 //    toward this node's parent for that flood. Overflow drops (and drop
-//    accounting) model a constrained radio, not an infinite pipe.
+//    accounting) model a constrained radio, not an infinite pipe. Both
+//    RelayReport kinds -- raw reports and cluster aggregates -- take one
+//    relay path; only raw reports can be absorbed by a head.
 //
 // Route state is per flood id: the parent is the neighbour the flood was
 // first heard from, and every duplicate arrival is remembered as an
@@ -177,10 +179,16 @@ class RelayNode {
     uint32_t flood = 0;
     Bytes frame;
     bool relayed = false;    // someone else's report (vs served locally)
-    bool aggregate = false;  // an AggregateReport (dark-purge accounting)
+    bool aggregate = false;  // a kAggregateReport (dark-purge accounting)
   };
 
   void on_datagram(const net::Datagram& dgram);
+  /// The relay path of both report kinds: route lookup, the compromised
+  /// relay's drop or corrupt, head absorption (raw reports only), hop and
+  /// path bump, enqueue.
+  void relay(RelayReport report);
+  /// kOverlay "adversarial_drop"/"adversarial_corrupt" instant.
+  void trace_adversarial(const char* name, const RelayReport& report);
   void handle_flood(const CollectFlood& flood, net::NodeId from);
   void handle_scoped(ScopedRequest request, net::NodeId from);
   /// Serves one inner attest request via the co-located prover and
@@ -190,10 +198,9 @@ class RelayNode {
   /// This node's store-and-forward occupancy as a wire byte (0..255),
   /// as it will be once one more report is queued.
   uint8_t occupancy_byte() const;
-  /// Stamps occupancy into the report and queues it for store-and-forward;
-  /// drops on overflow.
+  /// Stamps occupancy into the report (either kind) and queues it for
+  /// store-and-forward; drops on overflow.
   void enqueue_report(RelayReport report, bool relayed);
-  void enqueue_aggregate(AggregateReport agg, bool relayed);
   /// Shared store-and-forward admission: overflow accounting, occupancy
   /// sampling, queue push, drain arming. `origin` only labels the drop
   /// trace.

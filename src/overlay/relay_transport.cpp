@@ -106,7 +106,7 @@ bool RelayTransport::has_fresh_route(net::NodeId peer) const {
   if (peer >= routes_.size()) return false;
   const CachedRoute& route = routes_[peer];
   return route.valid && !route.used &&
-         network_.now() - route.learned_at <= config_.route_ttl;
+         network_.now() - route.learned_at <= kRouteTtl;
 }
 
 void RelayTransport::send(net::NodeId peer, attest::MsgType type,
@@ -232,21 +232,22 @@ void RelayTransport::on_datagram(const net::Datagram& dgram) {
       if (nak->target < routes_.size()) routes_[nak->target].valid = false;
       return;
     }
-    case RelayMsg::kAggregateReport:
-      handle_aggregate(framed->second);
-      return;
     case RelayMsg::kRelayReport:
+    case RelayMsg::kAggregateReport:
       break;
   }
-  const auto report = RelayReport::deserialize(framed->second);
-  if (!report || !valid_msg_type(report->inner_type)) {
+  // One intake prefix for both report kinds: parse, origin-range guard,
+  // congestion sample, route-cache refresh, stale check.
+  const auto report = RelayReport::deserialize(framed->first, framed->second);
+  if (!report ||
+      (!report->aggregate() && !valid_msg_type(report->inner_type))) {
     ++stats_.malformed_frames;
     return;
   }
   if (report->origin >= num_nodes_) {
-    // Claimed origin does not exist on this network: a Sybil/spoofed
-    // report. Rejected BEFORE the congestion sample and route-cache
-    // refresh below -- forged traffic must not poison either.
+    // Claimed origin (or head) does not exist on this network: a
+    // Sybil/spoofed report. Rejected BEFORE the congestion sample and
+    // route-cache refresh below -- forged traffic must not poison either.
     ++stats_.spoofed_rejected;
     if (inst_.spoofed_rejected) inst_.spoofed_rejected->add();
     trace_overlay("spoofed_rejected",
@@ -287,6 +288,10 @@ void RelayTransport::on_datagram(const net::Datagram& dgram) {
     if (inst_.stale_reports) inst_.stale_reports->add();
     return;
   }
+  if (report->aggregate()) {
+    deliver_aggregate(*report);
+    return;
+  }
   if (!it->second.insert(report->origin).second) {
     ++stats_.duplicate_reports;  // same report over a second path
     if (inst_.duplicate_reports) inst_.duplicate_reports->add();
@@ -309,42 +314,13 @@ void RelayTransport::on_datagram(const net::Datagram& dgram) {
   }
 }
 
-void RelayTransport::handle_aggregate(ByteView body) {
-  const auto env = AggregateReport::deserialize(body);
-  if (!env) {
-    ++stats_.malformed_frames;
-    return;
-  }
-  // The head's queue stamp is congestion evidence like any report's.
-  pending_congestion_ = std::max(
-      pending_congestion_, static_cast<double>(env->queue) / 255.0);
-  if (config_.scoped_retries && !env->path.empty() &&
-      env->path.front() == env->head &&
-      env->path.size() == static_cast<size_t>(env->hops) + 1) {
-    // Same prefix-caching as raw reports: the reversed path is the route
-    // to the head, and each prefix routes to the relay that stamped it.
-    const sim::Time now = network_.now();
-    std::vector<net::NodeId> route;
-    route.reserve(env->path.size());
-    for (auto hop = env->path.rbegin(); hop != env->path.rend(); ++hop) {
-      route.push_back(*hop);
-      if (*hop < routes_.size()) {
-        routes_[*hop] = CachedRoute{route, now, /*used=*/false,
-                                    /*valid=*/true};
-      }
-    }
-  }
-  if (delivered_.find(env->flood) == delivered_.end()) {
-    ++stats_.stale_reports;
-    if (inst_.stale_reports) inst_.stale_reports->add();
-    return;
-  }
-  if (!agg_delivered_[env->flood].insert(env->head).second) {
+void RelayTransport::deliver_aggregate(const RelayReport& env) {
+  if (!agg_delivered_[env.flood].insert(env.origin).second) {
     ++stats_.duplicate_aggregates;  // same aggregate over a second path
     return;
   }
-  const auto frame = aggregate::AggregateFrame::deserialize(env->payload);
-  if (!frame || frame->head != env->head || frame->flood != env->flood) {
+  const auto frame = aggregate::AggregateFrame::deserialize(env.response);
+  if (!frame || frame->head != env.origin || frame->flood != env.flood) {
     // An unparsable payload -- or an envelope whose addressing disagrees
     // with the authenticated frame inside it -- is a malformed frame.
     ++stats_.malformed_frames;
@@ -352,15 +328,15 @@ void RelayTransport::handle_aggregate(ByteView body) {
   }
   ++stats_.aggregates_received;
   stats_.aggregate_members += frame->members.size();
-  stats_.aggregate_wire_bytes += env->payload.size();
+  stats_.aggregate_wire_bytes += env.response.size();
   stats_.aggregate_raw_bytes += frame->raw_bytes;
-  if (inst_.hops) inst_.hops->observe(static_cast<double>(env->hops));
+  if (inst_.hops) inst_.hops->observe(static_cast<double>(env.hops));
   trace_overlay("aggregate",
-                {{"flood", static_cast<uint64_t>(env->flood)},
-                 {"head", static_cast<uint64_t>(env->head)},
+                {{"flood", static_cast<uint64_t>(env.flood)},
+                 {"head", static_cast<uint64_t>(env.origin)},
                  {"members", static_cast<uint64_t>(frame->members.size())},
-                 {"hops", static_cast<uint64_t>(env->hops)}});
-  if (aggregate_receiver_) aggregate_receiver_(*frame, env->hops);
+                 {"hops", static_cast<uint64_t>(env.hops)}});
+  if (aggregate_receiver_) aggregate_receiver_(*frame, env.hops);
 }
 
 }  // namespace erasmus::overlay

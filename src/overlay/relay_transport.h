@@ -20,13 +20,16 @@
 //    the CURRENT topology -- the §6 mobility argument in transport form.
 //    A ScopedNak, a stale or an already-burned route all fall back to
 //    the flood path.
-//  * receive               -- RelayReports are unwrapped, deduplicated per
-//    flood (dense topologies deliver the same report over several paths)
-//    and handed to the service keyed by the origin node, exactly as a
-//    direct response would be. Hop counts feed a histogram, the path
-//    record refreshes the route cache, and the piggybacked relay-queue
-//    occupancy feeds take_congestion() so the service can damp its
-//    window when relays saturate.
+//  * receive               -- both RelayReport kinds share one intake:
+//    the origin-range guard, then the piggybacked relay-queue occupancy
+//    feeds take_congestion() (so the service can damp its window when
+//    relays saturate), the path record refreshes the route cache, and
+//    reports of unknown floods count as stale. Raw reports are then
+//    deduplicated per flood (dense topologies deliver the same report
+//    over several paths), feed the hop histogram and go to the service
+//    keyed by the origin node, exactly as a direct response would.
+//    Aggregates are deduplicated per head and go to the aggregate
+//    receiver.
 //
 // Malformed frames are counted and dropped here, mirroring
 // NetworkTransport::malformed_frames(): the service only ever sees typed
@@ -45,6 +48,10 @@
 
 namespace erasmus::overlay {
 
+/// How long a recorded path stays trustworthy for a scoped retry: at
+/// vehicle speeds a multi-hop path decays in tens of seconds.
+inline constexpr sim::Duration kRouteTtl = sim::Duration::seconds(30);
+
 struct RelayTransportConfig {
   /// Flood TTL: a flood reaches nodes up to ttl+1 hops out.
   uint8_t ttl = 8;
@@ -59,12 +66,9 @@ struct RelayTransportConfig {
   size_t flood_memory = 64;
   /// Retry a device over its last report's recorded path (a source-routed
   /// unicast) instead of re-flooding the swarm, while that route is
-  /// fresh. Off: every retry is a full targeted flood (the pre-scoped
-  /// behaviour).
+  /// fresh (kRouteTtl). Off: every retry is a full targeted flood (the
+  /// pre-scoped behaviour).
   bool scoped_retries = false;
-  /// How long a recorded path stays trustworthy. Size to mobility: at
-  /// vehicle speeds a multi-hop path decays in tens of seconds.
-  sim::Duration route_ttl = sim::Duration::seconds(30);
   /// Flight recorder for flood/scoped/report lifecycle events (category
   /// kOverlay). Not owned; nullptr = no tracing.
   obs::TraceRecorder* trace = nullptr;
@@ -125,10 +129,11 @@ class RelayTransport : public attest::Transport {
     uint64_t duplicate_reports = 0;  // same (flood, origin) via another path
     uint64_t stale_reports = 0;      // flood id outside the dedup window
     uint64_t malformed_frames = 0;
-    /// Reports whose claimed origin is not a node that exists on this
-    /// network (Sybil / spoofed-origin injection). Rejected before any
-    /// route-cache or congestion state is touched, and counted apart
-    /// from malformed_frames: the frame parsed fine -- its identity lied.
+    /// Reports (either kind) whose claimed origin is not a node that
+    /// exists on this network (Sybil / spoofed-origin injection).
+    /// Rejected before any route-cache or congestion state is touched,
+    /// and counted apart from malformed_frames: the frame parsed fine --
+    /// its identity lied.
     uint64_t spoofed_rejected = 0;
     // Hierarchical collection:
     uint64_t aggregates_received = 0;   // accepted aggregate frames
@@ -171,7 +176,9 @@ class RelayTransport : public attest::Transport {
   void register_flood(uint32_t flood);
   void launch_flood(std::vector<net::NodeId> targets, attest::MsgType type,
                     ByteView body, bool aggregate_eligible = false);
-  void handle_aggregate(ByteView body);
+  /// The aggregate tail of the intake: per-head dedup, payload parse,
+  /// aggregate stats, delivery to the aggregate receiver.
+  void deliver_aggregate(const RelayReport& env);
   void launch_scoped(CachedRoute& route, attest::MsgType type, ByteView body);
 
   net::Network& network_;

@@ -59,20 +59,25 @@ Bytes RelayReport::serialize() const {
   w.u32(flood);
   w.u32(origin);
   w.u8(hops);
-  w.u8(inner_type);
+  if (!aggregate()) w.u8(inner_type);
   w.u8(queue);
   write_node_list(w, path);
   w.var_bytes(response);
   return w.take();
 }
 
-std::optional<RelayReport> RelayReport::deserialize(ByteView data) {
+std::optional<RelayReport> RelayReport::deserialize(RelayMsg kind,
+                                                    ByteView data) {
+  if (kind != RelayMsg::kRelayReport && kind != RelayMsg::kAggregateReport) {
+    return std::nullopt;
+  }
   ByteReader r(data);
   RelayReport report;
+  report.kind = kind;
   report.flood = r.u32();
   report.origin = r.u32();
   report.hops = r.u8();
-  report.inner_type = r.u8();
+  if (!report.aggregate()) report.inner_type = r.u8();
   report.queue = r.u8();
   auto path = read_node_list(r);
   if (!path) return std::nullopt;
@@ -82,31 +87,7 @@ std::optional<RelayReport> RelayReport::deserialize(ByteView data) {
   return report;
 }
 
-Bytes AggregateReport::serialize() const {
-  ByteWriter w;
-  w.u32(flood);
-  w.u32(head);
-  w.u8(hops);
-  w.u8(queue);
-  write_node_list(w, path);
-  w.var_bytes(payload);
-  return w.take();
-}
-
-std::optional<AggregateReport> AggregateReport::deserialize(ByteView data) {
-  ByteReader r(data);
-  AggregateReport agg;
-  agg.flood = r.u32();
-  agg.head = r.u32();
-  agg.hops = r.u8();
-  agg.queue = r.u8();
-  auto path = read_node_list(r);
-  if (!path) return std::nullopt;
-  agg.path = std::move(*path);
-  agg.payload = r.var_bytes();
-  if (!r.done()) return std::nullopt;
-  return agg;
-}
+Bytes RelayReport::frame() const { return frame_relay(kind, serialize()); }
 
 Bytes ScopedRequest::serialize() const {
   ByteWriter w;

@@ -10,13 +10,14 @@
 //    from. The TTL bounds discovery depth; `targets` scopes who serves
 //    the request ({kEveryone} for a full round, the current dispatch
 //    window's devices for a windowed batch, one node for a retry).
-//  * RelayReport   -- carries one prover response back up the flood's
-//    parent tree, store-and-forward hop by hop. Relays never parse,
-//    verify or re-MAC the payload ("only relays reports and does not
-//    perform any computation", LISA-alpha); they bump the hop count,
-//    append themselves to the path record and fold in their own queue
-//    occupancy -- giving the verifier a usable downlink route and a
-//    congestion signal for free.
+//  * RelayReport   -- the one uplink envelope. It carries one prover
+//    response (kRelayReport) or one cluster head's aggregate
+//    (kAggregateReport) back up the flood's parent tree, store-and-forward
+//    hop by hop. Relays never parse, verify or re-MAC the payload ("only
+//    relays reports and does not perform any computation", LISA-alpha);
+//    they bump the hop count, append themselves to the path record and
+//    fold in their own queue occupancy -- giving the verifier a usable
+//    downlink route and a congestion signal for free.
 //  * ScopedRequest -- a retry for a device whose uplink path is still
 //    fresh: a source-routed unicast down the recorded path instead of a
 //    whole-swarm re-flood. Each hop records the sender as its parent for
@@ -97,11 +98,19 @@ struct CollectFlood {
   static std::optional<CollectFlood> deserialize(ByteView data);
 };
 
+/// The uplink envelope of both kinds. A kRelayReport carries one prover's
+/// attest response. A kAggregateReport carries one cluster head's
+/// serialized aggregate::AggregateFrame, opaque to relays: heads upstream
+/// forward it unchanged, there is no re-aggregation. The two bodies differ
+/// only in `inner_type`, which an aggregate body does not carry.
 struct RelayReport {
+  RelayMsg kind = RelayMsg::kRelayReport;  // the frame tag; not in the body
   uint32_t flood = 0;
-  net::NodeId origin = 0;  // the responding prover's node id
+  /// The responding prover's node id; for an aggregate, the elected head
+  /// that built the payload.
+  net::NodeId origin = 0;
   uint8_t hops = 0;        // relays traversed so far (origin sends 0)
-  uint8_t inner_type = 0;  // attest::MsgType of `response`
+  uint8_t inner_type = 0;  // attest::MsgType of `response` (kRelayReport)
   /// Worst store-and-forward queue occupancy along the path so far,
   /// scaled to 0..255 (occupancy / depth). The verifier damps its
   /// dispatch window when this saturates.
@@ -110,27 +119,17 @@ struct RelayReport {
   /// report. Reversed, this is the verifier's downlink path for a scoped
   /// retry.
   std::vector<net::NodeId> path;
-  Bytes response;  // serialized attest response body
+  /// Serialized attest response body, or the AggregateFrame.
+  Bytes response;
 
+  bool aggregate() const { return kind == RelayMsg::kAggregateReport; }
+  /// The body, without the frame tag.
   Bytes serialize() const;
-  static std::optional<RelayReport> deserialize(ByteView data);
-};
-
-/// Routing envelope for one cluster head's aggregate (hierarchical
-/// collection). Travels up the parent tree exactly like a RelayReport --
-/// hop count, path record, queue piggyback -- but the payload is an
-/// aggregate::AggregateFrame covering a whole cluster, opaque to relays
-/// (heads upstream forward it unchanged; there is no re-aggregation).
-struct AggregateReport {
-  uint32_t flood = 0;
-  net::NodeId head = 0;  // the elected head that built the payload
-  uint8_t hops = 0;      // relays traversed so far (head sends 0)
-  uint8_t queue = 0;     // worst queue occupancy along the path, 0..255
-  std::vector<net::NodeId> path;  // head first, then every forwarder
-  Bytes payload;  // serialized aggregate::AggregateFrame
-
-  Bytes serialize() const;
-  static std::optional<AggregateReport> deserialize(ByteView data);
+  /// Parses a body of `kind`; nullopt for any other tag.
+  static std::optional<RelayReport> deserialize(RelayMsg kind,
+                                                ByteView data);
+  /// The framed datagram: frame_relay(kind, serialize()).
+  Bytes frame() const;
 };
 
 struct ScopedRequest {

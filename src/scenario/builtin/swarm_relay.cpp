@@ -59,8 +59,6 @@ class SwarmRelayScenario : public Scenario {
         {"scoped_retries", "off", "retry over the cached parent path "
                                   "instead of re-flooding while the route "
                                   "is fresh (on|off)"},
-        {"route_ttl", "30s", "how long a reported path stays usable for "
-                             "scoped retries"},
         {"aggregate", "off", "hierarchical collection: off | on (depth-band "
                              "head election per flood) | planned (static "
                              "id-stride heads)"},
@@ -145,8 +143,6 @@ class SwarmRelayScenario : public Scenario {
         static_cast<int>(params.get_u64("retries", 1));
     cfg.window = WindowSpec::parse(params.get_str("window", "fleet"));
     cfg.overlay.scoped_retries = params.get_bool("scoped_retries", false);
-    cfg.overlay.route_ttl =
-        params.get_duration("route_ttl", Duration::seconds(30));
     // Loud on anything but the three-valued grammar: a typo silently
     // falling back to per-device relaying would invalidate a 10k bench.
     const std::string agg = params.get_str("aggregate", "off");

@@ -14,10 +14,10 @@ using swarm::detail::throw_bad_device_id;
 
 namespace {
 // Virtual radio domains for the kDirect batch serve. A property of the
-// FLEET, deliberately independent of the thread count: channel traffic
-// counters must be byte-identical at 1/2/8 threads, so the partition can
-// never follow the executor's width. 16 keeps the job pool wide enough
-// for any shard count this runner targets.
+// FLEET, deliberately independent of the thread count: the channels/*
+// local/cross counters must be byte-identical at 1/2/8 threads, so the
+// partition can never follow the executor's width. 16 keeps the job pool
+// wide enough for any shard count this runner targets.
 constexpr size_t kVirtualDomains = 16;
 }  // namespace
 
@@ -118,9 +118,8 @@ ShardedFleetRunner::ShardedFleetRunner(ShardedFleetConfig config)
 
   if (config_.backend == CollectionBackend::kDirect) {
     // Shard-local radio domains: collect broadcasts are served
-    // domain-parallel on the pool, responses crossing domains over SPSC
-    // channels drained in deterministic (domain, sequence) order. The
-    // domain count follows the fleet, never the thread count.
+    // domain-parallel on the pool into per-peer slots, delivered in batch
+    // order. The domain count follows the fleet, never the thread count.
     direct_transport_.enable_batch_serve(
         *executor_, std::min(kVirtualDomains, specs_.size()), config_.root);
     channel_inst_.frames_local = &metrics_.counter("channels", "frames_local");
@@ -304,7 +303,6 @@ void ShardedFleetRunner::build_overlay() {
   tc.forward_spacing = config_.overlay.forward_spacing;
   tc.flood_memory = overlay::flood_memory_for(specs_.size());
   tc.scoped_retries = config_.overlay.scoped_retries;
-  tc.route_ttl = config_.overlay.route_ttl;
   tc.trace = trace_;
   tc.metrics = &metrics_;
   tc.aggregate = config_.overlay.aggregation.enabled;
@@ -899,9 +897,9 @@ void ShardedFleetRunner::emit_adversary_round(MetricsSink& sink, size_t round,
 }
 
 void ShardedFleetRunner::sync_channel_metrics(sim::Time at) {
-  const net::ShardChannels* channels = direct_transport_.channels();
-  if (channels == nullptr || channel_inst_.frames_local == nullptr) return;
-  const net::ShardChannels::Counters& now = channels->counters();
+  if (channel_inst_.frames_local == nullptr) return;
+  const attest::DirectTransport::BatchCounters& now =
+      direct_transport_.batch_counters();
   const uint64_t local = now.frames_local - last_channel_.frames_local;
   const uint64_t cross = now.frames_cross - last_channel_.frames_cross;
   const uint64_t drains = now.drains - last_channel_.drains;

@@ -20,12 +20,11 @@
 //    barrier instants under coordinator control, sequenced in global
 //    device-id order.
 //  * Barrier-phase work that IS parallel (the kDirect batch serve, the
-//    batched report verify) is restricted to order-free shapes: pure
-//    functions into disjoint per-item slots, or SPSC channels
-//    (net/shard_channels.h) whose drain order is a pure function of
-//    (domain, sequence) -- with domain counts fixed by the fleet, never by
-//    the thread count. Results are then folded back in sequentially, in
-//    the exact order the serial code produced them.
+//    batched report verify) is restricted to one order-free shape: pure
+//    functions into disjoint per-item slots, with domain and chunk counts
+//    fixed by the fleet, never by the thread count. Results are then
+//    folded back in sequentially, in the exact order the serial code
+//    produced them.
 // Hence metrics output is bit-for-bit identical for a fixed seed regardless
 // of thread count, and `threads` is purely a wall-clock knob.
 #pragma once
@@ -41,7 +40,6 @@
 #include "common/parallel.h"
 #include "energy/meter.h"
 #include "net/network.h"
-#include "net/shard_channels.h"
 #include "obs/phase.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -83,9 +81,9 @@ struct OverlayBackendConfig {
   sim::Duration collect_deadline = sim::Duration::seconds(30);
   /// Retry over the cached parent path of the device's last report (a
   /// source-routed unicast) instead of re-flooding, while the route is
-  /// younger than route_ttl. Emits the per-round "scoped_retry" table.
+  /// younger than overlay::kRouteTtl. Emits the per-round "scoped_retry"
+  /// table.
   bool scoped_retries = false;
-  sim::Duration route_ttl = sim::Duration::seconds(30);
   /// Hierarchical collection (src/aggregate): elect cluster heads per
   /// flood; heads absorb child reports and uplink ONE authenticated
   /// AggregateFrame (bitmap of healthy + hash-tree root). The runner
@@ -293,7 +291,7 @@ class ShardedFleetRunner {
   /// Snapshot of every registered instrument into the "metrics" table
   /// (histograms additionally into "metrics_hist", one row per bucket).
   void emit_metrics_round(MetricsSink& sink, size_t round);
-  /// Mirrors the DirectTransport's channel drain counters into the
+  /// Mirrors the DirectTransport's batch-serve counters into the
   /// "channels" obs counters (per-round deltas, kDirect batch serve only)
   /// and emits a kRunner "channel_drain" trace instant for the round.
   /// Domain count is fixed by the FLEET (never the thread count), so
@@ -387,14 +385,14 @@ class ShardedFleetRunner {
   obs::TraceRecorder* trace_ = nullptr;
   obs::PhaseProfiler phases_;
 
-  /// Channel traffic instruments (kDirect batch serve only; all null
-  /// otherwise) and the last mirrored cumulative counter values.
+  /// Batch-serve traffic instruments (kDirect only; all null otherwise)
+  /// and the last mirrored cumulative counter values.
   struct {
     obs::Counter* frames_local = nullptr;
     obs::Counter* frames_cross = nullptr;
     obs::Counter* drains = nullptr;
   } channel_inst_;
-  net::ShardChannels::Counters last_channel_;
+  attest::DirectTransport::BatchCounters last_channel_;
 };
 
 }  // namespace erasmus::scenario

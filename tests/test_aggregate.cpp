@@ -244,25 +244,35 @@ TEST(Election, ZeroStrideClampsToOne) {
 // --- Wire envelope -----------------------------------------------------------
 
 TEST(AggregateWire, EnvelopeAndFloodFieldsRoundTrip) {
-  overlay::AggregateReport env;
+  // An aggregate rides the one uplink envelope under its own tag, with
+  // the head as origin and the frame as payload.
+  overlay::RelayReport env;
+  env.kind = overlay::RelayMsg::kAggregateReport;
   env.flood = 17;
-  env.head = 3;
+  env.origin = 3;
   env.hops = 2;
   env.queue = 40;
   env.path = {3, 8, 1};
-  env.payload = bytes_of("frame bytes");
-  const auto e = overlay::AggregateReport::deserialize(env.serialize());
+  env.response = bytes_of("frame bytes");
+  const Bytes framed = env.frame();
+  ASSERT_EQ(framed[0], 0x24) << "the aggregate tag is unchanged";
+  const auto unframed = overlay::unframe_relay(framed);
+  ASSERT_TRUE(unframed.has_value());
+  const auto e =
+      overlay::RelayReport::deserialize(unframed->first, unframed->second);
   ASSERT_TRUE(e.has_value());
+  EXPECT_TRUE(e->aggregate());
   EXPECT_EQ(e->flood, 17u);
-  EXPECT_EQ(e->head, 3u);
+  EXPECT_EQ(e->origin, 3u);
   EXPECT_EQ(e->hops, 2u);
   EXPECT_EQ(e->queue, 40u);
   EXPECT_EQ(e->path, (std::vector<net::NodeId>{3, 8, 1}));
-  EXPECT_EQ(e->payload, bytes_of("frame bytes"));
+  EXPECT_EQ(e->response, bytes_of("frame bytes"));
 
   const Bytes full = env.serialize();
   for (size_t cut = 0; cut < full.size(); ++cut) {
-    EXPECT_FALSE(overlay::AggregateReport::deserialize(
+    EXPECT_FALSE(overlay::RelayReport::deserialize(
+                     overlay::RelayMsg::kAggregateReport,
                      ByteView(full.data(), cut)).has_value())
         << "accepted a " << cut << "-byte prefix";
   }
@@ -673,6 +683,110 @@ TEST(AggregateDark, HeldCombinerPurgedWhenDarkBeforeFlush) {
   EXPECT_EQ(stats.aggregates_built, 0u);
   EXPECT_EQ(stats.aggregates_dark_purged, 1u)
       << "held evidence dies with the battery, under its own counter";
+}
+
+// --- Compromised relays on aggregates ----------------------------------------
+
+TEST(AggregateRelay, CompromisedRelayDropsOrScribblesADeeperHeadsAggregate) {
+  // Line verifier -- parent -- relay -- deep. The relay heads its cluster
+  // (window open) when the deeper head's aggregate arrives. Honest, it
+  // passes the aggregate on unchanged; compromised, it drops it (counted
+  // as an attack, not absorbed) or scribbles it into the parent's
+  // malformed_frames.
+  enum class Mode { kHonest, kDrop, kCorrupt };
+  for (const Mode mode : {Mode::kHonest, Mode::kDrop, Mode::kCorrupt}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    sim::EventQueue queue;
+    net::Network network(queue, Duration::millis(2), 0.0, 7);
+    std::vector<std::unique_ptr<hw::SmartPlusArch>> archs;
+    std::vector<std::unique_ptr<attest::Prover>> provers;
+    const auto prover_for = [&](uint32_t id) -> attest::Prover& {
+      archs.push_back(std::make_unique<hw::SmartPlusArch>(
+          device_key(id), 4096, 1024, 16 * kRecordBytes));
+      hw::SmartPlusArch& arch = *archs.back();
+      provers.push_back(std::make_unique<attest::Prover>(
+          queue, arch, arch.app_region(), arch.store_region(),
+          std::make_unique<attest::RegularScheduler>(Duration::minutes(10)),
+          attest::ProverConfig{}));
+      return *provers.back();
+    };
+    const net::NodeId verifier = network.add_node({});
+    const net::NodeId parent = network.add_node({});
+    const net::NodeId relay = network.add_node({});
+    const net::NodeId deep = network.add_node({});
+    network.set_link_filter([](net::NodeId a, net::NodeId b) {
+      return (a > b ? a - b : b - a) == 1;
+    });
+    overlay::RelayNode parent_node(queue, network, parent, prover_for(parent));
+    overlay::RelayNodeConfig nc;
+    nc.aggregation.enabled = true;
+    nc.aggregation.election = {ElectionMode::kDepthBand, 1};  // always head
+    nc.compromise.drop_relayed = mode == Mode::kDrop;
+    nc.compromise.corrupt_relayed = mode == Mode::kCorrupt;
+    overlay::RelayNode relay_node(queue, network, relay, prover_for(relay),
+                                  nc);
+    std::vector<overlay::RelayReport> heard;  // aggregates at the verifier
+    network.set_handler(verifier, [&](const net::Datagram& d) {
+      const auto framed = overlay::unframe_relay(d.payload);
+      if (!framed || framed->first != overlay::RelayMsg::kAggregateReport) {
+        return;
+      }
+      const auto env =
+          overlay::RelayReport::deserialize(framed->first, framed->second);
+      ASSERT_TRUE(env.has_value());
+      heard.push_back(*env);
+    });
+    for (auto& p : provers) p->start();
+    queue.run_until(queue.now() + Duration::minutes(11));  // heads measure
+
+    overlay::CollectFlood flood;
+    flood.flood = 1;
+    flood.ttl = 2;
+    flood.flags = overlay::kFloodAggregate;
+    flood.inner_type = static_cast<uint8_t>(attest::MsgType::kCollectRequest);
+    flood.request = attest::CollectRequest{2}.serialize();
+    network.send(verifier, parent,
+                 frame_relay(overlay::RelayMsg::kCollectFlood,
+                             flood.serialize()));
+    overlay::RelayReport env;
+    env.kind = overlay::RelayMsg::kAggregateReport;
+    env.flood = 1;
+    env.origin = deep;
+    env.path = {deep};
+    env.response = bytes_of("the deeper head's frame");
+    queue.schedule_after(Duration::millis(20),
+                         [&] { network.send(deep, relay, env.frame()); });
+    queue.run_until(queue.now() + Duration::seconds(2));
+
+    const auto& r = relay_node.stats();
+    EXPECT_EQ(r.heads_elected, 1u);
+    EXPECT_EQ(r.reports_absorbed, 0u) << "aggregates are never absorbed";
+    EXPECT_EQ(r.aggregates_built, 0u);
+    switch (mode) {
+      case Mode::kHonest:
+        EXPECT_EQ(r.aggregates_relayed, 1u);
+        ASSERT_EQ(heard.size(), 1u);
+        EXPECT_EQ(heard[0].origin, deep);
+        EXPECT_EQ(heard[0].hops, 2u);
+        EXPECT_EQ(heard[0].path,
+                  (std::vector<net::NodeId>{deep, relay, parent}));
+        EXPECT_EQ(heard[0].response, env.response) << "payload unchanged";
+        break;
+      case Mode::kDrop:
+        EXPECT_EQ(r.dropped_adversarial, 1u);
+        EXPECT_EQ(r.aggregates_relayed, 0u);
+        EXPECT_EQ(parent_node.stats().malformed_frames, 0u);
+        EXPECT_TRUE(heard.empty());
+        break;
+      case Mode::kCorrupt:
+        EXPECT_EQ(r.corrupted_adversarial, 1u);
+        EXPECT_EQ(r.aggregates_relayed, 1u) << "the scribble still burns "
+                                               "the relay's queue slot";
+        EXPECT_EQ(parent_node.stats().malformed_frames, 1u);
+        EXPECT_TRUE(heard.empty());
+        break;
+    }
+  }
 }
 
 // --- Sharded runner: byte-identity and the aggregate table -------------------

@@ -85,9 +85,13 @@ TEST(Table1, HydraDominatedBySeL4Base) {
             0.9);
 }
 
+TEST(Table1, TrustLiteHasNoColumn) {
+  // Table 1 reports SMART+ and HYDRA only.
+  EXPECT_THROW(CodeSizeModel::for_arch(ArchKind::kTrustLite),
+               std::invalid_argument);
+}
+
 TEST(Table1, Labels) {
-  EXPECT_EQ(to_string(ArchKind::kSmartPlus), "SMART+");
-  EXPECT_EQ(to_string(ArchKind::kHydra), "HYDRA");
   EXPECT_EQ(to_string(AttestMode::kOnDemand), "On-Demand");
   EXPECT_EQ(to_string(AttestMode::kErasmus), "ERASMUS");
 }

@@ -5,6 +5,8 @@
 // RelayCollector.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "crypto/hkdf.h"
 #include "overlay/collector.h"
 #include "overlay/relay_node.h"
@@ -102,6 +104,8 @@ TEST(OverlayWire, FloodAndReportRoundTrip) {
   everyone.targets = {kEveryone};
   EXPECT_TRUE(everyone.serves(8));
 
+  // The one uplink envelope, both kinds. Only a raw report's body carries
+  // inner_type; an aggregate's is the same envelope one byte shorter.
   RelayReport report;
   report.flood = 42;
   report.origin = 9;
@@ -110,23 +114,166 @@ TEST(OverlayWire, FloodAndReportRoundTrip) {
   report.queue = 37;
   report.path = {9, 4, 2};
   report.response = bytes_of("payload");
-  const auto r = RelayReport::deserialize(report.serialize());
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->origin, 9u);
-  EXPECT_EQ(r->hops, 5u);
-  EXPECT_EQ(r->queue, 37u);
-  EXPECT_EQ(r->path, (std::vector<net::NodeId>{9, 4, 2}));
-  EXPECT_EQ(r->response, bytes_of("payload"));
+  RelayReport agg = report;
+  agg.kind = RelayMsg::kAggregateReport;
+  agg.inner_type = 0;
+  EXPECT_EQ(agg.serialize().size() + 1, report.serialize().size());
+  for (const RelayReport& sent : {report, agg}) {
+    const auto r = RelayReport::deserialize(sent.kind, sent.serialize());
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r->kind, sent.kind);
+    EXPECT_EQ(r->aggregate(), sent.kind == RelayMsg::kAggregateReport);
+    EXPECT_EQ(r->flood, 42u);
+    EXPECT_EQ(r->origin, 9u);
+    EXPECT_EQ(r->hops, 5u);
+    EXPECT_EQ(r->inner_type, sent.inner_type);
+    EXPECT_EQ(r->queue, 37u);
+    EXPECT_EQ(r->path, (std::vector<net::NodeId>{9, 4, 2}));
+    EXPECT_EQ(r->response, bytes_of("payload"));
+    EXPECT_EQ(r->frame(), frame_relay(sent.kind, sent.serialize()));
+
+    // Truncated bodies must be rejected, not read past the end.
+    const Bytes full = sent.serialize();
+    for (size_t cut = 0; cut < full.size(); ++cut) {
+      EXPECT_FALSE(RelayReport::deserialize(sent.kind,
+                                            ByteView(full.data(), cut))
+                       .has_value())
+          << "accepted a " << cut << "-byte prefix";
+    }
+  }
+  // Each body parses only under its own tag, and no other tag is a report.
+  EXPECT_FALSE(RelayReport::deserialize(RelayMsg::kAggregateReport,
+                                        report.serialize())
+                   .has_value());
+  EXPECT_FALSE(
+      RelayReport::deserialize(RelayMsg::kRelayReport, agg.serialize())
+          .has_value());
+  EXPECT_FALSE(
+      RelayReport::deserialize(RelayMsg::kScopedNak, report.serialize())
+          .has_value());
 
   // Truncated frames must be rejected, not read past the end.
   EXPECT_FALSE(CollectFlood::deserialize(Bytes{1, 2}).has_value());
-  EXPECT_FALSE(RelayReport::deserialize(Bytes{1}).has_value());
   const Bytes full = flood.serialize();
   for (size_t cut = 0; cut < full.size(); ++cut) {
     EXPECT_FALSE(CollectFlood::deserialize(
                      ByteView(full.data(), cut)).has_value())
         << "accepted a " << cut << "-byte prefix";
   }
+}
+
+/// Decodes `in` as a `Msg` and re-serializes it; nullopt when rejected.
+template <typename Msg>
+std::optional<Bytes> reparse(ByteView in) {
+  const auto msg = Msg::deserialize(in);
+  if (!msg) return std::nullopt;
+  return msg->serialize();
+}
+
+// Decoder fuzz: seeded mutations of one valid input per overlay decoder
+// (no corpus). Every decoder sees every mutant; whatever one accepts must
+// re-serialize to exactly its input, so no two byte strings decode to the
+// same message.
+TEST(OverlayWire, SeededMutantsNeverCrashAndAcceptedOnesReserializeExactly) {
+  using Reparse = std::function<std::optional<Bytes>(ByteView)>;
+  const auto report_of = [](RelayMsg kind) -> Reparse {
+    return [kind](ByteView in) -> std::optional<Bytes> {
+      const auto r = RelayReport::deserialize(kind, in);
+      if (!r) return std::nullopt;
+      return r->serialize();
+    };
+  };
+  const std::vector<Reparse> decoders = {
+      reparse<CollectFlood>,
+      report_of(RelayMsg::kRelayReport),
+      report_of(RelayMsg::kAggregateReport),
+      reparse<ScopedRequest>,
+      reparse<ScopedNak>,
+      reparse<aggregate::AggregateFrame>,
+      [](ByteView in) -> std::optional<Bytes> {
+        const auto u = unframe_relay(in);
+        if (!u) return std::nullopt;
+        return frame_relay(u->first, u->second);
+      },
+  };
+
+  CollectFlood flood;
+  flood.flood = 7;
+  flood.targets = {3, 5};
+  flood.flags = kFloodAggregate;
+  flood.inner_type = 1;
+  flood.request = bytes_of("req");
+  RelayReport report;
+  report.flood = 7;
+  report.origin = 5;
+  report.hops = 1;
+  report.inner_type = 2;
+  report.queue = 9;
+  report.path = {5, 3};
+  report.response = bytes_of("response");
+  RelayReport agg = report;
+  agg.kind = RelayMsg::kAggregateReport;
+  agg.inner_type = 0;
+  ScopedRequest scoped;
+  scoped.flood = 8;
+  scoped.inner_type = 1;
+  scoped.route = {3, 5};
+  scoped.request = bytes_of("req");
+  aggregate::AggregateFrame frame;
+  frame.flood = 7;
+  frame.head = 3;
+  frame.members = {4, 5, 6};
+  frame.bitmap = {0x05};
+  frame.root = Bytes(32, 0x11);
+  frame.raw_bytes = 300;
+  frame.mac = Bytes(32, 0x22);
+  const std::vector<Bytes> seeds = {
+      flood.serialize(),  report.serialize(),
+      agg.serialize(),    scoped.serialize(),
+      ScopedNak{8, 5}.serialize(), frame.serialize(),
+      report.frame()};
+
+  uint32_t x = 0x5EED;
+  const auto next = [&x] {
+    x = x * 1664525u + 1013904223u;
+    return x >> 8;
+  };
+  size_t accepted = 0;
+  size_t decoded = 0;
+  for (const Bytes& seed : seeds) {
+    for (int trial = 0; trial < 2000; ++trial) {
+      Bytes mutant = seed;
+      const uint32_t edits = 1 + next() % 3;
+      for (uint32_t e = 0; e < edits; ++e) {
+        const size_t at = mutant.empty() ? 0 : next() % mutant.size();
+        switch (next() % 4) {
+          case 0:  // bit flip
+            if (!mutant.empty()) mutant[at] ^= 1u << (next() % 8);
+            break;
+          case 1:  // overwrite
+            if (!mutant.empty()) mutant[at] = static_cast<uint8_t>(next());
+            break;
+          case 2:  // truncation
+            mutant.resize(at);
+            break;
+          default:  // insertion
+            mutant.insert(mutant.begin() + static_cast<std::ptrdiff_t>(at),
+                          static_cast<uint8_t>(next()));
+            break;
+        }
+      }
+      for (const Reparse& decode : decoders) {
+        ++decoded;
+        const auto again = decode(mutant);
+        if (!again) continue;
+        ++accepted;
+        ASSERT_EQ(*again, mutant) << "accepted a non-canonical mutant";
+      }
+    }
+  }
+  // Neither vacuous nor a decoder that accepts anything.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, decoded);
 }
 
 TEST(Overlay, FullyConnectedSwarmAllAttested) {
@@ -350,6 +497,61 @@ TEST(Overlay, RouteRepairWhenParentChurnsMidRound) {
   EXPECT_EQ(rig.nodes[2]->stats().route_repairs, 1u);
 }
 
+TEST(Overlay, SpoofedAggregateHeadRejectedBeforeAnyState) {
+  // The origin-range guard covers both report kinds: an aggregate whose
+  // head is no node of this network is spoofed_rejected before it can
+  // feed the congestion signal or the route cache, and never reaches the
+  // aggregate receiver -- however well-formed its payload.
+  sim::EventQueue queue;
+  net::Network network(queue, Duration::millis(2));
+  const net::NodeId verifier = network.add_node({});
+  const net::NodeId relay = network.add_node({});
+  RelayTransportConfig tc;
+  tc.scoped_retries = true;
+  tc.aggregate = true;
+  RelayTransport transport(network, verifier, /*num_nodes=*/2, tc);
+  size_t delivered = 0;
+  transport.set_aggregate_receiver(
+      [&](const aggregate::AggregateFrame&, uint8_t) { ++delivered; });
+  // Launch flood 1, so the envelope below is not merely stale.
+  transport.send(relay, attest::MsgType::kCollectRequest,
+                 attest::CollectRequest{2}.serialize());
+
+  const auto envelope = [](net::NodeId head, net::NodeId via) {
+    aggregate::AggregateFrame frame;
+    frame.flood = 1;
+    frame.head = head;
+    frame.root = Bytes(32, 0);
+    frame.mac = Bytes(32, 0);
+    RelayReport env;
+    env.kind = RelayMsg::kAggregateReport;
+    env.flood = 1;
+    env.origin = head;
+    env.hops = head == via ? 0 : 1;
+    env.queue = 200;
+    env.path = head == via ? std::vector<net::NodeId>{head}
+                           : std::vector<net::NodeId>{head, via};
+    env.response = frame.serialize();
+    return env.frame();
+  };
+  network.send(relay, verifier, envelope(/*head=*/7, relay));
+  queue.run_until(queue.now() + Duration::seconds(1));
+  EXPECT_EQ(transport.stats().spoofed_rejected, 1u);
+  EXPECT_EQ(transport.stats().aggregates_received, 0u);
+  EXPECT_EQ(transport.stats().malformed_frames, 0u);
+  EXPECT_EQ(delivered, 0u);
+  EXPECT_EQ(transport.take_congestion(), 0.0);
+  EXPECT_FALSE(transport.has_fresh_route(relay));
+
+  // Control: the same envelope from a real head is accepted.
+  network.send(relay, verifier, envelope(/*head=*/relay, relay));
+  queue.run_until(queue.now() + Duration::seconds(1));
+  EXPECT_EQ(transport.stats().aggregates_received, 1u);
+  EXPECT_EQ(delivered, 1u);
+  EXPECT_GT(transport.take_congestion(), 0.0);
+  EXPECT_TRUE(transport.has_fresh_route(relay));
+}
+
 // --- Scoped retries ----------------------------------------------------------
 
 TEST(Overlay, ScopedRetryRidesCachedRouteAndBurnsIt) {
@@ -398,7 +600,6 @@ TEST(Overlay, ScopedRetryRidesCachedRouteAndBurnsIt) {
 TEST(Overlay, ScopedRetryFallsBackToFloodOnStaleRoute) {
   RelayCollectorConfig config;
   config.transport.scoped_retries = true;
-  config.transport.route_ttl = Duration::seconds(30);
   OverlayRig rig(4, /*loss=*/0.0, config);
   line_filter(rig.network, rig.collector_node);
   rig.start_and_run(Duration::hours(1));
