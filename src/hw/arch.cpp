@@ -1,23 +1,43 @@
 #include "hw/arch.h"
 
+#include <map>
+#include <mutex>
+#include <utility>
+
 #include "crypto/hash.h"
 
 namespace erasmus::hw {
 
 namespace {
 
-// Fills a region with deterministic pseudo-content standing in for a binary
-// image (kernel, PrAtt, ROM code). Content only matters for integrity
-// digests, so a cheap LCG byte stream suffices.
-void fill_image(DeviceMemory& mem, RegionId region, uint32_t tag) {
-  const size_t size = mem.region_size(region);
-  Bytes image(size);
-  uint32_t x = 0x12345678u ^ tag;
-  for (auto& b : image) {
-    x = x * 1664525u + 1013904223u;
-    b = static_cast<uint8_t>(x >> 24);
+struct FirmwareImage {
+  Bytes bytes;
+  Bytes sha256;
+};
+
+// Deterministic pseudo-content standing in for a binary image (kernel, PrAtt,
+// ROM code). Content only matters for integrity digests, so a cheap LCG byte
+// stream suffices. Every device of a kind holds the same image, so each
+// (tag, size) is built and hashed once per process and mapped by all of
+// them; map nodes never move, so the reference lives as long as the process.
+const FirmwareImage& firmware_image(uint32_t tag, size_t size) {
+  static std::mutex mu;
+  static std::map<std::pair<uint32_t, size_t>, FirmwareImage> images;
+  const std::lock_guard<std::mutex> lock(mu);
+  const auto key = std::make_pair(tag, size);
+  auto it = images.find(key);
+  if (it == images.end()) {
+    Bytes image(size);
+    uint32_t x = 0x12345678u ^ tag;
+    for (auto& b : image) {
+      x = x * 1664525u + 1013904223u;
+      b = static_cast<uint8_t>(x >> 24);
+    }
+    Bytes digest = crypto::Hash::digest(crypto::HashAlgo::kSha256, image);
+    it = images.emplace(key, FirmwareImage{std::move(image), std::move(digest)})
+             .first;
   }
-  mem.provision(region, 0, image);
+  return it->second;
 }
 
 }  // namespace
@@ -60,14 +80,15 @@ ByteView SecurityArch::key_for(const ProtectedContext&) const {
 SmartPlusArch::SmartPlusArch(Bytes key, size_t rom_bytes, size_t app_ram_bytes,
                              size_t store_bytes)
     : SecurityArch(std::move(key)) {
-  rom_ = memory_.add_region("rom", rom_bytes, policy::kRom);
+  rom_ = memory_.add_image_region(
+      "rom", firmware_image(/*tag=*/0x534d4152u, rom_bytes).bytes,  // "SMAR"
+      policy::kRom);
   key_region_ = memory_.add_region("key", key_.size(), policy::kKey);
   app_ = memory_.add_region("app_ram", app_ram_bytes, policy::kAppRam);
   store_ = memory_.add_region("measurement_store", store_bytes,
                               policy::kMeasurementStore);
   // The ROM image and K are burned in at manufacture (provision bypasses the
   // run-time policy; kRom/kKey forbid even privileged writes afterwards).
-  fill_image(memory_, rom_, /*tag=*/0x534d4152u);  // "SMAR"
   memory_.provision(key_region_, 0, key_);
 }
 
@@ -82,22 +103,22 @@ HydraArch::HydraArch(Bytes key, size_t app_ram_bytes, size_t store_bytes)
     : SecurityArch(std::move(key)) {
   // Sizes follow the paper's Table 1 scale: the seL4 kernel plus PrAtt image
   // is a couple hundred KB.
-  kernel_ = memory_.add_region("sel4_kernel", 160 * 1024,
-                               RegionPolicy{Access::kRead, Access::kReadWrite});
-  pratt_ = memory_.add_region("pratt", 72 * 1024,
-                              RegionPolicy{Access::kRead, Access::kReadWrite});
+  const FirmwareImage& kernel =
+      firmware_image(/*tag=*/0x73654c34u, 160 * 1024);  // "seL4"
+  const FirmwareImage& pratt =
+      firmware_image(/*tag=*/0x50724174u, 72 * 1024);  // "PrAt"
+  kernel_ = memory_.add_image_region(
+      "sel4_kernel", kernel.bytes,
+      RegionPolicy{Access::kRead, Access::kReadWrite});
+  pratt_ = memory_.add_image_region(
+      "pratt", pratt.bytes, RegionPolicy{Access::kRead, Access::kReadWrite});
   key_region_ = memory_.add_region("key", key_.size(), policy::kKey);
   app_ = memory_.add_region("app_ram", app_ram_bytes, policy::kAppRam);
   store_ = memory_.add_region("measurement_store", store_bytes,
                               policy::kMeasurementStore);
-
-  fill_image(memory_, kernel_, /*tag=*/0x73654c34u);  // "seL4"
-  fill_image(memory_, pratt_, /*tag=*/0x50724174u);   // "PrAt"
   memory_.provision(key_region_, 0, key_);
-  kernel_digest_ = crypto::Hash::digest(
-      crypto::HashAlgo::kSha256, memory_.view(kernel_, /*privileged=*/true));
-  pratt_digest_ = crypto::Hash::digest(
-      crypto::HashAlgo::kSha256, memory_.view(pratt_, /*privileged=*/true));
+  kernel_digest_ = kernel.sha256;
+  pratt_digest_ = pratt.sha256;
 
   // HYDRA: PrAtt is the initial user-space process at top priority; all
   // other processes are spawned by it at strictly lower priorities.
@@ -105,14 +126,19 @@ HydraArch::HydraArch(Bytes key, size_t app_ram_bytes, size_t store_bytes)
 }
 
 void HydraArch::secure_boot() {
-  const Bytes kd = crypto::Hash::digest(
-      crypto::HashAlgo::kSha256, memory_.view(kernel_, /*privileged=*/true));
-  const Bytes pd = crypto::Hash::digest(
-      crypto::HashAlgo::kSha256, memory_.view(pratt_, /*privileged=*/true));
-  if (!equal(kd, kernel_digest_)) {
+  // A region that still maps its image reads exactly the image's bytes (any
+  // write copies the image first), so its digest is the reference digest;
+  // only a private copy needs hashing.
+  const auto intact = [this](RegionId region, ByteView reference) {
+    return memory_.maps_shared_image(region) ||
+           equal(crypto::Hash::digest(crypto::HashAlgo::kSha256,
+                                      memory_.view(region, /*privileged=*/true)),
+                 reference);
+  };
+  if (!intact(kernel_, kernel_digest_)) {
     throw SecurityViolation("secure boot: seL4 kernel image digest mismatch");
   }
-  if (!equal(pd, pratt_digest_)) {
+  if (!intact(pratt_, pratt_digest_)) {
     throw SecurityViolation("secure boot: PrAtt image digest mismatch");
   }
   booted_ = true;

@@ -169,8 +169,9 @@ class HydraArch final : public SecurityArch {
   RegionId key_region_;
   RegionId app_;
   RegionId store_;
-  Bytes kernel_digest_;
-  Bytes pratt_digest_;
+  // Reference digests: the shared images' own, in static storage.
+  ByteView kernel_digest_;
+  ByteView pratt_digest_;
   std::vector<Process> processes_;
   bool booted_ = false;
 };

@@ -53,6 +53,18 @@ class DeviceMemory {
   /// Appends a region of `size` bytes (zero-initialised) and returns its id.
   RegionId add_region(std::string name, size_t size, RegionPolicy policy);
 
+  /// Appends a region that maps `image`, an immutable image shared by every
+  /// memory that maps it, and returns its id. `image` must outlive this
+  /// memory (static storage). The region's first write or provision gives
+  /// this memory a private copy; reads before that see the shared bytes.
+  RegionId add_image_region(std::string name, const Bytes& image,
+                            RegionPolicy policy);
+  RegionId add_image_region(std::string, Bytes&&, RegionPolicy) = delete;
+
+  /// True while the region still maps its shared image, i.e. holds exactly
+  /// the image's bytes.
+  bool maps_shared_image(RegionId region) const;
+
   /// Reads `len` bytes at `offset` within the region.
   Bytes read(RegionId region, size_t offset, size_t len,
              bool privileged) const;
@@ -77,11 +89,17 @@ class DeviceMemory {
  private:
   struct Region {
     std::string name;
-    Bytes data;
+    Bytes data;                    // private bytes
+    const Bytes* image = nullptr;  // shared image, until a write/provision
     RegionPolicy policy;
+
+    const Bytes& bytes() const { return image ? *image : data; }
   };
 
   const Region& region_at(RegionId id) const;
+  Region& region_at(RegionId id);
+  /// The region's private bytes, copying its shared image in first.
+  static Bytes& private_bytes(Region& r);
   void check(const Region& r, bool privileged, bool write,
              size_t offset, size_t len) const;
 

@@ -2,6 +2,8 @@
 // memory organisation and access rules).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "hw/memory.h"
 
 namespace erasmus::hw {
@@ -59,12 +61,25 @@ TEST(DeviceMemory, ProvisionBypassesPolicyOnce) {
 }
 
 TEST(DeviceMemory, OutOfBoundsAccessThrows) {
+  static const Bytes kImage(8, 0x5a);
   DeviceMemory mem;
   const RegionId app = mem.add_region("app", 8, policy::kAppRam);
-  EXPECT_THROW(mem.read(app, 8, 1, false), AccessViolation);
-  EXPECT_THROW(mem.read(app, 4, 8, false), AccessViolation);
-  EXPECT_THROW(mem.write(app, 7, Bytes{1, 2}, false), AccessViolation);
-  EXPECT_THROW(mem.provision(app, 8, Bytes{1}), AccessViolation);
+  const RegionId img = mem.add_image_region("img", kImage, policy::kAppRam);
+  for (const RegionId r : {app, img}) {
+    EXPECT_THROW(mem.read(r, 8, 1, false), AccessViolation);
+    EXPECT_THROW(mem.read(r, 4, 8, false), AccessViolation);
+    EXPECT_THROW(mem.write(r, 7, Bytes{1, 2}, false), AccessViolation);
+    EXPECT_THROW(mem.provision(r, 8, Bytes{1}), AccessViolation);
+    // Offsets near SIZE_MAX: offset + len wraps past zero, which a sum-based
+    // bounds check would let through.
+    EXPECT_THROW(mem.read(r, SIZE_MAX, 2, false), AccessViolation);
+    EXPECT_THROW(mem.read(r, SIZE_MAX - 3, 8, true), AccessViolation);
+    EXPECT_THROW(mem.write(r, SIZE_MAX, Bytes{1, 2}, false), AccessViolation);
+    EXPECT_THROW(mem.provision(r, SIZE_MAX - 1, Bytes{1, 2, 3}),
+                 AccessViolation);
+  }
+  // A rejected access never copies the image.
+  EXPECT_TRUE(mem.maps_shared_image(img));
 }
 
 TEST(DeviceMemory, BadRegionIdThrows) {
@@ -96,6 +111,55 @@ TEST(DeviceMemory, ZeroLengthAccessAtEndIsAllowed) {
   const RegionId app = mem.add_region("app", 4, policy::kAppRam);
   EXPECT_EQ(mem.read(app, 4, 0, false), Bytes{});
   EXPECT_NO_THROW(mem.write(app, 4, Bytes{}, false));
+}
+
+TEST(DeviceMemory, ImageRegionIsSharedUntilFirstWrite) {
+  static const Bytes kImage = {1, 2, 3, 4, 5, 6, 7, 8};
+  const RegionPolicy firmware{Access::kRead, Access::kReadWrite};
+  DeviceMemory a;
+  DeviceMemory b;
+  const RegionId ra = a.add_image_region("fw", kImage, firmware);
+  const RegionId rb = b.add_image_region("fw", kImage, firmware);
+  const RegionId rom = a.add_image_region("rom", kImage, policy::kRom);
+  EXPECT_TRUE(a.maps_shared_image(ra));
+  EXPECT_EQ(a.view(ra, true).data(), kImage.data());
+  EXPECT_EQ(a.view(ra, true).data(), b.view(rb, true).data());
+  EXPECT_EQ(a.read(ra, 2, 3, false), (Bytes{3, 4, 5}));
+  EXPECT_EQ(a.total_size(), 16u);
+
+  // The policy still governs a mapped region, and a denied write copies
+  // nothing.
+  EXPECT_THROW(a.write(ra, 0, Bytes{9}, /*privileged=*/false),
+               AccessViolation);
+  EXPECT_THROW(a.write(rom, 0, Bytes{9}, /*privileged=*/true),
+               AccessViolation);
+  EXPECT_TRUE(a.maps_shared_image(ra));
+  EXPECT_TRUE(a.maps_shared_image(rom));
+
+  // A view taken before the first write keeps showing the image after it.
+  const ByteView before = a.view(ra, true);
+  a.write(ra, 1, Bytes{0xee}, /*privileged=*/true);
+  EXPECT_FALSE(a.maps_shared_image(ra));
+  EXPECT_EQ(a.read(ra, 0, 3, true), (Bytes{1, 0xee, 3}));
+  EXPECT_NE(a.view(ra, true).data(), kImage.data());
+  EXPECT_EQ(Bytes(before.begin(), before.end()), kImage);
+  // The other memory still maps the untouched image.
+  EXPECT_TRUE(b.maps_shared_image(rb));
+  EXPECT_EQ(b.view(rb, true).data(), kImage.data());
+
+  // provision copies too, even where the run-time policy forbids writes.
+  a.provision(rom, 7, Bytes{0});
+  EXPECT_FALSE(a.maps_shared_image(rom));
+  EXPECT_EQ(a.read(rom, 6, 2, false), (Bytes{7, 0}));
+  EXPECT_EQ(b.read(rb, 0, 8, true), (Bytes{1, 2, 3, 4, 5, 6, 7, 8}));
+  EXPECT_THROW(a.write(rom, 0, Bytes{9}, /*privileged=*/true),
+               AccessViolation);
+
+  EXPECT_EQ(a.region_size(ra), 8u);
+  EXPECT_EQ(a.region_size(rom), 8u);
+  EXPECT_EQ(a.total_size(), 16u);
+  EXPECT_EQ(b.total_size(), 8u);
+  EXPECT_FALSE(a.maps_shared_image(a.add_region("app", 4, policy::kAppRam)));
 }
 
 // Access-policy matrix, parameterised: every (policy, privilege, op) cell.

@@ -2,8 +2,10 @@
 // protocols, including adversarial (malformed) inputs.
 #include <gtest/gtest.h>
 
+#include "attest/maintenance.h"
 #include "attest/protocol.h"
 #include "common/serde.h"
+#include "seeded_fuzz.h"
 
 namespace erasmus::attest {
 namespace {
@@ -225,6 +227,59 @@ TEST(Fuzz, RandomBytesNeverCrashDeserializers) {
     (void)unframe(junk);
   }
   SUCCEED();
+}
+
+// Decoder fuzz: seeded mutations of one valid frame per attest decoder and
+// of a serde length-prefixed field.
+TEST(Fuzz, SeededMutantsNeverCrashAndAcceptedOnesReserializeExactly) {
+  using fuzz::reparse;
+  const std::vector<fuzz::Reparse> decoders = {
+      reparse<CollectRequest>,
+      reparse<CollectResponse>,
+      reparse<OdRequest>,
+      reparse<OdResponse>,
+      reparse<Measurement>,
+      reparse<MaintenanceRequest>,
+      [](ByteView in) -> std::optional<Bytes> {
+        const auto u = unframe(in);
+        if (!u) return std::nullopt;
+        return frame(u->first, u->second);
+      },
+      [](ByteView in) -> std::optional<Bytes> {
+        ByteReader r(in);
+        const Bytes field = r.var_bytes();
+        if (!r.done()) return std::nullopt;
+        ByteWriter w;
+        w.var_bytes(field);
+        return w.take();
+      },
+  };
+
+  CollectResponse collect;
+  collect.measurements = {make_m(30), make_m(20)};
+  OdRequest od;
+  od.treq = 1000;
+  od.k = 2;
+  od.mac = crypto::Mac::compute(MacAlgo::kHmacSha256, test_key(),
+                                OdRequest::mac_input(1000, 2));
+  OdResponse od_resp;
+  od_resp.fresh = make_m(100);
+  od_resp.history = {make_m(90)};
+  MaintenanceRequest maintenance;
+  maintenance.op = MaintenanceRequest::Op::kUpdate;
+  maintenance.treq = 1000;
+  maintenance.image = bytes_of("image");
+  maintenance.mac = Bytes(32, 0x22);
+  ByteWriter field;
+  field.var_bytes(bytes_of("field"));
+  const fuzz::Tally tally = fuzz::mutate_and_reparse(
+      {CollectRequest{16}.serialize(), collect.serialize(), od.serialize(),
+       od_resp.serialize(), make_m(10).serialize(), maintenance.serialize(),
+       frame(MsgType::kCollectResponse, collect.serialize()), field.take()},
+      decoders);
+  // Neither vacuous nor a decoder that accepts anything.
+  EXPECT_GT(tally.accepted, 0u);
+  EXPECT_LT(tally.accepted, tally.decoded);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "crypto/hkdf.h"
 #include "overlay/collector.h"
 #include "overlay/relay_node.h"
+#include "seeded_fuzz.h"
 #include "swarm/mobility.h"
 
 namespace erasmus::overlay {
@@ -162,28 +163,17 @@ TEST(OverlayWire, FloodAndReportRoundTrip) {
   }
 }
 
-/// Decodes `in` as a `Msg` and re-serializes it; nullopt when rejected.
-template <typename Msg>
-std::optional<Bytes> reparse(ByteView in) {
-  const auto msg = Msg::deserialize(in);
-  if (!msg) return std::nullopt;
-  return msg->serialize();
-}
-
-// Decoder fuzz: seeded mutations of one valid input per overlay decoder
-// (no corpus). Every decoder sees every mutant; whatever one accepts must
-// re-serialize to exactly its input, so no two byte strings decode to the
-// same message.
+// Decoder fuzz: seeded mutations of one valid input per overlay decoder.
 TEST(OverlayWire, SeededMutantsNeverCrashAndAcceptedOnesReserializeExactly) {
-  using Reparse = std::function<std::optional<Bytes>(ByteView)>;
-  const auto report_of = [](RelayMsg kind) -> Reparse {
+  using fuzz::reparse;
+  const auto report_of = [](RelayMsg kind) -> fuzz::Reparse {
     return [kind](ByteView in) -> std::optional<Bytes> {
       const auto r = RelayReport::deserialize(kind, in);
       if (!r) return std::nullopt;
       return r->serialize();
     };
   };
-  const std::vector<Reparse> decoders = {
+  const std::vector<fuzz::Reparse> decoders = {
       reparse<CollectFlood>,
       report_of(RelayMsg::kRelayReport),
       report_of(RelayMsg::kAggregateReport),
@@ -227,53 +217,14 @@ TEST(OverlayWire, SeededMutantsNeverCrashAndAcceptedOnesReserializeExactly) {
   frame.root = Bytes(32, 0x11);
   frame.raw_bytes = 300;
   frame.mac = Bytes(32, 0x22);
-  const std::vector<Bytes> seeds = {
-      flood.serialize(),  report.serialize(),
-      agg.serialize(),    scoped.serialize(),
-      ScopedNak{8, 5}.serialize(), frame.serialize(),
-      report.frame()};
-
-  uint32_t x = 0x5EED;
-  const auto next = [&x] {
-    x = x * 1664525u + 1013904223u;
-    return x >> 8;
-  };
-  size_t accepted = 0;
-  size_t decoded = 0;
-  for (const Bytes& seed : seeds) {
-    for (int trial = 0; trial < 2000; ++trial) {
-      Bytes mutant = seed;
-      const uint32_t edits = 1 + next() % 3;
-      for (uint32_t e = 0; e < edits; ++e) {
-        const size_t at = mutant.empty() ? 0 : next() % mutant.size();
-        switch (next() % 4) {
-          case 0:  // bit flip
-            if (!mutant.empty()) mutant[at] ^= 1u << (next() % 8);
-            break;
-          case 1:  // overwrite
-            if (!mutant.empty()) mutant[at] = static_cast<uint8_t>(next());
-            break;
-          case 2:  // truncation
-            mutant.resize(at);
-            break;
-          default:  // insertion
-            mutant.insert(mutant.begin() + static_cast<std::ptrdiff_t>(at),
-                          static_cast<uint8_t>(next()));
-            break;
-        }
-      }
-      for (const Reparse& decode : decoders) {
-        ++decoded;
-        const auto again = decode(mutant);
-        if (!again) continue;
-        ++accepted;
-        ASSERT_EQ(*again, mutant) << "accepted a non-canonical mutant";
-      }
-    }
-  }
+  const fuzz::Tally tally = fuzz::mutate_and_reparse(
+      {flood.serialize(), report.serialize(), agg.serialize(),
+       scoped.serialize(), ScopedNak{8, 5}.serialize(), frame.serialize(),
+       report.frame()},
+      decoders);
   // Neither vacuous nor a decoder that accepts anything.
-  EXPECT_GT(accepted, 0u);
-  EXPECT_LT(accepted, decoded);
+  EXPECT_GT(tally.accepted, 0u);
+  EXPECT_LT(tally.accepted, tally.decoded);
 }
 
 TEST(Overlay, FullyConnectedSwarmAllAttested) {
