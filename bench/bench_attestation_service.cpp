@@ -35,7 +35,7 @@ struct RoundResult {
   attest::AttestationService::Stats stats;
 };
 
-RoundResult run_round(const attest::WindowConfig& window) {
+RoundResult run_round(const attest::WindowSpec& window) {
   sim::EventQueue queue;
   net::Network network(queue, Duration::millis(10), /*loss=*/0.10,
                        /*seed=*/42);
@@ -131,16 +131,13 @@ int main(int argc, char** argv) {
                  static_cast<double>(r.stats.unreachable_sessions));
   };
   for (const size_t window : {32ul, 128ul, 1024ul}) {
-    attest::WindowConfig wc;
-    wc.fixed = window;
-    emit(std::to_string(window), run_round(wc));
+    emit(std::to_string(window),
+         run_round({attest::WindowSpec::Mode::kFixed, window}));
   }
   // The AIMD controller on the same lossy link: discovers a workable
-  // window instead of having one guessed for it.
-  attest::WindowConfig adaptive;
-  adaptive.adaptive = true;
-  adaptive.ceiling = kDevices;
-  emit("adaptive", run_round(adaptive));
+  // window (capped at the kDevices-entry directory) instead of having one
+  // guessed for it.
+  emit("adaptive", run_round({attest::WindowSpec::Mode::kAdaptive}));
   std::printf("%s\n", table.render().c_str());
   std::printf("All %zu sessions resolve each run; loss is absorbed by "
               "retries, stragglers land in the audit trail as "

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "common/strings.h"
 #include "malware/malware.h"
 #include "sim/rng.h"
 
@@ -40,6 +41,8 @@ Engine::Engine(EngineConfig config,
                swarm::DeviceId root, sim::Time horizon)
     : config_(std::move(config)), fleet_(specs.size()), root_(root),
       horizon_(horizon) {
+  require_probability("adversary: compromised fraction",
+                      config_.compromised_fraction);
   first_.reserve(fleet_);
   period_.reserve(fleet_);
   for (swarm::DeviceId d = 0; d < fleet_; ++d) {

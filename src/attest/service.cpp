@@ -11,7 +11,7 @@ AttestationService::AttestationService(sim::EventQueue& queue,
                                        DeviceDirectory& directory,
                                        ServiceConfig config)
     : queue_(queue), transport_(transport), directory_(directory),
-      config_(config), window_ctl_(config_.window) {
+      config_(config), window_ctl_(config_.window, directory_.size()) {
   register_instruments();
   transport_.set_receiver(
       [this](net::NodeId src, MsgType type, ByteView body) {
@@ -97,6 +97,19 @@ void AttestationService::stop() {
 std::vector<AttestationService::SessionOutcome>
 AttestationService::collect_now(const std::vector<DeviceId>& devices,
                                 std::optional<uint32_t> k) {
+  return collect(devices, k, std::nullopt);
+}
+
+std::vector<AttestationService::SessionOutcome>
+AttestationService::collect_until(const std::vector<DeviceId>& devices,
+                                  sim::Time deadline,
+                                  std::optional<uint32_t> k) {
+  return collect(devices, k, deadline);
+}
+
+std::vector<AttestationService::SessionOutcome> AttestationService::collect(
+    const std::vector<DeviceId>& devices, std::optional<uint32_t> k,
+    std::optional<sim::Time> deadline) {
   // Validate before touching any member state: a throw here must not leave
   // sync_outcomes_ dangling or clobber an in-flight periodic round's flag.
   admit_round(devices);
@@ -110,6 +123,12 @@ AttestationService::collect_now(const std::vector<DeviceId>& devices,
   } guard{sync_outcomes_};
   round_periodic_ = false;
   begin_round(devices, k.value_or(config_.k));
+  if (deadline) {
+    queue_.run_until(*deadline);
+    // Whatever is still in flight missed this round; late reports surface
+    // as stray datagrams and cannot disturb the next round.
+    if (round_active_) stop();
+  }
   return outcomes;
 }
 
@@ -176,7 +195,7 @@ void AttestationService::poll_congestion() {
   // other backends report zero. One saturation signal is one congestion
   // event -- the controller's burst guard absorbs repeats.
   const double occupancy = transport_.take_congestion();
-  if (occupancy < config_.window.congestion_threshold) return;
+  if (occupancy < kCongestionThreshold) return;
   if (window_ctl_.on_congestion()) {
     ++stats_.congestion_backoffs;
     ++round_stats_.congestion_backoffs;
@@ -261,24 +280,9 @@ void AttestationService::pump() {
              {"in_flight", static_cast<uint64_t>(in_flight_)},
              {"window", static_cast<uint64_t>(window_ctl_.window())}});
       }
-      const Bytes body = CollectRequest{round_k_}.serialize();
-      // Synchronous transports deliver responses (and erase sessions)
-      // during this call; the outer loop then re-checks the window. With
-      // a verify executor those deliveries are only TAKEN IN here and
-      // bulk-verified right after the broadcast returns -- same verdicts,
-      // same completion order, one parallel MAC pass instead of N inline
-      // ones.
-      defer_verify_ = config_.verify_executor != nullptr;
-      transport_.broadcast(batch, MsgType::kCollectRequest, body);
-      defer_verify_ = false;
-      flush_deferred_verifies();
-      // Arm timeouts only for sessions the broadcast did not already
-      // complete: the all-synchronous hot path (kDirect collection over a
-      // DirectTransport) then never touches the event queue at all.
-      for (const net::NodeId node : batch) {
-        const auto it = active_.find(node);
-        if (it != active_.end()) arm_timeout(it->second);
-      }
+      // Synchronous transports complete sessions during this call; the
+      // outer loop then re-checks the window.
+      broadcast_collect(batch);
     }
   }
   if (round_active_ && in_flight_ == 0 && pending_.empty()) finish_round();
@@ -350,14 +354,23 @@ void AttestationService::flush_retries() {
         {{"sessions", static_cast<uint64_t>(batch.size())},
          {"window", static_cast<uint64_t>(window_ctl_.window())}});
   }
-  const Bytes body = CollectRequest{round_k_}.serialize();
   transport_.hint_retry_wave();
-  // Same deferral as pump()'s dispatch: responses a synchronous backend
-  // loops back during this broadcast verify in one bulk pass after it.
-  defer_verify_ = config_.verify_executor != nullptr;
+  broadcast_collect(batch);
+}
+
+void AttestationService::broadcast_collect(
+    const std::vector<net::NodeId>& batch) {
+  const Bytes body = CollectRequest{round_k_}.serialize();
+  // Replies a synchronous backend loops back during the broadcast are only
+  // taken in; one flush then verifies them together and completes them in
+  // delivery order.
+  defer_verify_ = true;
   transport_.broadcast(batch, MsgType::kCollectRequest, body);
   defer_verify_ = false;
-  flush_deferred_verifies();
+  flush_intake();
+  // Arm timeouts only for sessions the broadcast did not already
+  // complete: the all-synchronous hot path (kDirect collection over a
+  // DirectTransport) then never touches the event queue at all.
   for (const net::NodeId node : batch) {
     const auto it = active_.find(node);
     if (it != active_.end()) arm_timeout(it->second);
@@ -394,31 +407,18 @@ void AttestationService::on_receive(net::NodeId src, MsgType type,
     return;  // session stays armed; the timeout path recovers
   }
   if (config_.kind == RoundKind::kCollect) {
-    const auto resp = CollectResponse::deserialize(body);
-    if (!resp) {
+    auto resp = CollectResponse::deserialize(body);
+    // intaken: a second reply before the flush is a duplicate.
+    if (!resp || session.intaken) {
       ++stats_.stray_datagrams;
       if (inst_.stray_datagrams != nullptr) inst_.stray_datagrams->add();
       return;
     }
-    if (defer_verify_) {
-      // A broadcast is on the stack: park the response for the bulk MAC
-      // pass instead of judging it here. The session stays in active_ so
-      // its slot still counts against the window; intaken guards against
-      // a second response landing before the flush (a duplicate, counted
-      // exactly as the inline path would count it after completion).
-      if (session.intaken) {
-        ++stats_.stray_datagrams;
-        if (inst_.stray_datagrams != nullptr) inst_.stray_datagrams->add();
-        return;
-      }
-      session.intaken = true;
-      verify_intake_.push_back({src, session.device, std::move(*resp)});
-      return;
-    }
-    CollectionReport report = verify_collection(
-        directory_.record(session.device), *resp, queue_.now(), round_k_);
-    complete(src, /*reachable=*/true, std::move(report),
-             /*fresh_valid=*/false);
+    // The session stays in active_ until the flush completes it, so its
+    // slot still counts against the window.
+    session.intaken = true;
+    verify_intake_.push_back({src, session.device, std::move(*resp)});
+    if (!defer_verify_) flush_intake();
     return;
   }
   const auto resp = OdResponse::deserialize(body);
@@ -500,7 +500,7 @@ void AttestationService::on_timeout(net::NodeId node) {
     ++round_stats_.loss_backoffs;
     if (inst_.loss_backoffs != nullptr) inst_.loss_backoffs->add();
     trace_window("window_cut", "loss");
-  } else if (config_.window.adaptive) {
+  } else if (window_ctl_.adaptive()) {
     trace_window("window_loss_absorbed", "recovery_epoch");
   }
   sync_window_stats();
@@ -527,41 +527,42 @@ void AttestationService::on_timeout(net::NodeId node) {
            /*fresh_valid=*/false);
 }
 
-void AttestationService::flush_deferred_verifies() {
+void AttestationService::flush_intake() {
   if (verify_intake_.empty()) return;
-  const size_t n = verify_intake_.size();
-  // Bulk MAC pass: verify_collection is a pure function of (record,
-  // response, now, k), so every intaken response can be judged
-  // concurrently into its own report slot. Chunks are grouped by MAC
-  // algorithm first (stable sort, so within an algorithm intake order is
-  // kept) -- on a heterogeneous fleet each worker then stays on one arch
-  // family's crypto code path instead of ping-ponging between them.
+  // Swap first: complete() can re-enter pump() and start a new intake.
+  std::vector<PendingVerify> intake;
+  intake.swap(verify_intake_);
+  const size_t n = intake.size();
+  // verify_collection is a pure function of (record, response, now, k), so
+  // every response can be judged concurrently into its own report slot.
+  // Chunks are grouped by MAC algorithm first (stable sort, so within an
+  // algorithm intake order is kept) -- on a heterogeneous fleet each
+  // worker then stays on one arch family's crypto code path.
   std::vector<CollectionReport> reports(n);
   std::vector<size_t> order(n);
   for (size_t i = 0; i < n; ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [this](size_t a, size_t b) {
-    return directory_.record(verify_intake_[a].device).algo <
-           directory_.record(verify_intake_[b].device).algo;
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return directory_.record(intake[a].device).algo <
+           directory_.record(intake[b].device).algo;
   });
   const sim::Time now = queue_.now();
   constexpr size_t kChunk = 8;
   const size_t chunks = (n + kChunk - 1) / kChunk;
-  config_.verify_executor->run(chunks, [&](size_t c) {
-    const size_t lo = c * kChunk;
-    const size_t hi = std::min(lo + kChunk, n);
-    for (size_t j = lo; j < hi; ++j) {
-      const size_t idx = order[j];
-      const PendingVerify& pv = verify_intake_[idx];
-      reports[idx] = verify_collection(directory_.record(pv.device), pv.resp,
-                                       now, round_k_);
+  const auto verify_chunk = [&](size_t c) {
+    const size_t hi = std::min((c + 1) * kChunk, n);
+    for (size_t j = c * kChunk; j < hi; ++j) {
+      const PendingVerify& pv = intake[order[j]];
+      reports[order[j]] = verify_collection(directory_.record(pv.device),
+                                            pv.resp, now, round_k_);
     }
-  });
-  // Completion is sequential, in INTAKE order -- the order the inline
-  // path judged responses as the transport delivered them -- so stats,
-  // window moves, traces and streamed outcomes are byte-identical.
-  // Swap first: complete() can re-enter pump() and start a new intake.
-  std::vector<PendingVerify> intake;
-  intake.swap(verify_intake_);
+  };
+  if (config_.verify_executor != nullptr) {
+    config_.verify_executor->run(chunks, verify_chunk);
+  } else {
+    for (size_t c = 0; c < chunks; ++c) verify_chunk(c);
+  }
+  // Completion is sequential, in intake order, so stats, window moves,
+  // traces and streamed outcomes do not depend on the thread count.
   for (size_t i = 0; i < n; ++i) {
     complete(intake[i].node, /*reachable=*/true, std::move(reports[i]),
              /*fresh_valid=*/false);

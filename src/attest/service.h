@@ -13,7 +13,9 @@
 //  * periodic    -- start() schedules a full-directory round every T_C.
 //  * single-shot -- collect_now() runs one round over a chosen device set
 //                   at the current instant; over a DirectTransport every
-//                   session completes synchronously.
+//                   session completes synchronously. collect_until() also
+//                   runs the event queue to a deadline and aborts what is
+//                   still unresolved there (§6 swarm collection).
 //  * on-demand   -- ServiceConfig::kind = kOnDemand makes rounds send
 //                   authenticated ERASMUS+OD requests (Fig. 4) instead of
 //                   plain collect requests.
@@ -53,11 +55,11 @@ struct ServiceConfig {
   uint32_t k = 8;                              // records per request
   sim::Duration response_timeout = sim::Duration::seconds(2);
   int max_retries = 2;      // per session, after the first attempt
-  /// Bounded dispatch window per round: fixed (window.fixed slots,
-  /// the default) or AIMD-adaptive (window.adaptive = true; see
-  /// attest/window.h). Loss timeouts and relay-queue congestion damp an
-  /// adaptive window; on-time responses grow it back.
-  WindowConfig window;
+  /// Bounded dispatch window per round: fixed (64 slots by default),
+  /// fleet-sized or AIMD-adaptive (see attest/window.h). Loss timeouts and
+  /// relay-queue congestion damp an adaptive window; on-time responses
+  /// grow it back.
+  WindowSpec window;
   RoundKind kind = RoundKind::kCollect;
   /// Keep full per-device audit logs. Turn off for huge fleets where the
   /// caller aggregates through the observer instead.
@@ -69,16 +71,10 @@ struct ServiceConfig {
   /// per-device response-latency histogram under subsystem "service" (the
   /// window trajectory gauge under "window"). Not owned; nullptr = off.
   obs::Registry* metrics = nullptr;
-  /// Verifier-core executor for batched report verification (kCollect
-  /// rounds). Responses a broadcast delivers synchronously are taken in
-  /// without judging, their MACs verified in bulk after the broadcast
-  /// returns -- chunked per MAC algorithm, so each worker runs one arch
-  /// family's code path -- and the sessions then completed in intake
-  /// order. Verdicts, stats and traces are byte-identical to the inline
-  /// per-session path (verification is a pure function; only its wall
-  /// placement moves). Asynchronous transports are unaffected: their
-  /// responses arrive outside any broadcast and verify inline as before.
-  /// Not owned; nullptr = always verify inline.
+  /// Thread pool for the verify intake's MAC pass (kCollect rounds; see
+  /// AttestationService::flush_intake). Verdicts, stats and traces do not
+  /// depend on it: verification is a pure function, only its wall
+  /// placement moves. Not owned; nullptr = verify on the calling thread.
   common::ParallelExecutor* verify_executor = nullptr;
 };
 
@@ -174,6 +170,14 @@ class AttestationService {
   std::vector<SessionOutcome> collect_now(
       const std::vector<DeviceId>& devices,
       std::optional<uint32_t> k = std::nullopt);
+  /// The deadline-bounded round (§6): begins the round like collect_now(),
+  /// runs the event queue to the absolute instant `deadline`, then stops
+  /// the round if it is still in progress -- whatever was unresolved
+  /// missed it, and late reports surface as stray datagrams. Returns every
+  /// outcome that completed during the call, in completion order.
+  std::vector<SessionOutcome> collect_until(
+      const std::vector<DeviceId>& devices, sim::Time deadline,
+      std::optional<uint32_t> k = std::nullopt);
 
   bool round_in_progress() const { return round_active_; }
 
@@ -205,7 +209,7 @@ class AttestationService {
   const Stats& stats() const { return stats_; }
   /// Stats of the round in progress (or the last finished round).
   const RoundStats& round_stats() const { return round_stats_; }
-  /// Current dispatch window (moves only when window.adaptive is set).
+  /// Current dispatch window (moves only under WindowSpec::Mode::kAdaptive).
   size_t window() const { return window_ctl_.window(); }
   const ServiceConfig& config() const { return config_; }
 
@@ -224,14 +228,18 @@ class AttestationService {
     /// judged against it so a slow answer to attempt 1 arriving after a
     /// retry is still fresh-since-we-asked, not "tampering".
     uint64_t treq = 0;
-    /// Batched verify: a response for this session sits in verify_intake_
-    /// awaiting the bulk MAC pass; a second response meanwhile is a
-    /// duplicate (stray), exactly as the inline path would count it.
+    /// A response for this session sits in verify_intake_ awaiting the
+    /// MAC pass; a second response meanwhile is a duplicate (stray).
     bool intaken = false;
     std::optional<sim::EventId> timeout;
   };
 
   void begin_periodic_round();
+  /// collect_now() (no deadline) and collect_until(): admits and begins a
+  /// caller-driven round with sync_outcomes_ installed for the whole call.
+  std::vector<SessionOutcome> collect(const std::vector<DeviceId>& devices,
+                                      std::optional<uint32_t> k,
+                                      std::optional<sim::Time> deadline);
   /// Throws (round in progress, duplicate/unknown target) BEFORE any
   /// member state is mutated, so callers stay consistent on failure.
   void admit_round(const std::vector<DeviceId>& devices);
@@ -239,6 +247,10 @@ class AttestationService {
   /// Dispatches pending sessions up to the in-flight window, batching
   /// identical first-attempt requests into one transport broadcast.
   void pump();
+  /// One collect broadcast (first-attempt dispatch or a retry wave):
+  /// replies a synchronous transport delivers during it are flushed from
+  /// the verify intake once it returns; survivors get their timeouts.
+  void broadcast_collect(const std::vector<net::NodeId>& batch);
   void send_attempt(Session& session);
   /// Retry coalescing over flood transports: a dispatch wave's sessions
   /// time out at the same instant, so their retries are collected here
@@ -262,11 +274,10 @@ class AttestationService {
   void trace_window(const char* name, const char* reason);
   void complete(net::NodeId node, bool reachable, CollectionReport report,
                 bool fresh_valid, bool aggregated = false);
-  /// Bulk-verifies everything in verify_intake_ on the verify executor
-  /// (chunked, grouped by MAC algorithm) and completes the sessions in
-  /// intake order -- the exact order the inline path would have judged
-  /// them. Runs after a broadcast returns, inside the pump's guard.
-  void flush_deferred_verifies();
+  /// Verifies everything in verify_intake_ (chunked, grouped by MAC
+  /// algorithm, on the verify executor when there is one) and completes
+  /// the sessions in intake order, i.e. delivery order.
+  void flush_intake();
   void finish_round();
 
   sim::EventQueue& queue_;
@@ -282,9 +293,9 @@ class AttestationService {
 
   std::deque<DeviceId> pending_;
   uint32_t round_k_ = 0;  // one uniform k per round, by construction
-  /// Batched verify (kCollect over synchronous transports): responses
-  /// delivered DURING a broadcast are parked here instead of being judged
-  /// inline, then flushed through the verify executor in one bulk pass.
+  /// The one intake of collect responses. A reply delivered while a
+  /// broadcast is on the stack waits here for that broadcast's batch
+  /// flush; any other reply is flushed at once.
   struct PendingVerify {
     net::NodeId node = 0;
     DeviceId device = 0;
@@ -301,7 +312,7 @@ class AttestationService {
   bool round_periodic_ = false;
   std::vector<SessionOutcome>* sync_outcomes_ = nullptr;
 
-  WindowController window_ctl_{WindowConfig{}};
+  WindowController window_ctl_;
   Stats stats_;
   RoundStats round_stats_;
 

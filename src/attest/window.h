@@ -10,9 +10,9 @@
 //    it crosses the slow-start threshold, so an idle service discovers
 //    the network's capacity in O(log fleet) round trips;
 //  * congestion avoidance -- past the threshold, growth is additive: one
-//    window's worth of responses buys `additive_increase` more slots;
+//    window's worth of responses buys kAdditiveStep more slots;
 //  * multiplicative backoff -- a timeout (loss) or a relay-queue
-//    saturation signal halves the window (and the threshold), clamped to
+//    saturation signal cuts the window (and the threshold), clamped to
 //    the floor. Loss backoffs are guarded by recovery epochs (TCP Reno's
 //    trick): every dispatched attempt is stamped with a send sequence,
 //    and only the timeout of an attempt sent AFTER the last cut may cut
@@ -29,41 +29,55 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 
 namespace erasmus::attest {
 
-struct WindowConfig {
-  /// false: the window stays at `fixed` forever (the pre-adaptive
-  /// behaviour). true: AIMD over [floor, ceiling] starting at `initial`.
-  bool adaptive = false;
-  size_t fixed = 64;
+/// The dispatch window policy. `mode` and `fixed` are its only settable
+/// values; the AIMD tuning below is constant.
+struct WindowSpec {
+  enum class Mode : uint8_t {
+    kFleet,     // one slot per directory device: a round is one batch
+    kFixed,     // `fixed` slots, forever
+    kAdaptive,  // AIMD over [kWindowFloor, max(fleet, kWindowFloor)]
+  };
+  Mode mode = Mode::kFixed;
+  size_t fixed = 64;  // kFixed only
 
-  size_t initial = 16;
-  size_t floor = 4;
-  size_t ceiling = 4096;
-  /// Congestion-avoidance growth per full window of responses.
-  size_t additive_increase = 1;
-  /// Backoff factor on a timeout (0 < f < 1). Gentler than the
-  /// congestion cut (TCP-Westwood flavour): on a lossy multi-hop radio a
-  /// timeout is usually random loss, not queue pressure, and the
-  /// explicit queue-occupancy signal below covers the real thing.
-  double loss_decrease = 0.7;
-  /// Backoff factor on a relay-queue saturation report.
-  double congestion_decrease = 0.5;
-  /// Relay queue occupancy (0..1, from Transport::take_congestion()) at or
-  /// above which the service damps the window. Flood collection keeps
-  /// root-adjacent queues legitimately busy, so only near-overflow
-  /// occupancy is treated as congestion.
-  double congestion_threshold = 0.9;
+  /// Parses the scenario knob `window=fleet|adaptive|N`. Throws
+  /// std::invalid_argument on anything else.
+  static WindowSpec parse(const std::string& text);
 };
+
+// AIMD tuning. bench_adaptive_window's lossy gate fails without any one of
+// the three mechanisms these drive: the recovery epoch, the gentler loss
+// cut and the per-round threshold memory (begin_round()).
+inline constexpr size_t kInitialWindow = 16;
+inline constexpr size_t kWindowFloor = 4;
+/// Congestion-avoidance growth per full window of responses.
+inline constexpr size_t kAdditiveStep = 1;
+/// Backoff factor on a timeout. Gentler than the congestion cut
+/// (TCP-Westwood flavour): on a lossy multi-hop radio a timeout is usually
+/// random loss, not queue pressure, and the explicit queue-occupancy
+/// signal covers the real thing.
+inline constexpr double kLossCut = 0.7;
+/// Backoff factor on a relay-queue saturation report.
+inline constexpr double kCongestionCut = 0.5;
+/// Relay queue occupancy (0..1, from Transport::take_congestion()) at or
+/// above which the service damps the window. Flood collection keeps
+/// root-adjacent queues legitimately busy, so only near-overflow
+/// occupancy is treated as congestion.
+inline constexpr double kCongestionThreshold = 0.9;
 
 class WindowController {
  public:
-  explicit WindowController(const WindowConfig& config);
+  /// `fleet` is the service's directory size: it sizes a kFleet window
+  /// and caps an adaptive one.
+  WindowController(const WindowSpec& spec, size_t fleet);
 
   /// Current dispatch window (slots).
   size_t window() const { return window_; }
-  bool adaptive() const { return config_.adaptive; }
+  bool adaptive() const { return adaptive_; }
 
   /// Stamps one dispatched attempt; the returned sequence must be handed
   /// back to on_loss() if that attempt times out.
@@ -92,10 +106,12 @@ class WindowController {
   size_t round_max() const { return round_max_; }
 
  private:
+  size_t clamp_window(size_t value) const;
   void cut_window(double factor);
   void note_event() { ++events_since_backoff_; }
 
-  WindowConfig config_;
+  bool adaptive_ = false;
+  size_t ceiling_ = 0;
   size_t window_ = 0;
   size_t ssthresh_ = 0;      // slow start below this
   size_t ack_credit_ = 0;    // responses toward the next additive step

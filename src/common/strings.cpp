@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 
 namespace erasmus {
 
@@ -18,6 +19,20 @@ std::string format_double(double v) {
     s += ".0";
   }
   return s;
+}
+
+void require_value(bool ok, std::string_view what, std::string_view rule,
+                   double value) {
+  if (ok) return;
+  char buf[64];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), value);
+  throw std::invalid_argument(std::string(what) + " must be " +
+                              std::string(rule) + ", got " +
+                              std::string(buf, res.ptr));
+}
+
+void require_probability(std::string_view what, double p) {
+  require_value(p >= 0.0 && p <= 1.0, what, "in [0, 1]", p);
 }
 
 std::string json_escape(std::string_view s) {

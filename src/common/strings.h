@@ -16,4 +16,12 @@ std::string format_double(double v);
 /// Escapes `s` for embedding in a JSON string literal (quotes not added).
 std::string json_escape(std::string_view s);
 
+/// Knob validation: unless `ok`, throws std::invalid_argument("<what>
+/// must be <rule>, got <value>"), the value as its shortest round-trip
+/// decimal ("1.5", "-60", "nan", "inf"). Write `ok` so NaN makes it false.
+void require_value(bool ok, std::string_view what, std::string_view rule,
+                   double value);
+/// require_value for a probability: 0 <= p <= 1.
+void require_probability(std::string_view what, double p);
+
 }  // namespace erasmus

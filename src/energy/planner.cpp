@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "attest/qoa.h"
+#include "common/strings.h"
 
 namespace erasmus::energy {
 
@@ -124,6 +125,7 @@ double predict_qoa_per_joule(const FleetModel& fleet, const Mission& mission,
 
 Decision plan(const FleetModel& fleet, const Mission& mission,
               obs::TraceRecorder* trace) {
+  require_probability("planner: mission loss", mission.loss);
   Decision d;
   std::string reasons;
   const auto add_reason = [&reasons](const char* r) {

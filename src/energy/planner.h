@@ -94,7 +94,8 @@ double predict_qoa_per_joule(const FleetModel& fleet, const Mission& mission,
 
 /// Picks backend, T_M and window policy maximizing predicted QoA/J subject
 /// to the mission budget. When `trace` is non-null the decision is emitted
-/// as a kEnergy "planner_decision" instant with its reason codes.
+/// as a kEnergy "planner_decision" instant with its reason codes. Throws
+/// std::invalid_argument unless 0 <= mission.loss <= 1.
 Decision plan(const FleetModel& fleet, const Mission& mission,
               obs::TraceRecorder* trace = nullptr);
 

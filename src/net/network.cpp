@@ -3,7 +3,20 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "common/strings.h"
+
 namespace erasmus::net {
+
+Network::Network(sim::EventQueue& queue, sim::Duration latency,
+                 double loss_probability, uint64_t seed)
+    : queue_(queue), latency_(latency), rng_(seed) {
+  set_loss_probability(loss_probability);
+}
+
+void Network::set_loss_probability(double p) {
+  require_probability("Network: loss probability", p);
+  loss_probability_ = p;
+}
 
 NodeId Network::add_node(Handler handler) {
   handlers_.push_back(std::move(handler));

@@ -41,10 +41,9 @@ class Network {
   /// false to decline (every offered node then goes to the filter).
   using RangeQuery = std::function<bool(NodeId src, std::vector<NodeId>& out)>;
 
+  /// Throws std::invalid_argument unless 0 <= loss_probability <= 1.
   Network(sim::EventQueue& queue, sim::Duration latency,
-          double loss_probability = 0.0, uint64_t seed = 1)
-      : queue_(queue), latency_(latency), loss_probability_(loss_probability),
-        rng_(seed) {}
+          double loss_probability = 0.0, uint64_t seed = 1);
 
   /// Registers a node; the handler runs at delivery time.
   NodeId add_node(Handler handler);
@@ -97,7 +96,8 @@ class Network {
   /// loss-burst fault injection, src/adversary). Takes effect at the next
   /// admit draw; the RNG stream is untouched, so a burst schedule is as
   /// deterministic as a fixed loss rate.
-  void set_loss_probability(double p) { loss_probability_ = p; }
+  /// Throws std::invalid_argument unless 0 <= p <= 1.
+  void set_loss_probability(double p);
   double loss_probability() const { return loss_probability_; }
 
   sim::Duration latency() const { return latency_; }

@@ -7,6 +7,7 @@
 // The per-round table shows ERASMUS absorbing churn gracefully: returning
 // devices need only their next T_M before they attest healthy again, and
 // collection only ever sees momentarily-present devices.
+#include "common/strings.h"
 #include "scenario/scenario.h"
 #include "scenario/sharded_runner.h"
 #include "sim/rng.h"
@@ -60,6 +61,8 @@ class ChurnFleetScenario : public Scenario {
 
     const double leave_prob = params.get_double("leave_prob", 0.15);
     const double rejoin_prob = params.get_double("rejoin_prob", 0.5);
+    require_probability("leave_prob", leave_prob);
+    require_probability("rejoin_prob", rejoin_prob);
 
     sink.note("devices", static_cast<uint64_t>(cfg.plan.devices()));
     sink.note("seed", params.get_u64("seed", 11));

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -78,8 +79,7 @@ sim::Energy parse_energy(const std::string& text) {
   std::string unit = text.substr(used);
   for (char& c : unit) c = static_cast<char>(std::tolower(
       static_cast<unsigned char>(c)));
-  if (used == 0 || unit.empty() || value < 0.0 ||
-      !(value == value) /* NaN */) {
+  if (used == 0 || unit.empty() || value < 0.0 || !std::isfinite(value)) {
     throw std::invalid_argument(
         "'" + text +
         "' is not a valid energy (expected <number><unit>, e.g. 40mJ, 2J; "
@@ -100,7 +100,11 @@ sim::Energy parse_energy(const std::string& text) {
                                 text.substr(used) +
                                 "' (units: uJ, mJ, J, kJ)");
   }
-  return sim::Energy{value * uj_per_unit};
+  const double uj = value * uj_per_unit;
+  if (!std::isfinite(uj)) {
+    throw std::invalid_argument("'" + text + "' overflows the energy range");
+  }
+  return sim::Energy{uj};
 }
 
 ParamMap ParamMap::from_args(const std::vector<std::string>& args) {
@@ -154,8 +158,8 @@ double ParamMap::get_double(std::string_view key, double def) const {
   const std::string& v = it->second;
   char* end = nullptr;
   const double parsed = std::strtod(v.c_str(), &end);
-  if (v.empty() || end != v.c_str() + v.size()) {
-    bad_value(key, v, "number");
+  if (v.empty() || end != v.c_str() + v.size() || !std::isfinite(parsed)) {
+    bad_value(key, v, "finite number");
   }
   return parsed;
 }

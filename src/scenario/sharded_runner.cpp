@@ -1,10 +1,7 @@
 #include "scenario/sharded_runner.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -20,60 +17,6 @@ namespace {
 // wide enough for any shard count this runner targets.
 constexpr size_t kVirtualDomains = 16;
 }  // namespace
-
-WindowSpec WindowSpec::parse(const std::string& text) {
-  WindowSpec spec;
-  if (text == "fleet") {
-    spec.mode = Mode::kFleet;
-    return spec;
-  }
-  if (text == "adaptive") {
-    spec.mode = Mode::kAdaptive;
-    return spec;
-  }
-  // strtoull alone is too permissive: it sign-wraps "-5" and clamps
-  // overflow to ULLONG_MAX, both of which must throw, not become an
-  // effectively unbounded window.
-  constexpr unsigned long long kMaxWindow = 1ull << 31;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
-  if (text.empty() ||
-      !std::isdigit(static_cast<unsigned char>(text.front())) ||
-      end != text.c_str() + text.size() || parsed == 0 ||
-      errno == ERANGE || parsed > kMaxWindow) {
-    throw std::invalid_argument(
-        "window: expected 'fleet', 'adaptive' or a positive integer "
-        "(<= 2^31), got '" + text + "'");
-  }
-  spec.mode = Mode::kFixed;
-  spec.fixed = static_cast<size_t>(parsed);
-  return spec;
-}
-
-attest::WindowConfig WindowSpec::resolve(size_t fleet) const {
-  attest::WindowConfig wc;
-  switch (mode) {
-    case Mode::kFleet:
-      // Under kDirect every session completes synchronously inside the
-      // dispatch loop, so the window only bounds transient state -- and a
-      // fleet-wide batch lets the batched serve/verify path fan the whole
-      // round out once instead of in window-sized slices. kOverlay floods
-      // the whole swarm in one batch.
-      wc.fixed = fleet;
-      break;
-    case Mode::kFixed:
-      wc.fixed = fixed;
-      break;
-    case Mode::kAdaptive:
-      wc.adaptive = true;
-      // Let the controller discover up to a full-fleet window; the floor
-      // keeps a loss burst from strangling the round.
-      wc.ceiling = std::max<size_t>(fleet, wc.floor);
-      break;
-  }
-  return wc;
-}
 
 ShardedFleetRunner::ShardedFleetRunner(ShardedFleetConfig config)
     : config_(std::move(config)), specs_(config_.plan.expand()),
@@ -152,13 +95,12 @@ ShardedFleetRunner::ShardedFleetRunner(ShardedFleetConfig config)
 
   attest::ServiceConfig sc;
   sc.keep_audit = false;  // million-device fleets aggregate via rows instead
-  sc.window = config_.window.resolve(specs_.size());
+  sc.window = config_.window;
   sc.trace = trace_;
   sc.metrics = &metrics_;
-  // Batched verifier-core crypto at collection barriers: responses a
-  // broadcast loops back synchronously verify in one parallel pass
-  // (grouped per MAC algorithm), byte-identical to inline verification.
-  // Inert under kOverlay, whose responses arrive asynchronously.
+  // The verify intake's MAC pass runs on the pool: a kDirect broadcast's
+  // replies verify in one parallel pass (grouped per MAC algorithm).
+  // kOverlay replies arrive one at a time and verify on this thread.
   sc.verify_executor = executor_.get();
   attest::Transport* transport = &direct_transport_;
   if (config_.backend == CollectionBackend::kOverlay) {
@@ -181,12 +123,6 @@ ShardedFleetRunner::ShardedFleetRunner(ShardedFleetConfig config)
   }
   service_ = std::make_unique<attest::AttestationService>(
       coordinator_queue_, *transport, directory_, sc);
-  if (config_.backend == CollectionBackend::kOverlay) {
-    service_->set_observer(
-        [this](const attest::AttestationService::SessionOutcome& outcome) {
-          round_outcomes_.push_back(outcome);
-        });
-  }
 }
 
 void ShardedFleetRunner::build_adversary() {
@@ -595,19 +531,13 @@ FleetRoundResult ShardedFleetRunner::collect_round(size_t round,
   for (swarm::DeviceId id = 0; id < stacks_.size(); ++id) {
     if (present_[id]) targets.push_back(id);
   }
-  round_outcomes_.clear();
-  service_->collect_now(targets, static_cast<uint32_t>(config_.k));
-  coordinator_queue_.run_until(at + config_.overlay.collect_deadline);
-  // Sessions still unresolved at the deadline missed this round; late
-  // reports surface as stale/stray datagrams and cannot disturb the next
-  // round's floods.
-  if (service_->round_in_progress()) service_->stop();
-  for (const auto& outcome : round_outcomes_) {
+  for (const auto& outcome : service_->collect_until(
+           targets, at + config_.overlay.collect_deadline,
+           static_cast<uint32_t>(config_.k))) {
     if (!outcome.reachable) continue;
     ++result.reachable;
     judge(outcome);
   }
-  round_outcomes_.clear();
   return result;
 }
 

@@ -94,20 +94,7 @@ struct OverlayBackendConfig {
   overlay::AggregationConfig aggregation;
 };
 
-/// The service's dispatch window at collection barriers: fleet-sized (the
-/// default under both backends), a fixed size, or AIMD-adaptive
-/// (attest/window.h). Parsed from the scenario knob
-/// `window=fleet|adaptive|N`.
-struct WindowSpec {
-  enum class Mode : uint8_t { kFleet, kFixed, kAdaptive };
-  Mode mode = Mode::kFleet;
-  size_t fixed = 64;  // kFixed only
-
-  /// Throws std::invalid_argument on anything but the grammar above.
-  static WindowSpec parse(const std::string& text);
-  /// The service window config for a `fleet`-device deployment.
-  attest::WindowConfig resolve(size_t fleet) const;
-};
+using attest::WindowSpec;
 
 struct ShardedFleetConfig {
   /// What to build: N per-device specs, mobility, stagger policy.
@@ -122,8 +109,9 @@ struct ShardedFleetConfig {
   size_t k = 8;
   CollectionBackend backend = CollectionBackend::kDirect;
   OverlayBackendConfig overlay;
-  /// Dispatch window policy at collection barriers (both backends).
-  WindowSpec window;
+  /// Dispatch window policy at collection barriers (both backends):
+  /// fleet-sized unless the scenario's `window=` knob says otherwise.
+  WindowSpec window{WindowSpec::Mode::kFleet};
   /// Live energy metering (energy/meter.h). When metered, every device
   /// carries a DeviceMeter charged for CPU self-measurements (shard-side),
   /// radio bytes (coordinator-side, via the overlay network's energy tap or
@@ -373,9 +361,6 @@ class ShardedFleetRunner {
   net::NodeId verifier_node_ = 0;
   AggregateCounters agg_counters_;
   std::unique_ptr<attest::AttestationService> service_;
-  /// Sessions completed during the current overlay round (observer-fed;
-  /// kDirect rounds use collect_now()'s synchronous return instead).
-  std::vector<attest::AttestationService::SessionOutcome> round_outcomes_;
 
   /// Observability: the registry every subsystem registers into, the
   /// process-global flight recorder (nullptr = tracing off) and the

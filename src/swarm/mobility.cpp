@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "common/strings.h"
+
 namespace erasmus::swarm {
 
 double distance(Point a, Point b) {
@@ -17,9 +19,19 @@ RandomWaypointMobility::RandomWaypointMobility(MobilityConfig config)
   if (config_.devices == 0) {
     throw std::invalid_argument("RandomWaypointMobility: need >= 1 device");
   }
-  if (config_.speed_max < config_.speed_min || config_.speed_min < 0.0) {
-    throw std::invalid_argument("RandomWaypointMobility: bad speed range");
-  }
+  // Each test is written so that NaN fails it.
+  const MobilityConfig& c = config_;
+  require_value(c.field_size > 0.0 && std::isfinite(c.field_size),
+                "RandomWaypointMobility: field size", "finite and > 0",
+                c.field_size);
+  require_value(c.radio_range >= 0.0 && std::isfinite(c.radio_range),
+                "RandomWaypointMobility: radio range", "finite and >= 0",
+                c.radio_range);
+  require_value(c.speed_min >= 0.0, "RandomWaypointMobility: speed_min",
+                ">= 0", c.speed_min);
+  require_value(c.speed_max >= c.speed_min && std::isfinite(c.speed_max),
+                "RandomWaypointMobility: speed_max", "finite and >= speed_min",
+                c.speed_max);
   // Initial positions: uniform over the field; a zero-length first segment
   // anchors each trajectory at t = 0.
   for (auto& segs : segments_) {

@@ -4,7 +4,11 @@
 // and the adversarial/generic counter split on the relay layer.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "adversary/adversary.h"
 #include "scenario/scenario.h"
@@ -66,25 +70,78 @@ ShardedFleetConfig adversary_config(size_t threads, Duration tm) {
   return cfg;
 }
 
+constexpr adversary::Migration kMigrations[] = {
+    adversary::Migration::kRandomWalk, adversary::Migration::kAware,
+    adversary::Migration::kDwellBound};
+
 TEST(AdversaryEngine, ItineraryIsAPureFunctionOfItsInputs) {
-  const ShardedFleetConfig cfg = adversary_config(1, Duration::minutes(6));
+  for (const adversary::Migration migration : kMigrations) {
+    SCOPED_TRACE(static_cast<int>(migration));
+    ShardedFleetConfig cfg = adversary_config(1, Duration::minutes(6));
+    cfg.adversary.migration = migration;
+    const auto specs = cfg.plan.expand();
+    const Time horizon = Time::zero() + cfg.round_interval * cfg.rounds;
+    const adversary::Engine a(cfg.adversary, specs, /*staggered=*/true,
+                              /*root=*/0, horizon);
+    const adversary::Engine b(cfg.adversary, specs, /*staggered=*/true,
+                              /*root=*/0, horizon);
+    const std::vector<adversary::Leg>& legs = a.legs();
+    ASSERT_EQ(legs.size(), b.legs().size());
+    ASSERT_GT(legs.size(), cfg.adversary.chains) << "chains must migrate";
+    for (size_t i = 0; i < legs.size(); ++i) {
+      EXPECT_EQ(legs[i].chain, b.legs()[i].chain);
+      EXPECT_EQ(legs[i].device, b.legs()[i].device);
+      EXPECT_EQ(legs[i].enter, b.legs()[i].enter);
+      EXPECT_EQ(legs[i].leave, b.legs()[i].leave);
+    }
+    const Duration dwell = cfg.adversary.dwell;
+    for (size_t i = 0; i < legs.size(); ++i) {
+      const adversary::Leg& leg = legs[i];
+      EXPECT_NE(leg.device, 0u) << "the root/collector is never infected";
+      EXPECT_LT(leg.enter, leg.leave);
+      const Duration stay = leg.leave - leg.enter;
+      if (migration == adversary::Migration::kRandomWalk) {
+        EXPECT_EQ(stay, dwell) << "leg " << i;
+      } else if (migration == adversary::Migration::kDwellBound) {
+        EXPECT_GE(stay.ns(), dwell.ns() / 2) << "leg " << i;
+        EXPECT_LE(stay, dwell) << "leg " << i;
+      }
+      // A chain's legs are contiguous in plan order; each hop moves on.
+      if (i + 1 < legs.size() && legs[i + 1].chain == leg.chain) {
+        EXPECT_NE(legs[i + 1].device, leg.device) << "leg " << i;
+      }
+      // No host ever carries two residencies at once.
+      for (size_t j = i + 1; j < legs.size(); ++j) {
+        if (legs[j].device != leg.device) continue;
+        EXPECT_TRUE(legs[j].leave <= leg.enter || leg.leave <= legs[j].enter)
+            << "legs " << i << " and " << j << " overlap on host "
+            << leg.device;
+      }
+    }
+  }
+}
+
+TEST(AdversaryEngine, CompromisedFractionOutsideTheUnitIntervalRejected) {
+  ShardedFleetConfig cfg = adversary_config(1, Duration::minutes(6));
+  cfg.adversary.mode = adversary::Mode::kRelay;
   const auto specs = cfg.plan.expand();
   const Time horizon = Time::zero() + cfg.round_interval * cfg.rounds;
-  const adversary::Engine a(cfg.adversary, specs, /*staggered=*/true,
-                            /*root=*/0, horizon);
-  const adversary::Engine b(cfg.adversary, specs, /*staggered=*/true,
-                            /*root=*/0, horizon);
-  ASSERT_EQ(a.legs().size(), b.legs().size());
-  ASSERT_GT(a.legs().size(), 0u);
-  for (size_t i = 0; i < a.legs().size(); ++i) {
-    EXPECT_EQ(a.legs()[i].chain, b.legs()[i].chain);
-    EXPECT_EQ(a.legs()[i].device, b.legs()[i].device);
-    EXPECT_EQ(a.legs()[i].enter, b.legs()[i].enter);
-    EXPECT_EQ(a.legs()[i].leave, b.legs()[i].leave);
+  for (const double bad : {-1.0, 7.0, std::nan("")}) {
+    cfg.adversary.compromised_fraction = bad;
+    EXPECT_THROW(adversary::Engine(cfg.adversary, specs, true, 0, horizon),
+                 std::invalid_argument)
+        << bad;
   }
-  for (const adversary::Leg& leg : a.legs()) {
-    EXPECT_NE(leg.device, 0u) << "the root/collector is never infected";
-    EXPECT_LT(leg.enter, leg.leave);
+  cfg.adversary.compromised_fraction = 7.0;
+  try {
+    adversary::Engine(cfg.adversary, specs, true, 0, horizon);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("got 7"), std::string::npos)
+        << "the error must name the value: " << e.what();
+  }
+  for (const double ok : {0.0, 1.0}) {
+    cfg.adversary.compromised_fraction = ok;
+    EXPECT_NO_THROW(adversary::Engine(cfg.adversary, specs, true, 0, horizon));
   }
 }
 
@@ -116,22 +173,26 @@ TEST(AdversaryEngine, AwareMalwareEvadesSparseScheduleAndTightOneCatchesIt) {
 }
 
 TEST(AdversaryEngine, CampaignMetricsByteIdenticalAcrossThreadCounts) {
-  auto run_with_threads = [](size_t threads) {
-    std::ostringstream out;
-    JsonSink sink(out);
-    sink.begin_run("adversary-determinism");
-    ShardedFleetRunner runner(
-        adversary_config(threads, Duration::minutes(6)));
-    runner.run(sink);
-    sink.end_run();
-    return out.str();
-  };
-  const std::string t1 = run_with_threads(1);
-  const std::string t3 = run_with_threads(3);
-  EXPECT_EQ(t1, t3);
-  // The run actually exercised the campaign path.
-  EXPECT_NE(t1.find("\"adversary\""), std::string::npos);
-  EXPECT_NE(t1.find("\"detections\""), std::string::npos);
+  for (const adversary::Migration migration : kMigrations) {
+    SCOPED_TRACE(static_cast<int>(migration));
+    auto run_with_threads = [migration](size_t threads) {
+      std::ostringstream out;
+      JsonSink sink(out);
+      sink.begin_run("adversary-determinism");
+      ShardedFleetConfig cfg = adversary_config(threads, Duration::minutes(6));
+      cfg.adversary.migration = migration;
+      ShardedFleetRunner runner(cfg);
+      runner.run(sink);
+      sink.end_run();
+      return out.str();
+    };
+    const std::string t1 = run_with_threads(1);
+    const std::string t3 = run_with_threads(3);
+    EXPECT_EQ(t1, t3);
+    // The run actually exercised the campaign path.
+    EXPECT_NE(t1.find("\"adversary\""), std::string::npos);
+    EXPECT_NE(t1.find("\"detections\""), std::string::npos);
+  }
 }
 
 ShardedFleetConfig relay_config(adversary::Mode mode) {

@@ -6,6 +6,7 @@
 // without disturbing the session they tried to hijack.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "attest/directory.h"
@@ -301,6 +302,102 @@ TEST(AttestationService, DeadDevicesReportedUnreachable) {
   EXPECT_EQ(service.log(1).size(), 1u);
   EXPECT_FALSE(service.log(1).entries()[0].reachable);
   EXPECT_DOUBLE_EQ(service.log(0).reachable_fraction(), 1.0);
+}
+
+TEST(AttestationService, CollectUntilAbortsWhatTheDeadlineCatches) {
+  NetRig rig(3);
+  // Device 1 is dead, so its session is still retrying at the deadline.
+  rig.devices[0]->prover.start();
+  rig.devices[2]->prover.start();
+  rig.network.set_handler(rig.directory.node(1), {});
+  ServiceConfig sc;
+  sc.response_timeout = Duration::seconds(2);
+  sc.max_retries = 2;
+  AttestationService service(rig.queue, rig.transport, rig.directory, sc);
+  rig.queue.run_until(Time::zero() + Duration::minutes(30));
+
+  // Attempt 1 times out at +2 s and is retried; the +3 s deadline aborts
+  // the retry before its own timeout.
+  const Time deadline = rig.queue.now() + Duration::seconds(3);
+  const auto outcomes = service.collect_until(rig.all_ids(), deadline);
+  ASSERT_EQ(outcomes.size(), 2u) << "only the live devices completed";
+  EXPECT_EQ(outcomes[0].device, 0u);
+  EXPECT_EQ(outcomes[1].device, 2u);
+  for (const auto& o : outcomes) {
+    EXPECT_TRUE(o.reachable);
+    EXPECT_TRUE(o.report.device_trustworthy());
+  }
+  EXPECT_FALSE(service.round_in_progress());
+  EXPECT_EQ(service.stats().retries, 1u);
+  EXPECT_EQ(service.stats().unreachable_sessions, 0u)
+      << "an aborted session is not judged unreachable";
+  EXPECT_EQ(service.log(1).size(), 0u);
+  // Nothing of the aborted round fires later.
+  rig.queue.run_until(deadline + Duration::minutes(1));
+  EXPECT_EQ(service.stats().retries, 1u);
+
+  // A deadline past the retry budget lets the dead device resolve as
+  // unreachable, last in completion order.
+  const auto full = service.collect_until(
+      rig.all_ids(), rig.queue.now() + Duration::seconds(30));
+  ASSERT_EQ(full.size(), 3u);
+  EXPECT_EQ(full[2].device, 1u);
+  EXPECT_FALSE(full[2].reachable);
+  EXPECT_EQ(full[2].attempts, 3);
+  EXPECT_FALSE(service.round_in_progress());
+}
+
+/// A DirectTransport that runs `probe` as each broadcast returns.
+struct ProbedTransport : Transport {
+  DirectTransport direct;
+  std::function<void()> probe;
+
+  void send(net::NodeId peer, MsgType type, ByteView body) override {
+    direct.send(peer, type, body);
+  }
+  void broadcast(const std::vector<net::NodeId>& peers, MsgType type,
+                 ByteView body) override {
+    direct.broadcast(peers, type, body);
+    if (probe) probe();
+  }
+  void set_receiver(Receiver receiver) override {
+    direct.set_receiver(std::move(receiver));
+  }
+  sim::Duration latency() const override { return direct.latency(); }
+};
+
+TEST(AttestationService, BroadcastRepliesCompleteAfterTheBroadcastReturns) {
+  // One intake for every collect response: the replies a synchronous
+  // backend delivers during a broadcast are only taken in, then completed
+  // in delivery order once it returns -- with no verify executor too.
+  sim::EventQueue queue;
+  std::vector<std::unique_ptr<Device>> devices;
+  DeviceDirectory directory;
+  ProbedTransport transport;
+  for (uint32_t i = 0; i < 3; ++i) {
+    devices.push_back(std::make_unique<Device>(queue, i));
+    devices[i]->prover.start();
+    directory.add(i, devices[i]->record(i));
+    transport.direct.attach(i, devices[i]->prover);
+  }
+  AttestationService service(queue, transport, directory, ServiceConfig{});
+  queue.run_until(Time::zero() + Duration::minutes(35));
+
+  std::vector<uint64_t> responses_at_return;
+  transport.probe = [&] {
+    responses_at_return.push_back(service.stats().responses);
+  };
+  const auto outcomes = service.collect_now({2, 0, 1}, /*k=*/3);
+  EXPECT_EQ(responses_at_return, std::vector<uint64_t>{0});
+  ASSERT_EQ(outcomes.size(), 3u);
+  EXPECT_EQ(outcomes[0].device, 2u);
+  EXPECT_EQ(outcomes[1].device, 0u);
+  EXPECT_EQ(outcomes[2].device, 1u);
+  for (const auto& o : outcomes) {
+    EXPECT_TRUE(o.report.device_trustworthy());
+  }
+  EXPECT_EQ(service.stats().responses, 3u);
+  EXPECT_FALSE(service.round_in_progress());
 }
 
 // --- Response-path hardening (regression: spoofed/stray datagrams) -----------
@@ -613,11 +710,9 @@ TEST(AttestationService, AdaptiveWindowGrowsOnCleanNetwork) {
   NetRig rig(24);
   for (auto& d : rig.devices) d->prover.start();
   ServiceConfig sc;
-  sc.window.adaptive = true;
-  sc.window.initial = 4;
-  sc.window.floor = 2;
-  sc.window.ceiling = 64;
+  sc.window = WindowSpec::parse("adaptive");
   AttestationService service(rig.queue, rig.transport, rig.directory, sc);
+  ASSERT_EQ(service.window(), kInitialWindow);
   rig.queue.run_until(Time::zero() + Duration::minutes(30));
 
   service.collect_now(rig.all_ids());
@@ -627,8 +722,10 @@ TEST(AttestationService, AdaptiveWindowGrowsOnCleanNetwork) {
   EXPECT_GT(service.round_stats().window_final,
             service.round_stats().window_min)
       << "loss-free responses must have grown the window";
-  EXPECT_GT(service.round_stats().max_in_flight, 4u)
+  EXPECT_GT(service.round_stats().max_in_flight, kInitialWindow)
       << "the grown window must actually admit more sessions";
+  EXPECT_EQ(service.window(), 24u)
+      << "an adaptive window is capped at the directory size";
 }
 
 TEST(AttestationService, AdaptiveWindowBacksOffUnderLoss) {
@@ -637,10 +734,7 @@ TEST(AttestationService, AdaptiveWindowBacksOffUnderLoss) {
   ServiceConfig sc;
   sc.response_timeout = Duration::seconds(5);
   sc.max_retries = 3;
-  sc.window.adaptive = true;
-  sc.window.initial = 16;
-  sc.window.floor = 2;
-  sc.window.ceiling = 30;
+  sc.window = WindowSpec::parse("adaptive");
   AttestationService service(rig.queue, rig.transport, rig.directory, sc);
   rig.queue.run_until(Time::zero() + Duration::minutes(30));
 
@@ -651,8 +745,9 @@ TEST(AttestationService, AdaptiveWindowBacksOffUnderLoss) {
   EXPECT_EQ(rs.sessions, 30u);
   EXPECT_GT(service.stats().loss_backoffs, 0u)
       << "30% loss must trigger multiplicative backoff";
-  EXPECT_LT(rs.window_min, 16u) << "backoff must have cut the window";
-  EXPECT_GE(rs.window_min, 2u) << "floor must hold";
+  EXPECT_LT(rs.window_min, kInitialWindow)
+      << "backoff must have cut the window";
+  EXPECT_GE(rs.window_min, kWindowFloor) << "floor must hold";
   EXPECT_EQ(service.stats().loss_backoffs, rs.loss_backoffs);
   // Retries still recover the fleet -- adaptivity must not break
   // correctness.

@@ -1,9 +1,10 @@
-// Batched report verification (ServiceConfig::verify_executor) must be a
-// pure wall-clock optimization: verdict-for-verdict, stat-for-stat
-// identical to the inline per-session path, on a fleet that exercises
-// every verdict class -- healthy, infected (authentic digest mismatch)
-// and tampered (bad MACs) -- across mixed MAC algorithms (the batching
-// groups work per algorithm, so the grouping must not reorder results).
+// The verify intake's thread pool (ServiceConfig::verify_executor) must be
+// a pure wall-clock optimization: verdict-for-verdict, stat-for-stat
+// identical to the same intake verified on the calling thread, on a fleet
+// that exercises every verdict class -- healthy, infected (authentic
+// digest mismatch) and tampered (bad MACs) -- across mixed MAC algorithms
+// (the intake groups work per algorithm, so the grouping must not reorder
+// results).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -60,7 +61,7 @@ struct Device {
                config_for(id)) {}
 };
 
-/// One complete fleet + service, inline or batched verification.
+/// One complete fleet + service, verified serially or on a pool.
 struct Rig {
   sim::EventQueue queue;
   std::vector<std::unique_ptr<Device>> devices;
@@ -103,11 +104,11 @@ struct Rig {
 };
 
 void expect_equivalent(
-    const std::vector<AttestationService::SessionOutcome>& inline_out,
+    const std::vector<AttestationService::SessionOutcome>& serial_out,
     const std::vector<AttestationService::SessionOutcome>& batched_out) {
-  ASSERT_EQ(inline_out.size(), batched_out.size());
-  for (size_t i = 0; i < inline_out.size(); ++i) {
-    const auto& a = inline_out[i];
+  ASSERT_EQ(serial_out.size(), batched_out.size());
+  for (size_t i = 0; i < serial_out.size(); ++i) {
+    const auto& a = serial_out[i];
     const auto& b = batched_out[i];
     EXPECT_EQ(a.device, b.device);
     EXPECT_EQ(a.reachable, b.reachable);
@@ -128,41 +129,41 @@ void expect_equivalent(
   }
 }
 
-TEST(BatchedVerify, MatchesPerSessionVerdictsOnMixedFleet) {
-  Rig inline_rig(nullptr);
+TEST(BatchedVerify, PoolMatchesSerialVerdictsOnMixedFleet) {
+  Rig serial_rig(nullptr);
   common::ParallelExecutor executor(4);
   Rig batched_rig(&executor);
 
-  const auto inline_out = inline_rig.collect();
+  const auto serial_out = serial_rig.collect();
   const auto batched_out = batched_rig.collect();
 
   // The fleet actually exercises all three verdict classes.
-  ASSERT_EQ(inline_out.size(), kDevices);
-  EXPECT_TRUE(inline_out[kInfected].report.infection_detected);
-  EXPECT_TRUE(inline_out[kTampered].report.tampering_detected);
+  ASSERT_EQ(serial_out.size(), kDevices);
+  EXPECT_TRUE(serial_out[kInfected].report.infection_detected);
+  EXPECT_TRUE(serial_out[kTampered].report.tampering_detected);
   size_t healthy = 0;
-  for (const auto& o : inline_out) {
+  for (const auto& o : serial_out) {
     healthy += o.report.device_trustworthy() ? 1 : 0;
   }
   EXPECT_EQ(healthy, kDevices - 2);
 
-  expect_equivalent(inline_out, batched_out);
+  expect_equivalent(serial_out, batched_out);
 
   // Service-level accounting is identical too.
-  EXPECT_EQ(inline_rig.service->stats().sessions,
+  EXPECT_EQ(serial_rig.service->stats().sessions,
             batched_rig.service->stats().sessions);
-  EXPECT_EQ(inline_rig.service->stats().responses,
+  EXPECT_EQ(serial_rig.service->stats().responses,
             batched_rig.service->stats().responses);
-  EXPECT_EQ(inline_rig.service->stats().retries,
+  EXPECT_EQ(serial_rig.service->stats().retries,
             batched_rig.service->stats().retries);
-  EXPECT_EQ(inline_rig.service->stats().stray_datagrams,
+  EXPECT_EQ(serial_rig.service->stats().stray_datagrams,
             batched_rig.service->stats().stray_datagrams);
-  EXPECT_EQ(inline_rig.service->stats().unreachable_sessions,
+  EXPECT_EQ(serial_rig.service->stats().unreachable_sessions,
             batched_rig.service->stats().unreachable_sessions);
   for (DeviceId id = 0; id < kDevices; ++id) {
-    ASSERT_EQ(inline_rig.service->log(id).size(),
+    ASSERT_EQ(serial_rig.service->log(id).size(),
               batched_rig.service->log(id).size());
-    EXPECT_EQ(inline_rig.service->log(id).trustworthy_fraction(),
+    EXPECT_EQ(serial_rig.service->log(id).trustworthy_fraction(),
               batched_rig.service->log(id).trustworthy_fraction());
   }
 }

@@ -8,9 +8,10 @@
 
 #include "attest/directory.h"
 #include "attest/prover.h"
+#include "attest/service.h"
 #include "crypto/hkdf.h"
-#include "overlay/collector.h"
 #include "overlay/relay_node.h"
+#include "overlay/relay_transport.h"
 #include "sim/rng.h"
 #include "swarm/mobility.h"
 
@@ -177,8 +178,9 @@ TEST(Composition, IrregularLenientScheduleStillVerifies) {
 
 TEST(MobilityRelay, PacketLevelCollectionOverMovingSwarm) {
   // The full §6 stack: mobility model drives the network's link filter;
-  // relay agents flood/relay; the collector (co-located with device 0)
-  // gathers whatever is momentarily reachable, multi-hop.
+  // relay agents flood/relay; the verifier (co-located with device 0)
+  // gathers whatever is momentarily reachable, multi-hop, in one
+  // deadline-bounded round.
   sim::EventQueue queue;
   swarm::MobilityConfig mc;
   mc.devices = 8;
@@ -217,8 +219,17 @@ TEST(MobilityRelay, PacketLevelCollectionOverMovingSwarm) {
     provers.push_back(std::move(prover));
   }
   const net::NodeId collector_node = network.add_node({});
-  overlay::RelayCollector collector(queue, network, collector_node,
-                                    directory, mc.devices + 1);
+  overlay::RelayTransportConfig tc;
+  tc.flood_memory = std::max(tc.flood_memory,
+                             overlay::flood_memory_for(mc.devices));
+  overlay::RelayTransport transport(network, collector_node, mc.devices + 1,
+                                    tc);
+  attest::ServiceConfig sc;
+  sc.response_timeout = Duration::seconds(2);
+  sc.max_retries = 1;
+  sc.window = attest::WindowSpec::parse("fleet");
+  sc.keep_audit = false;
+  attest::AttestationService service(queue, transport, directory, sc);
 
   // Collector rides along with device 0; link filter consults the mobility
   // model at every send.
@@ -238,15 +249,21 @@ TEST(MobilityRelay, PacketLevelCollectionOverMovingSwarm) {
   for (auto& p : provers) p->start();
   queue.run_until(Time::zero() + Duration::hours(1));
 
-  const auto result = collector.run_round(6, Duration::seconds(30));
+  std::vector<attest::DeviceId> all(mc.devices);
+  for (attest::DeviceId id = 0; id < all.size(); ++id) all[id] = id;
+  size_t reports = 0;
+  size_t healthy = 0;
+  for (const auto& o : service.collect_until(
+           all, queue.now() + Duration::seconds(30), /*k=*/6)) {
+    if (!o.reachable) continue;
+    ++reports;
+    healthy += o.report.device_trustworthy() && o.report.freshness.has_value();
+  }
   const size_t reachable = mobility.snapshot(queue.now()).reachable_from(0);
   // Every device with a path at flood time should have reported (short
   // round, slow relative movement). Allow one straggler whose edge broke.
-  EXPECT_GE(result.reports_received + 1, reachable);
-  size_t healthy = 0;
-  for (const auto& s : result.statuses) healthy += s.healthy;
-  EXPECT_EQ(healthy, result.reports_received)
-      << "all collected histories verify";
+  EXPECT_GE(reports + 1, reachable);
+  EXPECT_EQ(healthy, reports) << "all collected histories verify";
 }
 
 TEST(EventQueueStress, RandomWorkloadExecutesInOrder) {

@@ -3,6 +3,9 @@
 // full scan over a mobility-backed radio.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 
 #include "net/network.h"
@@ -98,6 +101,29 @@ TEST(Network, UnknownEndpointsRejected) {
   EXPECT_THROW(net.send(a, 99, Bytes{1}), std::out_of_range);
   EXPECT_THROW(net.send(99, a, Bytes{1}), std::out_of_range);
   EXPECT_THROW(net.set_handler(5, {}), std::out_of_range);
+}
+
+TEST(Network, LossProbabilityOutsideTheUnitIntervalRejected) {
+  EventQueue q;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {-0.5, 1.5, nan, inf, -inf}) {
+    EXPECT_THROW(Network(q, Duration::millis(1), bad), std::invalid_argument)
+        << bad;
+  }
+  Network net(q, Duration::millis(1), 1.0);  // both ends are valid
+  net.set_loss_probability(0.0);
+  for (const double bad : {-0.5, 1.5, nan, inf}) {
+    EXPECT_THROW(net.set_loss_probability(bad), std::invalid_argument)
+        << bad;
+  }
+  EXPECT_EQ(net.loss_probability(), 0.0) << "a rejected value is not kept";
+  try {
+    net.set_loss_probability(1.5);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("1.5"), std::string::npos)
+        << "the error must name the value: " << e.what();
+  }
 }
 
 TEST(Network, NullHandlerDropsSilently) {

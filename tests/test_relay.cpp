@@ -1,15 +1,17 @@
 // Tests for the multi-hop collection overlay (tree-routed collection of
 // self-measurements over the simulated network, §6): wire protocol,
 // per-device relay nodes (store-and-forward, bounded queues, route
-// repair), the RelayTransport, and the AttestationService-backed
-// RelayCollector.
+// repair), the RelayTransport, and deadline-bounded rounds driven by
+// AttestationService::collect_until.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 
+#include "attest/service.h"
 #include "crypto/hkdf.h"
-#include "overlay/collector.h"
 #include "overlay/relay_node.h"
+#include "overlay/relay_transport.h"
 #include "seeded_fuzz.h"
 #include "swarm/mobility.h"
 
@@ -29,7 +31,8 @@ Bytes device_key(uint32_t id) {
 }
 
 // A full packet-level swarm: n provers with relay nodes, a shared
-// DeviceDirectory (node id == device id), one overlay collector.
+// DeviceDirectory (node id == device id), and the verifier endpoint: a
+// RelayTransport under an AttestationService with a fleet-sized window.
 struct OverlayRig {
   sim::EventQueue queue;
   net::Network network;
@@ -38,11 +41,20 @@ struct OverlayRig {
   std::vector<std::unique_ptr<RelayNode>> nodes;
   attest::DeviceDirectory directory;
   net::NodeId collector_node = 0;
-  std::unique_ptr<RelayCollector> collector;
+  std::unique_ptr<RelayTransport> transport;
+  std::unique_ptr<attest::AttestationService> service;
+
+  /// One round's verdicts, indexed by device id.
+  struct Round {
+    std::vector<bool> attested;  // a report reached the verifier
+    std::vector<bool> healthy;   // ...verified and fresh
+    size_t reports = 0;
+    Duration elapsed;  // round start to the last report
+  };
 
   explicit OverlayRig(size_t n, double loss = 0.0,
-                      RelayCollectorConfig config = {},
-                      RelayNodeConfig node_config = {})
+                      RelayTransportConfig transport_config = {},
+                      RelayNodeConfig node_config = {}, int max_retries = 1)
       : network(queue, Duration::millis(2), loss, /*seed=*/7) {
     for (uint32_t id = 0; id < n; ++id) {
       auto arch = std::make_unique<hw::SmartPlusArch>(
@@ -67,8 +79,36 @@ struct OverlayRig {
       provers.push_back(std::move(prover));
     }
     collector_node = network.add_node({});
-    collector = std::make_unique<RelayCollector>(
-        queue, network, collector_node, directory, n + 1, config);
+    transport_config.flood_memory =
+        std::max(transport_config.flood_memory, flood_memory_for(n));
+    transport = std::make_unique<RelayTransport>(network, collector_node,
+                                                 n + 1, transport_config);
+    attest::ServiceConfig sc;
+    sc.response_timeout = Duration::seconds(2);
+    sc.max_retries = max_retries;
+    sc.window = attest::WindowSpec::parse("fleet");
+    sc.keep_audit = false;
+    service = std::make_unique<attest::AttestationService>(queue, *transport,
+                                                           directory, sc);
+  }
+
+  /// Floods one collection round over every device and listens until
+  /// `deadline` from now.
+  Round run_round(uint32_t k, Duration deadline) {
+    std::vector<attest::DeviceId> all(directory.size());
+    for (attest::DeviceId id = 0; id < all.size(); ++id) all[id] = id;
+    const Time start = queue.now();
+    Round round{std::vector<bool>(all.size()), std::vector<bool>(all.size()),
+                0, Duration(0)};
+    for (const auto& o : service->collect_until(all, start + deadline, k)) {
+      if (!o.reachable) continue;
+      round.attested[o.device] = true;
+      round.healthy[o.device] = o.report.device_trustworthy() &&
+                                o.report.freshness.has_value();
+      ++round.reports;
+      round.elapsed = o.at - start;
+    }
+    return round;
   }
 
   void start_and_run(Duration d) {
@@ -231,11 +271,11 @@ TEST(Overlay, FullyConnectedSwarmAllAttested) {
   OverlayRig rig(6);  // no link filter: everyone hears everyone
   rig.start_and_run(Duration::hours(1));
 
-  const auto result = rig.collector->run_round(6, Duration::seconds(10));
-  EXPECT_EQ(result.reports_received, 6u);
-  for (const auto& s : result.statuses) {
-    EXPECT_TRUE(s.attested) << "device " << s.device;
-    EXPECT_TRUE(s.healthy) << "device " << s.device;
+  const auto result = rig.run_round(6, Duration::seconds(10));
+  EXPECT_EQ(result.reports, 6u);
+  for (size_t id = 0; id < 6; ++id) {
+    EXPECT_TRUE(result.attested[id]) << "device " << id;
+    EXPECT_TRUE(result.healthy[id]) << "device " << id;
   }
   EXPECT_GT(result.elapsed.ns(), 0u);
 }
@@ -258,22 +298,22 @@ TEST(Overlay, MultiHopLineTopology) {
   line_filter(rig.network, rig.collector_node);
   rig.start_and_run(Duration::hours(1));
 
-  const auto result = rig.collector->run_round(6, Duration::seconds(10));
-  EXPECT_EQ(result.reports_received, 4u)
+  const auto result = rig.run_round(6, Duration::seconds(10));
+  EXPECT_EQ(result.reports, 4u)
       << "all devices reachable through multi-hop relay";
   EXPECT_GT(rig.total(&RelayNode::Stats::reports_relayed), 0u)
       << "inner devices must have relayed reports";
 
   // The transport's histogram sees the depth: device 3's report crossed
   // three relays.
-  const auto& hops = rig.collector->transport().hop_histogram();
+  const auto& hops = rig.transport->hop_histogram();
   ASSERT_GE(hops.size(), 4u);
   EXPECT_EQ(hops[3], 1u);
 }
 
 TEST(Overlay, TtlBoundsFloodDepth) {
-  RelayCollectorConfig config;
-  config.transport.ttl = 1;
+  RelayTransportConfig config;
+  config.ttl = 1;
   OverlayRig rig(4, /*loss=*/0.0, config);
   line_filter(rig.network, rig.collector_node);
   rig.start_and_run(Duration::hours(1));
@@ -281,10 +321,10 @@ TEST(Overlay, TtlBoundsFloodDepth) {
   // TTL 1: flood reaches device 0 (ttl 1) and device 1 (ttl 0, no
   // re-flood); 2 and 3 stay unreached and resolve through the timeout
   // path as unreachable sessions.
-  const auto result = rig.collector->run_round(6, Duration::seconds(10));
-  EXPECT_EQ(result.reports_received, 2u);
-  EXPECT_FALSE(result.statuses[2].attested);
-  EXPECT_GT(rig.collector->service().stats().unreachable_sessions, 0u);
+  const auto result = rig.run_round(6, Duration::seconds(10));
+  EXPECT_EQ(result.reports, 2u);
+  EXPECT_FALSE(result.attested[2]);
+  EXPECT_GT(rig.service->stats().unreachable_sessions, 0u);
 }
 
 TEST(Overlay, PartitionedSwarmPartialCoverage) {
@@ -297,10 +337,10 @@ TEST(Overlay, PartitionedSwarmPartialCoverage) {
   });
   rig.start_and_run(Duration::hours(1));
 
-  const auto result = rig.collector->run_round(6, Duration::seconds(10));
-  EXPECT_EQ(result.reports_received, 3u);
-  EXPECT_TRUE(result.statuses[0].attested);
-  EXPECT_FALSE(result.statuses[4].attested);
+  const auto result = rig.run_round(6, Duration::seconds(10));
+  EXPECT_EQ(result.reports, 3u);
+  EXPECT_TRUE(result.attested[0]);
+  EXPECT_FALSE(result.attested[4]);
 }
 
 TEST(Overlay, InfectedDeviceFlaggedThroughRelayPath) {
@@ -311,10 +351,10 @@ TEST(Overlay, InfectedDeviceFlaggedThroughRelayPath) {
                                  bytes_of("EVIL"), false);
   rig.queue.run_until(rig.queue.now() + Duration::minutes(20));
 
-  const auto result = rig.collector->run_round(4, Duration::seconds(10));
-  EXPECT_TRUE(result.statuses[3].attested);
-  EXPECT_FALSE(result.statuses[3].healthy);
-  EXPECT_TRUE(result.statuses[1].healthy);
+  const auto result = rig.run_round(4, Duration::seconds(10));
+  EXPECT_TRUE(result.attested[3]);
+  EXPECT_FALSE(result.healthy[3]);
+  EXPECT_TRUE(result.healthy[1]);
 }
 
 TEST(Overlay, DuplicateReportsCountedOnce) {
@@ -323,30 +363,30 @@ TEST(Overlay, DuplicateReportsCountedOnce) {
   // each device exactly once.
   OverlayRig rig(8);
   rig.start_and_run(Duration::hours(1));
-  const auto result = rig.collector->run_round(6, Duration::seconds(10));
-  EXPECT_EQ(result.reports_received, 8u);
-  EXPECT_EQ(result.statuses.size(), 8u);
-  const auto& stats = rig.collector->transport().stats();
+  const auto result = rig.run_round(6, Duration::seconds(10));
+  EXPECT_EQ(result.reports, 8u);
+  EXPECT_EQ(result.attested.size(), 8u);
+  const auto& stats = rig.transport->stats();
   EXPECT_EQ(stats.reports_received, 8u);
 }
 
 TEST(Overlay, RoundsAreIndependent) {
   OverlayRig rig(4);
   rig.start_and_run(Duration::hours(1));
-  const auto r1 = rig.collector->run_round(6, Duration::seconds(10));
+  const auto r1 = rig.run_round(6, Duration::seconds(10));
   rig.queue.run_until(rig.queue.now() + Duration::minutes(30));
-  const auto r2 = rig.collector->run_round(6, Duration::seconds(10));
-  EXPECT_EQ(r1.reports_received, 4u);
-  EXPECT_EQ(r2.reports_received, 4u);
+  const auto r2 = rig.run_round(6, Duration::seconds(10));
+  EXPECT_EQ(r1.reports, 4u);
+  EXPECT_EQ(r2.reports, 4u);
 }
 
 TEST(Overlay, LossyNetworkDegradesGracefully) {
   OverlayRig rig(6, /*loss=*/0.2);
   rig.start_and_run(Duration::hours(1));
-  const auto result = rig.collector->run_round(6, Duration::seconds(10));
+  const auto result = rig.run_round(6, Duration::seconds(10));
   // Dense flooding provides path diversity, and the service's retries
   // (each a fresh flood) re-ask anyone whose report was lost.
-  EXPECT_GE(result.reports_received, 3u);
+  EXPECT_GE(result.reports, 3u);
 }
 
 TEST(Overlay, MalformedFramesCountedNotServed) {
@@ -369,21 +409,20 @@ TEST(Overlay, MalformedFramesCountedNotServed) {
   rig.queue.run_until(rig.queue.now() + Duration::seconds(1));
 
   EXPECT_EQ(rig.nodes[0]->stats().malformed_frames, 2u);
-  EXPECT_EQ(rig.collector->transport().stats().malformed_frames, 2u);
+  EXPECT_EQ(rig.transport->stats().malformed_frames, 2u);
   EXPECT_EQ(rig.nodes[0]->stats().requests_served, 0u)
       << "truncated floods must not reach the prover";
 
   // The overlay still works afterwards.
-  const auto result = rig.collector->run_round(2, Duration::seconds(10));
-  EXPECT_EQ(result.reports_received, 2u);
+  const auto result = rig.run_round(2, Duration::seconds(10));
+  EXPECT_EQ(result.reports, 2u);
 }
 
 TEST(Overlay, BoundedRelayQueueDropsUnderConvergence) {
   // Star: collector -- hub(0) -- {1..5}. Every leaf report converges on
   // the hub within one latency, so a depth-2 store-and-forward buffer
   // must drop; the default depth in a second rig must not.
-  RelayCollectorConfig config;
-  config.max_retries = 0;  // no re-asks: observe the raw first flood
+  const int no_retries = 0;  // no re-asks: observe the raw first flood
   RelayNodeConfig node_config;
   node_config.queue_depth = 2;
   node_config.forward_spacing = Duration::millis(50);
@@ -396,22 +435,22 @@ TEST(Overlay, BoundedRelayQueueDropsUnderConvergence) {
     });
   };
 
-  OverlayRig tight(6, 0.0, config, node_config);
+  OverlayRig tight(6, 0.0, {}, node_config, no_retries);
   star(tight.network, tight.collector_node);
   tight.start_and_run(Duration::hours(1));
-  const auto r1 = tight.collector->run_round(6, Duration::seconds(30));
+  const auto r1 = tight.run_round(6, Duration::seconds(30));
   EXPECT_GT(tight.nodes[0]->stats().reports_dropped, 0u);
-  EXPECT_LT(r1.reports_received, 6u);
-  EXPECT_GE(r1.reports_received, 1u);
+  EXPECT_LT(r1.reports, 6u);
+  EXPECT_GE(r1.reports, 1u);
 
   RelayNodeConfig roomy = node_config;
   roomy.queue_depth = 16;
-  OverlayRig wide(6, 0.0, config, roomy);
+  OverlayRig wide(6, 0.0, {}, roomy, no_retries);
   star(wide.network, wide.collector_node);
   wide.start_and_run(Duration::hours(1));
-  const auto r2 = wide.collector->run_round(6, Duration::seconds(30));
+  const auto r2 = wide.run_round(6, Duration::seconds(30));
   EXPECT_EQ(wide.total(&RelayNode::Stats::reports_dropped), 0u);
-  EXPECT_EQ(r2.reports_received, 6u);
+  EXPECT_EQ(r2.reports, 6u);
 }
 
 TEST(Overlay, RouteRepairWhenParentChurnsMidRound) {
@@ -441,9 +480,9 @@ TEST(Overlay, RouteRepairWhenParentChurnsMidRound) {
   rig.queue.schedule_after(Duration::millis(20), [broken] {
     *broken = true;
   });
-  const auto result = rig.collector->run_round(6, Duration::seconds(10));
+  const auto result = rig.run_round(6, Duration::seconds(10));
 
-  EXPECT_TRUE(result.statuses[2].attested)
+  EXPECT_TRUE(result.attested[2])
       << "report must survive the mid-round parent churn";
   EXPECT_EQ(rig.nodes[2]->stats().route_repairs, 1u);
 }
@@ -506,15 +545,15 @@ TEST(Overlay, SpoofedAggregateHeadRejectedBeforeAnyState) {
 // --- Scoped retries ----------------------------------------------------------
 
 TEST(Overlay, ScopedRetryRidesCachedRouteAndBurnsIt) {
-  RelayCollectorConfig config;
-  config.transport.scoped_retries = true;
+  RelayTransportConfig config;
+  config.scoped_retries = true;
   OverlayRig rig(4, /*loss=*/0.0, config);
   line_filter(rig.network, rig.collector_node);
   rig.start_and_run(Duration::hours(1));
 
-  const auto round = rig.collector->run_round(6, Duration::seconds(10));
-  ASSERT_EQ(round.reports_received, 4u);
-  RelayTransport& transport = rig.collector->transport();
+  const auto round = rig.run_round(6, Duration::seconds(10));
+  ASSERT_EQ(round.reports, 4u);
+  RelayTransport& transport = *rig.transport;
 
   // Device 3's report crossed 2, 1 and 0: the recorded path vouches for
   // a route to every one of them, not just the origin.
@@ -549,14 +588,14 @@ TEST(Overlay, ScopedRetryRidesCachedRouteAndBurnsIt) {
 }
 
 TEST(Overlay, ScopedRetryFallsBackToFloodOnStaleRoute) {
-  RelayCollectorConfig config;
-  config.transport.scoped_retries = true;
+  RelayTransportConfig config;
+  config.scoped_retries = true;
   OverlayRig rig(4, /*loss=*/0.0, config);
   line_filter(rig.network, rig.collector_node);
   rig.start_and_run(Duration::hours(1));
 
-  rig.collector->run_round(6, Duration::seconds(10));
-  RelayTransport& transport = rig.collector->transport();
+  rig.run_round(6, Duration::seconds(10));
+  RelayTransport& transport = *rig.transport;
   ASSERT_TRUE(transport.has_fresh_route(3));
 
   // Let the route age past its TTL: at vehicle speeds yesterday's path
@@ -572,8 +611,8 @@ TEST(Overlay, ScopedRetryFallsBackToFloodOnStaleRoute) {
 }
 
 TEST(Overlay, BrokenScopedHopNaksAndEvictsRoute) {
-  RelayCollectorConfig config;
-  config.transport.scoped_retries = true;
+  RelayTransportConfig config;
+  config.scoped_retries = true;
   OverlayRig rig(4, /*loss=*/0.0, config);
 
   // Line collector -- 0 -- 1 -- 2 -- 3 whose 1--2 edge we can sever.
@@ -589,8 +628,8 @@ TEST(Overlay, BrokenScopedHopNaksAndEvictsRoute) {
   for (auto& node : rig.nodes) node->set_link_probe(connected);
   rig.start_and_run(Duration::hours(1));
 
-  rig.collector->run_round(6, Duration::seconds(10));
-  RelayTransport& transport = rig.collector->transport();
+  rig.run_round(6, Duration::seconds(10));
+  RelayTransport& transport = *rig.transport;
   ASSERT_TRUE(transport.has_fresh_route(3));
 
   // The cached route to 3 runs 0 -> 1 -> 2 -> 3; break it mid-path. The
@@ -638,11 +677,11 @@ TEST(Overlay, MobileSwarmMomentaryReachability) {
   });
   rig.start_and_run(Duration::hours(1));
 
-  const auto r1 = rig.collector->run_round(6, Duration::seconds(10));
-  EXPECT_GE(r1.reports_received, 1u);
-  EXPECT_LE(r1.reports_received, 12u);
+  const auto r1 = rig.run_round(6, Duration::seconds(10));
+  EXPECT_GE(r1.reports, 1u);
+  EXPECT_LE(r1.reports, 12u);
   // Device 0 is the collector's co-located uplink: always reachable.
-  EXPECT_TRUE(r1.statuses[0].attested);
+  EXPECT_TRUE(r1.attested[0]);
 }
 
 }  // namespace

@@ -27,12 +27,37 @@ TEST(ParamMap, RejectsMalformedTokens) {
 
 TEST(ParamMap, TypedGettersValidate) {
   const auto params = ParamMap::from_args(
-      {"n=12x", "f=0.25", "b1=yes", "b2=off", "bad=maybe"});
+      {"n=12x", "f=0.25", "b1=yes", "b2=off", "bad=maybe", "e=40mJ"});
   EXPECT_THROW(params.get_u64("n", 0), std::invalid_argument);
   EXPECT_DOUBLE_EQ(params.get_double("f", 0.0), 0.25);
   EXPECT_TRUE(params.get_bool("b1", false));
   EXPECT_FALSE(params.get_bool("b2", true));
   EXPECT_THROW(params.get_bool("bad", false), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(params.get_energy("e", {}).millijoules(), 40.0);
+
+  // Non-finite numbers are no number a knob can mean: strtod accepts
+  // them (and overflows to inf), so the getters must refuse, naming the
+  // value.
+  for (const char* bad : {"nan", "NaN", "inf", "-inf", "infinity", "1e400"}) {
+    const auto p = ParamMap::from_args({std::string("x=") + bad});
+    try {
+      p.get_double("x", 0.0);
+      ADD_FAILURE() << "'" << bad << "' accepted as a number";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(bad), std::string::npos)
+          << e.what();
+    }
+  }
+  for (const char* bad : {"infJ", "nanmJ", "-infJ", "1e308kJ", "-5J"}) {
+    const auto p = ParamMap::from_args({std::string("battery=") + bad});
+    try {
+      p.get_energy("battery", {});
+      ADD_FAILURE() << "'" << bad << "' accepted as an energy";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(bad), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ParamMap, ParsesHumanFriendlyDurations) {

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "sim/event_queue.h"
 #include "sim/rng.h"
@@ -171,6 +175,50 @@ TEST(Mobility, StationaryWhenSpeedZero) {
   const Point p1 = m.position(1, Time::zero() + Duration::hours(5));
   EXPECT_DOUBLE_EQ(p0.x, p1.x);
   EXPECT_DOUBLE_EQ(p0.y, p1.y);
+}
+
+TEST(Mobility, RejectsOutOfRangeConfigIncludingNaN) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto rejects = [](MobilityConfig cfg, const char* value) {
+    try {
+      RandomWaypointMobility m(cfg);
+      ADD_FAILURE() << "accepted " << value;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(value), std::string::npos)
+          << "the error must name the value: " << e.what();
+    }
+  };
+  const MobilityConfig ok;
+  for (const auto& [field, text] :
+       {std::pair{0.0, "0"}, {-5.0, "-5"}, {nan, "nan"}, {inf, "inf"}}) {
+    MobilityConfig cfg = ok;
+    cfg.field_size = field;
+    rejects(cfg, text);
+  }
+  for (const auto& [range, text] :
+       {std::pair{-60.0, "-60"}, {nan, "nan"}, {inf, "inf"}}) {
+    MobilityConfig cfg = ok;
+    cfg.radio_range = range;
+    rejects(cfg, text);
+  }
+  for (const auto& [speed, text] : {std::pair{-1.0, "-1"}, {nan, "nan"}}) {
+    MobilityConfig cfg = ok;
+    cfg.speed_min = speed;
+    rejects(cfg, text);
+  }
+  for (const auto& [speed, text] :
+       {std::pair{0.25, "0.25"}, {nan, "nan"}, {inf, "inf"}}) {
+    MobilityConfig cfg = ok;
+    cfg.speed_max = speed;  // 0.25 < speed_min 0.5
+    rejects(cfg, text);
+  }
+  // The edges stay legal: zero range, and a static swarm.
+  MobilityConfig edge = ok;
+  edge.radio_range = 0.0;
+  edge.speed_min = 0.0;
+  edge.speed_max = 0.0;
+  EXPECT_NO_THROW(RandomWaypointMobility{edge});
 }
 
 TEST(Mobility, OutOfOrderQueriesConsistent) {
