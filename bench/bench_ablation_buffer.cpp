@@ -42,7 +42,7 @@ LossResult run(size_t n_slots, Duration tm, Duration tc, Duration horizon) {
                         std::make_unique<attest::RegularScheduler>(tm),
                         attest::ProverConfig{});
   attest::DeviceRecord record;
-  record.key = key;
+  record.key = crypto::MacKey(crypto::MacAlgo::kHmacSha256, key);
   record.set_golden(crypto::Hash::digest(
       crypto::HashAlgo::kSha256,
       arch.memory().view(arch.app_region(), true)));

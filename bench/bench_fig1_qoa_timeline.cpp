@@ -42,7 +42,8 @@ struct Device {
                attest::ProverConfig{}),
         record([&] {
           attest::DeviceRecord r;
-          r.key = bytes_of("fig1-device-key-0123456789abcdef");
+          r.key = crypto::MacKey(crypto::MacAlgo::kHmacSha256,
+                                 bytes_of("fig1-device-key-0123456789abcdef"));
           r.set_golden(crypto::Hash::digest(
               crypto::HashAlgo::kSha256,
               arch.memory().view(arch.app_region(), true)));

@@ -42,8 +42,7 @@ int main(int argc, char** argv) {
                             sim::Duration::minutes(10)),
                         pc);
   attest::DeviceRecord record;
-  record.algo = pc.algo;
-  record.key = key;
+  record.key = crypto::MacKey(pc.algo, key);
   record.set_golden(crypto::Hash::digest(
       attest::hash_for(pc.algo),
       arch.memory().view(arch.app_region(), true)));

@@ -70,10 +70,8 @@ Bytes aggregate_mac_input(const AggregateFrame& frame) {
   return w.take();
 }
 
-bool verify_aggregate(const AggregateFrame& frame, crypto::MacAlgo algo,
-                      ByteView key) {
-  return crypto::Mac::verify(algo, key, aggregate_mac_input(frame),
-                             frame.mac);
+bool verify_aggregate(const AggregateFrame& frame, const crypto::Mac& key) {
+  return key.verify({aggregate_mac_input(frame)}, frame.mac);
 }
 
 }  // namespace erasmus::aggregate

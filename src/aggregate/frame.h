@@ -63,7 +63,6 @@ Bytes aggregate_mac_input(const AggregateFrame& frame);
 
 /// Verifier-side authentication with the head's directory key (constant
 /// time).
-bool verify_aggregate(const AggregateFrame& frame, crypto::MacAlgo algo,
-                      ByteView key);
+bool verify_aggregate(const AggregateFrame& frame, const crypto::Mac& key);
 
 }  // namespace erasmus::aggregate

@@ -44,7 +44,7 @@ const Bytes& DeviceRecord::golden() const { return goldens.back().second; }
 MeasurementVerdict judge_measurement(const DeviceRecord& rec,
                                      const Measurement& m) {
   MeasurementVerdict v{m, MeasurementStatus::kBadMac};
-  if (!verify_measurement(rec.algo, rec.key, m)) {
+  if (!verify_measurement(rec.key.mac(), m)) {
     return v;
   }
   v.status = equal(m.digest, rec.golden_at(m.timestamp))
@@ -142,8 +142,8 @@ OdRequest make_od_request(const DeviceRecord& rec, uint64_t now_ticks,
   OdRequest req;
   req.treq = now_ticks;
   req.k = k;
-  req.mac = crypto::Mac::compute(rec.algo, rec.key,
-                                 OdRequest::mac_input(req.treq, req.k));
+  req.mac =
+      rec.key.mac().tag({OdRequest::mac_input(req.treq, req.k)}).to_bytes();
   return req;
 }
 

@@ -29,8 +29,11 @@ using DeviceId = uint32_t;
 
 /// Everything the verifier core needs to judge one device's measurements.
 struct DeviceRecord {
-  crypto::MacAlgo algo = crypto::MacAlgo::kHmacSha256;
-  Bytes key;  // K, shared with the prover
+  /// K, shared with the prover, with its MAC algorithm and the MAC state
+  /// derived from it when the key is set. Every record MAC this record
+  /// judges starts from that state; after the record is built, the verify
+  /// pool only reads it.
+  crypto::MacKey key;
   sim::Duration tick = sim::Duration::seconds(1);  // RROC granularity
   /// Golden-digest epochs: (first valid RROC tick, digest), sorted by
   /// tick. A software update appends an epoch so the legitimate pre-update

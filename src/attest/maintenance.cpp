@@ -101,7 +101,7 @@ bool MaintenanceAuthority::attest_now(Prover& prover,
   const OdRequest req = make_od_request(record_, now_ticks, 0);
   const auto res = prover.handle_od(req);
   if (!res.response) return false;
-  if (!verify_measurement(record_.algo, record_.key, res.response->fresh)) {
+  if (!verify_measurement(record_.key.mac(), res.response->fresh)) {
     return false;
   }
   return equal(res.response->fresh.digest, expected_digest);
@@ -110,7 +110,7 @@ bool MaintenanceAuthority::attest_now(Prover& prover,
 MaintenanceAuthority::UpdateOutcome MaintenanceAuthority::run_update(
     Prover& prover, ByteView new_image) {
   UpdateOutcome outcome;
-  const auto algo = record_.algo;
+  const auto algo = record_.key.algo();
 
   // 1. Attest BEFORE: never push an update onto a compromised device.
   outcome.pre_attestation_ok = attest_now(prover, record_.golden());
@@ -126,9 +126,10 @@ MaintenanceAuthority::UpdateOutcome MaintenanceAuthority::run_update(
   req.treq = prover.rroc().read();
   req.image.assign(new_image.begin(), new_image.end());
   const Bytes image_digest = crypto::Hash::digest(hash_for(algo), req.image);
-  req.mac = crypto::Mac::compute(
-      algo, record_.key,
-      MaintenanceRequest::mac_input(req.op, req.treq, image_digest, algo));
+  req.mac = record_.key.mac()
+                .tag({MaintenanceRequest::mac_input(req.op, req.treq,
+                                                    image_digest, algo)})
+                .to_bytes();
   outcome.request_accepted = handle_maintenance(prover, req).has_value();
   if (!outcome.request_accepted) return outcome;
 
@@ -153,15 +154,16 @@ MaintenanceAuthority::UpdateOutcome MaintenanceAuthority::run_update(
 MaintenanceAuthority::EraseOutcome MaintenanceAuthority::run_erase(
     Prover& prover) {
   EraseOutcome outcome;
-  const auto algo = record_.algo;
+  const auto algo = record_.key.algo();
 
   MaintenanceRequest req;
   req.op = MaintenanceRequest::Op::kErase;
   req.treq = prover.rroc().read();
   const Bytes empty_digest = crypto::Hash::digest(hash_for(algo), {});
-  req.mac = crypto::Mac::compute(
-      algo, record_.key,
-      MaintenanceRequest::mac_input(req.op, req.treq, empty_digest, algo));
+  req.mac = record_.key.mac()
+                .tag({MaintenanceRequest::mac_input(req.op, req.treq,
+                                                    empty_digest, algo)})
+                .to_bytes();
   outcome.request_accepted = handle_maintenance(prover, req).has_value();
   if (!outcome.request_accepted) return outcome;
 

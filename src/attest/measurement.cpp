@@ -1,36 +1,18 @@
 #include "attest/measurement.h"
 
-#include "common/serde.h"
-#include "crypto/blake2s.h"
-#include "crypto/sha1.h"
-#include "crypto/sha256.h"
-
 namespace erasmus::attest {
 
 namespace {
 
-size_t digest_size_for(crypto::MacAlgo algo) {
-  switch (algo) {
-    case crypto::MacAlgo::kHmacSha1:
-      return crypto::Sha1::kDigestSize;
-    case crypto::MacAlgo::kHmacSha256:
-      return crypto::Sha256::kDigestSize;
-    case crypto::MacAlgo::kKeyedBlake2s:
-      return crypto::Blake2s::kMaxDigestSize;
-  }
-  return 0;
-}
-
-size_t tag_size_for(crypto::MacAlgo algo) {
-  switch (algo) {
-    case crypto::MacAlgo::kHmacSha1:
-      return crypto::Sha1::kDigestSize;
-    case crypto::MacAlgo::kHmacSha256:
-      return crypto::Sha256::kDigestSize;
-    case crypto::MacAlgo::kKeyedBlake2s:
-      return crypto::Blake2s::kMaxDigestSize;
-  }
-  return 0;
+// One field: u32 length, then at most Digest::kMaxSize bytes. The length
+// is attacker-controlled, so it is checked before anything is copied.
+bool read_field(ByteReader& r, crypto::Digest& out) {
+  const uint32_t n = r.u32();
+  if (n > crypto::Digest::kMaxSize) return false;
+  const ByteView bytes = r.view(n);
+  if (!r.ok()) return false;
+  out.assign(bytes);
+  return true;
 }
 
 }  // namespace
@@ -47,42 +29,39 @@ crypto::HashAlgo hash_for(crypto::MacAlgo algo) {
   return crypto::HashAlgo::kSha256;
 }
 
-Bytes Measurement::serialize() const {
-  ByteWriter w;
+void Measurement::serialize(ByteWriter& w) const {
   w.u64(timestamp);
   w.var_bytes(digest);
   w.var_bytes(mac);
+}
+
+std::optional<Measurement> Measurement::deserialize(ByteReader& r) {
+  Measurement m;
+  m.timestamp = r.u64();
+  if (!read_field(r, m.digest) || !read_field(r, m.mac)) return std::nullopt;
+  return m;
+}
+
+Bytes Measurement::serialize() const {
+  ByteWriter w;
+  serialize(w);
   return w.take();
 }
 
 std::optional<Measurement> Measurement::deserialize(ByteView data) {
   ByteReader r(data);
-  Measurement m;
-  m.timestamp = r.u64();
-  m.digest = r.var_bytes();
-  m.mac = r.var_bytes();
-  if (!r.done()) return std::nullopt;
+  auto m = deserialize(r);
+  if (!m || !r.done()) return std::nullopt;
   return m;
 }
 
-size_t Measurement::wire_size(crypto::MacAlgo algo) {
-  return 8 + 4 + digest_size_for(algo) + 4 + tag_size_for(algo);
-}
-
-Bytes measurement_mac_input(uint64_t t, ByteView digest) {
-  ByteWriter w;
-  w.u64(t);
-  w.raw(digest);
-  return w.take();
-}
-
-Measurement compute_measurement(crypto::MacAlgo algo, ByteView key,
-                                ByteView memory, uint64_t t) {
+Measurement compute_measurement(const crypto::Mac& key, ByteView memory,
+                                uint64_t t) {
   Measurement m;
   m.timestamp = t;
-  m.digest = crypto::Hash::digest(hash_for(algo), memory);
-  m.mac = crypto::Mac::compute(algo, key,
-                               measurement_mac_input(t, m.digest));
+  crypto::Hash::digest(hash_for(key.algo()), memory, m.digest);
+  // MAC input u64 t (little-endian) || H(mem_t), tagged as two parts.
+  m.mac = key.tag({le64(t), m.digest});
   return m;
 }
 
@@ -94,16 +73,13 @@ Measurement compute_measurement_protected(hw::SecurityArch& arch,
   arch.run_protected([&](hw::SecurityArch::ProtectedContext& ctx) {
     const ByteView mem = ctx.memory().view(attested_region,
                                            /*privileged=*/true);
-    m = compute_measurement(algo, ctx.key(), mem, t);
+    m = compute_measurement(crypto::Mac(algo, ctx.key()), mem, t);
   });
   return m;
 }
 
-bool verify_measurement(crypto::MacAlgo algo, ByteView key,
-                        const Measurement& m) {
-  return crypto::Mac::verify(algo, key,
-                             measurement_mac_input(m.timestamp, m.digest),
-                             m.mac);
+bool verify_measurement(const crypto::Mac& key, const Measurement& m) {
+  return key.verify({le64(m.timestamp), m.digest}, m.mac);
 }
 
 }  // namespace erasmus::attest

@@ -1,5 +1,7 @@
 #include "attest/measurement_store.h"
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "common/serde.h"
@@ -26,12 +28,16 @@ MeasurementStore::MeasurementStore(hw::DeviceMemory& memory,
                                    hw::RegionId region, crypto::MacAlgo algo)
     : memory_(memory), region_(region), algo_(algo),
       digest_size_(digest_size_of(algo)), mac_size_(digest_size_of(algo)),
-      record_size_(1 + 8 + digest_size_ + mac_size_),
+      record_size_(record_size_for(algo)),
       capacity_(memory.region_size(region) / record_size_) {
   if (capacity_ == 0) {
     throw std::invalid_argument(
         "MeasurementStore: region too small for one record");
   }
+}
+
+size_t MeasurementStore::record_size_for(crypto::MacAlgo algo) {
+  return 1 + 8 + 2 * digest_size_of(algo);  // flag | u64 t | digest | mac
 }
 
 size_t MeasurementStore::offset_of(uint64_t index) const {
@@ -43,12 +49,16 @@ void MeasurementStore::write_record(uint64_t index, const Measurement& m,
   if (m.digest.size() != digest_size_ || m.mac.size() != mac_size_) {
     throw std::invalid_argument("MeasurementStore: record size mismatch");
   }
-  ByteWriter w;
-  w.u8(flag);
-  w.u64(m.timestamp);
-  w.raw(m.digest);
-  w.raw(m.mac);
-  memory_.write(region_, offset_of(index), w.bytes(), /*privileged=*/false);
+  std::array<uint8_t, 1 + 8 + 2 * crypto::Digest::kMaxSize> rec;
+  rec[0] = flag;
+  const auto t = le64(m.timestamp);
+  std::copy(t.begin(), t.end(), rec.begin() + 1);
+  std::copy(m.digest.bytes().begin(), m.digest.bytes().end(),
+            rec.begin() + 9);
+  std::copy(m.mac.bytes().begin(), m.mac.bytes().end(),
+            rec.begin() + 9 + digest_size_);
+  memory_.write(region_, offset_of(index),
+                ByteView(rec.data(), record_size_), /*privileged=*/false);
 }
 
 void MeasurementStore::put(uint64_t index, const Measurement& m) {
@@ -56,15 +66,14 @@ void MeasurementStore::put(uint64_t index, const Measurement& m) {
 }
 
 std::optional<Measurement> MeasurementStore::get(uint64_t index) const {
-  const Bytes rec = memory_.read(region_, offset_of(index), record_size_,
-                                 /*privileged=*/false);
-  ByteReader r(rec);
+  ByteReader r(memory_.view(region_, /*privileged=*/false)
+                   .subspan(offset_of(index), record_size_));
   const uint8_t flag = r.u8();
   if (flag != kValidMarker) return std::nullopt;
   Measurement m;
   m.timestamp = r.u64();
-  m.digest = r.raw(digest_size_);
-  m.mac = r.raw(mac_size_);
+  m.digest.assign(r.view(digest_size_));
+  m.mac.assign(r.view(mac_size_));
   if (!r.ok()) return std::nullopt;
   return m;
 }

@@ -30,6 +30,10 @@ class MeasurementStore {
   MeasurementStore(hw::DeviceMemory& memory, hw::RegionId region,
                    crypto::MacAlgo algo);
 
+  /// Bytes one stored record takes under `algo` (the layout above): a
+  /// region of n * record_size_for(algo) bytes holds exactly n records.
+  static size_t record_size_for(crypto::MacAlgo algo);
+
   /// n: how many measurements fit before the window wraps.
   size_t capacity() const { return capacity_; }
   size_t record_size() const { return record_size_; }
@@ -43,7 +47,8 @@ class MeasurementStore {
   /// Reads the record at slot (index mod n); nullopt when the slot was
   /// never written or its flag was wiped. NOTE: a successfully parsed
   /// record is NOT necessarily authentic -- verification happens at the
-  /// verifier with K.
+  /// verifier with K. Reads through an unprivileged view of the region
+  /// (the same policy check as a read) and allocates nothing.
   std::optional<Measurement> get(uint64_t index) const;
 
   /// Collection-phase read: the k most recent records given the latest

@@ -1,27 +1,10 @@
 #include "attest/protocol.h"
 
+#include <algorithm>
+
 #include "common/serde.h"
 
 namespace erasmus::attest {
-
-namespace {
-
-void write_measurement(ByteWriter& w, const Measurement& m) {
-  w.u64(m.timestamp);
-  w.var_bytes(m.digest);
-  w.var_bytes(m.mac);
-}
-
-std::optional<Measurement> read_measurement(ByteReader& r) {
-  Measurement m;
-  m.timestamp = r.u64();
-  m.digest = r.var_bytes();
-  m.mac = r.var_bytes();
-  if (!r.ok()) return std::nullopt;
-  return m;
-}
-
-}  // namespace
 
 Bytes CollectRequest::serialize() const {
   ByteWriter w;
@@ -39,8 +22,13 @@ std::optional<CollectRequest> CollectRequest::deserialize(ByteView data) {
 
 Bytes CollectResponse::serialize() const {
   ByteWriter w;
+  size_t size = 4;
+  for (const auto& m : measurements) {
+    size += 8 + 4 + m.digest.size() + 4 + m.mac.size();
+  }
+  w.reserve(size);
   w.u32(static_cast<uint32_t>(measurements.size()));
-  for (const auto& m : measurements) write_measurement(w, m);
+  for (const auto& m : measurements) m.serialize(w);
   return w.take();
 }
 
@@ -48,12 +36,14 @@ std::optional<CollectResponse> CollectResponse::deserialize(ByteView data) {
   ByteReader r(data);
   const uint32_t count = r.u32();
   CollectResponse resp;
-  // The count is attacker-controlled: never pre-allocate from it. Each
-  // iteration consumes >= 16 bytes, so a lying header fails fast below.
+  // The count is attacker-controlled: reserve no more records than the
+  // input can hold (each takes >= 16 bytes), so a lying header fails fast
+  // below without driving the allocation.
+  resp.measurements.reserve(std::min<size_t>(count, r.remaining() / 16));
   for (uint32_t i = 0; i < count; ++i) {
-    auto m = read_measurement(r);
+    auto m = Measurement::deserialize(r);
     if (!m) return std::nullopt;
-    resp.measurements.push_back(std::move(*m));
+    resp.measurements.push_back(*m);
   }
   if (!r.done()) return std::nullopt;
   return resp;
@@ -86,23 +76,23 @@ std::optional<OdRequest> OdRequest::deserialize(ByteView data) {
 
 Bytes OdResponse::serialize() const {
   ByteWriter w;
-  write_measurement(w, fresh);
+  fresh.serialize(w);
   w.u32(static_cast<uint32_t>(history.size()));
-  for (const auto& m : history) write_measurement(w, m);
+  for (const auto& m : history) m.serialize(w);
   return w.take();
 }
 
 std::optional<OdResponse> OdResponse::deserialize(ByteView data) {
   ByteReader r(data);
   OdResponse resp;
-  auto fresh = read_measurement(r);
+  auto fresh = Measurement::deserialize(r);
   if (!fresh) return std::nullopt;
-  resp.fresh = std::move(*fresh);
+  resp.fresh = *fresh;
   const uint32_t count = r.u32();
   for (uint32_t i = 0; i < count; ++i) {
-    auto m = read_measurement(r);
+    auto m = Measurement::deserialize(r);
     if (!m) return std::nullopt;
-    resp.history.push_back(std::move(*m));
+    resp.history.push_back(*m);
   }
   if (!r.done()) return std::nullopt;
   return resp;

@@ -26,6 +26,13 @@ IrregularScheduler::IrregularScheduler(Bytes key, sim::Duration lower,
   if (tick_.is_zero()) {
     throw std::invalid_argument("IrregularScheduler: tick must be positive");
   }
+  if (upper_ - lower_ < tick_) {
+    // next_interval draws whole ticks from [0, (U - L) / tick).
+    throw std::invalid_argument(
+        "IrregularScheduler: bounds L = " + sim::to_string(lower_) +
+        " and U = " + sim::to_string(upper_) +
+        " are closer than one tick (" + sim::to_string(tick_) + ")");
+  }
 }
 
 sim::Duration IrregularScheduler::next_interval(uint64_t t_ticks) const {

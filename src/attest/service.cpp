@@ -542,8 +542,8 @@ void AttestationService::flush_intake() {
   std::vector<size_t> order(n);
   for (size_t i = 0; i < n; ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return directory_.record(intake[a].device).algo <
-           directory_.record(intake[b].device).algo;
+    return directory_.record(intake[a].device).key.algo() <
+           directory_.record(intake[b].device).key.algo();
   });
   const sim::Time now = queue_.now();
   constexpr size_t kChunk = 8;

@@ -60,8 +60,13 @@ uint64_t ByteReader::u64() {
 }
 
 Bytes ByteReader::raw(size_t n) {
+  const ByteView v = view(n);
+  return Bytes(v.begin(), v.end());
+}
+
+ByteView ByteReader::view(size_t n) {
   if (!ensure(n)) return {};
-  Bytes out(data_.begin() + pos_, data_.begin() + pos_ + n);
+  const ByteView out = data_.subspan(pos_, n);
   pos_ += n;
   return out;
 }

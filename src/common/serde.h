@@ -7,6 +7,7 @@
 // network (or tampering malware) may produce.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 
@@ -14,9 +15,22 @@
 
 namespace erasmus {
 
+/// `v` as the 8 little-endian bytes ByteWriter::u64 appends, for callers
+/// that lay out a record without a heap buffer.
+inline std::array<uint8_t, 8> le64(uint64_t v) {
+  std::array<uint8_t, 8> out;
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+  return out;
+}
+
 /// Appends fixed-width little-endian integers and raw buffers to a Bytes.
 class ByteWriter {
  public:
+  /// Sizes the buffer for `n` bytes in all, so a writer that knows its
+  /// message's length allocates once.
+  void reserve(size_t n) { out_.reserve(n); }
   void u8(uint8_t v) { out_.push_back(v); }
   void u16(uint16_t v);
   void u32(uint32_t v);
@@ -45,6 +59,8 @@ class ByteReader {
   uint64_t u64();
   /// Reads exactly n raw bytes.
   Bytes raw(size_t n);
+  /// Reads exactly n raw bytes as a view into the input (empty on failure).
+  ByteView view(size_t n);
   /// Reads a u32 length prefix then that many bytes.
   Bytes var_bytes();
 

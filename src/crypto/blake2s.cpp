@@ -130,20 +130,43 @@ void Blake2s::update(ByteView data) {
   }
 }
 
-Bytes Blake2s::finalize() {
+void Blake2s::finalize_into(Digest& out) {
   // Pad the final (possibly empty) block with zeros.
   counter_ += buffer_len_;
   std::fill(buffer_.begin() + buffer_len_, buffer_.end(), 0);
   process_block(buffer_.data(), /*is_last=*/true);
 
-  Bytes out(digest_size_);
   std::array<uint8_t, kMaxDigestSize> full{};
   for (int i = 0; i < 8; ++i) store_le32(full.data() + 4 * i, h_[i]);
-  std::copy_n(full.data(), digest_size_, out.data());
+  out.assign(ByteView(full.data(), digest_size_));
   init_state();
-  return out;
 }
 
 void Blake2s::reset() { init_state(); }
+
+Blake2sMac::Blake2sMac(ByteView key) {
+  Blake2s h(key, Blake2s::kMaxDigestSize);  // validates the key length
+  std::copy(key.begin(), key.end(), key_.begin());
+  key_size_ = static_cast<uint8_t>(key.size());
+  // More input follows the key block, so it is not the last block.
+  h.counter_ += Blake2s::kBlockSize;
+  h.process_block(h.buffer_.data(), /*is_last=*/false);
+  after_key_ = h.h_;
+}
+
+Digest Blake2sMac::tag(std::initializer_list<ByteView> parts) const {
+  Blake2s h(ByteView(key_.data(), key_size_), Blake2s::kMaxDigestSize);
+  bool empty = true;
+  for (const ByteView part : parts) empty = empty && part.empty();
+  if (!empty) {
+    h.h_ = after_key_;
+    h.counter_ = Blake2s::kBlockSize;
+    h.buffer_len_ = 0;
+    for (const ByteView part : parts) h.update(part);
+  }
+  Digest out;
+  h.finalize_into(out);
+  return out;
+}
 
 }  // namespace erasmus::crypto

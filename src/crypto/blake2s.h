@@ -7,6 +7,7 @@
 #pragma once
 
 #include <array>
+#include <initializer_list>
 
 #include "crypto/hash.h"
 
@@ -24,7 +25,7 @@ class Blake2s final : public Hash {
   Blake2s(ByteView key, size_t digest_size);
 
   void update(ByteView data) override;
-  Bytes finalize() override;
+  void finalize_into(Digest& out) override;
   void reset() override;
 
   size_t digest_size() const override { return digest_size_; }
@@ -32,6 +33,8 @@ class Blake2s final : public Hash {
   HashAlgo algo() const override { return HashAlgo::kBlake2s; }
 
  private:
+  friend class Blake2sMac;
+
   void init_state();
   void process_block(const uint8_t* block, bool is_last);
 
@@ -42,6 +45,24 @@ class Blake2s final : public Hash {
   size_t buffer_len_ = 0;
   size_t digest_size_;
   size_t key_size_ = 0;
+};
+
+/// Keyed BLAKE2s as a MAC with 32-byte tags. The key block is compressed
+/// once per key, and a tag over a non-empty message resumes from the state
+/// it leaves. An empty message makes the key block also the last block, so
+/// its tag hashes the key block again. No tag allocates.
+class Blake2sMac {
+ public:
+  /// `key` must be 1..32 bytes.
+  explicit Blake2sMac(ByteView key);
+
+  /// The tag over the concatenation of `parts`.
+  Digest tag(std::initializer_list<ByteView> parts) const;
+
+ private:
+  std::array<uint8_t, Blake2s::kMaxKeySize> key_{};
+  uint8_t key_size_ = 0;
+  std::array<uint32_t, 8> after_key_{};  // h once the key block is absorbed
 };
 
 }  // namespace erasmus::crypto

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "common/bytes.h"
+#include "crypto/digest.h"
 
 namespace erasmus::crypto {
 
@@ -35,8 +36,10 @@ class Hash {
 
   /// Absorbs `data` into the state.
   virtual void update(ByteView data) = 0;
-  /// Produces the digest and resets to the initial state.
-  virtual Bytes finalize() = 0;
+  /// Writes the digest into `out` and resets to the initial state.
+  virtual void finalize_into(Digest& out) = 0;
+  /// Produces the digest as a buffer and resets to the initial state.
+  Bytes finalize();
   /// Resets to the initial state, discarding absorbed data.
   virtual void reset() = 0;
 
@@ -49,6 +52,8 @@ class Hash {
   /// Factory for any supported algorithm.
   static std::unique_ptr<Hash> create(HashAlgo algo);
 
+  /// One-shot digest of a single buffer into `out`; allocation-free.
+  static void digest(HashAlgo algo, ByteView data, Digest& out);
   /// One-shot convenience: digest of a single buffer.
   static Bytes digest(HashAlgo algo, ByteView data);
 };

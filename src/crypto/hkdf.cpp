@@ -26,18 +26,15 @@ Bytes hkdf_expand(ByteView prk, ByteView info, size_t length) {
   if (prk.size() < kHashLen) {
     throw std::invalid_argument("hkdf_expand: PRK shorter than HashLen");
   }
+  const Hmac mac(HashAlgo::kSha256, prk);
   Bytes okm;
   okm.reserve(length);
-  Bytes t;  // T(0) = empty
+  Digest t;  // T(0) = empty
   uint8_t counter = 1;
   while (okm.size() < length) {
-    Hmac mac(HashAlgo::kSha256, prk);
-    mac.update(t);
-    mac.update(info);
-    mac.update(ByteView(&counter, 1));
-    t = mac.finalize();
+    t = mac.tag({t, info, ByteView(&counter, 1)});
     const size_t take = std::min(kHashLen, length - okm.size());
-    okm.insert(okm.end(), t.begin(), t.begin() + take);
+    append(okm, t.bytes().first(take));
     ++counter;
   }
   return okm;

@@ -1,46 +1,86 @@
 #include "crypto/hmac.h"
 
+#include <algorithm>
+#include <stdexcept>
+
+#include "crypto/sha1.h"
+#include "crypto/sha256.h"
+
 namespace erasmus::crypto {
 
-Hmac::Hmac(HashAlgo algo, ByteView key)
-    : inner_(Hash::create(algo)), outer_(Hash::create(algo)) {
-  const size_t block = inner_->block_size();
-  Bytes k(key.begin(), key.end());
-  if (k.size() > block) {
-    k = Hash::digest(algo, k);
-  }
-  k.resize(block, 0x00);
+namespace {
 
-  ipad_block_.resize(block);
-  opad_block_.resize(block);
-  for (size_t i = 0; i < block; ++i) {
-    ipad_block_[i] = k[i] ^ 0x36;
-    opad_block_[i] = k[i] ^ 0x5c;
-  }
-  reset();
+using Words = std::array<uint32_t, 8>;
+
+// The chaining value one key block leaves: the key, zero-padded to a
+// block, xor `pad`.
+template <typename H>
+void compress_key_block(const std::array<uint8_t, H::kBlockSize>& key,
+                        uint8_t pad, Words& cv) {
+  std::array<uint8_t, H::kBlockSize> block;
+  for (size_t i = 0; i < block.size(); ++i) block[i] = key[i] ^ pad;
+  H h;
+  h.update(block);
+  std::copy_n(h.chaining_value().begin(), h.chaining_value().size(),
+              cv.begin());
 }
 
-void Hmac::reset() {
-  inner_->reset();
-  inner_->update(ipad_block_);
+template <typename H>
+void derive(ByteView key, Words& inner, Words& outer) {
+  std::array<uint8_t, H::kBlockSize> k{};
+  if (key.size() > H::kBlockSize) {
+    H h;
+    h.update(key);
+    Digest hashed;
+    h.finalize_into(hashed);
+    std::copy_n(hashed.data(), hashed.size(), k.begin());
+  } else {
+    std::copy(key.begin(), key.end(), k.begin());
+  }
+  compress_key_block<H>(k, 0x36, inner);
+  compress_key_block<H>(k, 0x5c, outer);
 }
 
-void Hmac::update(ByteView data) { inner_->update(data); }
+template <typename H>
+H resume(const Words& cv) {
+  typename H::ChainingValue state;
+  std::copy_n(cv.begin(), state.size(), state.begin());
+  return H(state, /*blocks=*/1);
+}
 
-Bytes Hmac::finalize() {
-  const Bytes inner_digest = inner_->finalize();
-  outer_->reset();
-  outer_->update(opad_block_);
-  outer_->update(inner_digest);
-  Bytes tag = outer_->finalize();
-  reset();
+template <typename H>
+Digest tag_with(const Words& inner, const Words& outer,
+                std::initializer_list<ByteView> parts) {
+  H h = resume<H>(inner);
+  for (const ByteView part : parts) h.update(part);
+  Digest inner_digest;
+  h.finalize_into(inner_digest);
+  H o = resume<H>(outer);
+  o.update(inner_digest);
+  Digest tag;
+  o.finalize_into(tag);
   return tag;
 }
 
+}  // namespace
+
+Hmac::Hmac(HashAlgo algo, ByteView key) : algo_(algo) {
+  if (algo == HashAlgo::kSha1) {
+    derive<Sha1>(key, inner_, outer_);
+  } else if (algo == HashAlgo::kSha256) {
+    derive<Sha256>(key, inner_, outer_);
+  } else {
+    throw std::invalid_argument("Hmac: hash must be SHA-1 or SHA-256");
+  }
+}
+
+Digest Hmac::tag(std::initializer_list<ByteView> parts) const {
+  return algo_ == HashAlgo::kSha1 ? tag_with<Sha1>(inner_, outer_, parts)
+                                  : tag_with<Sha256>(inner_, outer_, parts);
+}
+
 Bytes Hmac::compute(HashAlgo algo, ByteView key, ByteView message) {
-  Hmac mac(algo, key);
-  mac.update(message);
-  return mac.finalize();
+  return Hmac(algo, key).tag({message}).to_bytes();
 }
 
 }  // namespace erasmus::crypto

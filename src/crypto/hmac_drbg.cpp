@@ -1,7 +1,7 @@
 #include "crypto/hmac_drbg.h"
 
 #include <algorithm>
-
+#include <array>
 #include <stdexcept>
 
 #include "crypto/sha256.h"
@@ -13,41 +13,32 @@ constexpr size_t kOutLen = Sha256::kDigestSize;
 }
 
 HmacDrbg::HmacDrbg(ByteView seed, ByteView personalization)
-    : key_(kOutLen, 0x00), v_(kOutLen, 0x01) {
-  Bytes material(seed.begin(), seed.end());
-  append(material, personalization);
-  update(material);
+    : key_(HashAlgo::kSha256, std::array<uint8_t, kOutLen>{}) {
+  std::array<uint8_t, kOutLen> ones;
+  ones.fill(0x01);
+  v_.assign(ones);
+  update(seed, personalization);
 }
 
-void HmacDrbg::update(ByteView provided) {
+void HmacDrbg::update(ByteView head, ByteView tail) {
   // K = HMAC(K, V || 0x00 || provided); V = HMAC(K, V)
-  {
-    Hmac mac(HashAlgo::kSha256, key_);
-    mac.update(v_);
-    const uint8_t zero = 0x00;
-    mac.update(ByteView(&zero, 1));
-    mac.update(provided);
-    key_ = mac.finalize();
-  }
-  v_ = Hmac::compute(HashAlgo::kSha256, key_, v_);
-  if (provided.empty()) return;
-  {
-    Hmac mac(HashAlgo::kSha256, key_);
-    mac.update(v_);
-    const uint8_t one = 0x01;
-    mac.update(ByteView(&one, 1));
-    mac.update(provided);
-    key_ = mac.finalize();
-  }
-  v_ = Hmac::compute(HashAlgo::kSha256, key_, v_);
+  const uint8_t zero = 0x00;
+  key_ = Hmac(HashAlgo::kSha256,
+              key_.tag({v_, ByteView(&zero, 1), head, tail}));
+  v_ = key_.tag({v_});
+  if (head.empty() && tail.empty()) return;
+  const uint8_t one = 0x01;
+  key_ = Hmac(HashAlgo::kSha256,
+              key_.tag({v_, ByteView(&one, 1), head, tail}));
+  v_ = key_.tag({v_});
 }
 
 void HmacDrbg::generate(std::span<uint8_t> out) {
   size_t produced = 0;
   while (produced < out.size()) {
-    v_ = Hmac::compute(HashAlgo::kSha256, key_, v_);
+    v_ = key_.tag({v_});
     const size_t take = std::min(kOutLen, out.size() - produced);
-    std::copy_n(v_.data(), take, out.data() + produced);
+    std::copy_n(v_.bytes().begin(), take, out.data() + produced);
     produced += take;
   }
   update({});

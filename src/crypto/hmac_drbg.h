@@ -34,10 +34,11 @@ class HmacDrbg {
   void reseed(ByteView input);
 
  private:
-  void update(ByteView provided);
+  /// SP 800-90A's HMAC_DRBG_Update with provided data `head || tail`.
+  void update(ByteView head, ByteView tail = {});
 
-  Bytes key_;  // K in SP 800-90A terms (not the device key)
-  Bytes v_;
+  Hmac key_;  // K in SP 800-90A terms (not the device key), as HMAC state
+  Digest v_;
 };
 
 }  // namespace erasmus::crypto

@@ -2,46 +2,11 @@
 
 #include <stdexcept>
 
-#include "crypto/blake2s.h"
-#include "crypto/hmac.h"
+#include "crypto/sha1.h"
+#include "crypto/sha256.h"
+
 
 namespace erasmus::crypto {
-
-namespace {
-
-class HmacMac final : public Mac {
- public:
-  HmacMac(HashAlgo hash, MacAlgo algo, ByteView key)
-      : hmac_(hash, key), algo_(algo) {}
-
-  void update(ByteView data) override { hmac_.update(data); }
-  Bytes finalize() override { return hmac_.finalize(); }
-  void reset() override { hmac_.reset(); }
-  size_t tag_size() const override { return hmac_.tag_size(); }
-  MacAlgo algo() const override { return algo_; }
-
- private:
-  Hmac hmac_;
-  MacAlgo algo_;
-};
-
-class Blake2sMac final : public Mac {
- public:
-  explicit Blake2sMac(ByteView key)
-      : key_(key.begin(), key.end()), hash_(key, Blake2s::kMaxDigestSize) {}
-
-  void update(ByteView data) override { hash_.update(data); }
-  Bytes finalize() override { return hash_.finalize(); }
-  void reset() override { hash_.reset(); }
-  size_t tag_size() const override { return Blake2s::kMaxDigestSize; }
-  MacAlgo algo() const override { return MacAlgo::kKeyedBlake2s; }
-
- private:
-  Bytes key_;
-  Blake2s hash_;
-};
-
-}  // namespace
 
 std::string to_string(MacAlgo algo) {
   switch (algo) {
@@ -65,27 +30,60 @@ bool deprecated_for_deployment(MacAlgo algo) {
   return algo == MacAlgo::kHmacSha1;
 }
 
-std::unique_ptr<Mac> Mac::create(MacAlgo algo, ByteView key) {
+namespace {
+
+std::variant<Hmac, Blake2sMac> derive_state(MacAlgo algo, ByteView key) {
   switch (algo) {
     case MacAlgo::kHmacSha1:
-      return std::make_unique<HmacMac>(HashAlgo::kSha1, algo, key);
+      return Hmac(HashAlgo::kSha1, key);
     case MacAlgo::kHmacSha256:
-      return std::make_unique<HmacMac>(HashAlgo::kSha256, algo, key);
+      return Hmac(HashAlgo::kSha256, key);
     case MacAlgo::kKeyedBlake2s:
-      return std::make_unique<Blake2sMac>(key);
+      return Blake2sMac(key);
   }
-  throw std::invalid_argument("Mac::create: unknown algorithm");
+  throw std::invalid_argument("Mac: unknown algorithm");
+}
+
+// What a default Mac copies, so default-constructed records do not
+// re-derive the same state.
+const Mac& empty_key_mac() {
+  static const Mac empty(MacAlgo::kHmacSha256, {});
+  return empty;
+}
+
+}  // namespace
+
+Mac::Mac() : Mac(empty_key_mac()) {}
+
+Mac::Mac(MacAlgo algo, ByteView key)
+    : algo_(algo), state_(derive_state(algo, key)) {}
+
+size_t Mac::tag_size() const {
+  switch (algo_) {
+    case MacAlgo::kHmacSha1:
+      return Sha1::kDigestSize;
+    case MacAlgo::kHmacSha256:
+      return Sha256::kDigestSize;
+    case MacAlgo::kKeyedBlake2s:
+      return Blake2s::kMaxDigestSize;
+  }
+  return 0;
+}
+
+Digest Mac::tag(std::initializer_list<ByteView> parts) const {
+  return std::visit([parts](const auto& s) { return s.tag(parts); }, state_);
+}
+
+bool Mac::verify(std::initializer_list<ByteView> parts, ByteView tag) const {
+  return ct_equal(this->tag(parts), tag);
 }
 
 Bytes Mac::compute(MacAlgo algo, ByteView key, ByteView message) {
-  auto mac = create(algo, key);
-  mac->update(message);
-  return mac->finalize();
+  return Mac(algo, key).tag({message}).to_bytes();
 }
 
 bool Mac::verify(MacAlgo algo, ByteView key, ByteView message, ByteView tag) {
-  const Bytes expected = compute(algo, key, message);
-  return ct_equal(expected, tag);
+  return Mac(algo, key).verify({message}, tag);
 }
 
 bool ct_equal(ByteView a, ByteView b) {

@@ -2,12 +2,14 @@
 // (Table 1): HMAC-SHA1, HMAC-SHA256 and keyed BLAKE2s.
 #pragma once
 
-#include <memory>
+#include <initializer_list>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/bytes.h"
-#include "crypto/hash.h"
+#include "crypto/blake2s.h"
+#include "crypto/hmac.h"
 
 namespace erasmus::crypto {
 
@@ -27,28 +29,55 @@ const std::vector<MacAlgo>& all_mac_algos();
 /// (HMAC-SHA1, due to the SHA-1 collision attack).
 bool deprecated_for_deployment(MacAlgo algo);
 
-/// Streaming MAC with a fixed key.
+/// A MAC under one key. The constructor derives the key's state once --
+/// HMAC's two chaining values, or keyed BLAKE2s's state after the key
+/// block -- and every tag starts from it, with no allocation. The state is
+/// immutable, so concurrent tags under one Mac are safe.
 class Mac {
  public:
-  virtual ~Mac() = default;
+  /// HMAC-SHA256 under the empty key (its state is derived once per
+  /// process).
+  Mac();
+  /// `key` is the device key K shared between Prv and Vrf.
+  Mac(MacAlgo algo, ByteView key);
 
-  virtual void update(ByteView data) = 0;
-  /// Produces the tag and resets for a new message under the same key.
-  virtual Bytes finalize() = 0;
-  virtual void reset() = 0;
+  MacAlgo algo() const { return algo_; }
+  size_t tag_size() const;
 
-  virtual size_t tag_size() const = 0;
-  virtual MacAlgo algo() const = 0;
-
-  /// Factory. `key` is the device key K shared between Prv and Vrf.
-  static std::unique_ptr<Mac> create(MacAlgo algo, ByteView key);
+  /// The tag over the concatenation of `parts`.
+  Digest tag(std::initializer_list<ByteView> parts) const;
+  /// Recomputes the tag over `parts` and compares it with `tag` in
+  /// constant time.
+  bool verify(std::initializer_list<ByteView> parts, ByteView tag) const;
 
   /// One-shot convenience.
   static Bytes compute(MacAlgo algo, ByteView key, ByteView message);
-
   /// Constant-time verification of `tag` over `message`.
   static bool verify(MacAlgo algo, ByteView key, ByteView message,
                      ByteView tag);
+
+ private:
+  MacAlgo algo_;
+  std::variant<Hmac, Blake2sMac> state_;
+};
+
+/// A key kept with its MAC state: the raw bytes, and the Mac derived from
+/// them when the key is set.
+class MacKey {
+ public:
+  MacKey() = default;
+  MacKey(MacAlgo algo, Bytes key)
+      : bytes_(std::move(key)), mac_(algo, bytes_) {}
+
+  MacAlgo algo() const { return mac_.algo(); }
+  ByteView bytes() const { return bytes_; }
+  size_t size() const { return bytes_.size(); }
+  bool empty() const { return bytes_.empty(); }
+  const Mac& mac() const { return mac_; }
+
+ private:
+  Bytes bytes_;
+  Mac mac_;
 };
 
 /// Constant-time equality of two byte strings (length leak only).

@@ -91,7 +91,7 @@ void Sha1::update(ByteView data) {
   }
 }
 
-Bytes Sha1::finalize() {
+void Sha1::finalize_into(Digest& out) {
   const uint64_t bit_len = total_bytes_ * 8;
   // Padding: 0x80, zeros, 64-bit big-endian length.
   uint8_t pad[kBlockSize * 2] = {0x80};
@@ -104,10 +104,9 @@ Bytes Sha1::finalize() {
   }
   update(ByteView(len_be, 8));
 
-  Bytes out(kDigestSize);
+  out.resize(kDigestSize);
   for (int i = 0; i < 5; ++i) store_be32(out.data() + 4 * i, state_[i]);
   reset();
-  return out;
 }
 
 }  // namespace erasmus::crypto

@@ -18,11 +18,21 @@ class Sha1 final : public Hash {
   static constexpr size_t kDigestSize = 20;
   static constexpr size_t kBlockSize = 64;
 
+  /// The state after whole blocks (FIPS 180-1's H).
+  using ChainingValue = std::array<uint32_t, 5>;
+
   Sha1() { reset(); }
+  /// Resumes after `blocks` whole blocks that left `cv` (see Sha256).
+  Sha1(const ChainingValue& cv, uint64_t blocks)
+      : state_(cv), total_bytes_(blocks * kBlockSize) {}
 
   void update(ByteView data) override;
-  Bytes finalize() override;
+  void finalize_into(Digest& out) override;
   void reset() override;
+
+  /// The chaining value; at a block boundary, what the resuming
+  /// constructor takes.
+  const ChainingValue& chaining_value() const { return state_; }
 
   size_t digest_size() const override { return kDigestSize; }
   size_t block_size() const override { return kBlockSize; }
@@ -31,7 +41,7 @@ class Sha1 final : public Hash {
  private:
   void process_block(const uint8_t* block);
 
-  std::array<uint32_t, 5> state_{};
+  ChainingValue state_{};
   std::array<uint8_t, kBlockSize> buffer_{};
   uint64_t total_bytes_ = 0;
   size_t buffer_len_ = 0;

@@ -219,7 +219,7 @@ void Sha256::update(ByteView data) {
   }
 }
 
-Bytes Sha256::finalize() {
+void Sha256::finalize_into(Digest& out) {
   const uint64_t bit_len = total_bytes_ * 8;
   uint8_t pad[kBlockSize * 2] = {0x80};
   const size_t rem = static_cast<size_t>(total_bytes_ % kBlockSize);
@@ -231,10 +231,9 @@ Bytes Sha256::finalize() {
   }
   update(ByteView(len_be, 8));
 
-  Bytes out(kDigestSize);
+  out.resize(kDigestSize);
   for (int i = 0; i < 8; ++i) store_be32(out.data() + 4 * i, state_[i]);
   reset();
-  return out;
 }
 
 }  // namespace erasmus::crypto

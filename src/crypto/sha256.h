@@ -21,11 +21,23 @@ class Sha256 final : public Hash {
   static constexpr size_t kDigestSize = 32;
   static constexpr size_t kBlockSize = 64;
 
+  /// The state after whole blocks (FIPS 180-2's H).
+  using ChainingValue = std::array<uint32_t, 8>;
+
   Sha256() { reset(); }
+  /// Resumes after `blocks` whole blocks that left `cv`: HMAC compresses
+  /// its padded key blocks once per key and starts every tag from the
+  /// values they leave (RFC 2104 section 4).
+  Sha256(const ChainingValue& cv, uint64_t blocks)
+      : state_(cv), total_bytes_(blocks * kBlockSize) {}
 
   void update(ByteView data) override;
-  Bytes finalize() override;
+  void finalize_into(Digest& out) override;
   void reset() override;
+
+  /// The chaining value; at a block boundary, what the resuming
+  /// constructor takes.
+  const ChainingValue& chaining_value() const { return state_; }
 
   size_t digest_size() const override { return kDigestSize; }
   size_t block_size() const override { return kBlockSize; }
@@ -35,7 +47,7 @@ class Sha256 final : public Hash {
   static const char* kernel();
 
  private:
-  std::array<uint32_t, 8> state_{};
+  ChainingValue state_{};
   std::array<uint8_t, kBlockSize> buffer_{};
   uint64_t total_bytes_ = 0;
   size_t buffer_len_ = 0;

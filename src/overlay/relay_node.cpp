@@ -313,7 +313,7 @@ void RelayNode::elect_head(uint32_t flood_id, uint32_t depth) {
   }
   aggs_.emplace(flood_id,
                 aggregate::Combiner(attest::hash_for(prover_.config().algo),
-                                    latest->digest));
+                                    latest->digest.to_bytes()));
   while (aggs_.size() > config_.flood_memory) aggs_.erase(aggs_.begin());
   schedule(config_.aggregation.window,
            [this, flood_id] { flush_aggregate(flood_id); });

@@ -262,7 +262,7 @@ void ShardedFleetRunner::on_aggregate(const aggregate::AggregateFrame& frame,
     return;
   }
   const attest::DeviceRecord& rec = directory_.record(frame.head);
-  if (!aggregate::verify_aggregate(frame, rec.algo, rec.key)) {
+  if (!aggregate::verify_aggregate(frame, rec.key.mac())) {
     ++agg_counters_.auth_failures;
     if (trace_ && trace_->enabled(obs::Subsystem::kOverlay)) {
       trace_->instant(obs::Subsystem::kOverlay, coordinator_queue_.now(),

@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "attest/measurement.h"
+#include "attest/measurement_store.h"
 #include "common/serde.h"
 #include "crypto/hmac_drbg.h"
 
@@ -49,8 +49,7 @@ DeviceStack build_device_stack(sim::EventQueue& queue,
         "build_device_stack: app_ram_bytes and store_slots must be > 0");
   }
   const size_t store_bytes =
-      spec.store_slots *
-      (1 + attest::Measurement::wire_size(spec.algo));  // flag + record
+      spec.store_slots * attest::MeasurementStore::record_size_for(spec.algo);
 
   DeviceStack stack;
   hw::BuiltArch built = hw::make_arch(spec.arch, spec.key,
@@ -92,8 +91,7 @@ DeviceStack build_device_stack(sim::EventQueue& queue,
 attest::DeviceRecord build_device_record(const DeviceSpec& spec,
                                          const DeviceStack& stack) {
   attest::DeviceRecord record;
-  record.algo = spec.algo;
-  record.key = spec.key;
+  record.key = crypto::MacKey(spec.algo, spec.key);
   record.set_golden(crypto::Hash::digest(
       attest::hash_for(spec.algo),
       stack.arch->memory().view(stack.app_region, /*privileged=*/true)));

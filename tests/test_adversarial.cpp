@@ -32,7 +32,7 @@ struct Rig {
                ProverConfig{}),
         record([&] {
           DeviceRecord rec;
-          rec.key = test_key();
+          rec.key = crypto::MacKey(crypto::MacAlgo::kHmacSha256, test_key());
           rec.set_golden(crypto::Hash::digest(
               crypto::HashAlgo::kSha256,
               arch.memory().view(arch.app_region(), true)));
@@ -99,8 +99,8 @@ TEST_P(StoreScribble, RandomScribbleDetected) {
     bool all_records_genuine =
         res.response.measurements.size() == 6;
     for (const auto& m : res.response.measurements) {
-      all_records_genuine &= verify_measurement(MacAlgo::kHmacSha256,
-                                                test_key(), m);
+      all_records_genuine &= verify_measurement(
+          crypto::Mac(MacAlgo::kHmacSha256, test_key()), m);
     }
     if (all_records_genuine) continue;
 
@@ -132,7 +132,8 @@ TEST(Adversarial, RecordFromAnotherDeviceRejected) {
   Rig rig;
   const Bytes other_key = bytes_of("a-different-device-key-01234567!");
   const Measurement foreign = compute_measurement(
-      MacAlgo::kHmacSha256, other_key, bytes_of("healthy-looking"), 3600);
+      crypto::Mac(MacAlgo::kHmacSha256, other_key),
+      bytes_of("healthy-looking"), 3600);
   rig.prover.store().tamper_overwrite(rig.prover.latest_index(), foreign);
 
   const auto report = rig.collect(6);
@@ -169,7 +170,7 @@ TEST(Adversarial, ForgeryNeedsTheKey_PositiveControl) {
   const auto latest = rig.prover.store().get(rig.prover.latest_index());
   ASSERT_TRUE(latest.has_value());
   const Measurement forged_with_key = compute_measurement(
-      MacAlgo::kHmacSha256, test_key(),
+      crypto::Mac(MacAlgo::kHmacSha256, test_key()),
       rig.arch.memory().view(rig.arch.app_region(), true),
       latest->timestamp);
   rig.prover.store().tamper_overwrite(rig.prover.latest_index(),

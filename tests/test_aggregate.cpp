@@ -45,8 +45,8 @@ Bytes device_key(uint32_t id) {
 Bytes response_with_digest(const Bytes& digest, uint64_t t = 7) {
   attest::Measurement m;
   m.timestamp = t;
-  m.digest = digest;
-  m.mac = Bytes(32, 0xab);  // heads never check member MACs
+  m.digest.assign(digest);
+  m.mac.assign(Bytes(32, 0xab));  // heads never check member MACs
   attest::CollectResponse resp;
   resp.measurements = {m};
   return resp.serialize();
@@ -126,17 +126,17 @@ TEST(AggregateFrame, MacCoversEveryFieldButItself) {
   frame.root = Bytes(32, 0x44);
   frame.raw_bytes = 200;
   frame.mac = crypto::Mac::compute(kMac, key, aggregate_mac_input(frame));
-  EXPECT_TRUE(verify_aggregate(frame, kMac, key));
+  EXPECT_TRUE(verify_aggregate(frame, crypto::Mac(kMac, key)));
 
   AggregateFrame flipped = frame;
   flipped.bitmap[0] ^= 0x02;  // whitewash attempt: set a cleared bit
-  EXPECT_FALSE(verify_aggregate(flipped, kMac, key));
+  EXPECT_FALSE(verify_aggregate(flipped, crypto::Mac(kMac, key)));
 
   AggregateFrame reroot = frame;
   reroot.root[0] ^= 0x01;
-  EXPECT_FALSE(verify_aggregate(reroot, kMac, key));
+  EXPECT_FALSE(verify_aggregate(reroot, crypto::Mac(kMac, key)));
 
-  EXPECT_FALSE(verify_aggregate(frame, kMac, device_key(5)))
+  EXPECT_FALSE(verify_aggregate(frame, crypto::Mac(kMac, device_key(5))))
       << "an aggregate must only verify under its head's key";
 }
 
@@ -333,7 +333,7 @@ struct AggRig {
       nodes.push_back(std::make_unique<overlay::RelayNode>(
           queue, network, node, *prover, node_config));
       attest::DeviceRecord record;
-      record.key = device_key(id);
+      record.key = crypto::MacKey(crypto::MacAlgo::kHmacSha256, device_key(id));
       record.set_golden(crypto::Hash::digest(
           kHash, arch->memory().view(arch->app_region(), true)));
       directory.add(node, std::move(record));
@@ -357,7 +357,7 @@ struct AggRig {
         [this](const AggregateFrame& frame, uint8_t) {
           const attest::DeviceRecord& rec =
               directory.record(static_cast<attest::DeviceId>(frame.head));
-          if (!verify_aggregate(frame, rec.algo, rec.key)) {
+          if (!verify_aggregate(frame, rec.key.mac())) {
             ++auth_failures;
             return;
           }

@@ -41,7 +41,7 @@ struct Device {
 
   DeviceRecord record(uint32_t id) {
     DeviceRecord rec;
-    rec.key = device_key(id);
+    rec.key = crypto::MacKey(crypto::MacAlgo::kHmacSha256, device_key(id));
     rec.set_golden(crypto::Hash::digest(
         crypto::HashAlgo::kSha256, arch.memory().view(arch.app_region(),
                                                       /*privileged=*/true)));
@@ -83,7 +83,7 @@ struct NetRig {
 TEST(DeviceDirectory, AddAndLookup) {
   DeviceDirectory dir;
   DeviceRecord rec;
-  rec.key = device_key(0);
+  rec.key = crypto::MacKey(crypto::MacAlgo::kHmacSha256, device_key(0));
   rec.set_golden(bytes_of("golden"));
   const DeviceId a = dir.add(10, rec);
   const DeviceId b = dir.add(11, rec);
@@ -107,7 +107,7 @@ TEST(DeviceDirectory, RejectsInvalidEnrollment) {
   DeviceDirectory dir;
   EXPECT_THROW(dir.add(0, DeviceRecord{}), std::invalid_argument);
   DeviceRecord rec;
-  rec.key = device_key(0);
+  rec.key = crypto::MacKey(crypto::MacAlgo::kHmacSha256, device_key(0));
   EXPECT_THROW(dir.add(0, rec), std::invalid_argument)
       << "a record without a golden epoch would be UB to judge";
   rec.set_golden(bytes_of("g"));
@@ -417,7 +417,8 @@ TEST(AttestationService, SpoofedSourceCannotHijackSession) {
   rig.queue.schedule_at(rig.queue.now() + Duration::millis(1), [&] {
     CollectResponse forged;
     forged.measurements.push_back(compute_measurement(
-        crypto::MacAlgo::kHmacSha256, bytes_of("wrong-key-entirely........."),
+        crypto::Mac(crypto::MacAlgo::kHmacSha256,
+                    bytes_of("wrong-key-entirely.........")),
         bytes_of("mem"), 1));
     rig.network.send(attacker, rig.verifier_node,
                      frame(MsgType::kCollectResponse, forged.serialize()));

@@ -73,8 +73,8 @@ struct Rig {
     for (uint32_t id = 0; id < kDevices; ++id) {
       devices.push_back(std::make_unique<Device>(queue, id));
       DeviceRecord rec;
-      rec.algo = algo_for(id);
-      rec.key = id == kTampered ? device_key(200) : device_key(id);
+      rec.key = crypto::MacKey(
+          algo_for(id), id == kTampered ? device_key(200) : device_key(id));
       rec.set_golden(crypto::Hash::digest(
           hash_for(algo_for(id)),  // H is paired with the MAC construction
           devices[id]->arch.memory().view(devices[id]->arch.app_region(),

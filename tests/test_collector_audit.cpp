@@ -48,7 +48,7 @@ struct Rig {
     const net::NodeId prover_node = network.add_node({});
     prover.bind(network, prover_node);
     DeviceRecord rec;
-    rec.key = test_key();
+    rec.key = crypto::MacKey(crypto::MacAlgo::kHmacSha256, test_key());
     rec.set_golden(crypto::Hash::digest(
         crypto::HashAlgo::kSha256,
         arch.memory().view(arch.app_region(), true)));

@@ -36,6 +36,29 @@ TEST(ArchFactory, BuildsEveryKindReadyToMeasure) {
   }
 }
 
+TEST(ArchFactory, StoreHoldsExactlyStoreSlotsRecords) {
+  // The store region is sized in stored records (flag | t | digest | mac),
+  // which carry no wire length prefixes: n slots hold n records.
+  for (const hw::ArchKind kind :
+       {hw::ArchKind::kSmartPlus, hw::ArchKind::kHydra,
+        hw::ArchKind::kTrustLite}) {
+    for (const auto algo : crypto::all_mac_algos()) {
+      for (const size_t slots : {1u, 16u, 32u, 64u}) {
+        sim::EventQueue queue;
+        DeviceSpec spec;
+        spec.arch = kind;
+        spec.profile = default_profile_for(kind);
+        spec.algo = algo;
+        spec.store_slots = slots;
+        spec.key = fleet_device_key(1, 0);
+        const DeviceStack stack = build_device_stack(queue, spec);
+        EXPECT_EQ(stack.prover->store().capacity(), slots)
+            << hw::to_string(kind) << " " << crypto::to_string(algo);
+      }
+    }
+  }
+}
+
 TEST(ArchFactory, KindNamesRoundTrip) {
   for (const hw::ArchKind kind :
        {hw::ArchKind::kSmartPlus, hw::ArchKind::kHydra,

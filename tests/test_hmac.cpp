@@ -2,7 +2,10 @@
 // tests for the Mac abstraction used by the measurement code.
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "common/hex.h"
+#include "crypto/blake2s.h"
 #include "crypto/hmac.h"
 #include "crypto/mac.h"
 
@@ -55,31 +58,52 @@ TEST(HmacSha256, LongKeyIsHashedFirst) {
       hex("60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"));
 }
 
-TEST(Hmac, StreamingEqualsOneShot) {
-  Hmac mac(HashAlgo::kSha256, bytes_of("key"));
-  mac.update(bytes_of("hello "));
-  mac.update(bytes_of("world"));
-  EXPECT_EQ(mac.finalize(), Hmac::compute(HashAlgo::kSha256, bytes_of("key"),
-                                          bytes_of("hello world")));
+TEST(Hmac, PartsEqualOneShot) {
+  const Hmac mac(HashAlgo::kSha256, bytes_of("key"));
+  EXPECT_EQ(mac.tag({bytes_of("hello "), bytes_of("world")}),
+            Hmac::compute(HashAlgo::kSha256, bytes_of("key"),
+                          bytes_of("hello world")));
 }
 
-TEST(Hmac, FinalizeResetsForSameKey) {
-  Hmac mac(HashAlgo::kSha256, bytes_of("key"));
-  mac.update(bytes_of("m1"));
-  const Bytes t1 = mac.finalize();
-  mac.update(bytes_of("m1"));
-  EXPECT_EQ(mac.finalize(), t1);
+TEST(Hmac, TagLeavesTheKeyStateUnchanged) {
+  const Hmac mac(HashAlgo::kSha256, bytes_of("key"));
+  const Digest t1 = mac.tag({bytes_of("m1")});
+  EXPECT_NE(mac.tag({bytes_of("m2")}), t1);
+  EXPECT_EQ(mac.tag({bytes_of("m1")}), t1);
+}
+
+TEST(Hmac, RejectsBlake2s) {
+  EXPECT_THROW(Hmac(HashAlgo::kBlake2s, bytes_of("key")),
+               std::invalid_argument);
 }
 
 // --- Mac abstraction ---------------------------------------------------------
 
-TEST(Mac, FactoryCoversAllAlgorithms) {
+TEST(Mac, CoversAllAlgorithms) {
   for (auto algo : all_mac_algos()) {
-    auto mac = Mac::create(algo, bytes_of("0123456789abcdef0123456789abcdef"));
-    ASSERT_NE(mac, nullptr);
-    EXPECT_EQ(mac->algo(), algo);
-    EXPECT_GT(mac->tag_size(), 0u);
+    const Mac mac(algo, bytes_of("0123456789abcdef0123456789abcdef"));
+    EXPECT_EQ(mac.algo(), algo);
+    EXPECT_GT(mac.tag_size(), 0u);
+    EXPECT_EQ(mac.tag({bytes_of("m")}).size(), mac.tag_size());
   }
+}
+
+TEST(Mac, DefaultIsHmacSha256UnderTheEmptyKey) {
+  const Mac mac;
+  EXPECT_EQ(mac.algo(), MacAlgo::kHmacSha256);
+  EXPECT_EQ(mac.tag({bytes_of("m")}),
+            Hmac::compute(HashAlgo::kSha256, {}, bytes_of("m")));
+}
+
+TEST(MacKey, KeepsTheRawKeyBesideItsState) {
+  const Bytes key = bytes_of("device key");
+  const MacKey k(MacAlgo::kHmacSha1, key);
+  EXPECT_EQ(k.algo(), MacAlgo::kHmacSha1);
+  EXPECT_EQ(k.size(), key.size());
+  EXPECT_TRUE(equal(k.bytes(), key));
+  EXPECT_EQ(k.mac().tag({bytes_of("m")}),
+            Mac::compute(MacAlgo::kHmacSha1, key, bytes_of("m")));
+  EXPECT_TRUE(MacKey().empty());
 }
 
 TEST(Mac, HmacImplementationsMatchHmacClass) {
@@ -135,27 +159,32 @@ TEST(CtEqual, ComparesCorrectly) {
   EXPECT_TRUE(ct_equal(Bytes{}, Bytes{}));
 }
 
-// Property: tags from different algorithms never collide structurally and
-// streaming matches one-shot for every algorithm across sizes.
+// Property: a tag over a message split into parts at any point equals the
+// one-shot tag, for every algorithm across sizes.
 struct MacCase {
   MacAlgo algo;
   size_t len;
 };
 
-class MacStreamingProperty : public ::testing::TestWithParam<MacCase> {};
+class MacPartsProperty : public ::testing::TestWithParam<MacCase> {};
 
-TEST_P(MacStreamingProperty, StreamingEqualsOneShot) {
+TEST_P(MacPartsProperty, PartsEqualOneShot) {
   const auto& p = GetParam();
   const Bytes key = bytes_of("shared-device-key-K");
   Bytes msg(p.len);
   for (size_t i = 0; i < msg.size(); ++i) {
     msg[i] = static_cast<uint8_t>(i * 17 + 3);
   }
-  auto mac = Mac::create(p.algo, key);
-  for (size_t off = 0; off < msg.size(); off += 37) {
-    mac->update(ByteView(msg).subspan(off, std::min<size_t>(37, p.len - off)));
+  const Mac mac(p.algo, key);
+  const Bytes one_shot = Mac::compute(p.algo, key, msg);
+  const ByteView view(msg);
+  for (size_t cut = 0; cut <= msg.size(); cut += 37) {
+    const size_t mid = std::min<size_t>(cut + 64, msg.size());
+    EXPECT_EQ(mac.tag({view.first(cut), view.subspan(cut, mid - cut),
+                       view.subspan(mid)}),
+              one_shot)
+        << to_string(p.algo) << " cut=" << cut;
   }
-  EXPECT_EQ(mac->finalize(), Mac::compute(p.algo, key, msg));
 }
 
 std::vector<MacCase> mac_cases() {
@@ -168,8 +197,74 @@ std::vector<MacCase> mac_cases() {
   return cases;
 }
 
-INSTANTIATE_TEST_SUITE_P(AllAlgosAndSizes, MacStreamingProperty,
+INSTANTIATE_TEST_SUITE_P(AllAlgosAndSizes, MacPartsProperty,
                          ::testing::ValuesIn(mac_cases()));
+
+// Differential test: the keyed MAC (per-key state derived once) against
+// the textbook constructions -- RFC 2104's formula written out over
+// Hash::digest for HMAC, and BLAKE2s's one-shot keyed hash -- over seeded
+// random keys and messages, including empty messages and keys longer than
+// a block.
+Bytes textbook_hmac(HashAlgo hash, ByteView key, ByteView msg) {
+  constexpr size_t kBlock = 64;
+  Bytes k(key.begin(), key.end());
+  if (k.size() > kBlock) k = Hash::digest(hash, k);
+  k.resize(kBlock, 0x00);
+  Bytes ipad(kBlock), opad(kBlock);
+  for (size_t i = 0; i < kBlock; ++i) {
+    ipad[i] = k[i] ^ 0x36;
+    opad[i] = k[i] ^ 0x5c;
+  }
+  const Bytes inner = Hash::digest(hash, concat(ipad, msg));
+  return Hash::digest(hash, concat(opad, inner));
+}
+
+Bytes one_shot_keyed_blake2s(ByteView key, ByteView msg) {
+  Blake2s h(key, Blake2s::kMaxDigestSize);
+  h.update(msg);
+  return h.finalize();
+}
+
+TEST(MacDifferential, KeyedStateMatchesTextbookConstructions) {
+  std::mt19937 rng(20260418);
+  const auto random_bytes = [&rng](size_t n) {
+    Bytes out(n);
+    for (auto& b : out) b = static_cast<uint8_t>(rng());
+    return out;
+  };
+  size_t compared = 0;
+  for (size_t key_len = 0; key_len <= 130; ++key_len) {
+    const Bytes key = random_bytes(key_len);
+    for (size_t msg_len : {size_t{0}, size_t{1}, size_t{55}, size_t{56},
+                           size_t{64}, size_t{65}, size_t{200},
+                           static_cast<size_t>(rng() % 201)}) {
+      const Bytes msg = random_bytes(msg_len);
+      const ByteView view(msg);
+      const ByteView head = view.first(msg_len / 3);
+      const ByteView tail = view.subspan(msg_len / 3);
+      for (auto algo : all_mac_algos()) {
+        Bytes expected;
+        if (algo == MacAlgo::kKeyedBlake2s) {
+          if (key_len == 0 || key_len > Blake2s::kMaxKeySize) continue;
+          expected = one_shot_keyed_blake2s(key, msg);
+        } else {
+          expected = textbook_hmac(algo == MacAlgo::kHmacSha1
+                                       ? HashAlgo::kSha1
+                                       : HashAlgo::kSha256,
+                                   key, msg);
+        }
+        const Mac mac(algo, key);
+        ASSERT_EQ(mac.tag({msg}), expected)
+            << to_string(algo) << " key=" << key_len << " msg=" << msg_len;
+        ASSERT_EQ(mac.tag({head, tail}), expected);
+        ASSERT_TRUE(mac.verify({msg}, expected));
+        ASSERT_EQ(Mac::compute(algo, key, msg), expected);
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GT(compared, 2000u);
+}
 
 }  // namespace
 }  // namespace erasmus::crypto

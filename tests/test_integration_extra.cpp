@@ -44,8 +44,7 @@ TEST(HydraIntegration, FullErasmusLoopOnHydra) {
                     Duration::minutes(10)),
                 pc);
   DeviceRecord record;
-  record.algo = pc.algo;
-  record.key = test_key();
+  record.key = crypto::MacKey(pc.algo, test_key());
   record.set_golden(crypto::Hash::digest(
       attest::hash_for(pc.algo), arch.memory().view(arch.app_region(), true)));
 
@@ -81,7 +80,7 @@ TEST(NetworkIntegration, ErasmusOdOverSimulatedUdp) {
                     Duration::minutes(10)),
                 ProverConfig{});
   DeviceRecord record;
-  record.key = test_key();
+  record.key = crypto::MacKey(crypto::MacAlgo::kHmacSha256, test_key());
   record.set_golden(crypto::Hash::digest(
       crypto::HashAlgo::kSha256, arch.memory().view(arch.app_region(), true)));
 
@@ -160,7 +159,7 @@ TEST(Composition, IrregularLenientScheduleStillVerifies) {
   Prover prover(queue, arch, arch.app_region(), arch.store_region(),
                 std::move(sched), pc);
   DeviceRecord record;
-  record.key = test_key();
+  record.key = crypto::MacKey(crypto::MacAlgo::kHmacSha256, test_key());
   record.set_golden(crypto::Hash::digest(
       crypto::HashAlgo::kSha256, arch.memory().view(arch.app_region(), true)));
   const uint64_t t0 = sched_ptr->next_interval(0) / Duration::seconds(1);
@@ -207,7 +206,7 @@ TEST(MobilityRelay, PacketLevelCollectionOverMovingSwarm) {
         std::make_unique<attest::RegularScheduler>(Duration::minutes(10)),
         ProverConfig{});
     attest::DeviceRecord record;
-    record.key = key;
+    record.key = crypto::MacKey(crypto::MacAlgo::kHmacSha256, key);
     record.set_golden(crypto::Hash::digest(
         crypto::HashAlgo::kSha256,
         arch->memory().view(arch->app_region(), true)));

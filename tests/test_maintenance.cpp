@@ -29,7 +29,7 @@ struct Rig {
                ProverConfig{}),
         record([&] {
           DeviceRecord r;
-          r.key = test_key();
+          r.key = crypto::MacKey(crypto::MacAlgo::kHmacSha256, test_key());
           r.set_golden(crypto::Hash::digest(
               crypto::HashAlgo::kSha256,
               arch.memory().view(arch.app_region(), true)));

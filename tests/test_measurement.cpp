@@ -1,7 +1,10 @@
 // Tests for the measurement record M_t = <t, H(mem_t), MAC_K(t, H(mem_t))>.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "attest/measurement.h"
+#include "common/serde.h"
 #include "crypto/hmac.h"
 
 namespace erasmus::attest {
@@ -11,52 +14,56 @@ using crypto::MacAlgo;
 
 Bytes test_key() { return bytes_of("0123456789abcdef0123456789abcdef"); }
 
+crypto::Mac test_mac(MacAlgo algo = MacAlgo::kHmacSha256) {
+  return crypto::Mac(algo, test_key());
+}
+
 TEST(Measurement, StructureMatchesPaperDefinition) {
   const Bytes mem = bytes_of("device memory contents at time t");
   const uint64_t t = 1492453673;  // Fig. 3's example timestamp
-  const Measurement m =
-      compute_measurement(MacAlgo::kHmacSha256, test_key(), mem, t);
+  const Measurement m = compute_measurement(test_mac(), mem, t);
 
   EXPECT_EQ(m.timestamp, t);
   EXPECT_EQ(m.digest, crypto::Hash::digest(crypto::HashAlgo::kSha256, mem));
+  ByteWriter mac_input;
+  mac_input.u64(t);
+  mac_input.raw(m.digest);
   EXPECT_EQ(m.mac, crypto::Hmac::compute(crypto::HashAlgo::kSha256, test_key(),
-                                         measurement_mac_input(t, m.digest)));
+                                         mac_input.bytes()));
 }
 
 TEST(Measurement, VerifyAcceptsGenuine) {
-  const Measurement m = compute_measurement(MacAlgo::kHmacSha256, test_key(),
-                                            bytes_of("mem"), 100);
-  EXPECT_TRUE(verify_measurement(MacAlgo::kHmacSha256, test_key(), m));
+  const Measurement m = compute_measurement(test_mac(), bytes_of("mem"), 100);
+  EXPECT_TRUE(verify_measurement(test_mac(), m));
 }
 
 TEST(Measurement, VerifyRejectsAnyFieldTamper) {
-  const Measurement base = compute_measurement(
-      MacAlgo::kHmacSha256, test_key(), bytes_of("mem"), 100);
+  const Measurement base =
+      compute_measurement(test_mac(), bytes_of("mem"), 100);
 
   Measurement t_changed = base;
   t_changed.timestamp = 101;  // the timestamp is MAC-bound
-  EXPECT_FALSE(verify_measurement(MacAlgo::kHmacSha256, test_key(), t_changed));
+  EXPECT_FALSE(verify_measurement(test_mac(), t_changed));
 
   Measurement d_changed = base;
   d_changed.digest[0] ^= 1;
-  EXPECT_FALSE(verify_measurement(MacAlgo::kHmacSha256, test_key(), d_changed));
+  EXPECT_FALSE(verify_measurement(test_mac(), d_changed));
 
   Measurement m_changed = base;
   m_changed.mac[0] ^= 1;
-  EXPECT_FALSE(verify_measurement(MacAlgo::kHmacSha256, test_key(), m_changed));
+  EXPECT_FALSE(verify_measurement(test_mac(), m_changed));
 }
 
 TEST(Measurement, VerifyRejectsWrongKey) {
-  const Measurement m = compute_measurement(MacAlgo::kHmacSha256, test_key(),
-                                            bytes_of("mem"), 100);
-  EXPECT_FALSE(
-      verify_measurement(MacAlgo::kHmacSha256, bytes_of("wrong key"), m));
+  const Measurement m = compute_measurement(test_mac(), bytes_of("mem"), 100);
+  EXPECT_FALSE(verify_measurement(
+      crypto::Mac(MacAlgo::kHmacSha256, bytes_of("wrong key")), m));
 }
 
 TEST(Measurement, SerializeRoundTrips) {
   for (auto algo : crypto::all_mac_algos()) {
     const Measurement m =
-        compute_measurement(algo, test_key(), bytes_of("mem"), 42);
+        compute_measurement(test_mac(algo), bytes_of("mem"), 42);
     const auto back = Measurement::deserialize(m.serialize());
     ASSERT_TRUE(back.has_value()) << crypto::to_string(algo);
     EXPECT_EQ(*back, m);
@@ -64,8 +71,7 @@ TEST(Measurement, SerializeRoundTrips) {
 }
 
 TEST(Measurement, DeserializeRejectsTruncationAndTrailing) {
-  const Measurement m = compute_measurement(MacAlgo::kHmacSha256, test_key(),
-                                            bytes_of("mem"), 42);
+  const Measurement m = compute_measurement(test_mac(), bytes_of("mem"), 42);
   Bytes wire = m.serialize();
   Bytes truncated(wire.begin(), wire.end() - 1);
   EXPECT_FALSE(Measurement::deserialize(truncated).has_value());
@@ -75,13 +81,24 @@ TEST(Measurement, DeserializeRejectsTruncationAndTrailing) {
   EXPECT_FALSE(Measurement::deserialize(Bytes{}).has_value());
 }
 
-TEST(Measurement, WireSizeMatchesSerializedLength) {
+TEST(Measurement, WireFormatIsTimestampThenTwoLengthPrefixedFields) {
   for (auto algo : crypto::all_mac_algos()) {
     const Measurement m =
-        compute_measurement(algo, test_key(), bytes_of("mem"), 1);
-    EXPECT_EQ(m.serialize().size(), Measurement::wire_size(algo))
-        << crypto::to_string(algo);
+        compute_measurement(test_mac(algo), bytes_of("mem"), 1);
+    const size_t width = algo == MacAlgo::kHmacSha1 ? 20 : 32;
+    EXPECT_EQ(m.digest.size(), width) << crypto::to_string(algo);
+    EXPECT_EQ(m.mac.size(), width) << crypto::to_string(algo);
+    ByteWriter w;
+    w.u64(m.timestamp);
+    w.var_bytes(m.digest);
+    w.var_bytes(m.mac);
+    EXPECT_EQ(m.serialize(), w.bytes()) << crypto::to_string(algo);
   }
+}
+
+TEST(Measurement, RecordIsOneInlineValue) {
+  static_assert(std::is_trivially_copyable_v<Measurement>);
+  EXPECT_LE(sizeof(Measurement), 80u);
 }
 
 TEST(Measurement, HashPairingFollowsConstruction) {
@@ -91,12 +108,15 @@ TEST(Measurement, HashPairingFollowsConstruction) {
 }
 
 TEST(Measurement, MacInputBindsTimestampLittleEndian) {
-  const Bytes digest(32, 0xaa);
-  const Bytes input = measurement_mac_input(0x0102030405060708ull, digest);
-  ASSERT_EQ(input.size(), 8 + 32u);
-  EXPECT_EQ(input[0], 0x08);
-  EXPECT_EQ(input[7], 0x01);
-  EXPECT_EQ(Bytes(input.begin() + 8, input.end()), digest);
+  const Bytes mem = bytes_of("mem");
+  for (auto algo : crypto::all_mac_algos()) {
+    const Measurement m =
+        compute_measurement(test_mac(algo), mem, 0x0102030405060708ull);
+    Bytes input = {0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01};
+    append(input, m.digest);
+    EXPECT_EQ(m.mac, crypto::Mac::compute(algo, test_key(), input))
+        << crypto::to_string(algo);
+  }
 }
 
 TEST(MeasurementProtected, MatchesHostComputation) {
@@ -107,8 +127,7 @@ TEST(MeasurementProtected, MatchesHostComputation) {
       arch, MacAlgo::kHmacSha256, arch.app_region(), 7);
 
   const ByteView mem = arch.memory().view(arch.app_region(), true);
-  const Measurement direct =
-      compute_measurement(MacAlgo::kHmacSha256, test_key(), mem, 7);
+  const Measurement direct = compute_measurement(test_mac(), mem, 7);
   EXPECT_EQ(via_arch, direct);
 }
 
@@ -128,7 +147,7 @@ TEST(MeasurementProtected, WorksOnHydraAfterBoot) {
   arch.secure_boot();
   const Measurement m = compute_measurement_protected(
       arch, MacAlgo::kKeyedBlake2s, arch.app_region(), 9);
-  EXPECT_TRUE(verify_measurement(MacAlgo::kKeyedBlake2s, test_key(), m));
+  EXPECT_TRUE(verify_measurement(test_mac(MacAlgo::kKeyedBlake2s), m));
 }
 
 // Property: measurements over distinct (memory, t, key) tuples are unique
@@ -139,13 +158,13 @@ class MeasurementUniqueness : public ::testing::TestWithParam<MacAlgo> {};
 TEST_P(MeasurementUniqueness, DistinctAcrossTimeMemoryAndKey) {
   const auto algo = GetParam();
   const Measurement a =
-      compute_measurement(algo, test_key(), bytes_of("mem"), 1);
+      compute_measurement(test_mac(algo), bytes_of("mem"), 1);
   const Measurement b =
-      compute_measurement(algo, test_key(), bytes_of("mem"), 2);
+      compute_measurement(test_mac(algo), bytes_of("mem"), 2);
   const Measurement c =
-      compute_measurement(algo, test_key(), bytes_of("mem!"), 1);
+      compute_measurement(test_mac(algo), bytes_of("mem!"), 1);
   const Measurement d = compute_measurement(
-      algo, bytes_of("other-device-key!"), bytes_of("mem"), 1);
+      crypto::Mac(algo, bytes_of("other-device-key!")), bytes_of("mem"), 1);
   EXPECT_NE(a.mac, b.mac);
   EXPECT_NE(a.mac, c.mac);
   EXPECT_NE(a.mac, d.mac);

@@ -43,8 +43,7 @@ struct Rig {
                pc),
         record([&] {
           DeviceRecord rec;
-          rec.algo = pc.algo;
-          rec.key = test_key();
+          rec.key = crypto::MacKey(pc.algo, test_key());
           rec.set_golden(crypto::Hash::digest(
               attest::hash_for(pc.algo),
               arch.memory().view(arch.app_region(), true)));

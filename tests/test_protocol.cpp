@@ -15,7 +15,7 @@ using crypto::MacAlgo;
 Bytes test_key() { return bytes_of("0123456789abcdef0123456789abcdef"); }
 
 Measurement make_m(uint64_t t) {
-  return compute_measurement(MacAlgo::kHmacSha256, test_key(),
+  return compute_measurement(crypto::Mac(MacAlgo::kHmacSha256, test_key()),
                              bytes_of("mem"), t);
 }
 
@@ -183,6 +183,44 @@ TEST(Malformed, OversizedVarLengthFieldsRejected) {
   od.u32(/*k=*/4);
   od.u32(0x7FFFFFFFu);  // mac length prefix
   EXPECT_FALSE(OdRequest::deserialize(od.bytes()).has_value());
+}
+
+TEST(Malformed, RecordFieldsLongerThan32BytesRejected) {
+  // No construction makes a digest or tag longer than 32 bytes, so such a
+  // record could never verify: the decoder rejects it outright (a session
+  // sees a stray datagram and recovers through its timeout).
+  const auto record = [](size_t digest_len, size_t mac_len) {
+    ByteWriter w;
+    w.u64(/*timestamp=*/42);
+    w.var_bytes(Bytes(digest_len, 0xd1));
+    w.var_bytes(Bytes(mac_len, 0xa7));
+    return w.take();
+  };
+  const auto in_response = [](const Bytes& rec) {
+    ByteWriter w;
+    w.u32(1);
+    w.raw(rec);
+    return w.take();
+  };
+  const auto in_od_response = [](const Bytes& rec) {
+    ByteWriter w;
+    w.raw(rec);
+    w.u32(0);
+    return w.take();
+  };
+  for (const auto& [digest_len, mac_len] :
+       {std::pair<size_t, size_t>{33, 32}, {32, 33}}) {
+    const Bytes rec = record(digest_len, mac_len);
+    EXPECT_FALSE(Measurement::deserialize(rec).has_value()) << digest_len;
+    EXPECT_FALSE(CollectResponse::deserialize(in_response(rec)).has_value());
+    EXPECT_FALSE(OdResponse::deserialize(in_od_response(rec)).has_value());
+  }
+  // 32 bytes is the widest field that decodes, re-encoding to its input.
+  const Bytes widest = record(32, 32);
+  const auto m = Measurement::deserialize(widest);
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(m->serialize(), widest);
+  EXPECT_TRUE(CollectResponse::deserialize(in_response(widest)).has_value());
 }
 
 TEST(Malformed, OversizedKRoundTripsAsData) {

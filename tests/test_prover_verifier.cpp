@@ -33,8 +33,7 @@ struct Rig {
                config),
         record([&] {
           DeviceRecord rec;
-          rec.algo = config.algo;
-          rec.key = test_key();
+          rec.key = crypto::MacKey(config.algo, test_key());
           rec.set_golden(crypto::Hash::digest(
               hash_for(config.algo),
               arch.memory().view(arch.app_region(), true)));
@@ -349,8 +348,7 @@ TEST(OnDemand, CostDominatedByMeasurement) {
                 std::make_unique<RegularScheduler>(Duration::minutes(10)),
                 pc);
   DeviceRecord record;
-  record.algo = pc.algo;
-  record.key = test_key();
+  record.key = crypto::MacKey(pc.algo, test_key());
   record.set_golden(crypto::Hash::digest(
       hash_for(pc.algo), arch.memory().view(arch.app_region(), true)));
 

@@ -1,0 +1,133 @@
+// Heap allocations on the kDirect record path: prover serve, response
+// encode and decode, and verification. A record is one inline value and a
+// record MAC starts from its key's derived state, so each step allocates at
+// most its one buffer, and a record MAC or its check allocates nothing.
+// The counts are exact and machine-independent. This binary replaces the
+// global operator new with a counting one.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+#include "attest/directory.h"
+#include "swarm/provision.h"
+
+namespace {
+
+std::atomic<size_t> g_allocations{0};
+
+}  // namespace
+
+// Out of line, so the compiler never sees free() meet a new-expression.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
+namespace erasmus::attest {
+namespace {
+
+constexpr uint32_t kRecords = 16;
+
+/// Operator-new calls made while `fn` runs.
+template <typename Fn>
+size_t allocations_in(Fn&& fn) {
+  const size_t before = g_allocations.load(std::memory_order_relaxed);
+  fn();
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+/// One device that has taken more than kRecords measurements, and its
+/// verifier record (built as a fleet builds it: no schedule attached).
+struct Device {
+  sim::EventQueue queue;
+  swarm::DeviceStack stack;
+  DeviceRecord record;
+
+  explicit Device(crypto::MacAlgo algo) {
+    swarm::DeviceSpec spec;
+    spec.algo = algo;
+    spec.store_slots = 32;
+    spec.key = swarm::fleet_device_key(42, 0);
+    stack = swarm::build_device_stack(queue, spec);
+    record = swarm::build_device_record(spec, stack);
+    stack.prover->start();
+    queue.run_until(sim::Time::zero() +
+                    swarm::nominal_tm(spec) * (kRecords + 1));
+  }
+};
+
+class RecordPathAllocations
+    : public ::testing::TestWithParam<crypto::MacAlgo> {};
+
+TEST_P(RecordPathAllocations, AtMostOnePerBufferOnAHealthyCollection) {
+  Device dev(GetParam());
+  ASSERT_EQ(dev.record.scheduler, nullptr);
+  const CollectRequest request{kRecords};
+
+  Prover::CollectResult served;
+  EXPECT_LE(allocations_in([&] {
+              served = dev.stack.prover->handle_collect(request);
+            }),
+            1u)
+      << "handle_collect";
+  ASSERT_EQ(served.response.measurements.size(), kRecords);
+
+  Bytes wire;
+  EXPECT_LE(allocations_in([&] { wire = served.response.serialize(); }), 1u)
+      << "CollectResponse::serialize";
+
+  std::optional<CollectResponse> decoded;
+  EXPECT_LE(allocations_in(
+                [&] { decoded = CollectResponse::deserialize(wire); }),
+            1u)
+      << "CollectResponse::deserialize";
+  ASSERT_TRUE(decoded.has_value());
+
+  CollectionReport report;
+  EXPECT_LE(allocations_in([&] {
+              report = verify_collection(dev.record, *decoded,
+                                         dev.queue.now(), kRecords);
+            }),
+            1u)
+      << "verify_collection";
+  EXPECT_TRUE(report.device_trustworthy()) << report.note;
+  EXPECT_EQ(report.verdicts.size(), kRecords);
+}
+
+TEST_P(RecordPathAllocations, RecordMacAndItsCheckAllocateNothing) {
+  Device dev(GetParam());
+  const crypto::Mac& key = dev.record.key.mac();
+  const Bytes memory(1024, 0x5a);
+
+  Measurement m;
+  EXPECT_EQ(allocations_in([&] { m = compute_measurement(key, memory, 7); }),
+            0u)
+      << "record MAC";
+  bool authentic = false;
+  EXPECT_EQ(allocations_in([&] { authentic = verify_measurement(key, m); }),
+            0u)
+      << "record MAC check";
+  EXPECT_TRUE(authentic);
+
+  const Measurement stored = *dev.stack.prover->store().get(
+      dev.stack.prover->latest_index());
+  MeasurementVerdict verdict;
+  EXPECT_EQ(allocations_in(
+                [&] { verdict = judge_measurement(dev.record, stored); }),
+            0u)
+      << "judge_measurement";
+  EXPECT_EQ(verdict.status, MeasurementStatus::kHealthy);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllAlgos, RecordPathAllocations,
+                         ::testing::ValuesIn(crypto::all_mac_algos()));
+
+}  // namespace
+}  // namespace erasmus::attest

@@ -69,7 +69,7 @@ struct OverlayRig {
                                                   *prover, node_config));
 
       attest::DeviceRecord record;
-      record.key = device_key(id);
+      record.key = crypto::MacKey(crypto::MacAlgo::kHmacSha256, device_key(id));
       record.set_golden(crypto::Hash::digest(
           crypto::HashAlgo::kSha256,
           arch->memory().view(arch->app_region(), true)));

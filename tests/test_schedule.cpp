@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "attest/schedule.h"
 
@@ -82,6 +83,22 @@ TEST(IrregularScheduler, ValidatesParameters) {
   EXPECT_THROW(IrregularScheduler(test_key(), Duration::minutes(15),
                                   Duration::minutes(15)),
                std::invalid_argument);
+  // Closer than one tick: no whole tick to draw. The message names the
+  // bounds and the tick.
+  try {
+    IrregularScheduler(test_key(), Duration::seconds(300),
+                       Duration::millis(300500));
+    ADD_FAILURE() << "bounds closer than one tick accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("300.000 s"), std::string::npos) << what;
+    EXPECT_NE(what.find("300.500 s"), std::string::npos) << what;
+    EXPECT_NE(what.find("1.000 s"), std::string::npos) << what;
+  }
+  // Exactly one tick apart is the narrowest valid schedule.
+  const IrregularScheduler narrow(test_key(), Duration::seconds(300),
+                                  Duration::seconds(301));
+  EXPECT_EQ(narrow.next_interval(0).ns(), Duration::seconds(300).ns());
 }
 
 TEST(LenientScheduler, DelegatesToBase) {

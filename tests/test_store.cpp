@@ -10,9 +10,10 @@ using crypto::MacAlgo;
 
 Bytes test_key() { return bytes_of("0123456789abcdef0123456789abcdef"); }
 
+crypto::Mac test_mac() { return crypto::Mac(MacAlgo::kHmacSha256, test_key()); }
+
 Measurement make_m(uint64_t t) {
-  return compute_measurement(MacAlgo::kHmacSha256, test_key(),
-                             bytes_of("mem"), t);
+  return compute_measurement(test_mac(), bytes_of("mem"), t);
 }
 
 struct StoreFixture {
@@ -131,7 +132,7 @@ TEST(Store, TamperCorruptBreaksMacVerification) {
   f.store.tamper_corrupt(1, f.store.record_size() - 1, 0x80);
   const auto m = f.store.get(1);
   ASSERT_TRUE(m.has_value()) << "record still parses";
-  EXPECT_FALSE(verify_measurement(MacAlgo::kHmacSha256, test_key(), *m))
+  EXPECT_FALSE(verify_measurement(test_mac(), *m))
       << "but its MAC no longer verifies";
 }
 
@@ -144,19 +145,19 @@ TEST(Store, TamperSwapReordersRecords) {
   EXPECT_EQ(f.store.get(2)->timestamp, 10u);
   // The records themselves still verify -- reordering is only visible to
   // the verifier through the schedule check.
-  EXPECT_TRUE(
-      verify_measurement(MacAlgo::kHmacSha256, test_key(), *f.store.get(1)));
+  EXPECT_TRUE(verify_measurement(test_mac(), *f.store.get(1)));
 }
 
 TEST(Store, TamperOverwriteForgesUnverifiableRecord) {
   StoreFixture f(4);
   f.store.put(1, make_m(10));
   const Measurement forged = compute_measurement(
-      MacAlgo::kHmacSha256, bytes_of("guessed key"), bytes_of("clean"), 10);
+      crypto::Mac(MacAlgo::kHmacSha256, bytes_of("guessed key")),
+      bytes_of("clean"), 10);
   f.store.tamper_overwrite(1, forged);
   const auto m = f.store.get(1);
   ASSERT_TRUE(m.has_value());
-  EXPECT_FALSE(verify_measurement(MacAlgo::kHmacSha256, test_key(), *m));
+  EXPECT_FALSE(verify_measurement(test_mac(), *m));
 }
 
 TEST(Store, TamperCorruptOutsideRecordThrows) {
@@ -168,8 +169,17 @@ TEST(Store, TamperCorruptOutsideRecordThrows) {
 TEST(Store, RecordSizeMismatchRejected) {
   StoreFixture f(4);
   Measurement bad = make_m(1);
-  bad.digest.pop_back();
+  bad.digest.resize(bad.digest.size() - 1);
   EXPECT_THROW(f.store.put(0, bad), std::invalid_argument);
+}
+
+TEST(Store, RecordSizeForMatchesTheLayout) {
+  EXPECT_EQ(MeasurementStore::record_size_for(MacAlgo::kHmacSha1),
+            1 + 8 + 20 + 20u);
+  EXPECT_EQ(MeasurementStore::record_size_for(MacAlgo::kHmacSha256),
+            1 + 8 + 32 + 32u);
+  EXPECT_EQ(MeasurementStore::record_size_for(MacAlgo::kKeyedBlake2s),
+            1 + 8 + 32 + 32u);
 }
 
 TEST(Store, Sha1RecordsAreSmaller) {

@@ -89,7 +89,7 @@ TEST(TrustLite, FullErasmusStackRunsUnchanged) {
                     Duration::minutes(10)),
                 ProverConfig{});
   DeviceRecord record;
-  record.key = test_key();
+  record.key = crypto::MacKey(crypto::MacAlgo::kHmacSha256, test_key());
   record.set_golden(crypto::Hash::digest(
       crypto::HashAlgo::kSha256, arch.memory().view(arch.app_region(), true)));
 
@@ -110,7 +110,7 @@ TEST(TrustLite, MalwareDetectionWorksOnTrustLite) {
                     Duration::minutes(10)),
                 ProverConfig{});
   DeviceRecord record;
-  record.key = test_key();
+  record.key = crypto::MacKey(crypto::MacAlgo::kHmacSha256, test_key());
   record.set_golden(crypto::Hash::digest(
       crypto::HashAlgo::kSha256, arch.memory().view(arch.app_region(), true)));
 
@@ -132,7 +132,7 @@ TEST(TrustLite, ErasmusOdWorksOnTrustLite) {
                     Duration::minutes(10)),
                 ProverConfig{});
   DeviceRecord record;
-  record.key = test_key();
+  record.key = crypto::MacKey(crypto::MacAlgo::kHmacSha256, test_key());
   record.set_golden(crypto::Hash::digest(
       crypto::HashAlgo::kSha256, arch.memory().view(arch.app_region(), true)));
   prover.start();
