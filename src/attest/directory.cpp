@@ -54,10 +54,10 @@ MeasurementVerdict judge_measurement(const DeviceRecord& rec,
 }
 
 CollectionReport verify_collection(const DeviceRecord& rec,
-                                   const CollectResponse& resp, sim::Time now,
-                                   size_t expected_k) {
+                                   std::span<const Measurement> history,
+                                   sim::Time now, size_t expected_k) {
   CollectionReport report;
-  report.verdicts.reserve(resp.measurements.size());
+  report.verdicts.reserve(history.size());
 
   // Expected timestamps, if a schedule is registered.
   std::unordered_set<uint64_t> expected_times;
@@ -73,7 +73,7 @@ CollectionReport verify_collection(const DeviceRecord& rec,
   bool order_ok = true;
   std::optional<uint64_t> newest_authentic;
 
-  for (const auto& m : resp.measurements) {
+  for (const auto& m : history) {
     MeasurementVerdict v = judge_measurement(rec, m);
     if (v.status != MeasurementStatus::kBadMac) {
       if (rec.scheduler && !expected_times.contains(m.timestamp)) {
@@ -100,23 +100,23 @@ CollectionReport verify_collection(const DeviceRecord& rec,
     report.note += "reordered history; ";
   }
 
-  if (expected_k > 0 && resp.measurements.size() < expected_k) {
+  if (expected_k > 0 && history.size() < expected_k) {
     // Short response: fewer records than requested. Only incriminating once
     // the device has been up long enough to have produced them.
     if (!expected_seq.empty() && expected_seq.size() >= expected_k) {
       report.tampering_detected = true;
-      report.missing += expected_k - resp.measurements.size();
+      report.missing += expected_k - history.size();
       report.note += "short response; ";
     }
   }
 
   // Gap analysis: within the span covered by the response, every expected
   // time must be present (a deleted record leaves a hole).
-  if (rec.scheduler && !resp.measurements.empty()) {
+  if (rec.scheduler && !history.empty()) {
     std::unordered_set<uint64_t> returned;
-    for (const auto& m : resp.measurements) returned.insert(m.timestamp);
-    const uint64_t oldest = resp.measurements.back().timestamp;
-    const uint64_t newest = resp.measurements.front().timestamp;
+    for (const auto& m : history) returned.insert(m.timestamp);
+    const uint64_t oldest = history.back().timestamp;
+    const uint64_t newest = history.front().timestamp;
     for (uint64_t t : expected_seq) {
       if (t > oldest && t < newest && !returned.contains(t)) {
         ++report.missing;
@@ -137,6 +137,12 @@ CollectionReport verify_collection(const DeviceRecord& rec,
   return report;
 }
 
+CollectionReport verify_collection(const DeviceRecord& rec,
+                                   const CollectResponse& resp, sim::Time now,
+                                   size_t expected_k) {
+  return verify_collection(rec, resp.measurements, now, expected_k);
+}
+
 OdRequest make_od_request(const DeviceRecord& rec, uint64_t now_ticks,
                           uint32_t k) {
   OdRequest req;
@@ -154,8 +160,7 @@ OdReport verify_od_response(const DeviceRecord& rec, const OdResponse& resp,
   // The fresh measurement must be authentic and taken at or after t_req.
   report.fresh_valid = report.fresh.status != MeasurementStatus::kBadMac &&
                        resp.fresh.timestamp >= treq;
-  CollectResponse history{resp.history};
-  report.history = verify_collection(rec, history, now);
+  report.history = verify_collection(rec, resp.history, now);
   if (report.fresh.status == MeasurementStatus::kInfected) {
     report.history.infection_detected = true;
   }

@@ -10,6 +10,7 @@
 
 #include <deque>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -60,9 +61,13 @@ struct DeviceRecord {
 MeasurementVerdict judge_measurement(const DeviceRecord& rec,
                                      const Measurement& m);
 
-/// Validates a collection response against `rec`. `expected_k` is the k
-/// the verifier asked for (0 = don't check the count). `now` is collection
-/// time.
+/// Validates a measurement history, newest first, against `rec`, in
+/// place. `expected_k` is the k the verifier asked for (0 = don't check
+/// the count). `now` is collection time.
+CollectionReport verify_collection(const DeviceRecord& rec,
+                                   std::span<const Measurement> history,
+                                   sim::Time now, size_t expected_k = 0);
+/// Validates a collection response: its measurements, as above.
 CollectionReport verify_collection(const DeviceRecord& rec,
                                    const CollectResponse& resp, sim::Time now,
                                    size_t expected_k = 0);

@@ -46,26 +46,17 @@ ByteView SecurityArch::ProtectedContext::key() const {
   return arch_.key_for(*this);
 }
 
-void SecurityArch::run_protected(
-    const std::function<void(ProtectedContext&)>& fn) {
-  if (in_protected_) {
+SecurityArch::Section::Section(SecurityArch& arch) : arch_(arch) {
+  if (arch_.in_protected_) {
     throw SecurityViolation(
         "run_protected: atomic section re-entered (attestation code must "
         "run from first to last instruction)");
   }
-  pre_protected_check();
-  in_protected_ = true;
-  ProtectedContext ctx(*this);
-  try {
-    fn(ctx);
-  } catch (...) {
-    // Models the architecture's cleanup-on-exit guarantee: the protected
-    // flag (and thus key access) is revoked even on abnormal exit.
-    in_protected_ = false;
-    throw;
-  }
-  in_protected_ = false;
+  arch_.pre_protected_check();
+  arch_.in_protected_ = true;
 }
+
+SecurityArch::Section::~Section() { arch_.in_protected_ = false; }
 
 ByteView SecurityArch::key_for(const ProtectedContext&) const {
   if (!in_protected_) {

@@ -22,7 +22,6 @@
 // to other on-demand RA techniques").
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -60,10 +59,16 @@ class SecurityArch {
 
   virtual ~SecurityArch() = default;
 
-  /// Executes `fn` inside the protected environment: K becomes readable,
-  /// memory accesses are privileged, and the section is atomic (re-entry
-  /// throws). Models ROM-resident code in SMART+ / PrAtt in HYDRA.
-  void run_protected(const std::function<void(ProtectedContext&)>& fn);
+  /// Executes `fn(ProtectedContext&)` inside the protected environment: K
+  /// becomes readable, memory accesses are privileged, and the section is
+  /// atomic (re-entry throws). Models ROM-resident code in SMART+ / PrAtt
+  /// in HYDRA. `fn` is called in place, so a section allocates nothing.
+  template <typename Fn>
+  void run_protected(Fn&& fn) {
+    const Section section(*this);
+    ProtectedContext ctx(*this);
+    fn(ctx);
+  }
 
   /// True while executing inside run_protected.
   bool in_protected() const { return in_protected_; }
@@ -90,6 +95,21 @@ class SecurityArch {
   Bytes key_;
 
  private:
+  /// One protected section's entry and exit. Entry refuses re-entry and
+  /// applies the architecture's gate; exit revokes key access, also when
+  /// the section ends by an exception (the architecture's
+  /// cleanup-on-exit guarantee).
+  class Section {
+   public:
+    explicit Section(SecurityArch& arch);
+    ~Section();
+    Section(const Section&) = delete;
+    Section& operator=(const Section&) = delete;
+
+   private:
+    SecurityArch& arch_;
+  };
+
   bool in_protected_ = false;
 };
 

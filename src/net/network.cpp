@@ -55,21 +55,26 @@ bool Network::admit(NodeId src, NodeId dst, size_t payload_bytes) {
   return true;
 }
 
-void Network::deliver(Datagram dgram) {
-  queue_.schedule_after(latency_, [this, d = std::move(dgram)] {
-    ++stats_.delivered;
-    ++node_stats_[d.dst].delivered;
-    if (handlers_[d.dst]) handlers_[d.dst](d);
-  });
+void Network::offer(NodeId src, NodeId dst, size_t payload_bytes) {
+  if (admit(src, dst, payload_bytes)) admitted_.push_back(dst);
 }
 
-void Network::offer(NodeId src, NodeId dst, ByteView payload) {
-  // The payload is only copied for destinations actually delivered to,
-  // which is what makes swarm-wide radio floods (1 sender x N
-  // destinations, most out of range) affordable.
-  if (admit(src, dst, payload.size())) {
-    deliver(Datagram{src, dst, Bytes(payload.begin(), payload.end())});
-  }
+void Network::hand_over(NodeId src, NodeId dst, ByteView payload) {
+  ++stats_.delivered;
+  ++node_stats_[dst].delivered;
+  if (handlers_[dst]) handlers_[dst](Datagram{src, dst, payload});
+}
+
+void Network::deliver_admitted(NodeId src, ByteView payload) {
+  if (admitted_.empty()) return;
+  // The copy of admitted_ is exactly sized: a transmission allocates the
+  // same however many destinations it reaches.
+  queue_.schedule_after(latency_, [this, src, dsts = admitted_,
+                                   bytes = Bytes(payload.begin(),
+                                                 payload.end())] {
+    for (const NodeId dst : dsts) hand_over(src, dst, bytes);
+  });
+  admitted_.clear();
 }
 
 void Network::key_radio(NodeId src, size_t payload_bytes) {
@@ -87,7 +92,10 @@ void Network::send(NodeId src, NodeId dst, Bytes payload) {
   }
   key_radio(src, payload.size());
   if (admit(src, dst, payload.size())) {
-    deliver(Datagram{src, dst, std::move(payload)});
+    queue_.schedule_after(latency_,
+                          [this, src, dst, bytes = std::move(payload)] {
+                            hand_over(src, dst, bytes);
+                          });
   }
 }
 
@@ -100,9 +108,10 @@ void Network::broadcast(NodeId src, const std::vector<NodeId>& dsts,
   }
   if (dsts.empty()) return;
   key_radio(src, payload.size());
-  // Same per-destination draw and event order as the equivalent send()
-  // loop.
-  for (const NodeId dst : dsts) offer(src, dst, payload);
+  // Same per-destination draws, in the same order, as the equivalent
+  // send() loop.
+  for (const NodeId dst : dsts) offer(src, dst, payload.size());
+  deliver_admitted(src, payload);
 }
 
 void Network::exempt(NodeId node, size_t payload_bytes) {
@@ -121,8 +130,9 @@ void Network::broadcast_all(NodeId src, NodeId except, ByteView payload) {
   // that just browned out) is what the filter would see too.
   if (!filter_ || !range_query_ || !range_query_(src, candidates_)) {
     for (NodeId dst = 0; dst < n; ++dst) {
-      if (dst != src && dst != except) offer(src, dst, payload);
+      if (dst != src && dst != except) offer(src, dst, payload.size());
     }
+    deliver_admitted(src, payload);
     return;
   }
   for (size_t i = 0; i < candidates_.size(); ++i) {
@@ -144,12 +154,13 @@ void Network::broadcast_all(NodeId src, NodeId except, ByteView payload) {
     if (dst == src || dst == except) continue;
     exempt(dst, payload.size());
     ++asked;
-    offer(src, dst, payload);
+    offer(src, dst, payload.size());
   }
   const uint64_t refused = offered - asked;
   stats_.sent += refused;
   stats_.bytes_sent += refused * payload.size();
   stats_.dropped_disconnected += refused;
+  deliver_admitted(src, payload);
 }
 
 Network::Stats Network::node_stats(NodeId dst) const {

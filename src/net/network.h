@@ -7,6 +7,17 @@
 // a (time-varying) topology: a datagram is only delivered if the two nodes
 // are connected at SEND time.
 //
+// One transmission (a send() or a broadcast) is one delivery event, however
+// many destinations it reaches. Destinations are admitted at send time --
+// stats, link filter, loss draw and the energy tap's rx charge, one
+// destination after another -- and the event, at now + latency, owns one
+// copy of the payload and hands it to every admitted destination in admit
+// order, looking each handler up as it goes (a handler replaced by an
+// earlier receiver of the same transmission is the one that runs).
+// Anything a handler schedules at the delivery instant runs after every
+// receiver of that transmission, exactly as when each destination had an
+// event of its own: those events held consecutive sequence numbers.
+//
 // The transport is deliberately insecure -- ERASMUS measurements are
 // authenticated by MAC_K and need neither encryption nor a trusted channel
 // (paper §3.2).
@@ -27,7 +38,9 @@ using NodeId = uint32_t;
 struct Datagram {
   NodeId src = 0;
   NodeId dst = 0;
-  Bytes payload;
+  /// The transmission's payload, owned by its delivery event: valid only
+  /// while the handler runs. A handler that keeps bytes copies them.
+  ByteView payload;
 };
 
 class Network {
@@ -74,10 +87,9 @@ class Network {
   void send(NodeId src, NodeId dst, Bytes payload);
 
   /// Sends one payload to many destinations: one independent loss/link
-  /// draw and one delivery event per destination, in `dsts` order --
-  /// byte-identical to the equivalent send() loop, but the payload is
-  /// only copied for destinations actually delivered to. Used for
-  /// batched collection-round dispatch. Every id is validated before
+  /// draw per destination, in `dsts` order, and one delivery event for
+  /// all of them -- byte-identical to the equivalent send() loop. Used
+  /// for batched collection-round dispatch. Every id is validated before
   /// anything is charged or scheduled: an unknown one throws
   /// std::out_of_range with no side effect.
   void broadcast(NodeId src, const std::vector<NodeId>& dsts,
@@ -145,13 +157,18 @@ class Network {
   /// Stats + link-filter + loss draw for one (src, dst), and the receiver's
   /// rx accounting when it passes; true = deliver.
   bool admit(NodeId src, NodeId dst, size_t payload_bytes);
-  /// admit(), then a delivery carrying a copy of the payload.
-  void offer(NodeId src, NodeId dst, ByteView payload);
+  /// admit(), recording an admitted destination in admitted_.
+  void offer(NodeId src, NodeId dst, size_t payload_bytes);
   /// The sender's side of one physical transmission.
   void key_radio(NodeId src, size_t payload_bytes);
   /// Takes `node` out of the current answered broadcast's unasked set.
   void exempt(NodeId node, size_t payload_bytes);
-  void deliver(Datagram dgram);
+  /// Schedules the broadcast's one delivery event, which owns a copy of
+  /// the payload and hands it to every destination in admitted_, and
+  /// empties admitted_. With none admitted, nothing is scheduled.
+  void deliver_admitted(NodeId src, ByteView payload);
+  /// Delivery to one destination, inside a delivery event.
+  void hand_over(NodeId src, NodeId dst, ByteView payload);
 
   sim::EventQueue& queue_;
   sim::Duration latency_;
@@ -170,6 +187,7 @@ class Network {
   Unasked unasked_;
   std::vector<Unasked> exempt_;  // indexed by node
   std::vector<NodeId> candidates_;  // range query reuse
+  std::vector<NodeId> admitted_;    // the current broadcast's, in order
 };
 
 }  // namespace erasmus::net

@@ -91,6 +91,12 @@ bool RadioLinks::link_up(net::NodeId a, net::NodeId b) {
   // partition schedule is pure config, so the veto -- and therefore the
   // mobility RNG draw order -- stays deterministic at any thread count.
   if (allowed_ && !allowed_(da, db, now)) return false;
+  // The instant's positions pass holds both ends: each is active or the
+  // root, so it is a grid member, and its trajectory reaches now -- the
+  // two queries connected() would make could not draw (R4).
+  if (fresh_ && built_ && at_ == now) {
+    return mobility_.in_range(pos_[da], pos_[db]);
+  }
   return mobility_.connected(da, db, now);
 }
 

@@ -19,6 +19,11 @@
 // broadcast scans all nodes, extending trajectories in exactly the order
 // it always did.
 //
+// While the instant's grid stands (indexed at the clock's instant, no
+// churn since), link_up() reads both ends' positions from that indexing's
+// positions pass instead of querying the mobility model: the same range
+// test on the same values, minus two trajectory searches per pair.
+//
 // reachable() is the in-process backend's reachability: every device's
 // position in ascending id (the draw order of
 // RandomWaypointMobility::snapshot), the grid indexed from those
@@ -102,7 +107,9 @@ class RadioLinks {
   /// The verifier endpoint's node id: one past the last device.
   net::NodeId verifier() const { return verifier_; }
 
-  /// The radio's link filter (net::Network::LinkFilter).
+  /// The radio's link filter (net::Network::LinkFilter). Reads the
+  /// instant's positions pass while its grid is fresh; otherwise asks
+  /// RandomWaypointMobility::connected().
   bool link_up(net::NodeId a, net::NodeId b);
   /// The radio's range query (net::Network::RangeQuery).
   bool candidates(net::NodeId src, std::vector<net::NodeId>& out);

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "net/network.h"
 #include "sim/rng.h"
@@ -32,12 +34,24 @@ TEST(Network, DeliversAfterLatency) {
   EXPECT_EQ(delivered_at->ns(), Duration::millis(7).ns());
 }
 
+/// A delivered datagram with its payload copied out of the handler call,
+/// the only span the view is valid for.
+struct Heard {
+  NodeId src = 0;
+  NodeId dst = 0;
+  Bytes payload;
+};
+
+Heard copy_of(const Datagram& d) {
+  return {d.src, d.dst, Bytes(d.payload.begin(), d.payload.end())};
+}
+
 TEST(Network, PayloadAndAddressingPreserved) {
   EventQueue q;
   Network net(q, Duration::millis(1));
-  std::optional<Datagram> got;
+  std::optional<Heard> got;
   const NodeId a = net.add_node({});
-  const NodeId b = net.add_node([&](const Datagram& d) { got = d; });
+  const NodeId b = net.add_node([&](const Datagram& d) { got = copy_of(d); });
   net.send(a, b, Bytes{0xde, 0xad});
   q.run();
   ASSERT_TRUE(got.has_value());
@@ -183,7 +197,7 @@ TEST(Network, BroadcastReachesEveryDestinationInOrder) {
   const NodeId b = net.add_node([&](const Datagram& d) {
     order.push_back(d.dst);
     EXPECT_EQ(d.src, src);
-    EXPECT_EQ(d.payload, (Bytes{0xaa, 0xbb}));
+    EXPECT_EQ(copy_of(d).payload, (Bytes{0xaa, 0xbb}));
   });
   const NodeId c = net.add_node([&](const Datagram& d) {
     order.push_back(d.dst);
@@ -196,6 +210,92 @@ TEST(Network, BroadcastReachesEveryDestinationInOrder) {
   EXPECT_EQ(net.stats().sent, 2u);
   EXPECT_EQ(net.node_stats(b).delivered, 1u);
   EXPECT_EQ(net.node_stats(c).delivered, 1u);
+}
+
+TEST(Network, ReceiverReplacesALaterReceiversHandlerMidTransmission) {
+  // One transmission reaches b, then c. b's handler swaps c's: the
+  // delivery looks each handler up as it reaches that destination, so c
+  // runs the new one -- as when every destination had its own event.
+  EventQueue q;
+  Network net(q, Duration::millis(1));
+  std::vector<std::string> calls;
+  const NodeId src = net.add_node({});
+  const NodeId b = net.add_node({});
+  const NodeId c =
+      net.add_node([&](const Datagram&) { calls.push_back("old c"); });
+  net.set_handler(b, [&](const Datagram&) {
+    calls.push_back("b");
+    net.set_handler(c, [&](const Datagram& d) {
+      calls.push_back("new c");
+      EXPECT_EQ(copy_of(d).payload, (Bytes{4, 2}));
+    });
+  });
+  net.broadcast(src, {b, c}, Bytes{4, 2});
+  q.run();
+  EXPECT_EQ(calls, (std::vector<std::string>{"b", "new c"}));
+}
+
+TEST(Network, SameInstantEventsRunAfterEveryReceiver) {
+  // Zero latency: the delivery runs at the send instant. What the first
+  // receiver schedules at that instant -- an event, or a zero-latency
+  // reply -- runs only after the transmission's last receiver.
+  EventQueue q;
+  Network net(q, Duration::nanos(0));
+  std::vector<std::string> order;
+  const NodeId src = net.add_node([&](const Datagram& d) {
+    order.push_back("reply from " + std::to_string(d.src));
+  });
+  std::vector<NodeId> dsts;
+  for (int i = 0; i < 3; ++i) {
+    dsts.push_back(net.add_node([&](const Datagram& d) {
+      order.push_back("rx " + std::to_string(d.dst));
+      if (d.dst != dsts.front()) return;
+      q.schedule_at(q.now(), [&] { order.push_back("scheduled"); });
+      net.send(d.dst, src, Bytes{1});
+    }));
+  }
+  q.schedule_at(Time(5), [&] { net.broadcast_all(src, src, Bytes{9}); });
+  q.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"rx 1", "rx 2", "rx 3",
+                                             "scheduled", "reply from 1"}));
+  EXPECT_EQ(q.now(), Time(5));
+}
+
+TEST(Network, RxEnergyIsChargedAtSendTimeOncePerAdmittedDestination) {
+  // The filter refuses node 2 and the loss draw drops some: every other
+  // destination is charged rx at send time, before the delivery event
+  // runs, and exactly those are delivered.
+  EventQueue q;
+  Network net(q, Duration::millis(3), /*loss=*/0.3, /*seed=*/7);
+  std::vector<NodeId> rx_charged;
+  std::vector<NodeId> heard;
+  size_t tx_charges = 0;
+  const NodeId src = net.add_node({});
+  std::vector<NodeId> dsts;
+  for (int i = 0; i < 12; ++i) {
+    dsts.push_back(net.add_node([&](const Datagram& d) {
+      heard.push_back(d.dst);
+    }));
+  }
+  net.set_link_filter([](NodeId, NodeId dst) { return dst != 2; });
+  net.set_energy_tap([&](NodeId node, size_t bytes, bool tx) {
+    EXPECT_EQ(bytes, 3u);
+    if (tx) {
+      ++tx_charges;
+    } else {
+      rx_charged.push_back(node);
+    }
+  });
+  net.broadcast(src, dsts, Bytes{1, 2, 3});
+  EXPECT_EQ(tx_charges, 1u);
+  EXPECT_EQ(rx_charged.size(), 12u - 1u - net.stats().dropped_loss);
+  EXPECT_GT(net.stats().dropped_loss, 0u);
+  EXPECT_TRUE(heard.empty()) << "charged before the delivery event runs";
+  EXPECT_EQ(net.stats().delivered, 0u);
+  q.run();
+  EXPECT_EQ(heard, rx_charged) << "delivered to exactly the charged, in order";
+  EXPECT_EQ(net.stats().delivered, rx_charged.size());
+  EXPECT_EQ(tx_charges, 1u);
 }
 
 TEST(Network, BroadcastDrawsLossPerDestination) {

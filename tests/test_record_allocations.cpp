@@ -1,47 +1,23 @@
 // Heap allocations on the kDirect record path: prover serve, response
 // encode and decode, and verification. A record is one inline value and a
 // record MAC starts from its key's derived state, so each step allocates at
-// most its one buffer, and a record MAC or its check allocates nothing.
-// The counts are exact and machine-independent. This binary replaces the
-// global operator new with a counting one.
+// most its one buffer (an OD response's history is judged in place, like a
+// collect response), and a record MAC, its check, and a self-measurement
+// inside the protected section allocate nothing. The counts are exact and
+// machine-independent. This binary replaces the global operator new with a
+// counting one.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
 #include "attest/directory.h"
+#include "counting_new.h"
 #include "swarm/provision.h"
-
-namespace {
-
-std::atomic<size_t> g_allocations{0};
-
-}  // namespace
-
-// Out of line, so the compiler never sees free() meet a new-expression.
-[[gnu::noinline]] void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
 
 namespace erasmus::attest {
 namespace {
 
-constexpr uint32_t kRecords = 16;
+using erasmus::testing::allocations_in;
 
-/// Operator-new calls made while `fn` runs.
-template <typename Fn>
-size_t allocations_in(Fn&& fn) {
-  const size_t before = g_allocations.load(std::memory_order_relaxed);
-  fn();
-  return g_allocations.load(std::memory_order_relaxed) - before;
-}
+constexpr uint32_t kRecords = 16;
 
 /// One device that has taken more than kRecords measurements, and its
 /// verifier record (built as a fleet builds it: no schedule attached).
@@ -124,6 +100,40 @@ TEST_P(RecordPathAllocations, RecordMacAndItsCheckAllocateNothing) {
             0u)
       << "judge_measurement";
   EXPECT_EQ(verdict.status, MeasurementStatus::kHealthy);
+}
+
+TEST_P(RecordPathAllocations, SelfMeasurementAllocatesNothing) {
+  Device dev(GetParam());
+  Prover& prover = *dev.stack.prover;
+  Measurement m;
+  EXPECT_EQ(allocations_in([&] {
+              m = compute_measurement_protected(
+                  prover.arch(), GetParam(), prover.attested_region(), 9);
+            }),
+            0u)
+      << "compute_measurement_protected";
+  EXPECT_FALSE(prover.arch().in_protected());
+  EXPECT_TRUE(verify_measurement(dev.record.key.mac(), m));
+}
+
+TEST_P(RecordPathAllocations, OdResponseVerifiesInPlace) {
+  Device dev(GetParam());
+  const uint64_t now_ticks = dev.queue.now().ns() / dev.record.tick.ns();
+  const OdRequest request = make_od_request(dev.record, now_ticks, kRecords);
+  const Prover::OdResult served = dev.stack.prover->handle_od(request);
+  ASSERT_TRUE(served.response.has_value());
+  ASSERT_EQ(served.response->history.size(), kRecords);
+
+  OdReport report;
+  EXPECT_LE(allocations_in([&] {
+              report = verify_od_response(dev.record, *served.response,
+                                          dev.queue.now(), request.treq);
+            }),
+            1u)
+      << "verify_od_response: one verdict buffer, as verify_collection";
+  EXPECT_TRUE(report.fresh_valid);
+  EXPECT_TRUE(report.history.device_trustworthy()) << report.history.note;
+  EXPECT_EQ(report.history.verdicts.size(), kRecords);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgos, RecordPathAllocations,
