@@ -12,7 +12,6 @@
 #include <string>
 
 #include "crypto/blake2s.h"
-#include "crypto/chacha20.h"
 #include "crypto/hmac.h"
 #include "crypto/hmac_drbg.h"
 #include "crypto/mac.h"
@@ -126,17 +125,5 @@ void BM_HmacDrbgNextInterval(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HmacDrbgNextInterval);
-
-void BM_ChaCha20Stream(benchmark::State& state) {
-  ChaCha20Rng rng(kKey);
-  Bytes out(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    rng.generate(std::span<uint8_t>(out));
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_ChaCha20Stream)->Arg(64 * 1024);
 
 }  // namespace

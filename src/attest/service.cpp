@@ -12,30 +12,10 @@ AttestationService::AttestationService(sim::EventQueue& queue,
                                        ServiceConfig config)
     : queue_(queue), transport_(transport), directory_(directory),
       config_(config), window_ctl_(config_.window, directory_.size()) {
-  register_instruments();
   transport_.set_receiver(
       [this](net::NodeId src, MsgType type, ByteView body) {
         on_receive(src, type, body);
       });
-}
-
-void AttestationService::register_instruments() {
-  obs::Registry* reg = config_.metrics;
-  if (reg == nullptr) return;
-  inst_.sessions = &reg->counter("service", "sessions");
-  inst_.responses = &reg->counter("service", "responses");
-  inst_.retries = &reg->counter("service", "retries");
-  inst_.unreachable = &reg->counter("service", "unreachable_sessions");
-  inst_.stray_datagrams = &reg->counter("service", "stray_datagrams");
-  inst_.loss_backoffs = &reg->counter("window", "loss_backoffs");
-  inst_.congestion_backoffs = &reg->counter("window", "congestion_backoffs");
-  // Per-device response latency, dispatch to completed report. Buckets span
-  // the direct path (sub-millisecond) through multi-hop store-and-forward
-  // with retries (tens of seconds).
-  inst_.latency_ms = &reg->histogram(
-      "service", "response_latency_ms",
-      {1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0, 3000.0, 10000.0, 30000.0});
-  inst_.window = &reg->gauge("window", "window");
 }
 
 void AttestationService::trace_window(const char* name, const char* reason) {
@@ -67,13 +47,15 @@ void AttestationService::stop() {
   // Responses still en route surface as stray datagrams.
   running_ = false;
   if (round_active_ && config_.trace != nullptr) {
+    const RoundStats rs = round_stats();
     config_.trace->span_end(
         obs::Subsystem::kService, queue_.now(), "round",
         {{"reason", "aborted"},
-         {"responses", round_stats_.responses},
-         {"unreachable", round_stats_.unreachable_sessions},
+         {"responses", rs.responses},
+         {"unreachable", rs.unreachable_sessions},
          {"aborted_in_flight", static_cast<uint64_t>(in_flight_)}});
   }
+  stats_.aborted_sessions += in_flight_;
   if (next_round_event_) {
     queue_.cancel(*next_round_event_);
     next_round_event_.reset();
@@ -179,9 +161,9 @@ void AttestationService::begin_round(const std::vector<DeviceId>& devices,
   }
   // Per-round stats start fresh here; the WindowController itself carries
   // its learned window across rounds (the network did not reset).
-  round_stats_ = RoundStats{};
+  round_start_ = stats_;
+  round_max_in_flight_ = 0;
   window_ctl_.begin_round();
-  sync_window_stats();
   if (config_.keep_audit && logs_.size() < directory_.size()) {
     logs_.resize(directory_.size());
   }
@@ -198,22 +180,30 @@ void AttestationService::poll_congestion() {
   if (occupancy < kCongestionThreshold) return;
   if (window_ctl_.on_congestion()) {
     ++stats_.congestion_backoffs;
-    ++round_stats_.congestion_backoffs;
-    if (inst_.congestion_backoffs != nullptr) {
-      inst_.congestion_backoffs->add();
-    }
     trace_window("window_cut", "congestion");
   }
-  sync_window_stats();
 }
 
-void AttestationService::sync_window_stats() {
-  round_stats_.window_min = window_ctl_.round_min();
-  round_stats_.window_max = window_ctl_.round_max();
-  round_stats_.window_final = window_ctl_.window();
-  if (inst_.window != nullptr) {
-    inst_.window->set(static_cast<double>(window_ctl_.window()));
-  }
+AttestationService::RoundStats AttestationService::round_stats() const {
+  const Stats& at_start = round_start_;
+  RoundStats rs;
+  rs.sessions = stats_.sessions - at_start.sessions;
+  rs.responses = stats_.responses - at_start.responses;
+  rs.retries = stats_.retries - at_start.retries;
+  rs.unreachable_sessions =
+      stats_.unreachable_sessions - at_start.unreachable_sessions;
+  rs.aborted_sessions = stats_.aborted_sessions - at_start.aborted_sessions;
+  rs.max_in_flight = round_max_in_flight_;
+  rs.window_min = window_ctl_.round_min();
+  rs.window_max = window_ctl_.round_max();
+  rs.window_final = window_ctl_.window();
+  rs.loss_backoffs = stats_.loss_backoffs - at_start.loss_backoffs;
+  rs.congestion_backoffs =
+      stats_.congestion_backoffs - at_start.congestion_backoffs;
+  rs.aggregated_sessions =
+      stats_.aggregated_sessions - at_start.aggregated_sessions;
+  rs.demand_fetches = stats_.demand_fetches - at_start.demand_fetches;
+  return rs;
 }
 
 void AttestationService::pump() {
@@ -254,13 +244,11 @@ void AttestationService::pump() {
       session.node = node;
       session.started = queue_.now();
       ++stats_.sessions;
-      ++round_stats_.sessions;
-      if (inst_.sessions != nullptr) inst_.sessions->add();
       ++in_flight_;
       stats_.max_in_flight_seen =
           std::max<uint64_t>(stats_.max_in_flight_seen, in_flight_);
-      round_stats_.max_in_flight =
-          std::max<uint64_t>(round_stats_.max_in_flight, in_flight_);
+      round_max_in_flight_ =
+          std::max<uint64_t>(round_max_in_flight_, in_flight_);
       if (config_.kind == RoundKind::kCollect) {
         session.attempts = 1;
         session.send_seq = window_ctl_.on_send();
@@ -346,8 +334,6 @@ void AttestationService::flush_retries() {
     session.send_seq = window_ctl_.on_send();
   }
   stats_.retries += batch.size();
-  round_stats_.retries += batch.size();
-  if (inst_.retries != nullptr) inst_.retries->add(batch.size());
   if (config_.trace != nullptr) {
     config_.trace->instant(
         obs::Subsystem::kService, queue_.now(), "retry_wave",
@@ -394,7 +380,6 @@ void AttestationService::on_receive(net::NodeId src, MsgType type,
     // No session awaiting this endpoint: spoofed source, or a stray or
     // duplicate response from an already-finished session.
     ++stats_.stray_datagrams;
-    if (inst_.stray_datagrams != nullptr) inst_.stray_datagrams->add();
     return;
   }
   Session& session = it->second;
@@ -403,7 +388,6 @@ void AttestationService::on_receive(net::NodeId src, MsgType type,
                                : MsgType::kOdResponse;
   if (type != expected) {
     ++stats_.stray_datagrams;
-    if (inst_.stray_datagrams != nullptr) inst_.stray_datagrams->add();
     return;  // session stays armed; the timeout path recovers
   }
   if (config_.kind == RoundKind::kCollect) {
@@ -411,7 +395,6 @@ void AttestationService::on_receive(net::NodeId src, MsgType type,
     // intaken: a second reply before the flush is a duplicate.
     if (!resp || session.intaken) {
       ++stats_.stray_datagrams;
-      if (inst_.stray_datagrams != nullptr) inst_.stray_datagrams->add();
       return;
     }
     // The session stays in active_ until the flush completes it, so its
@@ -424,7 +407,6 @@ void AttestationService::on_receive(net::NodeId src, MsgType type,
   const auto resp = OdResponse::deserialize(body);
   if (!resp) {
     ++stats_.stray_datagrams;
-    if (inst_.stray_datagrams != nullptr) inst_.stray_datagrams->add();
     return;
   }
   OdReport od = verify_od_response(directory_.record(session.device), *resp,
@@ -443,11 +425,9 @@ bool AttestationService::complete_aggregated(net::NodeId node) {
     // No session awaiting this node: a duplicate aggregate's bit, or a
     // head vouching for a device that already answered raw.
     ++stats_.stray_datagrams;
-    if (inst_.stray_datagrams != nullptr) inst_.stray_datagrams->add();
     return false;
   }
   ++stats_.aggregated_sessions;
-  ++round_stats_.aggregated_sessions;
   CollectionReport report;  // trustworthy by default, freshness nullopt
   report.note = "aggregated by cluster head; ";
   complete(node, /*reachable=*/true, std::move(report),
@@ -460,7 +440,6 @@ bool AttestationService::demand_fetch(net::NodeId node) {
   if (it == active_.end()) return false;
   Session& session = it->second;
   ++stats_.demand_fetches;
-  ++round_stats_.demand_fetches;
   if (config_.trace != nullptr) {
     config_.trace->instant(
         obs::Subsystem::kService, queue_.now(), "demand_fetch",
@@ -480,8 +459,6 @@ bool AttestationService::demand_fetch(net::NodeId node) {
     session.timeout.reset();
   }
   ++stats_.retries;
-  ++round_stats_.retries;
-  if (inst_.retries != nullptr) inst_.retries->add();
   transport_.hint_retry_wave();
   send_attempt(session);
   return true;
@@ -497,13 +474,10 @@ void AttestationService::on_timeout(net::NodeId node) {
   // single multiplicative cut.
   if (window_ctl_.on_loss(session.send_seq)) {
     ++stats_.loss_backoffs;
-    ++round_stats_.loss_backoffs;
-    if (inst_.loss_backoffs != nullptr) inst_.loss_backoffs->add();
     trace_window("window_cut", "loss");
   } else if (window_ctl_.adaptive()) {
     trace_window("window_loss_absorbed", "recovery_epoch");
   }
-  sync_window_stats();
   if (session.attempts <= config_.max_retries) {
     if (config_.kind == RoundKind::kCollect &&
         transport_.coalesced_dispatch()) {
@@ -514,8 +488,6 @@ void AttestationService::on_timeout(net::NodeId node) {
       queue_retry(session);
     } else {
       ++stats_.retries;
-      ++round_stats_.retries;
-      if (inst_.retries != nullptr) inst_.retries->add();
       transport_.hint_retry_wave();
       send_attempt(session);
     }
@@ -587,22 +559,15 @@ void AttestationService::complete(net::NodeId node, bool reachable,
   outcome.aggregated = aggregated;
   if (reachable) {
     ++stats_.responses;
-    ++round_stats_.responses;
-    if (inst_.responses != nullptr) inst_.responses->add();
-    if (inst_.latency_ms != nullptr) {
-      inst_.latency_ms->observe((outcome.at - session.started).to_millis());
-    }
+    latency_ms_.observe((outcome.at - session.started).to_millis());
     const size_t before = window_ctl_.window();
     window_ctl_.on_response();
     if (window_ctl_.window() != before) {
       trace_window("window_grow", "response");
     }
-    sync_window_stats();
     outcome.report = std::move(report);
   } else {
     ++stats_.unreachable_sessions;
-    ++round_stats_.unreachable_sessions;
-    if (inst_.unreachable != nullptr) inst_.unreachable->add();
     if (config_.trace != nullptr) {
       config_.trace->instant(
           obs::Subsystem::kService, outcome.at, "unreachable",
@@ -631,13 +596,14 @@ void AttestationService::complete(net::NodeId node, bool reachable,
 void AttestationService::finish_round() {
   round_active_ = false;
   if (config_.trace != nullptr) {
+    const RoundStats rs = round_stats();
     config_.trace->span_end(
         obs::Subsystem::kService, queue_.now(), "round",
         {{"reason", "drained"},
-         {"responses", round_stats_.responses},
-         {"retries", round_stats_.retries},
-         {"unreachable", round_stats_.unreachable_sessions},
-         {"window_final", round_stats_.window_final}});
+         {"responses", rs.responses},
+         {"retries", rs.retries},
+         {"unreachable", rs.unreachable_sessions},
+         {"window_final", rs.window_final}});
   }
   if (round_periodic_ && running_) {
     next_round_event_ =

@@ -67,10 +67,6 @@ struct ServiceConfig {
   /// Flight recorder for round/dispatch/window events (categories kService
   /// and kWindow). Not owned; nullptr = no tracing.
   obs::TraceRecorder* trace = nullptr;
-  /// Metrics registry; the service registers its session counters and the
-  /// per-device response-latency histogram under subsystem "service" (the
-  /// window trajectory gauge under "window"). Not owned; nullptr = off.
-  obs::Registry* metrics = nullptr;
   /// Thread pool for the verify intake's MAC pass (kCollect rounds; see
   /// AttestationService::flush_intake). Verdicts, stats and traces do not
   /// depend on it: verification is a pure function, only its wall
@@ -98,12 +94,18 @@ class AttestationService {
   using Observer = std::function<void(const SessionOutcome&)>;
 
   /// Lifetime counters, accumulated across every round the service ran.
+  /// Every session ends in exactly one outcome: sessions == responses +
+  /// unreachable_sessions + aborted_sessions whenever no round is in
+  /// progress.
   struct Stats {
     uint64_t rounds = 0;
     uint64_t sessions = 0;
     uint64_t responses = 0;
     uint64_t retries = 0;
     uint64_t unreachable_sessions = 0;
+    /// Sessions stop() discarded in flight (the collect_until deadline or
+    /// an explicit stop): neither answered nor judged unreachable.
+    uint64_t aborted_sessions = 0;
     /// Spoofed source, unexpected MsgType, undecodable or duplicate
     /// responses -- dropped without touching any session.
     uint64_t stray_datagrams = 0;
@@ -119,15 +121,16 @@ class AttestationService {
     uint64_t demand_fetches = 0;
   };
 
-  /// Per-round counters, reset when a round begins (a periodic round, a
-  /// collect_now). Unlike Stats these describe ONE round, so scenario
-  /// metric tables can emit round rows without differencing lifetime
-  /// counters.
+  /// ONE round's view, so scenario metric tables can emit round rows
+  /// without differencing lifetime counters: the counts are Stats deltas
+  /// since the round began (a periodic round, a collect_now), the rest are
+  /// the round's own trajectory.
   struct RoundStats {
     uint64_t sessions = 0;
     uint64_t responses = 0;
     uint64_t retries = 0;
     uint64_t unreachable_sessions = 0;
+    uint64_t aborted_sessions = 0;
     uint64_t max_in_flight = 0;
     /// Window trajectory inside the round: smallest/largest value the
     /// AIMD controller visited, and the window at round end (== the fixed
@@ -154,8 +157,8 @@ class AttestationService {
   /// Schedules the first full-directory round one T_C from now.
   void start();
   /// Quiesces immediately: cancels the next round AND aborts in-flight
-  /// sessions (nothing further is sent or recorded; late responses count
-  /// as stray datagrams).
+  /// sessions (counted in Stats::aborted_sessions; nothing further is sent
+  /// or recorded, and late responses count as stray datagrams).
   void stop();
 
   // --- Single-shot policy ----------------------------------------------------
@@ -208,9 +211,12 @@ class AttestationService {
 
   const Stats& stats() const { return stats_; }
   /// Stats of the round in progress (or the last finished round).
-  const RoundStats& round_stats() const { return round_stats_; }
+  RoundStats round_stats() const;
   /// Current dispatch window (moves only under WindowSpec::Mode::kAdaptive).
   size_t window() const { return window_ctl_.window(); }
+  /// Per-device response latency, dispatch of the first attempt to the
+  /// completed report, in milliseconds (reachable sessions only).
+  const obs::Histogram& response_latency_ms() const { return latency_ms_; }
   const ServiceConfig& config() const { return config_; }
 
  private:
@@ -219,7 +225,7 @@ class AttestationService {
     net::NodeId node = 0;
     int attempts = 0;
     /// Dispatch instant of the FIRST attempt; completion minus this is the
-    /// per-device response latency the obs histogram records.
+    /// per-device response latency the latency histogram records.
     sim::Time started;
     /// WindowController stamp of the LATEST attempt; a timeout reports
     /// it so correlated losses of one dispatch wave cut the window once.
@@ -265,11 +271,6 @@ class AttestationService {
   /// Drains the transport's relay-queue occupancy signal and damps an
   /// adaptive window when it crosses the configured threshold.
   void poll_congestion();
-  /// Mirrors the controller's window trajectory into round_stats_ (and the
-  /// obs window gauge).
-  void sync_window_stats();
-  /// Registers the service's obs instruments (no-op without a registry).
-  void register_instruments();
   /// kWindow category instant with the current window attached.
   void trace_window(const char* name, const char* reason);
   void complete(net::NodeId node, bool reachable, CollectionReport report,
@@ -314,20 +315,12 @@ class AttestationService {
 
   WindowController window_ctl_;
   Stats stats_;
-  RoundStats round_stats_;
-
-  /// obs instruments (all null without ServiceConfig::metrics).
-  struct {
-    obs::Counter* sessions = nullptr;
-    obs::Counter* responses = nullptr;
-    obs::Counter* retries = nullptr;
-    obs::Counter* unreachable = nullptr;
-    obs::Counter* stray_datagrams = nullptr;
-    obs::Counter* loss_backoffs = nullptr;
-    obs::Counter* congestion_backoffs = nullptr;
-    obs::Histogram* latency_ms = nullptr;
-    obs::Gauge* window = nullptr;
-  } inst_;
+  Stats round_start_;  // stats_ as the current round began
+  uint64_t round_max_in_flight_ = 0;
+  // Buckets span the direct path (sub-millisecond) through multi-hop
+  // store-and-forward with retries (tens of seconds).
+  obs::Histogram latency_ms_{
+      {1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0, 3000.0, 10000.0, 30000.0}};
 };
 
 }  // namespace erasmus::attest

@@ -144,9 +144,9 @@ class DirectTransport : public Transport {
   /// The domain an attached endpoint belongs to (batch serve only).
   size_t domain_of(net::NodeId node) const;
 
-  /// Cumulative batch-serve traffic, counted at delivery. The runner
-  /// mirrors these into its channels/* metrics, whose names every kDirect
-  /// metrics table and the fleet benchmark's golden digest pin.
+  /// Cumulative batch-serve traffic, counted at delivery. The runner's
+  /// channels/* metrics read these; their names every kDirect metrics
+  /// table and the fleet benchmark's golden digest pin.
   struct BatchCounters {
     uint64_t frames_local = 0;  // replies from the sink's own domain
     uint64_t frames_cross = 0;  // replies that crossed domains

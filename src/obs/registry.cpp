@@ -22,83 +22,52 @@ void Histogram::observe(double v) {
   sum_ += v;
 }
 
-Registry::Entry* Registry::find(const std::string& subsystem,
-                                const std::string& name, Kind kind) {
-  for (const auto& entry : entries_) {
-    if (entry->subsystem != subsystem || entry->name != name) continue;
-    if (entry->kind != kind) {
-      throw std::logic_error("obs::Registry: '" + subsystem + "/" + name +
-                             "' re-registered as a different kind");
+void Registry::add(Entry entry) {
+  for (const Entry& e : entries_) {
+    if (e.subsystem == entry.subsystem && e.name == entry.name) {
+      throw std::logic_error("obs::Registry: '" + entry.subsystem + "/" +
+                             entry.name + "' registered twice");
     }
-    return entry.get();
   }
-  return nullptr;
+  entries_.push_back(std::move(entry));
 }
 
-Counter& Registry::counter(const std::string& subsystem,
-                           const std::string& name) {
-  if (Entry* e = find(subsystem, name, Kind::kCounter)) return *e->counter;
-  auto entry = std::make_unique<Entry>();
-  entry->subsystem = subsystem;
-  entry->name = name;
-  entry->kind = Kind::kCounter;
-  entry->counter = std::make_unique<Counter>();
-  entries_.push_back(std::move(entry));
-  return *entries_.back()->counter;
+void Registry::counter(std::string subsystem, std::string name,
+                       std::function<uint64_t()> read) {
+  add({std::move(subsystem), std::move(name), Kind::kCounter,
+       [read = std::move(read)] { return static_cast<double>(read()); }});
 }
 
-Gauge& Registry::gauge(const std::string& subsystem, const std::string& name) {
-  if (Entry* e = find(subsystem, name, Kind::kGauge)) return *e->gauge;
-  auto entry = std::make_unique<Entry>();
-  entry->subsystem = subsystem;
-  entry->name = name;
-  entry->kind = Kind::kGauge;
-  entry->gauge = std::make_unique<Gauge>();
-  entries_.push_back(std::move(entry));
-  return *entries_.back()->gauge;
+void Registry::gauge(std::string subsystem, std::string name,
+                     std::function<double()> read) {
+  add({std::move(subsystem), std::move(name), Kind::kGauge, std::move(read)});
 }
 
-Histogram& Registry::histogram(const std::string& subsystem,
-                               const std::string& name,
-                               std::vector<double> bounds) {
-  if (Entry* e = find(subsystem, name, Kind::kHistogram)) {
-    return *e->histogram;
-  }
-  auto entry = std::make_unique<Entry>();
-  entry->subsystem = subsystem;
-  entry->name = name;
-  entry->kind = Kind::kHistogram;
-  entry->histogram = std::make_unique<Histogram>(std::move(bounds));
-  entries_.push_back(std::move(entry));
-  return *entries_.back()->histogram;
+void Registry::histogram(std::string subsystem, std::string name,
+                         const Histogram& histogram) {
+  add({std::move(subsystem), std::move(name), Kind::kHistogram, {},
+       &histogram});
 }
 
 std::vector<Registry::Sample> Registry::snapshot() const {
   std::vector<Sample> samples;
   samples.reserve(entries_.size());
-  for (const auto& entry : entries_) {
+  for (const Entry& entry : entries_) {
     Sample s;
-    s.subsystem = entry->subsystem;
-    s.name = entry->name;
-    s.kind = entry->kind;
-    switch (entry->kind) {
-      case Kind::kCounter:
-        s.value = static_cast<double>(entry->counter->value());
-        break;
-      case Kind::kGauge:
-        s.value = entry->gauge->value();
-        break;
-      case Kind::kHistogram: {
-        const Histogram& h = *entry->histogram;
-        s.value = static_cast<double>(h.total());
-        s.buckets.reserve(h.counts().size());
-        for (size_t i = 0; i < h.counts().size(); ++i) {
-          const double bound = i < h.bounds().size()
-                                   ? h.bounds()[i]
-                                   : std::numeric_limits<double>::infinity();
-          s.buckets.emplace_back(bound, h.counts()[i]);
-        }
-        break;
+    s.subsystem = entry.subsystem;
+    s.name = entry.name;
+    s.kind = entry.kind;
+    if (entry.kind != Kind::kHistogram) {
+      s.value = entry.read();
+    } else {
+      const Histogram& h = *entry.histogram;
+      s.value = static_cast<double>(h.total());
+      s.buckets.reserve(h.counts().size());
+      for (size_t i = 0; i < h.counts().size(); ++i) {
+        const double bound = i < h.bounds().size()
+                                 ? h.bounds()[i]
+                                 : std::numeric_limits<double>::infinity();
+        s.buckets.emplace_back(bound, h.counts()[i]);
       }
     }
     samples.push_back(std::move(s));

@@ -1,44 +1,24 @@
-// obs::Registry -- counters, gauges and fixed-bucket histograms registered
-// by subsystem.
+// obs::Registry -- the read-only catalogue behind the "metrics" tables.
 //
-// Subsystems register their instruments once (registration is idempotent:
-// the same (subsystem, name) returns the same instrument, which is how a
-// thousand RelayNodes share one "relay_drops" counter) and update them
-// inline on the hot path. The owner -- typically the ShardedFleetRunner --
-// snapshots the registry once per collection round and renders the samples
-// into its MetricsSink tables. Everything is deterministic: instruments
-// iterate in registration order, all updates happen on the coordinator
-// thread (shard threads never touch the registry -- that discipline, not a
-// lock, is the thread-safety story), and histogram buckets are fixed at
-// registration so two runs bucket identically.
+// Every count has exactly one ledger: the subsystem that keeps it (the
+// service's and the overlay's Stats, the direct transport's batch
+// counters, the fleet meter). The catalogue holds no values of its own:
+// for each counter or gauge it keeps a reader that fetches the owner's
+// current value, and for each histogram a reference to the histogram its
+// owner observes into. The ShardedFleetRunner registers the whole table in
+// one place and snapshots it once per collection round, on the
+// coordinator at the round's barrier while every shard is parked, so the
+// readers see a quiescent fleet. Everything is deterministic: entries
+// iterate in registration order, and histogram buckets are fixed at
+// construction so two runs bucket identically.
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <functional>
 #include <string>
 #include <vector>
 
 namespace erasmus::obs {
-
-/// Monotonically increasing count.
-class Counter {
- public:
-  void add(uint64_t delta = 1) { value_ += delta; }
-  uint64_t value() const { return value_; }
-
- private:
-  uint64_t value_ = 0;
-};
-
-/// A point-in-time level (last write wins).
-class Gauge {
- public:
-  void set(double v) { value_ = v; }
-  double value() const { return value_; }
-
- private:
-  double value_ = 0.0;
-};
 
 /// Fixed-bucket histogram: `bounds` are inclusive upper bounds in strictly
 /// increasing order; one implicit overflow bucket catches everything above
@@ -64,14 +44,16 @@ class Histogram {
 
 class Registry {
  public:
-  /// Idempotent: re-registering (subsystem, name) returns the existing
-  /// instrument. Registering the same name as a DIFFERENT kind throws
-  /// std::logic_error (two subsystems fighting over one name is a bug).
-  /// For histograms the first registration's bounds win.
-  Counter& counter(const std::string& subsystem, const std::string& name);
-  Gauge& gauge(const std::string& subsystem, const std::string& name);
-  Histogram& histogram(const std::string& subsystem, const std::string& name,
-                       std::vector<double> bounds);
+  /// Each (subsystem, name) is registered once; a second registration
+  /// throws std::logic_error (two owners claiming one name is a bug).
+  /// Readers run at every snapshot() and must stay callable until the
+  /// last one; so must a registered histogram.
+  void counter(std::string subsystem, std::string name,
+               std::function<uint64_t()> read);
+  void gauge(std::string subsystem, std::string name,
+             std::function<double()> read);
+  void histogram(std::string subsystem, std::string name,
+                 const Histogram& histogram);
 
   enum class Kind : uint8_t { kCounter, kGauge, kHistogram };
 
@@ -96,14 +78,12 @@ class Registry {
     std::string subsystem;
     std::string name;
     Kind kind;
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
+    std::function<double()> read;          // counters and gauges
+    const Histogram* histogram = nullptr;  // histograms
   };
-  Entry* find(const std::string& subsystem, const std::string& name,
-              Kind kind);
+  void add(Entry entry);
 
-  std::vector<std::unique_ptr<Entry>> entries_;
+  std::vector<Entry> entries_;
 };
 
 }  // namespace erasmus::obs

@@ -22,17 +22,6 @@ RelayNode::RelayNode(sim::EventQueue& queue, net::Network& network,
       config_(config) {
   network_.set_handler(self_,
                        [this](const net::Datagram& d) { on_datagram(d); });
-  if (obs::Registry* reg = config_.metrics) {
-    inst_.relay_drops = &reg->counter("overlay", "relay_drops");
-    inst_.route_repairs = &reg->counter("overlay", "route_repairs");
-    inst_.requests_served = &reg->counter("overlay", "requests_served");
-    inst_.reports_relayed = &reg->counter("overlay", "reports_relayed");
-    // Store-and-forward occupancy (0..1) sampled as each report enters a
-    // relay queue: the congestion signal the AIMD window damps on.
-    inst_.occupancy =
-        &reg->histogram("overlay", "relay_queue_occupancy",
-                        {0.1, 0.25, 0.5, 0.75, 0.9, 1.0});
-  }
 }
 
 RelayNode::~RelayNode() {
@@ -404,7 +393,6 @@ void RelayNode::serve(uint32_t flood_id, uint8_t inner_type,
       return;  // not a request; floods never carry responses
   }
   ++stats_.requests_served;
-  if (inst_.requests_served) inst_.requests_served->add();
 
   RelayReport report;
   report.flood = flood_id;
@@ -429,7 +417,6 @@ void RelayNode::enqueue_frame(uint32_t flood, net::NodeId origin, Bytes frame,
                               bool relayed, bool aggregate) {
   if (queue_out_.size() >= config_.queue_depth) {
     ++stats_.reports_dropped;
-    if (inst_.relay_drops) inst_.relay_drops->add();
     if (obs::TraceRecorder* trace = config_.trace;
         trace && trace->enabled(obs::Subsystem::kOverlay)) {
       trace->instant(obs::Subsystem::kOverlay, queue_.now(), "relay_drop",
@@ -439,8 +426,8 @@ void RelayNode::enqueue_frame(uint32_t flood, net::NodeId origin, Bytes frame,
     }
     return;
   }
-  if (inst_.occupancy) {
-    inst_.occupancy->observe(static_cast<double>(occupancy_byte()) / 255.0);
+  if (config_.occupancy) {
+    config_.occupancy->observe(static_cast<double>(occupancy_byte()) / 255.0);
   }
   queue_out_.push_back({flood, std::move(frame), relayed, aggregate});
   if (!draining_) {
@@ -496,7 +483,6 @@ void RelayNode::drain_one() {
       } else {
         ++stats_.reports_relayed;
       }
-      if (inst_.reports_relayed) inst_.reports_relayed->add();
     }
     network_.send(self_, uplink(it->second), std::move(item.frame));
   }
@@ -518,7 +504,6 @@ net::NodeId RelayNode::uplink(FloodRoute& route) {
   for (net::NodeId alt : route.alternates) {
     if (link_probe_(self_, alt)) {
       ++stats_.route_repairs;
-      if (inst_.route_repairs) inst_.route_repairs->add();
       if (obs::TraceRecorder* trace = config_.trace;
           trace && trace->enabled(obs::Subsystem::kOverlay)) {
         trace->instant(obs::Subsystem::kOverlay, queue_.now(), "route_repair",

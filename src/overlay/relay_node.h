@@ -85,10 +85,11 @@ struct RelayNodeConfig {
   /// Flight recorder for queue-drop / route-repair events (category
   /// kOverlay, actor = this node). Not owned; nullptr = no tracing.
   obs::TraceRecorder* trace = nullptr;
-  /// Metrics registry. Registration is idempotent, so every node in a
-  /// thousand-node swarm shares ONE "relay_drops" counter and one
-  /// queue-occupancy histogram under subsystem "overlay". Not owned.
-  obs::Registry* metrics = nullptr;
+  /// Store-and-forward occupancy (0..1), sampled as each report enters
+  /// the queue: the congestion signal the AIMD window damps on. One
+  /// histogram is shared by every node of a swarm. Not owned; nullptr =
+  /// not sampled.
+  obs::Histogram* occupancy = nullptr;
   /// This node's battery meter (not owned; nullptr = unmetered). A dark
   /// node has browned out: frames it would have heard are dropped on
   /// arrival and its store-and-forward queue is purged -- radio bytes are
@@ -241,16 +242,6 @@ class RelayNode {
   bool draining_ = false;
   std::unordered_set<sim::EventId> pending_events_;
   Stats stats_;
-
-  /// obs instruments, shared across nodes by idempotent registration
-  /// (all null without RelayNodeConfig::metrics).
-  struct {
-    obs::Counter* relay_drops = nullptr;
-    obs::Counter* route_repairs = nullptr;
-    obs::Counter* requests_served = nullptr;
-    obs::Counter* reports_relayed = nullptr;
-    obs::Histogram* occupancy = nullptr;
-  } inst_;
 };
 
 }  // namespace erasmus::overlay

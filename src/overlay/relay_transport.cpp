@@ -17,25 +17,6 @@ RelayTransport::RelayTransport(net::Network& network, net::NodeId self,
   routes_.resize(num_nodes_);  // one slot per node; valid gates occupancy
   network_.set_handler(self_,
                        [this](const net::Datagram& d) { on_datagram(d); });
-  register_instruments();
-}
-
-void RelayTransport::register_instruments() {
-  obs::Registry* reg = config_.metrics;
-  if (!reg) return;
-  inst_.floods = &reg->counter("overlay", "floods_sent");
-  inst_.targeted_floods = &reg->counter("overlay", "targeted_floods");
-  inst_.scoped_sent = &reg->counter("overlay", "scoped_sent");
-  inst_.scoped_fallbacks = &reg->counter("overlay", "scoped_fallbacks");
-  inst_.naks = &reg->counter("overlay", "naks_received");
-  inst_.reports = &reg->counter("overlay", "reports_received");
-  inst_.duplicate_reports = &reg->counter("overlay", "duplicate_reports");
-  inst_.stale_reports = &reg->counter("overlay", "stale_reports");
-  inst_.spoofed_rejected = &reg->counter("overlay", "spoofed_rejected");
-  // Inclusive upper bounds on integer relay counts; a report that crossed
-  // more than 12 relays lands in the overflow bucket.
-  inst_.hops = &reg->histogram("overlay", "hop_count",
-                               {0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0});
 }
 
 void RelayTransport::trace_overlay(const char* name, obs::TraceArgs args) {
@@ -122,19 +103,16 @@ void RelayTransport::send(net::NodeId peer, attest::MsgType type,
       // one use -- a silent failure means the route is suspect, so the
       // next retry re-floods.
       ++stats_.scoped_sent;
-      if (inst_.scoped_sent) inst_.scoped_sent->add();
       launch_scoped(routes_[peer], type, body);
       return;
     }
     ++stats_.scoped_fallbacks;
-    if (inst_.scoped_fallbacks) inst_.scoped_fallbacks->add();
     trace_overlay("scoped_fallback", {{"target", static_cast<uint64_t>(peer)}});
   }
   // A targeted flood: everyone forwards, only `peer` serves. The fresh
   // flood id rebuilds the parent tree from the topology as it is NOW, so
   // per-device re-floods double as route re-discovery.
   ++stats_.targeted_floods;
-  if (inst_.targeted_floods) inst_.targeted_floods->add();
   launch_flood({peer}, type, body);
 }
 
@@ -154,7 +132,6 @@ void RelayTransport::broadcast(const std::vector<net::NodeId>& peers,
     if (all_routed) {
       for (const net::NodeId peer : peers) {
         ++stats_.scoped_sent;
-        if (inst_.scoped_sent) inst_.scoped_sent->add();
         launch_scoped(routes_[peer], type, body);
       }
       return;
@@ -164,7 +141,6 @@ void RelayTransport::broadcast(const std::vector<net::NodeId>& peers,
     for (const net::NodeId peer : peers) {
       if (!has_fresh_route(peer)) {
         ++stats_.scoped_fallbacks;
-        if (inst_.scoped_fallbacks) inst_.scoped_fallbacks->add();
         trace_overlay("scoped_fallback",
                       {{"target", static_cast<uint64_t>(peer)}});
       }
@@ -176,10 +152,8 @@ void RelayTransport::broadcast(const std::vector<net::NodeId>& peers,
   // compresses to the {kEveryone} wildcard.
   if (retry_wave) {
     ++stats_.targeted_floods;
-    if (inst_.targeted_floods) inst_.targeted_floods->add();
   } else {
     ++stats_.floods_sent;
-    if (inst_.floods) inst_.floods->add();
   }
   // Multi-member waves are aggregate-eligible; a single-device batch has
   // nothing to combine and stays on the raw path.
@@ -226,7 +200,6 @@ void RelayTransport::on_datagram(const net::Datagram& dgram) {
       // A hop on the cached route lost its next link: the route is
       // stale. Evict it so the session's next retry re-floods.
       ++stats_.naks_received;
-      if (inst_.naks) inst_.naks->add();
       trace_overlay("nak", {{"flood", static_cast<uint64_t>(nak->flood)},
                             {"target", static_cast<uint64_t>(nak->target)}});
       if (nak->target < routes_.size()) routes_[nak->target].valid = false;
@@ -249,7 +222,6 @@ void RelayTransport::on_datagram(const net::Datagram& dgram) {
     // Sybil/spoofed report. Rejected BEFORE the congestion sample and
     // route-cache refresh below -- forged traffic must not poison either.
     ++stats_.spoofed_rejected;
-    if (inst_.spoofed_rejected) inst_.spoofed_rejected->add();
     trace_overlay("spoofed_rejected",
                   {{"flood", static_cast<uint64_t>(report->flood)},
                    {"origin", static_cast<uint64_t>(report->origin)}});
@@ -285,7 +257,6 @@ void RelayTransport::on_datagram(const net::Datagram& dgram) {
     // A flood id we never launched, or one already outside the dedup
     // window: a straggler from a long-finished round (or a forgery).
     ++stats_.stale_reports;
-    if (inst_.stale_reports) inst_.stale_reports->add();
     return;
   }
   if (report->aggregate()) {
@@ -294,12 +265,10 @@ void RelayTransport::on_datagram(const net::Datagram& dgram) {
   }
   if (!it->second.insert(report->origin).second) {
     ++stats_.duplicate_reports;  // same report over a second path
-    if (inst_.duplicate_reports) inst_.duplicate_reports->add();
     return;
   }
   ++stats_.reports_received;
-  if (inst_.reports) inst_.reports->add();
-  if (inst_.hops) inst_.hops->observe(static_cast<double>(report->hops));
+  hop_count_.observe(static_cast<double>(report->hops));
   trace_overlay("report",
                 {{"flood", static_cast<uint64_t>(report->flood)},
                  {"origin", static_cast<uint64_t>(report->origin)},
@@ -330,7 +299,7 @@ void RelayTransport::deliver_aggregate(const RelayReport& env) {
   stats_.aggregate_members += frame->members.size();
   stats_.aggregate_wire_bytes += env.response.size();
   stats_.aggregate_raw_bytes += frame->raw_bytes;
-  if (inst_.hops) inst_.hops->observe(static_cast<double>(env.hops));
+  hop_count_.observe(static_cast<double>(env.hops));
   trace_overlay("aggregate",
                 {{"flood", static_cast<uint64_t>(env.flood)},
                  {"head", static_cast<uint64_t>(env.origin)},

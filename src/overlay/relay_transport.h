@@ -72,9 +72,6 @@ struct RelayTransportConfig {
   /// Flight recorder for flood/scoped/report lifecycle events (category
   /// kOverlay). Not owned; nullptr = no tracing.
   obs::TraceRecorder* trace = nullptr;
-  /// Metrics registry; the transport registers its packet counters plus the
-  /// hop-count histogram under subsystem "overlay". Not owned; nullptr = off.
-  obs::Registry* metrics = nullptr;
   /// Hierarchical collection: mark multi-member round/retry-wave floods
   /// aggregate-eligible (kFloodAggregate), so elected heads absorb their
   /// reports. Single-target sends -- retries and demand fetches -- are
@@ -147,6 +144,8 @@ class RelayTransport : public attest::Transport {
   /// Reports received by relay count: [0] arrived directly, [h] crossed h
   /// relays. Grown on demand.
   const std::vector<uint64_t>& hop_histogram() const { return hops_; }
+  /// Relay counts of every accepted report AND aggregate, bucketed.
+  const obs::Histogram& hop_count() const { return hop_count_; }
 
   /// True when a scoped retry for `peer` would take the unicast path
   /// right now (fresh, unburned route cached). Exposed for tests.
@@ -167,8 +166,6 @@ class RelayTransport : public attest::Transport {
   };
 
   void on_datagram(const net::Datagram& dgram);
-  /// Registers the transport's obs instruments (no-op without a registry).
-  void register_instruments();
   /// kOverlay category instant (no-op when tracing is off/filtered).
   void trace_overlay(const char* name, obs::TraceArgs args);
   /// Opens the per-flood dedup window for a fresh id, evicting the
@@ -201,23 +198,12 @@ class RelayTransport : public attest::Transport {
   /// those stores on contiguous slots with no rehash churn.
   std::vector<CachedRoute> routes_;
   std::vector<uint64_t> hops_;
+  // Inclusive upper bounds on integer relay counts; a report that crossed
+  // more than 12 relays lands in the overflow bucket.
+  obs::Histogram hop_count_{{0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0}};
   double pending_congestion_ = 0.0;
   bool next_broadcast_is_retry_ = false;
   Stats stats_;
-
-  /// obs instruments (all null without RelayTransportConfig::metrics).
-  struct {
-    obs::Counter* floods = nullptr;
-    obs::Counter* targeted_floods = nullptr;
-    obs::Counter* scoped_sent = nullptr;
-    obs::Counter* scoped_fallbacks = nullptr;
-    obs::Counter* naks = nullptr;
-    obs::Counter* reports = nullptr;
-    obs::Counter* duplicate_reports = nullptr;
-    obs::Counter* stale_reports = nullptr;
-    obs::Counter* spoofed_rejected = nullptr;
-    obs::Histogram* hops = nullptr;
-  } inst_;
 };
 
 }  // namespace erasmus::overlay

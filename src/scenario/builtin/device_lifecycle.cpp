@@ -7,6 +7,8 @@
 // record, so the rotation is immediately visible to the service), incident
 // (malware detected through the service path) and decommissioning
 // (authenticated secure erasure + proof of erasure).
+#include <cstdint>
+
 #include "attest/directory.h"
 #include "attest/maintenance.h"
 #include "attest/service.h"
@@ -74,7 +76,7 @@ class DeviceLifecycleScenario : public Scenario {
     attest::NetworkTransport transport(network, hq);
     attest::ServiceConfig sc;
     sc.tc = params.get_duration("tc", Duration::minutes(60));
-    sc.k = static_cast<uint32_t>(params.get_u64("k", 8));
+    sc.k = static_cast<uint32_t>(params.get_u64("k", 8, UINT32_MAX));
     sc.response_timeout = Duration::seconds(5);
     sc.max_retries = 3;
     attest::AttestationService service(sim, transport, directory, sc);

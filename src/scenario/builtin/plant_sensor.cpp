@@ -114,7 +114,7 @@ class PlantSensorScenario : public Scenario {
     const Duration task_len =
         params.get_duration("task", Duration::minutes(2));
     const Duration horizon =
-        Duration::hours(24 * params.get_u64("days", 7));
+        Duration::hours(24 * params.get_u64("days", 7, kMaxDays));
     const double w = params.get_double("window_factor", 2.0);
 
     sink.note("tm_min", tm.to_seconds() / 60.0);

@@ -14,6 +14,9 @@
 // metrics to `threads=1`: provers advance on shard queues between
 // barriers, while every packet of the overlay runs on the single-threaded
 // coordinator clock.
+#include <climits>
+#include <cstdint>
+
 #include "adversary/adversary.h"
 #include "scenario/scenario.h"
 #include "scenario/sharded_runner.h"
@@ -127,7 +130,7 @@ class SwarmRelayScenario : public Scenario {
 
     cfg.backend = CollectionBackend::kOverlay;
     cfg.overlay.ttl =
-        static_cast<uint8_t>(params.get_u64("ttl", 8));
+        static_cast<uint8_t>(params.get_u64("ttl", 8, UINT8_MAX));
     cfg.overlay.queue_depth =
         static_cast<size_t>(params.get_u64("queue_depth", 16));
     cfg.overlay.forward_spacing =
@@ -140,7 +143,7 @@ class SwarmRelayScenario : public Scenario {
     cfg.overlay.response_timeout =
         params.get_duration("timeout", Duration::seconds(10));
     cfg.overlay.max_retries =
-        static_cast<int>(params.get_u64("retries", 1));
+        static_cast<int>(params.get_u64("retries", 1, INT_MAX));
     cfg.window = WindowSpec::parse(params.get_str("window", "fleet"));
     cfg.overlay.scoped_retries = params.get_bool("scoped_retries", false);
     // Loud on anything but the three-valued grammar: a typo silently
@@ -157,8 +160,8 @@ class SwarmRelayScenario : public Scenario {
       throw std::invalid_argument(
           "aggregate: expected 'off', 'on' or 'planned', got '" + agg + "'");
     }
-    cfg.overlay.aggregation.election.stride =
-        static_cast<uint32_t>(params.get_u64("aggregate_stride", 2));
+    cfg.overlay.aggregation.election.stride = static_cast<uint32_t>(
+        params.get_u64("aggregate_stride", 2, UINT32_MAX));
     cfg.overlay.aggregation.window =
         params.get_duration("aggregate_window", Duration::millis(200));
     if (params.has("battery")) {
@@ -180,8 +183,8 @@ class SwarmRelayScenario : public Scenario {
     cfg.adversary.seed = params.get_u64("seed", 2024);
     cfg.adversary.compromised_fraction =
         params.get_double("compromised", 0.15);
-    cfg.adversary.sybil_per_flood =
-        static_cast<uint32_t>(params.get_u64("sybil_reports", 4));
+    cfg.adversary.sybil_per_flood = static_cast<uint32_t>(
+        params.get_u64("sybil_reports", 4, UINT32_MAX));
     cfg.adversary.corrupt_frames = params.get_bool("relay_corrupt", false);
 
     sink.note("devices", static_cast<uint64_t>(cfg.plan.devices()));

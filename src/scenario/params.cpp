@@ -152,6 +152,18 @@ uint64_t ParamMap::get_u64(std::string_view key, uint64_t def) const {
   return parsed;
 }
 
+uint64_t ParamMap::get_u64(std::string_view key, uint64_t def,
+                           uint64_t max) const {
+  const uint64_t value = get_u64(key, def);
+  if (value > max) {
+    throw std::invalid_argument("parameter '" + std::string(key) + "': " +
+                                std::to_string(value) +
+                                " exceeds the largest accepted value " +
+                                std::to_string(max));
+  }
+  return value;
+}
+
 double ParamMap::get_double(std::string_view key, double def) const {
   const auto it = entries_.find(key);
   if (it == entries_.end()) return def;

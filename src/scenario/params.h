@@ -35,6 +35,11 @@ std::vector<sim::Duration> parse_duration_list(const std::string& text);
 /// 40 of anything.
 sim::Energy parse_energy(const std::string& text);
 
+/// The longest whole-day horizon the 64-bit nanosecond clock can hold
+/// (`days` knobs are bounded by it).
+inline constexpr uint64_t kMaxDays =
+    UINT64_MAX / sim::Duration::hours(24).ns();
+
 struct ParamSpec {
   std::string key;
   std::string default_value;
@@ -56,6 +61,11 @@ class ParamMap {
   /// unparsable value throws std::invalid_argument naming the key.
   std::string get_str(std::string_view key, std::string_view def) const;
   uint64_t get_u64(std::string_view key, uint64_t def) const;
+  /// get_u64 bounded above, for knobs narrowed to a smaller type or scaled
+  /// into the nanosecond clock: a value over `max` throws
+  /// std::invalid_argument naming the key, the value and `max`, instead of
+  /// silently wrapping into some other experiment.
+  uint64_t get_u64(std::string_view key, uint64_t def, uint64_t max) const;
   double get_double(std::string_view key, double def) const;
   bool get_bool(std::string_view key, bool def) const;
   /// Duration with a required unit ("10m", "90s", "2h" -- see

@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <utility>
 
 namespace erasmus::scenario {
 
@@ -33,6 +37,11 @@ ShardedFleetRunner::ShardedFleetRunner(ShardedFleetConfig config)
   }
   if (config_.root >= specs_.size()) {
     throw std::invalid_argument("ShardedFleetRunner: root out of range");
+  }
+  if (config_.k > UINT32_MAX) {
+    throw std::invalid_argument(
+        "ShardedFleetRunner: k = " + std::to_string(config_.k) +
+        " exceeds the largest accepted value " + std::to_string(UINT32_MAX));
   }
   shards_.resize(std::min(config_.threads, specs_.size()));
   for (auto& shard : shards_) {
@@ -65,9 +74,6 @@ ShardedFleetRunner::ShardedFleetRunner(ShardedFleetConfig config)
     // order. The domain count follows the fleet, never the thread count.
     direct_transport_.enable_batch_serve(
         *executor_, std::min(kVirtualDomains, specs_.size()), config_.root);
-    channel_inst_.frames_local = &metrics_.counter("channels", "frames_local");
-    channel_inst_.frames_cross = &metrics_.counter("channels", "frames_cross");
-    channel_inst_.drains = &metrics_.counter("channels", "drains");
   }
 
   // The flight recorder is process-global (installed by the CLI's --trace
@@ -97,7 +103,6 @@ ShardedFleetRunner::ShardedFleetRunner(ShardedFleetConfig config)
   sc.keep_audit = false;  // million-device fleets aggregate via rows instead
   sc.window = config_.window;
   sc.trace = trace_;
-  sc.metrics = &metrics_;
   // The verify intake's MAC pass runs on the pool: a kDirect broadcast's
   // replies verify in one parallel pass (grouped per MAC algorithm).
   // kOverlay replies arrive one at a time and verify on this thread.
@@ -123,6 +128,92 @@ ShardedFleetRunner::ShardedFleetRunner(ShardedFleetConfig config)
   }
   service_ = std::make_unique<attest::AttestationService>(
       coordinator_queue_, *transport, directory_, sc);
+  register_metrics();
+}
+
+void ShardedFleetRunner::register_metrics() {
+  if (config_.backend == CollectionBackend::kDirect) {
+    using BC = attest::DirectTransport::BatchCounters;
+    for (const auto& [name, field] :
+         std::initializer_list<std::pair<const char*, uint64_t BC::*>>{
+             {"frames_local", &BC::frames_local},
+             {"frames_cross", &BC::frames_cross},
+             {"drains", &BC::drains}}) {
+      metrics_.counter("channels", name, [this, field = field] {
+        return direct_transport_.batch_counters().*field;
+      });
+    }
+  } else {
+    metrics_.counter("overlay", "relay_drops",
+                     [this] { return overlay_totals().reports_dropped; });
+    metrics_.counter("overlay", "route_repairs",
+                     [this] { return overlay_totals().route_repairs; });
+    metrics_.counter("overlay", "requests_served",
+                     [this] { return overlay_totals().requests_served; });
+    // Both report kinds: raw reports and cluster aggregates.
+    metrics_.counter("overlay", "reports_relayed", [this] {
+      const OverlayTotals totals = overlay_totals();
+      return totals.reports_relayed + totals.aggregates_relayed;
+    });
+    metrics_.histogram("overlay", "relay_queue_occupancy", relay_occupancy_);
+    using TS = overlay::RelayTransport::Stats;
+    for (const auto& [name, field] :
+         std::initializer_list<std::pair<const char*, uint64_t TS::*>>{
+             {"floods_sent", &TS::floods_sent},
+             {"targeted_floods", &TS::targeted_floods},
+             {"scoped_sent", &TS::scoped_sent},
+             {"scoped_fallbacks", &TS::scoped_fallbacks},
+             {"naks_received", &TS::naks_received},
+             {"reports_received", &TS::reports_received},
+             {"duplicate_reports", &TS::duplicate_reports},
+             {"stale_reports", &TS::stale_reports},
+             {"spoofed_rejected", &TS::spoofed_rejected}}) {
+      metrics_.counter("overlay", name, [this, field = field] {
+        return relay_transport_->stats().*field;
+      });
+    }
+    metrics_.histogram("overlay", "hop_count", relay_transport_->hop_count());
+  }
+
+  using SS = attest::AttestationService::Stats;
+  for (const auto& [subsystem, name, field] :
+       std::initializer_list<
+           std::tuple<const char*, const char*, uint64_t SS::*>>{
+           {"service", "sessions", &SS::sessions},
+           {"service", "responses", &SS::responses},
+           {"service", "retries", &SS::retries},
+           {"service", "unreachable_sessions", &SS::unreachable_sessions},
+           {"service", "stray_datagrams", &SS::stray_datagrams},
+           {"window", "loss_backoffs", &SS::loss_backoffs},
+           {"window", "congestion_backoffs", &SS::congestion_backoffs}}) {
+    metrics_.counter(subsystem, name, [this, field = field] {
+      return service_->stats().*field;
+    });
+  }
+  metrics_.histogram("service", "response_latency_ms",
+                     service_->response_latency_ms());
+  metrics_.gauge("window", "window",
+                 [this] { return static_cast<double>(service_->window()); });
+
+  if (!energy_meter_) return;
+  // The last "energy" row's totals, which emit_energy_round writes just
+  // before each snapshot.
+  using ET = energy::FleetMeter::Totals;
+  for (const auto& [name, field] :
+       std::initializer_list<std::pair<const char*, double ET::*>>{
+           {"fleet_cpu_j", &ET::cpu_mj},
+           {"fleet_tx_j", &ET::tx_mj},
+           {"fleet_rx_j", &ET::rx_mj},
+           {"fleet_sleep_j", &ET::sleep_mj}}) {
+    metrics_.gauge("energy", name, [this, field = field] {
+      return last_energy_totals_.*field / 1e3;
+    });
+  }
+  metrics_.gauge("energy", "dark_devices",
+                 [this] { return static_cast<double>(last_dark_); });
+  if (energy_meter_->device(0).capacity_nj() > 0) {
+    metrics_.histogram("energy", "battery_remaining", battery_remaining_);
+  }
 }
 
 void ShardedFleetRunner::build_adversary() {
@@ -190,7 +281,7 @@ void ShardedFleetRunner::build_overlay() {
   nc.forward_spacing = config_.overlay.forward_spacing;
   nc.flood_memory = overlay::flood_memory_for(specs_.size());
   nc.trace = trace_;
-  nc.metrics = &metrics_;
+  nc.occupancy = &relay_occupancy_;
   nc.aggregation = config_.overlay.aggregation;
   relay_nodes_.reserve(specs_.size());
   for (swarm::DeviceId id = 0; id < specs_.size(); ++id) {
@@ -240,7 +331,6 @@ void ShardedFleetRunner::build_overlay() {
   tc.flood_memory = overlay::flood_memory_for(specs_.size());
   tc.scoped_retries = config_.overlay.scoped_retries;
   tc.trace = trace_;
-  tc.metrics = &metrics_;
   tc.aggregate = config_.overlay.aggregation.enabled;
   relay_transport_ = std::make_unique<overlay::RelayTransport>(
       *overlay_net_, verifier_node_, specs_.size() + 1, tc);
@@ -631,7 +721,7 @@ std::vector<FleetRoundResult> ShardedFleetRunner::run(MetricsSink& sink) {
     }
     emit_energy_round(sink, round);
     emit_adversary_round(sink, round, before);
-    sync_channel_metrics(barrier);
+    trace_channel_drain(barrier);
     emit_metrics_round(sink, round);
     phases_.record_coordinator(
         std::chrono::duration<double, std::milli>(
@@ -681,6 +771,7 @@ ShardedFleetRunner::OverlayTotals ShardedFleetRunner::overlay_totals() const {
     const overlay::RelayNode::Stats& s = node->stats();
     totals.floods_seen += s.floods_seen;
     totals.floods_forwarded += s.floods_forwarded;
+    totals.requests_served += s.requests_served;
     totals.reports_relayed += s.reports_relayed;
     totals.reports_dropped += s.reports_dropped;
     totals.reports_orphaned += s.reports_orphaned;
@@ -776,20 +867,11 @@ void ShardedFleetRunner::emit_energy_round(MetricsSink& sink, size_t round) {
             {"sleep_mj", now.sleep_mj - last_energy_totals_.sleep_mj},
             {"dark", static_cast<uint64_t>(dark)},
             {"went_dark", static_cast<uint64_t>(dark - last_dark_)}});
-  // Gauges ride the generic "metrics" snapshot (registration idempotent).
-  metrics_.gauge("energy", "fleet_cpu_j").set(now.cpu_mj / 1e3);
-  metrics_.gauge("energy", "fleet_tx_j").set(now.tx_mj / 1e3);
-  metrics_.gauge("energy", "fleet_rx_j").set(now.rx_mj / 1e3);
-  metrics_.gauge("energy", "fleet_sleep_j").set(now.sleep_mj / 1e3);
-  metrics_.gauge("energy", "dark_devices").set(static_cast<double>(dark));
   if (energy_meter_->device(0).capacity_nj() > 0) {
-    // Battery health distribution, one observation per present device per
-    // round (cumulative, like every histogram in the registry).
-    obs::Histogram& remaining = metrics_.histogram(
-        "energy", "battery_remaining", {0.1, 0.25, 0.5, 0.75, 0.9, 1.0});
     for (swarm::DeviceId id = 0; id < stacks_.size(); ++id) {
       if (!present_[id]) continue;
-      remaining.observe(energy_meter_->device(id).remaining_fraction());
+      battery_remaining_.observe(
+          energy_meter_->device(id).remaining_fraction());
     }
   }
   last_energy_totals_ = now;
@@ -826,16 +908,14 @@ void ShardedFleetRunner::emit_adversary_round(MetricsSink& sink, size_t round,
   last_adversary_ = now;
 }
 
-void ShardedFleetRunner::sync_channel_metrics(sim::Time at) {
-  if (channel_inst_.frames_local == nullptr) return;
+void ShardedFleetRunner::trace_channel_drain(sim::Time at) {
+  // Only a kDirect batch serve moves these counters, so under kOverlay
+  // every delta is zero and no instant is emitted.
   const attest::DirectTransport::BatchCounters& now =
       direct_transport_.batch_counters();
   const uint64_t local = now.frames_local - last_channel_.frames_local;
   const uint64_t cross = now.frames_cross - last_channel_.frames_cross;
   const uint64_t drains = now.drains - last_channel_.drains;
-  channel_inst_.frames_local->add(local);
-  channel_inst_.frames_cross->add(cross);
-  channel_inst_.drains->add(drains);
   last_channel_ = now;
   if (trace_ && trace_->enabled(obs::Subsystem::kRunner) &&
       (local + cross + drains) > 0) {

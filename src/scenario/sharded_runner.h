@@ -105,7 +105,8 @@ struct ShardedFleetConfig {
   sim::Duration round_interval = sim::Duration::minutes(30);
   /// Collection root: the verifier is co-located with this device.
   swarm::DeviceId root = 0;
-  /// Records requested per device per collection.
+  /// Records requested per device per collection (the request carries it
+  /// in 32 bits; a larger value is rejected).
   size_t k = 8;
   CollectionBackend backend = CollectionBackend::kDirect;
   OverlayBackendConfig overlay;
@@ -187,6 +188,7 @@ class ShardedFleetRunner {
   struct OverlayTotals {
     uint64_t floods_seen = 0;
     uint64_t floods_forwarded = 0;
+    uint64_t requests_served = 0;
     uint64_t reports_relayed = 0;
     uint64_t reports_dropped = 0;
     uint64_t reports_orphaned = 0;
@@ -216,13 +218,18 @@ class ShardedFleetRunner {
   const overlay::RelayTransport* relay_transport() const {
     return relay_transport_.get();
   }
+  /// kDirect's in-process transport (batch-serve counters).
+  const attest::DirectTransport& direct_transport() const {
+    return direct_transport_;
+  }
   /// The overlay radio (kOverlay only, else nullptr) -- byte/drop
   /// accounting for benches.
   const net::Network* overlay_network() const { return overlay_net_.get(); }
   /// The verifier-side service (window trajectory, round stats).
   const attest::AttestationService& service() const { return *service_; }
-  /// The runner's metrics registry: service/window/overlay instruments,
-  /// snapshotted into the sink's "metrics"/"metrics_hist" tables per round.
+  /// The runner's metrics catalogue: readers of the channels, overlay,
+  /// service, window and energy ledgers, snapshotted into the sink's
+  /// "metrics"/"metrics_hist" tables per round.
   const obs::Registry& metrics() const { return metrics_; }
   /// The fleet's battery ledgers (nullptr when energy.metered is false) --
   /// joule totals and dark counts for scenarios and benches.
@@ -276,15 +283,18 @@ class ShardedFleetRunner {
                             const AggregateCounters& before,
                             const overlay::RelayTransport::Stats&
                                 transport_before);
+  /// The whole metrics table, in its row order: one reader per counter or
+  /// gauge over the ledger that keeps it, one reference per histogram.
+  /// Called once, when every ledger exists.
+  void register_metrics();
   /// Snapshot of every registered instrument into the "metrics" table
   /// (histograms additionally into "metrics_hist", one row per bucket).
   void emit_metrics_round(MetricsSink& sink, size_t round);
-  /// Mirrors the DirectTransport's batch-serve counters into the
-  /// "channels" obs counters (per-round deltas, kDirect batch serve only)
-  /// and emits a kRunner "channel_drain" trace instant for the round.
+  /// kRunner "channel_drain" trace instant with the round's deltas of the
+  /// DirectTransport's batch-serve counters (kDirect batch serve only).
   /// Domain count is fixed by the FLEET (never the thread count), so
   /// these values are byte-identical at 1/2/8 threads.
-  void sync_channel_metrics(sim::Time at);
+  void trace_channel_drain(sim::Time at);
   /// Hooks each device's measurement observer: trace emission into its
   /// shard's buffer (kDevice category) and/or the meter's CPU charge. The
   /// observer runs shard-side and touches only shard-local state -- the
@@ -300,8 +310,8 @@ class ShardedFleetRunner {
   /// it) and a kEnergy "went_dark" trace instant at the exhausting
   /// charge's timestamp. Returns how many devices were newly swept.
   size_t sweep_dark();
-  /// Per-round "energy" row (per-bucket mJ deltas, dark counts) plus the
-  /// energy gauges/histogram snapshotted by emit_metrics_round.
+  /// Per-round "energy" row (per-bucket mJ deltas, dark counts) and the
+  /// battery_remaining observations.
   void emit_energy_round(MetricsSink& sink, size_t round);
   /// Builds the adversary engine (when configured) and schedules its
   /// itinerary legs on the owning shards plus fault events on the
@@ -331,8 +341,12 @@ class ShardedFleetRunner {
   /// while shards are parked (see energy/meter.h).
   std::unique_ptr<energy::FleetMeter> energy_meter_;
   std::vector<bool> swept_dark_;  // went-dark already traced/counted
-  energy::FleetMeter::Totals last_energy_totals_;  // previous round's row
+  /// The last "energy" row's totals: the energy gauges read these.
+  energy::FleetMeter::Totals last_energy_totals_;
   size_t last_dark_ = 0;
+  /// Remaining battery fraction, one observation per present device per
+  /// round (finite batteries only; cumulative like every histogram).
+  obs::Histogram battery_remaining_{{0.1, 0.25, 0.5, 0.75, 0.9, 1.0}};
   std::function<void(ShardedFleetRunner&, size_t, sim::Time)> round_hook_;
   bool started_ = false;
   /// Adversary engine (nullptr when inert). Planned at construction;
@@ -356,27 +370,22 @@ class ShardedFleetRunner {
   // kOverlay wiring: a radio network on the coordinator queue; node ids
   // are device ids, the verifier endpoint is node `fleet size`.
   std::unique_ptr<net::Network> overlay_net_;
+  /// The relays' shared store-and-forward occupancy samples.
+  obs::Histogram relay_occupancy_{{0.1, 0.25, 0.5, 0.75, 0.9, 1.0}};
   std::vector<std::unique_ptr<overlay::RelayNode>> relay_nodes_;
   std::unique_ptr<overlay::RelayTransport> relay_transport_;
   net::NodeId verifier_node_ = 0;
   AggregateCounters agg_counters_;
   std::unique_ptr<attest::AttestationService> service_;
 
-  /// Observability: the registry every subsystem registers into, the
-  /// process-global flight recorder (nullptr = tracing off) and the
-  /// wall-clock phase profile. All updates happen on the coordinator
-  /// thread except shard-buffered kDevice events.
+  /// Observability: the metrics catalogue, the process-global flight
+  /// recorder (nullptr = tracing off) and the wall-clock phase profile.
+  /// All updates happen on the coordinator thread except shard-buffered
+  /// kDevice events.
   obs::Registry metrics_;
   obs::TraceRecorder* trace_ = nullptr;
   obs::PhaseProfiler phases_;
-
-  /// Batch-serve traffic instruments (kDirect only; all null otherwise)
-  /// and the last mirrored cumulative counter values.
-  struct {
-    obs::Counter* frames_local = nullptr;
-    obs::Counter* frames_cross = nullptr;
-    obs::Counter* drains = nullptr;
-  } channel_inst_;
+  /// Batch-serve counters at the last channel_drain instant.
   attest::DirectTransport::BatchCounters last_channel_;
 };
 

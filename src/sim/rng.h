@@ -2,8 +2,7 @@
 //
 // NOT cryptographic: this drives experiment randomness (malware arrival
 // phases, node mobility, workload generation) where reproducibility across
-// runs matters. Cryptographic randomness lives in crypto/hmac_drbg.h and
-// crypto/chacha20.h.
+// runs matters. Cryptographic randomness lives in crypto/hmac_drbg.h.
 #pragma once
 
 #include <array>

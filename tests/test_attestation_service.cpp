@@ -331,10 +331,25 @@ TEST(AttestationService, CollectUntilAbortsWhatTheDeadlineCatches) {
   EXPECT_EQ(service.stats().retries, 1u);
   EXPECT_EQ(service.stats().unreachable_sessions, 0u)
       << "an aborted session is not judged unreachable";
+  EXPECT_EQ(service.stats().aborted_sessions, 1u)
+      << "but it is counted: every session ends in exactly one outcome";
+  EXPECT_EQ(service.round_stats().aborted_sessions, 1u);
   EXPECT_EQ(service.log(1).size(), 0u);
   // Nothing of the aborted round fires later.
   rig.queue.run_until(deadline + Duration::minutes(1));
   EXPECT_EQ(service.stats().retries, 1u);
+
+  // sessions == responses + unreachable + aborted, for the round just
+  // finished and over the service's lifetime.
+  const auto expect_conserved = [&service] {
+    const auto rs = service.round_stats();
+    EXPECT_EQ(rs.sessions,
+              rs.responses + rs.unreachable_sessions + rs.aborted_sessions);
+    const auto& s = service.stats();
+    EXPECT_EQ(s.sessions,
+              s.responses + s.unreachable_sessions + s.aborted_sessions);
+  };
+  expect_conserved();
 
   // A deadline past the retry budget lets the dead device resolve as
   // unreachable, last in completion order.
@@ -345,6 +360,21 @@ TEST(AttestationService, CollectUntilAbortsWhatTheDeadlineCatches) {
   EXPECT_FALSE(full[2].reachable);
   EXPECT_EQ(full[2].attempts, 3);
   EXPECT_FALSE(service.round_in_progress());
+  EXPECT_EQ(service.round_stats().unreachable_sessions, 1u);
+  EXPECT_EQ(service.round_stats().aborted_sessions, 0u);
+  expect_conserved();
+
+  // An explicit stop() aborts what is in flight the same way: the periodic
+  // round's dead-device session is still retrying one second in.
+  service.start();
+  rig.queue.run_until(rig.queue.now() + sc.tc + Duration::seconds(1));
+  ASSERT_TRUE(service.round_in_progress());
+  service.stop();
+  EXPECT_EQ(service.round_stats().sessions, 3u);
+  EXPECT_EQ(service.round_stats().responses, 2u);
+  EXPECT_EQ(service.round_stats().aborted_sessions, 1u);
+  EXPECT_EQ(service.stats().aborted_sessions, 2u);
+  expect_conserved();
 }
 
 /// A DirectTransport that runs `probe` as each broadcast returns.

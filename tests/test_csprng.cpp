@@ -1,10 +1,8 @@
-// Tests for the CSPRNGs behind irregular scheduling: HMAC-DRBG (SP 800-90A)
-// and the ChaCha20-based stream RNG.
+// Tests for the CSPRNG behind irregular scheduling: HMAC-DRBG (SP 800-90A).
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "crypto/chacha20.h"
 #include "crypto/hmac_drbg.h"
 
 namespace erasmus::crypto {
@@ -65,39 +63,6 @@ TEST(HmacDrbg, LargeRequestSpansMultipleHmacBlocks) {
   // Should not be trivially repeating in 32-byte strides.
   EXPECT_NE(Bytes(out.begin(), out.begin() + 32),
             Bytes(out.begin() + 32, out.begin() + 64));
-}
-
-TEST(ChaCha20Rng, DeterministicForSameKeyNonce) {
-  ChaCha20Rng a(bytes_of("0123456789abcdef0123456789abcdef"), bytes_of("n"));
-  ChaCha20Rng b(bytes_of("0123456789abcdef0123456789abcdef"), bytes_of("n"));
-  EXPECT_EQ(a.generate(128), b.generate(128));
-}
-
-TEST(ChaCha20Rng, NonceSeparatesStreams) {
-  const Bytes key = bytes_of("0123456789abcdef0123456789abcdef");
-  ChaCha20Rng a(key, bytes_of("nonce-a"));
-  ChaCha20Rng b(key, bytes_of("nonce-b"));
-  EXPECT_NE(a.generate(64), b.generate(64));
-}
-
-TEST(ChaCha20Rng, RejectsOversizedInputs) {
-  EXPECT_THROW(ChaCha20Rng(Bytes(33, 1)), std::invalid_argument);
-  EXPECT_THROW(ChaCha20Rng(Bytes(32, 1), Bytes(13, 1)), std::invalid_argument);
-}
-
-TEST(ChaCha20Rng, NextBelowBound) {
-  ChaCha20Rng rng(bytes_of("k"));
-  for (int i = 0; i < 1000; ++i) EXPECT_LT(rng.next_below(1000), 1000u);
-  EXPECT_THROW(rng.next_below(0), std::invalid_argument);
-}
-
-TEST(ChaCha20Rng, CrossBlockReadsAreContiguous) {
-  ChaCha20Rng a(bytes_of("key"));
-  ChaCha20Rng b(bytes_of("key"));
-  const Bytes big = a.generate(200);
-  Bytes pieced;
-  for (int i = 0; i < 8; ++i) append(pieced, b.generate(25));
-  EXPECT_EQ(big, pieced);
 }
 
 // Distribution smoke test, parameterised over bounds: mean of uniform draws

@@ -199,47 +199,62 @@ TEST(TraceExport, JsonlOneObjectPerLine) {
 
 // --- registry ----------------------------------------------------------------
 
-TEST(Registry, RegistrationIsIdempotent) {
+TEST(Registry, DuplicateRegistrationThrows) {
+  // Each count has one ledger, so one name has one reader: a second
+  // registration -- of any kind -- is two owners claiming the same row.
   Registry registry;
-  Counter& a = registry.counter("overlay", "relay_drops");
-  Counter& b = registry.counter("overlay", "relay_drops");
-  EXPECT_EQ(&a, &b);
-  a.add(3);
-  EXPECT_EQ(b.value(), 3u);
-  EXPECT_EQ(registry.size(), 1u);
-}
-
-TEST(Registry, KindMismatchThrows) {
-  Registry registry;
-  registry.counter("service", "responses");
-  EXPECT_THROW(registry.gauge("service", "responses"), std::logic_error);
-  EXPECT_THROW(registry.histogram("service", "responses", {1.0}),
+  const Histogram h({1.0});
+  registry.counter("service", "responses", [] { return uint64_t{0}; });
+  EXPECT_THROW(
+      registry.counter("service", "responses", [] { return uint64_t{1}; }),
+      std::logic_error);
+  EXPECT_THROW(registry.gauge("service", "responses", [] { return 0.0; }),
                std::logic_error);
+  EXPECT_THROW(registry.histogram("service", "responses", h),
+               std::logic_error);
+  EXPECT_EQ(registry.size(), 1u);
+  // Same name under another subsystem is another row.
+  registry.counter("overlay", "responses", [] { return uint64_t{0}; });
+  EXPECT_EQ(registry.size(), 2u);
 }
 
-TEST(Registry, SnapshotPreservesRegistrationOrder) {
+TEST(Registry, SnapshotReadsOwnersInRegistrationOrder) {
+  uint64_t responses = 2;
+  double window = 24.0;
+  uint64_t floods = 1;
   Registry registry;
-  registry.counter("service", "responses").add(2);
-  registry.gauge("window", "window").set(24.0);
-  registry.counter("overlay", "floods").add(1);
-  const auto samples = registry.snapshot();
+  registry.counter("service", "responses", [&] { return responses; });
+  registry.gauge("window", "window", [&] { return window; });
+  registry.counter("overlay", "floods", [&] { return floods; });
+  auto samples = registry.snapshot();
   ASSERT_EQ(samples.size(), 3u);
   EXPECT_EQ(samples[0].name, "responses");
   EXPECT_EQ(samples[0].kind, Registry::Kind::kCounter);
   EXPECT_EQ(samples[0].value, 2.0);
   EXPECT_EQ(samples[1].subsystem, "window");
+  EXPECT_EQ(samples[1].kind, Registry::Kind::kGauge);
   EXPECT_EQ(samples[1].value, 24.0);
   EXPECT_EQ(samples[2].name, "floods");
+  // The catalogue holds no values: a snapshot reads the owners as they
+  // stand now.
+  responses = 7;
+  window = 12.0;
+  samples = registry.snapshot();
+  EXPECT_EQ(samples[0].value, 7.0);
+  EXPECT_EQ(samples[1].value, 12.0);
+  EXPECT_EQ(samples[2].value, 1.0);
 }
 
 TEST(Registry, HistogramBucketsInclusiveUpperWithOverflow) {
+  Histogram h({1.0, 3.0, 8.0});
   Registry registry;
-  Histogram& h = registry.histogram("overlay", "hop_count", {1.0, 3.0, 8.0});
+  registry.histogram("overlay", "hop_count", h);
   h.observe(1.0);   // inclusive: lands in le=1
   h.observe(2.0);   // le=3
   h.observe(100.0); // overflow
   const auto samples = registry.snapshot();
   ASSERT_EQ(samples.size(), 1u);
+  EXPECT_EQ(samples[0].kind, Registry::Kind::kHistogram);
   const auto& buckets = samples[0].buckets;
   ASSERT_EQ(buckets.size(), 4u);
   EXPECT_EQ(buckets[0].second, 1u);
@@ -251,13 +266,10 @@ TEST(Registry, HistogramBucketsInclusiveUpperWithOverflow) {
 }
 
 TEST(Registry, HistogramBoundsMustStrictlyIncrease) {
-  Registry registry;
-  EXPECT_THROW(registry.histogram("x", "bad", {1.0, 1.0}),
-               std::invalid_argument);
-  EXPECT_THROW(registry.histogram("x", "unsorted", {3.0, 1.0}),
-               std::invalid_argument);
+  EXPECT_THROW(Histogram({1.0, 1.0}), std::invalid_argument);
+  EXPECT_THROW(Histogram({3.0, 1.0}), std::invalid_argument);
   // Empty bounds are legal: a pure event counter with one overflow bucket.
-  EXPECT_EQ(registry.histogram("x", "empty", {}).counts().size(), 1u);
+  EXPECT_EQ(Histogram({}).counts().size(), 1u);
 }
 
 // --- phase profiler ----------------------------------------------------------

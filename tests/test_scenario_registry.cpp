@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "scenario/scenario.h"
 
@@ -58,6 +60,22 @@ TEST(ParamMap, TypedGettersValidate) {
           << e.what();
     }
   }
+
+  // A bounded integer knob refuses a value past its type instead of
+  // wrapping, naming the key, the value and the largest accepted value.
+  const auto bounded = ParamMap::from_args({"ttl=255", "big=256"});
+  EXPECT_EQ(bounded.get_u64("ttl", 8, 255), 255u);
+  EXPECT_EQ(bounded.get_u64("absent", 8, 255), 8u);
+  try {
+    bounded.get_u64("big", 8, 255);
+    ADD_FAILURE() << "256 accepted under a bound of 255";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    for (const char* part : {"'big'", "256", "255"}) {
+      EXPECT_NE(what.find(part), std::string::npos) << what;
+    }
+  }
+  EXPECT_EQ(kMaxDays, 213503u) << "24 h x days must fit the ns clock";
 }
 
 TEST(ParamMap, ParsesHumanFriendlyDurations) {
@@ -168,6 +186,55 @@ TEST(ScenarioRegistry, BuiltinsDeclareTheirParams) {
     for (const auto& spec : s->param_specs()) {
       EXPECT_FALSE(spec.key.empty()) << s->name();
       EXPECT_FALSE(spec.help.empty()) << s->name() << "." << spec.key;
+    }
+  }
+}
+
+// Integer knobs that used to wrap silently (ttl=256 flooded with TTL 0,
+// k=4294967297 collected one record, days=213504 simulated 25 minutes)
+// fail before the run, naming the key, the value and the largest value
+// the knob accepts.
+TEST(ScenarioRegistry, WrappingIntegerKnobsAreRejected) {
+  struct Case {
+    const char* scenario;
+    std::vector<std::string> args;
+    const char* key;
+    const char* value;
+    const char* max;
+  };
+  const std::vector<Case> cases = {
+      {"swarm_relay", {"ttl=256"}, "ttl", "256", "255"},
+      {"swarm_relay", {"ttl=264"}, "ttl", "264", "255"},
+      {"swarm_relay", {"retries=4294967296"}, "retries", "4294967296",
+       "2147483647"},
+      {"swarm_relay", {"k=4294967297"}, "k", "4294967297", "4294967295"},
+      {"mixed_arch_fleet", {"k=4294967297"}, "k", "4294967297",
+       "4294967295"},
+      {"swarm_relay", {"aggregate_stride=4294967296"}, "aggregate_stride",
+       "4294967296", "4294967295"},
+      {"swarm_relay", {"sybil_reports=4294967296"}, "sybil_reports",
+       "4294967296", "4294967295"},
+      {"device_lifecycle", {"k=4294967297"}, "k", "4294967297",
+       "4294967295"},
+      {"plant_sensor", {"days=213504"}, "days", "213504", "213503"},
+      {"malware_hunt", {"days=213504"}, "days", "213504", "213503"},
+      {"malware_hunt", {"aware_days=213504"}, "aware_days", "213504",
+       "213503"},
+  };
+  for (const Case& c : cases) {
+    const Scenario* s = ScenarioRegistry::instance().find(c.scenario);
+    ASSERT_NE(s, nullptr) << c.scenario;
+    std::ostringstream out;
+    JsonSink sink(out);
+    try {
+      s->run(ParamMap::from_args(c.args), sink);
+      ADD_FAILURE() << c.scenario << " " << c.args[0] << " accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      for (const char* part : {c.key, c.value, c.max}) {
+        EXPECT_NE(what.find(part), std::string::npos)
+            << c.scenario << " " << c.args[0] << ": " << what;
+      }
     }
   }
 }

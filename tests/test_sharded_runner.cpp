@@ -2,7 +2,12 @@
 // for a fixed seed, metrics are bit-for-bit identical at any thread count.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <sstream>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "scenario/scenario.h"
 #include "scenario/sharded_runner.h"
@@ -237,6 +242,19 @@ TEST(ShardedFleetRunner, ValidatesConfig) {
   cfg = small_config(1);
   cfg.root = 24;
   EXPECT_THROW(ShardedFleetRunner{cfg}, std::invalid_argument);
+  // The collect request carries k in 32 bits: one past the range used to
+  // run as k = 1 after the cast. Configs built without the scenario knob
+  // parser (the fleet benchmark's) meet this check too.
+  cfg = small_config(1);
+  cfg.k = uint64_t{UINT32_MAX} + 2;
+  try {
+    ShardedFleetRunner runner(cfg);
+    ADD_FAILURE() << "k = 2^32 + 1 accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("4294967297"), std::string::npos) << what;
+    EXPECT_NE(what.find("4294967295"), std::string::npos) << what;
+  }
 }
 
 TEST(ShardedFleetRunner, RunIsSingleShot) {
@@ -246,6 +264,227 @@ TEST(ShardedFleetRunner, RunIsSingleShot) {
   ShardedFleetRunner runner(cfg);
   runner.run(sink);
   EXPECT_THROW(runner.run(sink), std::logic_error);
+}
+
+// --- the metrics table -------------------------------------------------------
+
+// The last round's "metrics" rows: (subsystem, name, kind) and the value.
+class MetricsCapture : public NullSink {
+ public:
+  struct Entry {
+    std::string subsystem, name, kind;
+    double value = 0.0;
+  };
+  void row(std::string_view table, const Row& r) override {
+    if (table != "metrics") return;
+    const std::string round = r[0].second.to_plain();
+    if (round != round_) rows.clear();
+    round_ = round;
+    rows.push_back({r[1].second.to_plain(), r[2].second.to_plain(),
+                    r[3].second.to_plain(), std::stod(r[4].second.to_plain())});
+  }
+  std::vector<Entry> rows;
+
+ private:
+  std::string round_;
+};
+
+using Schema = std::vector<std::tuple<std::string, std::string, std::string>>;
+
+Schema schema_of(const std::vector<MetricsCapture::Entry>& rows) {
+  Schema schema;
+  for (const auto& e : rows) schema.emplace_back(e.subsystem, e.name, e.kind);
+  return schema;
+}
+
+// Every session ends in exactly one counted outcome, per round and over
+// the service's lifetime.
+void expect_sessions_conserved(const attest::AttestationService& service,
+                               size_t round) {
+  const auto rs = service.round_stats();
+  EXPECT_EQ(rs.sessions,
+            rs.responses + rs.unreachable_sessions + rs.aborted_sessions)
+      << "round " << round;
+  const auto& s = service.stats();
+  EXPECT_EQ(s.sessions,
+            s.responses + s.unreachable_sessions + s.aborted_sessions)
+      << "after round " << round;
+}
+
+// Checks conservation after every round: the round hook runs before the
+// next round's collection, and the last round is checked after run().
+void check_conservation_every_round(ShardedFleetRunner& runner) {
+  runner.set_round_hook([](ShardedFleetRunner& r, size_t round, Time) {
+    if (round > 1) expect_sessions_conserved(r.service(), round - 1);
+  });
+}
+
+// The table's rows in their pinned order: every committed metrics table
+// and the fleet benchmark's golden digests carry it. Each row is read from
+// the ledger that keeps the count, so a counter row must equal that
+// ledger.
+const Schema kServiceSchema = {
+    {"service", "sessions", "counter"},
+    {"service", "responses", "counter"},
+    {"service", "retries", "counter"},
+    {"service", "unreachable_sessions", "counter"},
+    {"service", "stray_datagrams", "counter"},
+    {"window", "loss_backoffs", "counter"},
+    {"window", "congestion_backoffs", "counter"},
+    {"service", "response_latency_ms", "histogram"},
+    {"window", "window", "gauge"},
+    {"energy", "fleet_cpu_j", "gauge"},
+    {"energy", "fleet_tx_j", "gauge"},
+    {"energy", "fleet_rx_j", "gauge"},
+    {"energy", "fleet_sleep_j", "gauge"},
+    {"energy", "dark_devices", "gauge"},
+    {"energy", "battery_remaining", "histogram"},
+};
+
+Schema with_service_rows(Schema head) {
+  head.insert(head.end(), kServiceSchema.begin(), kServiceSchema.end());
+  return head;
+}
+
+// Service, window and energy rows, shared by both backends.
+std::map<std::string, double> service_ledgers(const ShardedFleetRunner& r,
+                                              size_t rounds) {
+  const auto& s = r.service().stats();
+  const auto e = r.energy_meter()->totals();
+  return {
+      {"service/sessions", static_cast<double>(s.sessions)},
+      {"service/responses", static_cast<double>(s.responses)},
+      {"service/retries", static_cast<double>(s.retries)},
+      {"service/unreachable_sessions",
+       static_cast<double>(s.unreachable_sessions)},
+      {"service/stray_datagrams", static_cast<double>(s.stray_datagrams)},
+      {"window/loss_backoffs", static_cast<double>(s.loss_backoffs)},
+      {"window/congestion_backoffs",
+       static_cast<double>(s.congestion_backoffs)},
+      // One latency observation per reachable completion.
+      {"service/response_latency_ms", static_cast<double>(s.responses)},
+      {"window/window", static_cast<double>(r.service().window())},
+      {"energy/fleet_cpu_j", e.cpu_mj / 1e3},
+      {"energy/fleet_tx_j", e.tx_mj / 1e3},
+      {"energy/fleet_rx_j", e.rx_mj / 1e3},
+      {"energy/fleet_sleep_j", e.sleep_mj / 1e3},
+      {"energy/dark_devices",
+       static_cast<double>(r.energy_meter()->dark_count())},
+      // One observation per present device per round, no churn here.
+      {"energy/battery_remaining", static_cast<double>(r.size() * rounds)},
+  };
+}
+
+void expect_rows_match(const std::vector<MetricsCapture::Entry>& rows,
+                       const std::map<std::string, double>& ledgers) {
+  for (const auto& e : rows) {
+    const std::string key = e.subsystem + "/" + e.name;
+    const auto it = ledgers.find(key);
+    if (it == ledgers.end()) continue;  // no outside ledger to compare
+    EXPECT_EQ(e.value, it->second) << key;
+  }
+}
+
+TEST(ShardedFleetRunner, MetricsTableReadsEachLedgerDirect) {
+  ShardedFleetConfig cfg = small_config(2);
+  cfg.energy.metered = true;
+  cfg.energy.battery = sim::Energy{40'000.0};  // 40 mJ
+  MetricsCapture sink;
+  ShardedFleetRunner runner(cfg);
+  check_conservation_every_round(runner);
+  runner.run(sink);
+  expect_sessions_conserved(runner.service(), cfg.rounds);
+
+  EXPECT_EQ(schema_of(sink.rows), with_service_rows({
+                                      {"channels", "frames_local", "counter"},
+                                      {"channels", "frames_cross", "counter"},
+                                      {"channels", "drains", "counter"},
+                                  }));
+  ASSERT_EQ(sink.rows.size(), 18u);
+  auto ledgers = service_ledgers(runner, cfg.rounds);
+  const auto& bc = runner.direct_transport().batch_counters();
+  ledgers["channels/frames_local"] = static_cast<double>(bc.frames_local);
+  ledgers["channels/frames_cross"] = static_cast<double>(bc.frames_cross);
+  ledgers["channels/drains"] = static_cast<double>(bc.drains);
+  expect_rows_match(sink.rows, ledgers);
+  EXPECT_GT(runner.service().stats().responses, 0u);
+  EXPECT_GT(bc.frames_local + bc.frames_cross, 0u);
+}
+
+TEST(ShardedFleetRunner, OverlayMetricsTableReadsEachLedgerDirect) {
+  ShardedFleetConfig cfg = overlay_config(2);
+  cfg.overlay.aggregation.enabled = true;
+  cfg.energy.metered = true;
+  cfg.energy.battery = sim::Energy{40'000.0};  // 40 mJ
+  MetricsCapture sink;
+  ShardedFleetRunner runner(cfg);
+  check_conservation_every_round(runner);
+  runner.run(sink);
+  expect_sessions_conserved(runner.service(), cfg.rounds);
+
+  EXPECT_EQ(schema_of(sink.rows),
+            with_service_rows({
+                {"overlay", "relay_drops", "counter"},
+                {"overlay", "route_repairs", "counter"},
+                {"overlay", "requests_served", "counter"},
+                {"overlay", "reports_relayed", "counter"},
+                {"overlay", "relay_queue_occupancy", "histogram"},
+                {"overlay", "floods_sent", "counter"},
+                {"overlay", "targeted_floods", "counter"},
+                {"overlay", "scoped_sent", "counter"},
+                {"overlay", "scoped_fallbacks", "counter"},
+                {"overlay", "naks_received", "counter"},
+                {"overlay", "reports_received", "counter"},
+                {"overlay", "duplicate_reports", "counter"},
+                {"overlay", "stale_reports", "counter"},
+                {"overlay", "spoofed_rejected", "counter"},
+                {"overlay", "hop_count", "histogram"},
+            }));
+  ASSERT_EQ(sink.rows.size(), 30u);
+  const auto totals = runner.overlay_totals();
+  const auto& t = runner.relay_transport()->stats();
+  auto ledgers = service_ledgers(runner, cfg.rounds);
+  ledgers["overlay/relay_drops"] = static_cast<double>(totals.reports_dropped);
+  ledgers["overlay/route_repairs"] = static_cast<double>(totals.route_repairs);
+  ledgers["overlay/requests_served"] =
+      static_cast<double>(totals.requests_served);
+  // Both report kinds: raw reports and cluster aggregates.
+  ledgers["overlay/reports_relayed"] =
+      static_cast<double>(totals.reports_relayed + totals.aggregates_relayed);
+  ledgers["overlay/floods_sent"] = static_cast<double>(t.floods_sent);
+  ledgers["overlay/targeted_floods"] = static_cast<double>(t.targeted_floods);
+  ledgers["overlay/scoped_sent"] = static_cast<double>(t.scoped_sent);
+  ledgers["overlay/scoped_fallbacks"] =
+      static_cast<double>(t.scoped_fallbacks);
+  ledgers["overlay/naks_received"] = static_cast<double>(t.naks_received);
+  ledgers["overlay/reports_received"] =
+      static_cast<double>(t.reports_received);
+  ledgers["overlay/duplicate_reports"] =
+      static_cast<double>(t.duplicate_reports);
+  ledgers["overlay/stale_reports"] = static_cast<double>(t.stale_reports);
+  ledgers["overlay/spoofed_rejected"] =
+      static_cast<double>(t.spoofed_rejected);
+  // Accepted raw reports and aggregates alike land in the hop histogram.
+  ledgers["overlay/hop_count"] =
+      static_cast<double>(t.reports_received + t.aggregates_received);
+  expect_rows_match(sink.rows, ledgers);
+  EXPECT_GT(totals.aggregates_relayed, 0u) << "clusters must relay upward";
+  EXPECT_GT(totals.reports_relayed, 0u);
+}
+
+// A deadline shorter than the response timeout cuts every round: the
+// sessions still in flight are aborted, and each is counted once.
+TEST(ShardedFleetRunner, DeadlineCutRoundsConserveSessions) {
+  ShardedFleetConfig cfg = overlay_config(2);
+  cfg.overlay.net_loss = 0.2;
+  cfg.overlay.collect_deadline = Duration::seconds(1);
+  cfg.overlay.response_timeout = Duration::seconds(5);
+  NullSink sink;
+  ShardedFleetRunner runner(cfg);
+  check_conservation_every_round(runner);
+  runner.run(sink);
+  expect_sessions_conserved(runner.service(), cfg.rounds);
+  EXPECT_GT(runner.service().stats().aborted_sessions, 0u);
 }
 
 // The registered swarm_patrol scenario (the acceptance-criteria surface):
