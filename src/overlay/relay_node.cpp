@@ -19,25 +19,15 @@ RelayNode::RelayNode(sim::EventQueue& queue, net::Network& network,
                      net::NodeId self, attest::Prover& prover,
                      RelayNodeConfig config)
     : queue_(queue), network_(network), self_(self), prover_(prover),
-      config_(config) {
+      config_(config), events_(queue) {
   network_.set_handler(self_,
                        [this](const net::Datagram& d) { on_datagram(d); });
 }
 
 RelayNode::~RelayNode() {
-  // Detach so in-flight datagrams cannot fire into a freed node; pending
-  // serve/drain events are cancelled for the same reason.
+  // Detach so in-flight datagrams cannot fire into a freed node; events_
+  // cancels the pending serve/drain/flush events for the same reason.
   network_.set_handler(self_, {});
-  for (const sim::EventId id : pending_events_) queue_.cancel(id);
-}
-
-void RelayNode::schedule(sim::Duration delay, std::function<void()> fn) {
-  auto id = std::make_shared<sim::EventId>();
-  *id = queue_.schedule_after(delay, [this, id, fn = std::move(fn)] {
-    pending_events_.erase(*id);
-    fn();
-  });
-  pending_events_.insert(*id);
 }
 
 void RelayNode::on_datagram(const net::Datagram& dgram) {
@@ -304,8 +294,8 @@ void RelayNode::elect_head(uint32_t flood_id, uint32_t depth) {
                 aggregate::Combiner(attest::hash_for(prover_.config().algo),
                                     latest->digest.to_bytes()));
   while (aggs_.size() > config_.flood_memory) aggs_.erase(aggs_.begin());
-  schedule(config_.aggregation.window,
-           [this, flood_id] { flush_aggregate(flood_id); });
+  events_.schedule_after(config_.aggregation.window,
+                         [this, flood_id] { flush_aggregate(flood_id); });
 }
 
 void RelayNode::flush_aggregate(uint32_t flood_id) {
@@ -401,9 +391,11 @@ void RelayNode::serve(uint32_t flood_id, uint8_t inner_type,
   report.inner_type = response_type;
   report.path.push_back(self_);
   report.response = std::move(response);
-  schedule(processing, [this, report = std::move(report)]() mutable {
-    enqueue_report(std::move(report), /*relayed=*/false);
-  });
+  events_.schedule_after(processing,
+                         [this, report = std::move(report)]() mutable {
+                           enqueue_report(std::move(report),
+                                          /*relayed=*/false);
+                         });
 }
 
 uint8_t RelayNode::occupancy_byte() const {
@@ -432,7 +424,7 @@ void RelayNode::enqueue_frame(uint32_t flood, net::NodeId origin, Bytes frame,
   queue_out_.push_back({flood, std::move(frame), relayed, aggregate});
   if (!draining_) {
     draining_ = true;
-    schedule(config_.forward_spacing, [this] { drain_one(); });
+    events_.schedule_after(config_.forward_spacing, [this] { drain_one(); });
   }
 }
 
@@ -490,7 +482,7 @@ void RelayNode::drain_one() {
   if (queue_out_.empty()) {
     draining_ = false;
   } else {
-    schedule(config_.forward_spacing, [this] { drain_one(); });
+    events_.schedule_after(config_.forward_spacing, [this] { drain_one(); });
   }
 }
 

@@ -33,7 +33,6 @@
 #include <deque>
 #include <map>
 #include <set>
-#include <unordered_set>
 #include <vector>
 
 #include "aggregate/combine.h"
@@ -217,8 +216,6 @@ class RelayNode {
   /// The route's current uplink, after any route repair.
   net::NodeId uplink(FloodRoute& route);
   void prune_routes();
-  /// schedule_after with cancellation-on-destruction bookkeeping.
-  void schedule(sim::Duration delay, std::function<void()> fn);
 
   sim::EventQueue& queue_;
   net::Network& network_;
@@ -240,8 +237,8 @@ class RelayNode {
   /// from election to flush (or dark purge); bounded like routes_.
   std::map<uint32_t, aggregate::Combiner> aggs_;
   bool draining_ = false;
-  std::unordered_set<sim::EventId> pending_events_;
   Stats stats_;
+  sim::ScopedEvents events_;  // serve, drain and flush events
 };
 
 }  // namespace erasmus::overlay

@@ -34,62 +34,86 @@ RandomWaypointMobility::RandomWaypointMobility(MobilityConfig config)
                 c.speed_max);
   // Initial positions: uniform over the field; a zero-length first segment
   // anchors each trajectory at t = 0.
+  current_.reserve(config_.devices);
   for (auto& segs : segments_) {
     const Point p{rng_.next_double() * config_.field_size,
                   rng_.next_double() * config_.field_size};
-    segs.push_back(Segment{sim::Time::zero(), sim::Time::zero(), p, p});
+    current_.push_back(Segment{sim::Time::zero(), sim::Time::zero(), p, p});
+    segs.push_back(current_.back());
   }
+}
+
+Point RandomWaypointMobility::Segment::at(sim::Time t) const {
+  if (end == start) return to;
+  const double frac = static_cast<double>((t - start).ns()) /
+                      static_cast<double>((end - start).ns());
+  const double f = std::clamp(frac, 0.0, 1.0);
+  return Point{from.x + (to.x - from.x) * f, from.y + (to.y - from.y) * f};
 }
 
 void RandomWaypointMobility::extend(DeviceId node, sim::Time until) {
+  Segment& last = current_[node];
+  if (last.end >= until) return;
+  // A stationary device parks for this long per leg, and a leg too slow
+  // for the clock is cut here.
+  constexpr sim::Duration kHorizon = sim::Duration::hours(1000);
   auto& segs = segments_[node];
-  while (segs.back().end < until) {
-    const Segment& last = segs.back();
+  do {
     const Point from = last.to;
     const Point to{rng_.next_double() * config_.field_size,
                    rng_.next_double() * config_.field_size};
-    double speed = config_.speed_min +
-                   rng_.next_double() * (config_.speed_max - config_.speed_min);
+    const double speed =
+        config_.speed_min +
+        rng_.next_double() * (config_.speed_max - config_.speed_min);
     const double dist = distance(from, to);
-    sim::Duration travel;
     if (speed <= 1e-9) {
       // Stationary model: park at the current spot for a long "segment".
-      travel = sim::Duration::hours(1000);
-      segs.push_back(Segment{last.end, last.end + travel, from, from});
-      continue;
+      last = Segment{last.end, last.end + kHorizon, from, from};
+    } else if (const double travel_ns = std::max(dist / speed, 1e-3) * 1e9;
+               travel_ns < 0x1p64 &&
+               static_cast<uint64_t>(travel_ns) <=
+                   sim::Time::max().ns() - last.end.ns()) {
+      last = Segment{last.end,
+                     last.end + sim::Duration(static_cast<uint64_t>(travel_ns)),
+                     from, to};
+    } else {
+      // The travel time runs past the nanosecond clock (a few nm/s across
+      // the field): cut the leg at the horizon, at the point the drawn
+      // speed reaches by then, so the device never outruns that speed.
+      // A run's clock stays far below its end, so such a travel time
+      // dwarfs the horizon and `share` is below 1.
+      const double share = speed * kHorizon.to_seconds() / dist;
+      const Point stop{from.x + (to.x - from.x) * share,
+                       from.y + (to.y - from.y) * share};
+      last = Segment{last.end, last.end + kHorizon, from, stop};
     }
-    travel = sim::Duration(
-        static_cast<uint64_t>(std::max(dist / speed, 1e-3) * 1e9));
-    segs.push_back(Segment{last.end, last.end + travel, from, to});
-  }
+    segs.push_back(last);
+  } while (last.end < until);
 }
 
 Point RandomWaypointMobility::position(DeviceId node, sim::Time t) {
-  if (node >= segments_.size()) {
+  if (node >= current_.size()) {
     throw std::out_of_range("RandomWaypointMobility: bad device id");
   }
   extend(node, t);
+  // Legs are contiguous, so no earlier leg holds a t at or after the
+  // current leg's start: the search below would pick this leg too.
+  const Segment& last = current_[node];
+  if (t >= last.start) return last.at(t);
+  // An earlier instant: binary search the history for the segment
+  // containing t (the current leg ends after t, so one does).
   const auto& segs = segments_[node];
-  // Binary search for the segment containing t.
-  auto it = std::upper_bound(
+  const auto it = std::upper_bound(
       segs.begin(), segs.end(), t,
       [](sim::Time value, const Segment& s) { return value < s.end; });
-  if (it == segs.end()) it = segs.end() - 1;
-  const Segment& s = *it;
-  if (s.end == s.start) return s.to;
-  const double frac =
-      static_cast<double>((t - s.start).ns()) /
-      static_cast<double>((s.end - s.start).ns());
-  const double f = std::clamp(frac, 0.0, 1.0);
-  return Point{s.from.x + (s.to.x - s.from.x) * f,
-               s.from.y + (s.to.y - s.from.y) * f};
+  return it->at(t);
 }
 
 bool RandomWaypointMobility::reaches(DeviceId node, sim::Time t) const {
-  if (node >= segments_.size()) {
+  if (node >= current_.size()) {
     throw std::out_of_range("RandomWaypointMobility: bad device id");
   }
-  return segments_[node].back().end >= t;
+  return current_[node].end >= t;
 }
 
 bool RandomWaypointMobility::in_range(Point a, Point b) const {

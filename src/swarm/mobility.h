@@ -7,6 +7,12 @@
 // well-defined for any already-reached or future t and the model can be
 // queried out of order within a protocol round (hops at different times).
 //
+// Each device's latest leg also sits in one contiguous current-leg table
+// (48 B per device). reaches(), and position() at or after that leg's
+// start, read only the table; only an earlier instant searches the kept
+// history. The table is a copy of each history's last leg: it changes no
+// draw.
+//
 // The `speed` knob is the mobility-rate axis of the paper's §6 argument:
 // at speed 0 the topology is static and on-demand swarm RA works; as speed
 // grows, tree edges break mid-protocol and coverage collapses -- while
@@ -41,6 +47,18 @@ struct MobilityConfig {
 
 class RandomWaypointMobility {
  public:
+  /// One straight leg of a trajectory: from `from` at `start` to `to` at
+  /// `end`. A device's legs are time-ordered and contiguous.
+  struct Segment {
+    sim::Time start;
+    sim::Time end;
+    Point from;
+    Point to;
+
+    /// Where the leg puts its device at `t` (start <= t), clamped to `to`.
+    Point at(sim::Time t) const;
+  };
+
   explicit RandomWaypointMobility(MobilityConfig config);
 
   Point position(DeviceId node, sim::Time t);
@@ -72,20 +90,18 @@ class RandomWaypointMobility {
   }
 
   const MobilityConfig& config() const { return config_; }
+  /// Every leg `node` has been given so far: the kept history.
+  const std::vector<Segment>& segments(DeviceId node) const {
+    return segments_.at(node);
+  }
 
  private:
-  struct Segment {
-    sim::Time start;
-    sim::Time end;
-    Point from;
-    Point to;
-  };
-
   void extend(DeviceId node, sim::Time until);
 
   MobilityConfig config_;
   sim::Rng rng_;
   common::ParallelExecutor* executor_ = nullptr;  // not owned
+  std::vector<Segment> current_;                // per node, the latest leg
   std::vector<std::vector<Segment>> segments_;  // per node, time-ordered
 };
 

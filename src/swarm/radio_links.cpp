@@ -1,7 +1,9 @@
 #include "swarm/radio_links.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <utility>
 
 namespace erasmus::swarm {
 
@@ -37,6 +39,7 @@ void NeighbourGrid::build(const std::vector<Entry>& entries) {
   // Counting sort by cell; stable, so ids stay ascending within a cell.
   cell_start_.assign(side_ * side_ + 1, 0);
   entry_cell_.resize(entries.size());
+  marks_.assign(entries.empty() ? 0 : entries.back().id / 64 + 1, 0);
   for (size_t i = 0; i < entries.size(); ++i) {
     entry_cell_[i] = static_cast<uint32_t>(index(entries[i].p.y) * side_ +
                                            index(entries[i].p.x));
@@ -57,10 +60,21 @@ void NeighbourGrid::build(const std::vector<Entry>& entries) {
   cell_start_[0] = 0;
 }
 
-void NeighbourGrid::block(Point p, std::vector<DeviceId>& out) const {
-  const size_t first = out.size();
-  for_each_in_block(p, [&out](DeviceId id) { out.push_back(id); });
-  std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end());
+void NeighbourGrid::block(Point p, std::vector<DeviceId>& out) {
+  size_t lo = marks_.size();
+  size_t hi = 0;
+  for_each_in_block(p, [&](DeviceId id) {
+    const size_t word = id / 64;
+    marks_[word] |= uint64_t{1} << (id % 64);
+    lo = std::min(lo, word);
+    hi = std::max(hi, word + 1);
+  });
+  for (size_t word = lo; word < hi; ++word) {
+    for (uint64_t bits = std::exchange(marks_[word], 0); bits != 0;
+         bits &= bits - 1) {
+      out.push_back(static_cast<DeviceId>(word * 64 + std::countr_zero(bits)));
+    }
+  }
 }
 
 bool NeighbourGrid::in_block(Point p, Point q) const {

@@ -58,8 +58,10 @@ class NeighbourGrid {
 
   /// Replaces the grid's contents; `entries` must be in ascending id.
   void build(const std::vector<Entry>& entries);
-  /// Appends the ids in the 3x3 cell block around `p` to `out`, ascending.
-  void block(Point p, std::vector<DeviceId>& out) const;
+  /// Appends the ids in the 3x3 cell block around `p` to `out`, ascending:
+  /// marks them in a bitmap over the id range, then reads the set bits
+  /// back in order (no sort), leaving the bitmap clear.
+  void block(Point p, std::vector<DeviceId>& out);
   /// Calls `visit(id)` for each id in the 3x3 cell block around `p`, cell
   /// by cell: ascending within a cell only. For callers whose result does
   /// not depend on the visiting order.
@@ -91,6 +93,7 @@ class NeighbourGrid {
   std::vector<uint32_t> cell_start_;  // offsets into ids_, side_^2 + 1
   std::vector<DeviceId> ids_;         // by cell, ascending within a cell
   std::vector<uint32_t> entry_cell_;  // build() reuse
+  std::vector<uint64_t> marks_;       // block()'s bitmap, clear between calls
 };
 
 class RadioLinks {

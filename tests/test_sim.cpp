@@ -201,6 +201,95 @@ TEST(EventQueue, CancelInterleavedWithRunUntilRounds) {
   EXPECT_EQ(executed, 10u);
 }
 
+// --- Slot reuse --------------------------------------------------------------
+// An event's handler slot is reused once the event ran or was cancelled.
+// Its id carries the slot's generation, so a stale id names no event.
+
+TEST(EventQueue, StaleIdLeavesTheReusedSlotsEventAlone) {
+  EventQueue q;
+  bool old_ran = false;
+  bool new_ran = false;
+  const EventId old_id = q.schedule_at(Time(10), [&] { old_ran = true; });
+  EXPECT_TRUE(q.cancel(old_id));
+  const EventId new_id = q.schedule_at(Time(10), [&] { new_ran = true; });
+  ASSERT_EQ(static_cast<uint32_t>(new_id), static_cast<uint32_t>(old_id))
+      << "the freed slot is reused";
+  EXPECT_NE(new_id, old_id);
+  EXPECT_FALSE(q.pending(old_id));
+  EXPECT_FALSE(q.cancel(old_id));
+  EXPECT_TRUE(q.pending(new_id));
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_EQ(q.run(), 1u);
+  EXPECT_FALSE(old_ran);
+  EXPECT_TRUE(new_ran);
+}
+
+TEST(EventQueue, CancellingAnIdThatRanReturnsFalse) {
+  EventQueue q;
+  int ran = 0;
+  EventId self = 0;
+  self = q.schedule_at(Time(10), [&] {
+    ++ran;
+    EXPECT_FALSE(q.cancel(self)) << "a running event is no longer pending";
+  });
+  EXPECT_EQ(q.run(), 1u);
+  EXPECT_FALSE(q.pending(self));
+  EXPECT_FALSE(q.cancel(self));
+  // The slot now holds a later event, which the stale id cannot touch.
+  q.schedule_at(Time(20), [&] { ++ran; });
+  EXPECT_FALSE(q.cancel(self));
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_EQ(q.run(), 1u);
+  EXPECT_EQ(ran, 2);
+  EXPECT_FALSE(q.cancel(0)) << "no event ever has id 0";
+}
+
+TEST(EventQueue, FifoWithinATimestampAcrossSlotReuse) {
+  // Freed slots come back last-freed first; the run order within a
+  // timestamp must stay the scheduling order regardless.
+  EventQueue q;
+  std::vector<int> order;
+  std::vector<EventId> doomed;
+  for (int i = 0; i < 6; ++i) doomed.push_back(q.schedule_at(Time(5), [] {}));
+  for (const EventId id : doomed) EXPECT_TRUE(q.cancel(id));
+  for (int i = 0; i < 4; ++i) {
+    q.schedule_at(Time(100), [&order, i] { order.push_back(i); });
+  }
+  // Events that ran free their slots too: these schedule into them.
+  for (int i = 4; i < 8; ++i) {
+    q.schedule_at(Time(50), [&q, &order, i] {
+      q.schedule_at(Time(100), [&order, i] { order.push_back(i); });
+    });
+  }
+  for (int i = 8; i < 12; ++i) {
+    q.schedule_at(Time(100), [&order, i] { order.push_back(i); });
+  }
+  EXPECT_EQ(q.pending(), 12u);
+  EXPECT_EQ(q.run(), 16u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 8, 9, 10, 11, 4, 5, 6, 7}));
+  EXPECT_EQ(q.pending(), 0u);
+}
+
+TEST(ScopedEvents, DestructionCancelsWhatIsStillPending) {
+  EventQueue q;
+  int ran = 0;
+  {
+    ScopedEvents events(q);
+    for (uint64_t i = 1; i <= 40; ++i) {
+      events.schedule_after(Duration(i), [&ran] { ++ran; });
+    }
+    EXPECT_EQ(q.run_until(Time(20)), 20u);
+    // More than the list holds: stale ids get pruned along the way.
+    for (uint64_t i = 1; i <= 40; ++i) {
+      events.schedule_after(Duration(i), [&ran] { ++ran; });
+    }
+    EXPECT_EQ(q.pending(), 60u);
+  }
+  EXPECT_EQ(q.pending(), 0u);
+  EXPECT_EQ(q.run(), 0u);
+  EXPECT_EQ(ran, 20);
+}
+
 TEST(EventQueue, RejectsSchedulingInThePast) {
   EventQueue q;
   q.advance_to(Time(100));

@@ -260,6 +260,108 @@ TEST(Mobility, ReachesTellsWhetherAQueryWouldDraw) {
   EXPECT_THROW(m.reaches(3, later), std::out_of_range);
 }
 
+// position() answers at or after a device's current leg from the leg
+// table and earlier instants from the kept history; reaches() reads the
+// table. Both must agree with a plain binary search over the kept legs,
+// bit for bit, on seeded queries: t = 0, instants exactly at a leg's
+// start and end, instants before the current leg, and a static swarm.
+Point searched_position(const RandomWaypointMobility& m, DeviceId v, Time t) {
+  const auto& legs = m.segments(v);
+  auto it = std::upper_bound(
+      legs.begin(), legs.end(), t,
+      [](Time value, const auto& leg) { return value < leg.end; });
+  if (it == legs.end()) --it;
+  if (it->end == it->start) return it->to;
+  const double frac = static_cast<double>((t - it->start).ns()) /
+                      static_cast<double>((it->end - it->start).ns());
+  const double f = std::clamp(frac, 0.0, 1.0);
+  return Point{it->from.x + (it->to.x - it->from.x) * f,
+               it->from.y + (it->to.y - it->from.y) * f};
+}
+
+TEST(Mobility, PositionAndReachesMatchASearchOverTheKeptLegs) {
+  for (const double speed : {2.0, 0.0}) {
+    SCOPED_TRACE(speed);
+    MobilityConfig cfg;
+    cfg.devices = 6;
+    cfg.speed_min = speed / 4;
+    cfg.speed_max = speed;
+    RandomWaypointMobility m(cfg);
+    sim::Rng rng(17);
+    Time clock = Time::zero();
+    size_t from_table = 0;
+    size_t from_history = 0;
+    for (int q = 0; q < 6000; ++q) {
+      const auto v = static_cast<DeviceId>(rng.next_below(cfg.devices));
+      const auto& legs = m.segments(v);
+      Time t;
+      switch (rng.next_below(6)) {
+        case 0:  // the clock, moving forward as the radio's queries do
+          clock = clock + Duration::millis(rng.next_below(60'000));
+          t = clock;
+          break;
+        case 1:
+          t = Time::zero();
+          break;
+        case 2:
+          t = legs[rng.next_below(legs.size())].start;
+          break;
+        case 3:
+          t = legs[rng.next_below(legs.size())].end;
+          break;
+        case 4:  // the current leg's end: still the table's leg
+          t = legs.back().end;
+          break;
+        default:  // anywhere up to the clock
+          t = Time(rng.next_below(clock.ns() + 1));
+          break;
+      }
+      const bool reached = m.segments(v).back().end >= t;
+      ASSERT_EQ(m.reaches(v, t), reached) << "query " << q;
+      const Point p = m.position(v, t);
+      ASSERT_TRUE(m.reaches(v, t));
+      const Point want = searched_position(m, v, t);
+      ASSERT_EQ(p.x, want.x) << "query " << q << " at " << t.ns();
+      ASSERT_EQ(p.y, want.y) << "query " << q << " at " << t.ns();
+      ++(t >= m.segments(v).back().start ? from_table : from_history);
+    }
+    EXPECT_GT(from_table, 1000u);
+    if (speed > 0.0) {
+      EXPECT_GT(from_history, 1000u);
+    }
+  }
+}
+
+// A speed of a few nm/s puts a leg's travel time past the nanosecond
+// clock (~584 years). Such a leg is cut at the stationary horizon, at the
+// point its speed reaches by then: the device never outruns its speed.
+// (It used to convert an out-of-range double, and devices teleported.)
+TEST(Mobility, SlowLegNeverOutrunsItsSpeed) {
+  MobilityConfig cfg;
+  cfg.devices = 20;
+  cfg.field_size = 566.0;
+  cfg.speed_min = 2e-9;
+  cfg.speed_max = 3e-9;
+  RandomWaypointMobility m(cfg);
+  const Duration horizon = Duration::hours(1000);
+  for (DeviceId v = 0; v < cfg.devices; ++v) {
+    const Point start = m.position(v, Time::zero());
+    for (const Duration elapsed :
+         {Duration::minutes(10), Duration::hours(24), horizon,
+          horizon + Duration::hours(24)}) {
+      const Point p = m.position(v, Time::zero() + elapsed);
+      EXPECT_LE(distance(start, p),
+                cfg.speed_max * elapsed.to_seconds() * (1 + 1e-9))
+          << "device " << v << " after " << elapsed.to_seconds() << " s";
+    }
+    // Nor does it stall: by the horizon it has covered its drawn speed
+    // times the horizon.
+    const Point p = m.position(v, Time::zero() + horizon);
+    EXPECT_GE(distance(start, p),
+              cfg.speed_min * horizon.to_seconds() * (1 - 1e-9));
+  }
+}
+
 // The grid may over-approximate but never drop a pair the range predicate
 // accepts: every block is ascending and contains every point within
 // radio_range -- including pairs exactly radio_range apart straddling
@@ -335,6 +437,62 @@ TEST(NeighbourGrid, DegenerateGeometryFallsBackToFewCells) {
   out.clear();
   fine.block({10.0, 10.0}, out);
   EXPECT_EQ(out, (std::vector<DeviceId>{0, 1}));
+}
+
+// block() reads the 3x3 block back from a bitmap over the id range
+// instead of sorting the visit. It must append exactly the sorted visit,
+// whatever the membership: one cell (side 1), points on borders, corners
+// and outside the field, empty cells, the largest id, and rebuilds with
+// other members (a smaller and a larger largest id).
+TEST(NeighbourGrid, BlockEqualsTheSortedVisit) {
+  sim::Rng rng(5);
+  constexpr DeviceId kIds = 5000;
+  for (const auto& [field, range] :
+       {std::pair{300.0, 30.0}, {50.0, 100.0}, {1000.0, 60.0}}) {
+    NeighbourGrid grid(field, range);
+    size_t empty = 0;
+    size_t filled = 0;
+    for (const double share : {0.05, 0.5, 0.01}) {
+      std::vector<NeighbourGrid::Entry> entries;
+      std::vector<Point> probes = {{0, 0}, {field, field}, {0, field},
+                                   {field / 2, 0}, {-5, field + 5}};
+      const DeviceId top = share == 0.5 ? kIds - 1 : kIds / 2;
+      for (DeviceId id = 0; id <= top; ++id) {
+        if (id != top && !rng.chance(share)) continue;
+        // Every tenth member sits on a cell-aligned column or the border.
+        const double column = static_cast<double>(rng.next_below(5)) / 4;
+        const double x =
+            rng.chance(0.1) ? field * column : rng.next_double() * field;
+        const Point p{x, rng.next_double() * field};
+        entries.push_back({id, p});
+        if (probes.size() < 200) probes.push_back(p);
+      }
+      for (int i = 0; i < 100; ++i) {
+        probes.push_back(
+            {rng.next_double() * field, rng.next_double() * field});
+      }
+      grid.build(entries);
+      std::vector<DeviceId> visited;
+      std::vector<DeviceId> block;
+      for (const Point p : probes) {
+        visited.clear();
+        grid.for_each_in_block(p,
+                               [&](DeviceId id) { visited.push_back(id); });
+        std::sort(visited.begin(), visited.end());
+        block.assign({kIds + 7});  // block() appends
+        grid.block(p, block);
+        ASSERT_EQ(block.front(), kIds + 7);
+        ASSERT_EQ(std::vector<DeviceId>(block.begin() + 1, block.end()),
+                  visited)
+            << "field " << field << ", probe (" << p.x << "," << p.y << ")";
+        ++(visited.empty() ? empty : filled);
+      }
+    }
+    EXPECT_GT(filled, 100u);
+    if (field > 5 * range) {
+      EXPECT_GT(empty, 0u) << "no empty block probed";
+    }
+  }
 }
 
 // The in-process backend's reachability against the snapshot-and-prune
