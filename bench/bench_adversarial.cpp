@@ -48,7 +48,6 @@ scenario::ShardedFleetConfig base_config(Duration tm) {
 
   scenario::ShardedFleetConfig cfg;
   cfg.plan = swarm::FleetPlan::uniform(kDevices, /*key_seed=*/42, base);
-  cfg.plan.staggered = true;
   cfg.plan.mobility.field_size = 300.0;
   cfg.plan.mobility.radio_range = 60.0;
   cfg.plan.mobility.seed = 42;

@@ -76,7 +76,6 @@ scenario::ShardedFleetConfig make_config(const Cell& cell, Duration tm,
 
   scenario::ShardedFleetConfig cfg;
   cfg.plan = swarm::FleetPlan::uniform(kDevices, /*key_seed=*/42, base);
-  cfg.plan.staggered = true;
   cfg.plan.mobility.field_size = kFieldSize;
   cfg.plan.mobility.radio_range = kRadioRange;
   cfg.plan.mobility.speed_min = cell.speed_min;

@@ -88,7 +88,6 @@ scenario::ShardedFleetConfig cell_config(bool aggregated) {
 
   scenario::ShardedFleetConfig cfg;
   cfg.plan = swarm::FleetPlan::uniform(kCellDevices, /*key_seed=*/42, base);
-  cfg.plan.staggered = true;
   // ~28 neighbours average and a ~40-hop diameter: deep trees, the
   // regime hierarchical collection exists for. Near-walking speeds keep
   // the topology stable across the (single) 2-minute listening window.

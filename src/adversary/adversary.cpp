@@ -15,6 +15,12 @@ namespace {
 /// analytic prediction is a lower bound on the actual tick (provers
 /// reschedule from completion), so any positive margin is safe.
 constexpr sim::Duration kEvadeMargin = sim::Duration::millis(2);
+/// Migration gap between leaving one host and entering the next.
+constexpr sim::Duration kHopGap = sim::Duration::seconds(30);
+/// kAware: evasive hops in a row before the malware must sit through a
+/// measurement anyway (it has work to do -- endless fleeing is free for
+/// the defender).
+constexpr int kMaxEvasions = 3;
 }  // namespace
 
 Mode parse_mode(const std::string& text) {
@@ -37,7 +43,7 @@ Migration parse_migration(const std::string& text) {
 }
 
 Engine::Engine(EngineConfig config,
-               const std::vector<swarm::DeviceSpec>& specs, bool staggered,
+               const std::vector<swarm::DeviceSpec>& specs,
                swarm::DeviceId root, sim::Time horizon)
     : config_(std::move(config)), fleet_(specs.size()), root_(root),
       horizon_(horizon) {
@@ -46,13 +52,12 @@ Engine::Engine(EngineConfig config,
   first_.reserve(fleet_);
   period_.reserve(fleet_);
   for (swarm::DeviceId d = 0; d < fleet_; ++d) {
-    // The runner's analytic schedule: staggered fleets take their first
-    // measurement at the stagger offset, unstaggered ones one nominal
-    // period in. Irregular schedules are keyed and unpredictable; their
-    // nominal midpoint is the best an adversary without K can do.
+    // The runner's analytic schedule: the first measurement lands at the
+    // stagger offset. Irregular schedules are keyed and unpredictable;
+    // their nominal midpoint is the best an adversary without K can do.
     const sim::Duration tm = swarm::nominal_tm(specs[d]);
     period_.push_back(tm);
-    first_.push_back(staggered ? swarm::stagger_offset(tm, d, fleet_) : tm);
+    first_.push_back(swarm::stagger_offset(tm, d, fleet_));
   }
   busy_.resize(fleet_);
   active_leg_.assign(fleet_, -1);
@@ -134,8 +139,7 @@ void Engine::plan_roaming() {
           bool d_forced = false;
           if (slack > dwell) {
             // safe host
-          } else if (evasions < config_.max_evasions &&
-                     slack > kEvadeMargin) {
+          } else if (evasions < kMaxEvasions && slack > kEvadeMargin) {
             dur = slack - kEvadeMargin;
             d_evade = true;
           } else {
@@ -172,7 +176,7 @@ void Engine::plan_roaming() {
       if (pick < 0) {
         // Every candidate is occupied by another chain right now: skip
         // ahead one dwell and try again (t grows, so this terminates).
-        t = t + dwell + config_.hop_gap;
+        t = t + dwell + kHopGap;
         continue;
       }
       Leg leg;
@@ -193,7 +197,7 @@ void Engine::plan_roaming() {
       evasions = evade ? evasions + 1 : 0;
       prev = pick;
       first = false;
-      t = leg.leave + config_.hop_gap;
+      t = leg.leave + kHopGap;
     }
   }
 }

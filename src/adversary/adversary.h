@@ -89,12 +89,6 @@ struct EngineConfig {
   /// First infections land within [first_infection, first_infection +
   /// dwell), spread per-chain by the seeded RNG.
   sim::Duration first_infection = sim::Duration::minutes(5);
-  /// Migration gap between leaving one host and entering the next.
-  sim::Duration hop_gap = sim::Duration::seconds(30);
-  /// kAware: evasive hops in a row before the malware must sit through a
-  /// measurement anyway (it has work to do -- endless fleeing is free for
-  /// the defender).
-  int max_evasions = 3;
   uint64_t seed = 1;
   /// kRelay/kSybil: fraction of relay nodes compromised (at least one).
   double compromised_fraction = 0.15;
@@ -130,11 +124,11 @@ struct Leg {
 
 class Engine {
  public:
-  /// Plans the full itinerary. `staggered` and `specs` reproduce the
-  /// runner's analytic measurement schedule; `horizon` bounds planning
-  /// (rounds * round_interval). Pure function of its arguments.
+  /// Plans the full itinerary. `specs` reproduce the runner's analytic
+  /// (staggered) measurement schedule; `horizon` bounds planning (rounds *
+  /// round_interval). Pure function of its arguments.
   Engine(EngineConfig config, const std::vector<swarm::DeviceSpec>& specs,
-         bool staggered, swarm::DeviceId root, sim::Time horizon);
+         swarm::DeviceId root, sim::Time horizon);
 
   const EngineConfig& config() const { return config_; }
   const std::vector<Leg>& legs() const { return legs_; }

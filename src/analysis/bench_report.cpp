@@ -34,12 +34,6 @@ void BenchReport::sample(const std::string& quantity, double value) {
   find_quantity(quantities_, quantity)->push_back(value);
 }
 
-void BenchReport::samples(const std::string& quantity,
-                          const std::vector<double>& values) {
-  auto* dest = find_quantity(quantities_, quantity);
-  dest->insert(dest->end(), values.begin(), values.end());
-}
-
 std::string BenchReport::to_json() const {
   std::string out = "{\n  \"bench\": \"" + json_escape(name_) +
                     "\",\n  \"quantities\": {";

@@ -26,8 +26,6 @@ class BenchReport {
   /// Appends one sample of `quantity` (creates it on first use; insertion
   /// order is preserved in the JSON).
   void sample(const std::string& quantity, double value);
-  void samples(const std::string& quantity,
-               const std::vector<double>& values);
 
   /// The JSON document (deterministic byte layout).
   std::string to_json() const;

@@ -38,7 +38,7 @@
 #include "attest/transport.h"
 #include "attest/window.h"
 #include "common/parallel.h"
-#include "obs/registry.h"
+#include "obs/histogram.h"
 #include "obs/trace.h"
 #include "sim/event_queue.h"
 

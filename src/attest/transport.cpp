@@ -7,11 +7,6 @@
 
 namespace erasmus::attest {
 
-void Transport::broadcast(const std::vector<net::NodeId>& peers, MsgType type,
-                          ByteView body) {
-  for (const net::NodeId peer : peers) send(peer, type, body);
-}
-
 NetworkTransport::NetworkTransport(net::Network& network, net::NodeId self)
     : network_(network), self_(self) {
   network_.set_handler(self_, [this](const net::Datagram& d) {

@@ -45,10 +45,9 @@ class Transport {
   /// replies synchronously.
   virtual void send(net::NodeId peer, MsgType type, ByteView body) = 0;
 
-  /// Sends the same message to every peer (batched round dispatch). The
-  /// default loops over send(); backends may do better.
+  /// Sends the same message to every peer (batched round dispatch).
   virtual void broadcast(const std::vector<net::NodeId>& peers, MsgType type,
-                         ByteView body);
+                         ByteView body) = 0;
 
   /// Installs the service-side delivery callback (replaces any previous).
   virtual void set_receiver(Receiver receiver) = 0;

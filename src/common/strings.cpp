@@ -58,4 +58,23 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
+std::string Value::to_plain() const {
+  switch (kind_) {
+    case Kind::kU64: return std::to_string(u64_);
+    case Kind::kI64: return std::to_string(i64_);
+    case Kind::kF64: return format_double(f64_);
+    case Kind::kStr: return str_;
+    case Kind::kBool: return u64_ ? "true" : "false";
+  }
+  return {};
+}
+
+std::string Value::to_json() const {
+  if (kind_ != Kind::kStr) return to_plain();
+  std::string out = "\"";
+  out += json_escape(str_);
+  out += '"';
+  return out;
+}
+
 }  // namespace erasmus

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "common/strings.h"
-
 namespace erasmus::obs {
 
 const char* to_string(Subsystem s) {
@@ -52,21 +50,6 @@ uint32_t parse_subsystem_filter(const std::string& csv) {
     begin = comma + 1;
   }
   return mask;
-}
-
-std::string TraceValue::to_json() const {
-  switch (kind_) {
-    case Kind::kU64: return std::to_string(u64_);
-    case Kind::kI64: return std::to_string(i64_);
-    case Kind::kF64: return format_double(f64_);
-    case Kind::kStr: {
-      std::string out = "\"";
-      out += json_escape(str_);
-      out += '"';
-      return out;
-    }
-  }
-  return "null";
 }
 
 // --- TraceShard --------------------------------------------------------------

@@ -36,6 +36,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/strings.h"
 #include "sim/time.h"
 
 namespace erasmus::obs {
@@ -64,29 +65,8 @@ uint32_t parse_subsystem_filter(const std::string& csv);
 
 enum class TraceKind : uint8_t { kSpanBegin, kSpanEnd, kInstant };
 
-/// A typed argument value (the small subset traces need).
-class TraceValue {
- public:
-  TraceValue(uint64_t v) : kind_(Kind::kU64), u64_(v) {}          // NOLINT
-  TraceValue(int v) : kind_(Kind::kI64), i64_(v) {}               // NOLINT
-  TraceValue(int64_t v) : kind_(Kind::kI64), i64_(v) {}           // NOLINT
-  TraceValue(double v) : kind_(Kind::kF64), f64_(v) {}            // NOLINT
-  TraceValue(const char* v) : kind_(Kind::kStr), str_(v) {}       // NOLINT
-  TraceValue(std::string v) : kind_(Kind::kStr), str_(std::move(v)) {}  // NOLINT
-
-  /// JSON rendering (deterministic; strings quoted and escaped).
-  std::string to_json() const;
-
- private:
-  enum class Kind : uint8_t { kU64, kI64, kF64, kStr };
-  Kind kind_;
-  uint64_t u64_ = 0;
-  int64_t i64_ = 0;
-  double f64_ = 0.0;
-  std::string str_;
-};
-
-using TraceArgs = std::vector<std::pair<std::string, TraceValue>>;
+/// Event arguments: the metrics sinks' row type, rendered the same way.
+using TraceArgs = std::vector<std::pair<std::string, Value>>;
 
 /// Actor id of coordinator-side events (rendered as tid 0; device actors
 /// render as tid = id + 1).

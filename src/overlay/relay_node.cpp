@@ -128,7 +128,7 @@ void RelayNode::relay(RelayReport report) {
     if (agg != aggs_.end()) {
       agg->second.absorb(report.origin, report.response);
       ++stats_.reports_absorbed;
-      if (agg->second.members() >= config_.aggregation.max_members) {
+      if (agg->second.members() >= kMaxClusterMembers) {
         flush_aggregate(report.flood);
       }
       return;

@@ -39,12 +39,16 @@
 #include "aggregate/election.h"
 #include "attest/prover.h"
 #include "energy/meter.h"
-#include "obs/registry.h"
+#include "obs/histogram.h"
 #include "obs/trace.h"
 #include "overlay/wire.h"
 #include "sim/event_queue.h"
 
 namespace erasmus::overlay {
+
+/// A cluster head flushes its aggregate early, before its window closes,
+/// once the cluster holds this many members.
+inline constexpr size_t kMaxClusterMembers = 256;
 
 /// Hierarchical collection: this node's cluster-head behaviour. With
 /// `enabled`, a node elected head for a flood (aggregate/election.h)
@@ -59,8 +63,6 @@ struct AggregationConfig {
   /// Hold-and-combine window, measured from election (the flood's first
   /// sight). Must sit well under the verifier's response timeout.
   sim::Duration window = sim::Duration::millis(200);
-  /// Flush early once a cluster holds this many members.
-  size_t max_members = 256;
   /// Head CPU for the combine (hashing absorbed evidence + one MAC),
   /// charged at flush with the absorbed byte count. Runner-installed;
   /// nullptr = unmetered. May brown the head out: a dark head's

@@ -42,7 +42,7 @@
 
 #include "aggregate/frame.h"
 #include "attest/transport.h"
-#include "obs/registry.h"
+#include "obs/histogram.h"
 #include "obs/trace.h"
 #include "overlay/wire.h"
 

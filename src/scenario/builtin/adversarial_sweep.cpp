@@ -67,7 +67,6 @@ class AdversarialSweepScenario : public Scenario {
       cfg.plan = swarm::FleetPlan::uniform(
           static_cast<size_t>(params.get_u64("devices", 32)),
           params.get_u64("seed", 2024), base);
-      cfg.plan.staggered = true;
       cfg.plan.mobility.seed = params.get_u64("seed", 2024);
       cfg.threads = static_cast<size_t>(params.get_u64("threads", 1));
       cfg.rounds = static_cast<size_t>(params.get_u64("rounds", 4));

@@ -82,7 +82,6 @@ class BackendCompareScenario : public Scenario {
           ShardedFleetConfig cfg;
           cfg.plan = swarm::FleetPlan::uniform(
               devices, params.get_u64("seed", 2024), base);
-          cfg.plan.staggered = true;
           cfg.plan.mobility.field_size = 300.0;
           cfg.plan.mobility.radio_range = 60.0;
           cfg.plan.mobility.speed_min = mobility.speed_min;

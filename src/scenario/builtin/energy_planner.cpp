@@ -112,7 +112,6 @@ class EnergyPlannerScenario : public Scenario {
     ShardedFleetConfig cfg;
     cfg.plan = swarm::FleetPlan::uniform(devices,
                                          params.get_u64("seed", 2024), base);
-    cfg.plan.staggered = true;
     cfg.plan.mobility.field_size = field;
     cfg.plan.mobility.radio_range = range;
     cfg.plan.mobility.speed_min = params.get_double("speed_min", 6.0);

@@ -66,7 +66,6 @@ class SwarmPatrolScenario : public Scenario {
     cfg.plan = swarm::FleetPlan::uniform(
         static_cast<size_t>(params.get_u64("devices", 20)),
         params.get_u64("seed", 2024), base);
-    cfg.plan.staggered = true;
     cfg.plan.mobility.field_size = params.get_double("field", 200.0);
     cfg.plan.mobility.radio_range = params.get_double("range", 60.0);
     cfg.plan.mobility.speed_min = params.get_double("speed_min", 6.0);

@@ -116,7 +116,6 @@ class SwarmRelayScenario : public Scenario {
     cfg.plan = swarm::FleetPlan::uniform(
         static_cast<size_t>(params.get_u64("devices", 50)),
         params.get_u64("seed", 2024), base);
-    cfg.plan.staggered = true;
     cfg.plan.mobility.field_size = params.get_double("field", 300.0);
     cfg.plan.mobility.radio_range = params.get_double("range", 60.0);
     cfg.plan.mobility.speed_min = params.get_double("speed_min", 6.0);

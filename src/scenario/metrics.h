@@ -10,7 +10,6 @@
 // runner's determinism tests and the erasmus_run acceptance check rely on.
 #pragma once
 
-#include <cstdint>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -23,33 +22,7 @@ namespace erasmus::scenario {
 
 using erasmus::format_double;
 using erasmus::json_escape;
-
-/// A typed cell value. Kept deliberately small: everything a scenario
-/// reports is an integer, a real, or a label.
-class Value {
- public:
-  Value(uint64_t v) : kind_(Kind::kU64), u64_(v) {}           // NOLINT
-  Value(int v) : kind_(Kind::kI64), i64_(v) {}                // NOLINT
-  Value(int64_t v) : kind_(Kind::kI64), i64_(v) {}            // NOLINT
-  Value(double v) : kind_(Kind::kF64), f64_(v) {}             // NOLINT
-  Value(std::string v) : kind_(Kind::kStr), str_(std::move(v)) {}  // NOLINT
-  Value(const char* v) : kind_(Kind::kStr), str_(v) {}        // NOLINT
-  Value(bool v) : kind_(Kind::kBool), u64_(v ? 1 : 0) {}      // NOLINT
-
-  /// Deterministic plain rendering (CSV cell). Doubles use shortest
-  /// round-trip formatting; bools render as true/false.
-  std::string to_plain() const;
-  /// Deterministic JSON rendering (strings quoted and escaped).
-  std::string to_json() const;
-
- private:
-  enum class Kind { kU64, kI64, kF64, kStr, kBool };
-  Kind kind_;
-  uint64_t u64_ = 0;
-  int64_t i64_ = 0;
-  double f64_ = 0.0;
-  std::string str_;
-};
+using erasmus::Value;
 
 using Row = std::vector<std::pair<std::string, Value>>;
 

@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <initializer_list>
+#include <limits>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <utility>
 
 namespace erasmus::scenario {
@@ -128,92 +127,6 @@ ShardedFleetRunner::ShardedFleetRunner(ShardedFleetConfig config)
   }
   service_ = std::make_unique<attest::AttestationService>(
       coordinator_queue_, *transport, directory_, sc);
-  register_metrics();
-}
-
-void ShardedFleetRunner::register_metrics() {
-  if (config_.backend == CollectionBackend::kDirect) {
-    using BC = attest::DirectTransport::BatchCounters;
-    for (const auto& [name, field] :
-         std::initializer_list<std::pair<const char*, uint64_t BC::*>>{
-             {"frames_local", &BC::frames_local},
-             {"frames_cross", &BC::frames_cross},
-             {"drains", &BC::drains}}) {
-      metrics_.counter("channels", name, [this, field = field] {
-        return direct_transport_.batch_counters().*field;
-      });
-    }
-  } else {
-    metrics_.counter("overlay", "relay_drops",
-                     [this] { return overlay_totals().reports_dropped; });
-    metrics_.counter("overlay", "route_repairs",
-                     [this] { return overlay_totals().route_repairs; });
-    metrics_.counter("overlay", "requests_served",
-                     [this] { return overlay_totals().requests_served; });
-    // Both report kinds: raw reports and cluster aggregates.
-    metrics_.counter("overlay", "reports_relayed", [this] {
-      const OverlayTotals totals = overlay_totals();
-      return totals.reports_relayed + totals.aggregates_relayed;
-    });
-    metrics_.histogram("overlay", "relay_queue_occupancy", relay_occupancy_);
-    using TS = overlay::RelayTransport::Stats;
-    for (const auto& [name, field] :
-         std::initializer_list<std::pair<const char*, uint64_t TS::*>>{
-             {"floods_sent", &TS::floods_sent},
-             {"targeted_floods", &TS::targeted_floods},
-             {"scoped_sent", &TS::scoped_sent},
-             {"scoped_fallbacks", &TS::scoped_fallbacks},
-             {"naks_received", &TS::naks_received},
-             {"reports_received", &TS::reports_received},
-             {"duplicate_reports", &TS::duplicate_reports},
-             {"stale_reports", &TS::stale_reports},
-             {"spoofed_rejected", &TS::spoofed_rejected}}) {
-      metrics_.counter("overlay", name, [this, field = field] {
-        return relay_transport_->stats().*field;
-      });
-    }
-    metrics_.histogram("overlay", "hop_count", relay_transport_->hop_count());
-  }
-
-  using SS = attest::AttestationService::Stats;
-  for (const auto& [subsystem, name, field] :
-       std::initializer_list<
-           std::tuple<const char*, const char*, uint64_t SS::*>>{
-           {"service", "sessions", &SS::sessions},
-           {"service", "responses", &SS::responses},
-           {"service", "retries", &SS::retries},
-           {"service", "unreachable_sessions", &SS::unreachable_sessions},
-           {"service", "stray_datagrams", &SS::stray_datagrams},
-           {"window", "loss_backoffs", &SS::loss_backoffs},
-           {"window", "congestion_backoffs", &SS::congestion_backoffs}}) {
-    metrics_.counter(subsystem, name, [this, field = field] {
-      return service_->stats().*field;
-    });
-  }
-  metrics_.histogram("service", "response_latency_ms",
-                     service_->response_latency_ms());
-  metrics_.gauge("window", "window",
-                 [this] { return static_cast<double>(service_->window()); });
-
-  if (!energy_meter_) return;
-  // The last "energy" row's totals, which emit_energy_round writes just
-  // before each snapshot.
-  using ET = energy::FleetMeter::Totals;
-  for (const auto& [name, field] :
-       std::initializer_list<std::pair<const char*, double ET::*>>{
-           {"fleet_cpu_j", &ET::cpu_mj},
-           {"fleet_tx_j", &ET::tx_mj},
-           {"fleet_rx_j", &ET::rx_mj},
-           {"fleet_sleep_j", &ET::sleep_mj}}) {
-    metrics_.gauge("energy", name, [this, field = field] {
-      return last_energy_totals_.*field / 1e3;
-    });
-  }
-  metrics_.gauge("energy", "dark_devices",
-                 [this] { return static_cast<double>(last_dark_); });
-  if (energy_meter_->device(0).capacity_nj() > 0) {
-    metrics_.histogram("energy", "battery_remaining", battery_remaining_);
-  }
 }
 
 void ShardedFleetRunner::build_adversary() {
@@ -224,8 +137,8 @@ void ShardedFleetRunner::build_adversary() {
   }
   const sim::Time horizon =
       sim::Time::zero() + config_.round_interval * config_.rounds;
-  engine_ = std::make_unique<adversary::Engine>(
-      ac, specs_, config_.plan.staggered, config_.root, horizon);
+  engine_ = std::make_unique<adversary::Engine>(ac, specs_, config_.root,
+                                                horizon);
   engine_->set_trace(trace_);
   // Itinerary legs run on the owning device's shard queue -- the same
   // placement schedule_on_device uses -- so enter/leave interleave with
@@ -369,9 +282,7 @@ void ShardedFleetRunner::on_aggregate(const aggregate::AggregateFrame& frame,
     if (frame.healthy(i)) {
       // The head vouched for this member's digest: close its session
       // without its raw report ever crossing the field.
-      if (service_->complete_aggregated(member)) {
-        ++agg_counters_.healthy_bits;
-      }
+      service_->complete_aggregated(member);
     } else {
       // Cleared bit: the head saw evidence it could not vouch for. Demand
       // the member's raw report over the per-device (scoped) path.
@@ -638,12 +549,8 @@ std::vector<FleetRoundResult> ShardedFleetRunner::run(MetricsSink& sink) {
   started_ = true;
   for (swarm::DeviceId id = 0; id < stacks_.size(); ++id) {
     if (!present_[id]) continue;
-    if (config_.plan.staggered) {
-      stacks_[id].prover->start(swarm::stagger_offset(
-          swarm::nominal_tm(specs_[id]), id, stacks_.size()));
-    } else {
-      stacks_[id].prover->start();
-    }
+    stacks_[id].prover->start(swarm::stagger_offset(
+        swarm::nominal_tm(specs_[id]), id, stacks_.size()));
   }
 
   std::vector<FleetRoundResult> results;
@@ -774,7 +681,6 @@ ShardedFleetRunner::OverlayTotals ShardedFleetRunner::overlay_totals() const {
     totals.requests_served += s.requests_served;
     totals.reports_relayed += s.reports_relayed;
     totals.reports_dropped += s.reports_dropped;
-    totals.reports_orphaned += s.reports_orphaned;
     totals.route_repairs += s.route_repairs;
     totals.malformed_frames += s.malformed_frames;
     totals.scoped_forwarded += s.scoped_forwarded;
@@ -795,7 +701,6 @@ ShardedFleetRunner::OverlayTotals ShardedFleetRunner::overlay_totals() const {
   totals.spoofed_rejected += t.spoofed_rejected;
   totals.scoped_sent += t.scoped_sent;
   totals.aggregates_received += t.aggregates_received;
-  totals.duplicate_aggregates += t.duplicate_aggregates;
   totals.hops = relay_transport_->hop_histogram();
   return totals;
 }
@@ -839,11 +744,13 @@ void ShardedFleetRunner::emit_aggregate_round(
                         transport_before.aggregate_wire_bytes;
   const uint64_t raw = t.aggregate_raw_bytes -
                        transport_before.aggregate_raw_bytes;
+  // A healthy bit that closes a session is exactly one aggregated
+  // session, and sessions are only open inside the round.
   sink.row("aggregate",
            {{"round", static_cast<uint64_t>(round)},
             {"clusters", now.clusters - before.clusters},
             {"members", now.members - before.members},
-            {"healthy_bits", now.healthy_bits - before.healthy_bits},
+            {"healthy_bits", rs.aggregated_sessions},
             {"aggregated_sessions", rs.aggregated_sessions},
             {"demand_fetches", rs.demand_fetches},
             {"auth_failures", now.auth_failures - before.auth_failures},
@@ -927,24 +834,86 @@ void ShardedFleetRunner::trace_channel_drain(sim::Time at) {
 }
 
 void ShardedFleetRunner::emit_metrics_round(MetricsSink& sink, size_t round) {
-  // Cumulative-to-date values in registration order: differencing is the
+  // Cumulative-to-date values, one row per count in the table's pinned
+  // order, each read from the ledger that keeps it: differencing is the
   // analyst's job, determinism (same rows at any thread count) is ours.
-  for (const obs::Registry::Sample& s : metrics_.snapshot()) {
-    const char* kind = "counter";
-    if (s.kind == obs::Registry::Kind::kGauge) kind = "gauge";
-    if (s.kind == obs::Registry::Kind::kHistogram) kind = "histogram";
+  const auto row = [&](const char* subsystem, const char* name,
+                       const char* kind, double value) {
     sink.row("metrics", {{"round", static_cast<uint64_t>(round)},
-                         {"subsystem", s.subsystem},
-                         {"name", s.name},
-                         {"kind", std::string(kind)},
-                         {"value", s.value}});
-    for (const auto& [le, count] : s.buckets) {
-      sink.row("metrics_hist", {{"round", static_cast<uint64_t>(round)},
-                                {"subsystem", s.subsystem},
-                                {"name", s.name},
-                                {"le", le},
-                                {"count", count}});
+                         {"subsystem", subsystem},
+                         {"name", name},
+                         {"kind", kind},
+                         {"value", value}});
+  };
+  const auto counter = [&](const char* subsystem, const char* name,
+                           uint64_t value) {
+    row(subsystem, name, "counter", static_cast<double>(value));
+  };
+  // The total, then one "metrics_hist" row per bucket: `le` is the
+  // inclusive upper bound, infinity for the overflow bucket.
+  const auto histogram = [&](const char* subsystem, const char* name,
+                             const obs::Histogram& h) {
+    row(subsystem, name, "histogram", static_cast<double>(h.total()));
+    for (size_t i = 0; i < h.counts().size(); ++i) {
+      sink.row("metrics_hist",
+               {{"round", static_cast<uint64_t>(round)},
+                {"subsystem", subsystem},
+                {"name", name},
+                {"le", i < h.bounds().size()
+                           ? h.bounds()[i]
+                           : std::numeric_limits<double>::infinity()},
+                {"count", h.counts()[i]}});
     }
+  };
+
+  if (config_.backend == CollectionBackend::kDirect) {
+    const attest::DirectTransport::BatchCounters& bc =
+        direct_transport_.batch_counters();
+    counter("channels", "frames_local", bc.frames_local);
+    counter("channels", "frames_cross", bc.frames_cross);
+    counter("channels", "drains", bc.drains);
+  } else {
+    const OverlayTotals totals = overlay_totals();
+    counter("overlay", "relay_drops", totals.reports_dropped);
+    counter("overlay", "route_repairs", totals.route_repairs);
+    counter("overlay", "requests_served", totals.requests_served);
+    // Both report kinds: raw reports and cluster aggregates.
+    counter("overlay", "reports_relayed",
+            totals.reports_relayed + totals.aggregates_relayed);
+    histogram("overlay", "relay_queue_occupancy", relay_occupancy_);
+    const overlay::RelayTransport::Stats& t = relay_transport_->stats();
+    counter("overlay", "floods_sent", t.floods_sent);
+    counter("overlay", "targeted_floods", t.targeted_floods);
+    counter("overlay", "scoped_sent", t.scoped_sent);
+    counter("overlay", "scoped_fallbacks", t.scoped_fallbacks);
+    counter("overlay", "naks_received", t.naks_received);
+    counter("overlay", "reports_received", t.reports_received);
+    counter("overlay", "duplicate_reports", t.duplicate_reports);
+    counter("overlay", "stale_reports", t.stale_reports);
+    counter("overlay", "spoofed_rejected", t.spoofed_rejected);
+    histogram("overlay", "hop_count", relay_transport_->hop_count());
+  }
+
+  const attest::AttestationService::Stats& ss = service_->stats();
+  counter("service", "sessions", ss.sessions);
+  counter("service", "responses", ss.responses);
+  counter("service", "retries", ss.retries);
+  counter("service", "unreachable_sessions", ss.unreachable_sessions);
+  counter("service", "stray_datagrams", ss.stray_datagrams);
+  counter("window", "loss_backoffs", ss.loss_backoffs);
+  counter("window", "congestion_backoffs", ss.congestion_backoffs);
+  histogram("service", "response_latency_ms", service_->response_latency_ms());
+  row("window", "window", "gauge", static_cast<double>(service_->window()));
+
+  if (!energy_meter_) return;
+  // The totals of the "energy" row emit_energy_round just wrote.
+  row("energy", "fleet_cpu_j", "gauge", last_energy_totals_.cpu_mj / 1e3);
+  row("energy", "fleet_tx_j", "gauge", last_energy_totals_.tx_mj / 1e3);
+  row("energy", "fleet_rx_j", "gauge", last_energy_totals_.rx_mj / 1e3);
+  row("energy", "fleet_sleep_j", "gauge", last_energy_totals_.sleep_mj / 1e3);
+  row("energy", "dark_devices", "gauge", static_cast<double>(last_dark_));
+  if (energy_meter_->device(0).capacity_nj() > 0) {
+    histogram("energy", "battery_remaining", battery_remaining_);
   }
 }
 

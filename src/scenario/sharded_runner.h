@@ -41,7 +41,7 @@
 #include "energy/meter.h"
 #include "net/network.h"
 #include "obs/phase.h"
-#include "obs/registry.h"
+#include "obs/histogram.h"
 #include "obs/trace.h"
 #include "overlay/relay_node.h"
 #include "overlay/relay_transport.h"
@@ -97,7 +97,7 @@ struct OverlayBackendConfig {
 using attest::WindowSpec;
 
 struct ShardedFleetConfig {
-  /// What to build: N per-device specs, mobility, stagger policy.
+  /// What to build: N per-device specs and their mobility.
   swarm::FleetPlan plan;
   /// Shard/worker count. 1 runs everything on the calling thread.
   size_t threads = 1;
@@ -191,7 +191,6 @@ class ShardedFleetRunner {
     uint64_t requests_served = 0;
     uint64_t reports_relayed = 0;
     uint64_t reports_dropped = 0;
-    uint64_t reports_orphaned = 0;
     uint64_t route_repairs = 0;
     uint64_t malformed_frames = 0;
     uint64_t duplicate_reports = 0;
@@ -205,8 +204,7 @@ class ShardedFleetRunner {
     uint64_t aggregates_built = 0;
     uint64_t aggregates_relayed = 0;
     uint64_t aggregates_dark_purged = 0;
-    uint64_t aggregates_received = 0;   // transport: accepted frames
-    uint64_t duplicate_aggregates = 0;  // transport: dedup'd frames
+    uint64_t aggregates_received = 0;  // transport: accepted frames
     // Adversarial relay behaviour (zero without compromised relays):
     uint64_t dropped_adversarial = 0;    // relays: frames discarded on purpose
     uint64_t corrupted_adversarial = 0;  // relays: frames scribbled
@@ -227,10 +225,6 @@ class ShardedFleetRunner {
   const net::Network* overlay_network() const { return overlay_net_.get(); }
   /// The verifier-side service (window trajectory, round stats).
   const attest::AttestationService& service() const { return *service_; }
-  /// The runner's metrics catalogue: readers of the channels, overlay,
-  /// service, window and energy ledgers, snapshotted into the sink's
-  /// "metrics"/"metrics_hist" tables per round.
-  const obs::Registry& metrics() const { return metrics_; }
   /// The fleet's battery ledgers (nullptr when energy.metered is false) --
   /// joule totals and dark counts for scenarios and benches.
   const energy::FleetMeter* energy_meter() const {
@@ -273,22 +267,19 @@ class ShardedFleetRunner {
   void on_aggregate(const aggregate::AggregateFrame& frame, uint8_t hops);
   /// Coordinator-side lifetime counters behind the per-round "aggregate"
   /// table (emitted as deltas, byte-identical at any thread count).
+  /// Sessions a healthy bit closed are the service's aggregated_sessions.
   struct AggregateCounters {
     uint64_t clusters = 0;       // authenticated frames accepted
     uint64_t members = 0;        // members those frames vouched for
-    uint64_t healthy_bits = 0;   // sessions closed by a healthy bit
     uint64_t auth_failures = 0;  // bad head MAC (or out-of-range head)
   };
   void emit_aggregate_round(MetricsSink& sink, size_t round,
                             const AggregateCounters& before,
                             const overlay::RelayTransport::Stats&
                                 transport_before);
-  /// The whole metrics table, in its row order: one reader per counter or
-  /// gauge over the ledger that keeps it, one reference per histogram.
-  /// Called once, when every ledger exists.
-  void register_metrics();
-  /// Snapshot of every registered instrument into the "metrics" table
-  /// (histograms additionally into "metrics_hist", one row per bucket).
+  /// The whole "metrics" table, in its pinned row order: one row per
+  /// count, read from the ledger that keeps it (histograms additionally
+  /// into "metrics_hist", one row per bucket).
   void emit_metrics_round(MetricsSink& sink, size_t round);
   /// kRunner "channel_drain" trace instant with the round's deltas of the
   /// DirectTransport's batch-serve counters (kDirect batch serve only).
@@ -341,7 +332,7 @@ class ShardedFleetRunner {
   /// while shards are parked (see energy/meter.h).
   std::unique_ptr<energy::FleetMeter> energy_meter_;
   std::vector<bool> swept_dark_;  // went-dark already traced/counted
-  /// The last "energy" row's totals: the energy gauges read these.
+  /// The last "energy" row's totals: the energy metrics rows read these.
   energy::FleetMeter::Totals last_energy_totals_;
   size_t last_dark_ = 0;
   /// Remaining battery fraction, one observation per present device per
@@ -378,11 +369,9 @@ class ShardedFleetRunner {
   AggregateCounters agg_counters_;
   std::unique_ptr<attest::AttestationService> service_;
 
-  /// Observability: the metrics catalogue, the process-global flight
-  /// recorder (nullptr = tracing off) and the wall-clock phase profile.
-  /// All updates happen on the coordinator thread except shard-buffered
-  /// kDevice events.
-  obs::Registry metrics_;
+  /// Observability: the process-global flight recorder (nullptr = tracing
+  /// off) and the wall-clock phase profile. All updates happen on the
+  /// coordinator thread except shard-buffered kDevice events.
   obs::TraceRecorder* trace_ = nullptr;
   obs::PhaseProfiler phases_;
   /// Batch-serve counters at the last channel_drain instant.

@@ -20,6 +20,4 @@ std::string to_string(Duration d) {
   return buf;
 }
 
-std::string to_string(Time t) { return to_string(Duration(t.ns())) + " @"; }
-
 }  // namespace erasmus::sim

@@ -80,6 +80,5 @@ class Time {
 
 /// Renders a duration as a short human string ("1.50 s", "285.60 ms", ...).
 std::string to_string(Duration d);
-std::string to_string(Time t);
 
 }  // namespace erasmus::sim

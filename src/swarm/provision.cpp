@@ -105,11 +105,6 @@ FleetPlan FleetPlan::uniform(size_t devices, uint64_t key_seed,
   return plan;
 }
 
-FleetPlan& FleetPlan::with_base(DeviceSpec base) {
-  base_ = std::move(base);
-  return *this;
-}
-
 FleetPlan& FleetPlan::add_mix(double weight, DeviceSpec variant) {
   if (!(weight > 0.0) || !std::isfinite(weight)) {
     throw std::invalid_argument("FleetPlan::add_mix: weight must be > 0");
@@ -167,11 +162,6 @@ std::vector<DeviceSpec> FleetPlan::expand() const {
     specs.push_back(std::move(spec));
   }
   return specs;
-}
-
-DeviceSpec FleetPlan::spec(DeviceId id) const {
-  if (id >= devices_) detail::throw_bad_device_id("FleetPlan::spec", id, devices_);
-  return expand()[id];
 }
 
 sim::DeviceProfile default_profile_for(hw::ArchKind kind) {

@@ -84,8 +84,9 @@ namespace detail {
 /// QoA math.
 sim::Duration nominal_tm(const DeviceSpec& spec);
 
-/// The first-measurement offset device `id` of `n` uses under staggered
-/// scheduling: (id + 1) * tm / n.
+/// The first-measurement offset of device `id` of `n`: (id + 1) * tm / n.
+/// Fleets always stagger (paper §6: it bounds the fraction of the swarm
+/// busy at any instant).
 sim::Duration stagger_offset(sim::Duration tm, DeviceId id, size_t n);
 
 /// One full device: a security architecture (by interface -- any ArchKind)
@@ -128,9 +129,6 @@ class FleetPlan {
   static FleetPlan uniform(size_t devices, uint64_t key_seed,
                            DeviceSpec base = {});
 
-  /// Replaces the base spec (used when no mix slices are added).
-  FleetPlan& with_base(DeviceSpec base);
-
   /// Adds a mix slice: `weight` is the slice's share of the fleet relative
   /// to the other slices (weights need not sum to 1). Once any slice is
   /// added, ALL devices come from slices and the base spec is unused.
@@ -149,19 +147,12 @@ class FleetPlan {
 
   /// The spec list, ids 0..devices-1. Pure function of the plan.
   std::vector<DeviceSpec> expand() const;
-  /// One device's spec (same result as expand()[id]). Throws
-  /// std::out_of_range past the fleet size. Costs a full expansion --
-  /// call expand() once instead of spec() in a loop.
-  DeviceSpec spec(DeviceId id) const;
 
   size_t devices() const { return devices_; }
   uint64_t key_seed() const { return key_seed_; }
   FleetPlan& set_devices(size_t n) { devices_ = n; return *this; }
   FleetPlan& set_key_seed(uint64_t s) { key_seed_ = s; return *this; }
 
-  /// Stagger first measurements at (id + 1) * T_M / N (paper §6: bounds
-  /// the fraction of the swarm busy at any instant).
-  bool staggered = true;
   MobilityConfig mobility;
 
  private:

@@ -53,7 +53,6 @@ ShardedFleetConfig adversary_config(size_t threads, Duration tm) {
 
   ShardedFleetConfig cfg;
   cfg.plan = swarm::FleetPlan::uniform(24, /*key_seed=*/42, base);
-  cfg.plan.staggered = true;
   cfg.plan.mobility.field_size = 120.0;
   cfg.plan.mobility.radio_range = 50.0;
   cfg.plan.mobility.seed = 42;
@@ -81,10 +80,8 @@ TEST(AdversaryEngine, ItineraryIsAPureFunctionOfItsInputs) {
     cfg.adversary.migration = migration;
     const auto specs = cfg.plan.expand();
     const Time horizon = Time::zero() + cfg.round_interval * cfg.rounds;
-    const adversary::Engine a(cfg.adversary, specs, /*staggered=*/true,
-                              /*root=*/0, horizon);
-    const adversary::Engine b(cfg.adversary, specs, /*staggered=*/true,
-                              /*root=*/0, horizon);
+    const adversary::Engine a(cfg.adversary, specs, /*root=*/0, horizon);
+    const adversary::Engine b(cfg.adversary, specs, /*root=*/0, horizon);
     const std::vector<adversary::Leg>& legs = a.legs();
     ASSERT_EQ(legs.size(), b.legs().size());
     ASSERT_GT(legs.size(), cfg.adversary.chains) << "chains must migrate";
@@ -128,20 +125,20 @@ TEST(AdversaryEngine, CompromisedFractionOutsideTheUnitIntervalRejected) {
   const Time horizon = Time::zero() + cfg.round_interval * cfg.rounds;
   for (const double bad : {-1.0, 7.0, std::nan("")}) {
     cfg.adversary.compromised_fraction = bad;
-    EXPECT_THROW(adversary::Engine(cfg.adversary, specs, true, 0, horizon),
+    EXPECT_THROW(adversary::Engine(cfg.adversary, specs, 0, horizon),
                  std::invalid_argument)
         << bad;
   }
   cfg.adversary.compromised_fraction = 7.0;
   try {
-    adversary::Engine(cfg.adversary, specs, true, 0, horizon);
+    adversary::Engine(cfg.adversary, specs, 0, horizon);
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("got 7"), std::string::npos)
         << "the error must name the value: " << e.what();
   }
   for (const double ok : {0.0, 1.0}) {
     cfg.adversary.compromised_fraction = ok;
-    EXPECT_NO_THROW(adversary::Engine(cfg.adversary, specs, true, 0, horizon));
+    EXPECT_NO_THROW(adversary::Engine(cfg.adversary, specs, 0, horizon));
   }
 }
 

@@ -685,6 +685,95 @@ TEST(AggregateDark, HeldCombinerPurgedWhenDarkBeforeFlush) {
       << "held evidence dies with the battery, under its own counter";
 }
 
+// --- Cluster member cap -------------------------------------------------------
+
+TEST(AggregateCap, FullClusterFlushesBeforeItsWindowCloses) {
+  // A head holds child reports for its window, unless the cluster fills
+  // first: the report that brings it to overlay::kMaxClusterMembers
+  // flushes the aggregate at once.
+  sim::EventQueue queue;
+  net::Network network(queue, Duration::millis(2), 0.0, 7);
+  auto arch = std::make_unique<hw::SmartPlusArch>(device_key(1), 4096, 1024,
+                                                  16 * kRecordBytes);
+  attest::Prover prover(queue, *arch, arch->app_region(),
+                        arch->store_region(),
+                        std::make_unique<attest::RegularScheduler>(
+                            Duration::minutes(10)),
+                        attest::ProverConfig{});
+  const net::NodeId sender = network.add_node({});  // plays the verifier
+  const net::NodeId head = network.add_node({});
+  const net::NodeId child = network.add_node({});
+  overlay::RelayNodeConfig nc;
+  nc.aggregation.enabled = true;
+  nc.aggregation.election = {ElectionMode::kDepthBand, 1};  // always head
+  nc.aggregation.window = Duration::seconds(10);
+  overlay::RelayNode node(queue, network, head, prover, nc);
+
+  std::vector<size_t> aggregates_heard;  // members per aggregate
+  network.set_handler(sender, [&](const net::Datagram& d) {
+    const auto framed = overlay::unframe_relay(d.payload);
+    if (!framed || framed->first != overlay::RelayMsg::kAggregateReport) {
+      return;
+    }
+    const auto env =
+        overlay::RelayReport::deserialize(framed->first, framed->second);
+    ASSERT_TRUE(env.has_value());
+    const auto frame = AggregateFrame::deserialize(env->response);
+    ASSERT_TRUE(frame.has_value());
+    aggregates_heard.push_back(frame->members.size());
+  });
+
+  prover.start();
+  queue.run_until(queue.now() + Duration::minutes(11));  // one measurement
+
+  overlay::CollectFlood flood;
+  flood.flood = 1;
+  flood.ttl = 0;
+  flood.flags = overlay::kFloodAggregate;
+  flood.inner_type = static_cast<uint8_t>(attest::MsgType::kCollectRequest);
+  flood.request = attest::CollectRequest{2}.serialize();
+  network.send(sender, head,
+               frame_relay(overlay::RelayMsg::kCollectFlood,
+                           flood.serialize()));
+  queue.run_until(queue.now() + Duration::millis(5));  // elected head
+  // Child reports with one distinct origin each, relayed by `child`.
+  uint32_t next_origin = 100;
+  const auto send_reports = [&](size_t count) {
+    for (size_t i = 0; i < count; ++i) {
+      overlay::RelayReport report;
+      report.flood = 1;
+      report.origin = next_origin++;
+      report.inner_type =
+          static_cast<uint8_t>(attest::MsgType::kCollectResponse);
+      report.path = {child};
+      report.response = response_with_digest(Bytes(32, 0x55));
+      network.send(child, head,
+                   frame_relay(overlay::RelayMsg::kRelayReport,
+                               report.serialize()));
+    }
+  };
+
+  send_reports(overlay::kMaxClusterMembers - 1);
+  queue.run_until(queue.now() + Duration::millis(100));
+  EXPECT_EQ(node.stats().reports_absorbed, overlay::kMaxClusterMembers - 1);
+  EXPECT_EQ(node.stats().aggregates_built, 0u)
+      << "one member short of the cap, the window still holds";
+
+  send_reports(1);
+  queue.run_until(queue.now() + Duration::millis(100));
+  EXPECT_EQ(node.stats().reports_absorbed, overlay::kMaxClusterMembers);
+  EXPECT_EQ(node.stats().aggregates_built, 1u)
+      << "the cap-th member flushes at once";
+  EXPECT_EQ(aggregates_heard,
+            std::vector<size_t>{overlay::kMaxClusterMembers})
+      << "the full aggregate is on the wire 10 s before the window closes";
+
+  // The window's own close finds nothing left to flush.
+  queue.run_until(queue.now() + Duration::seconds(20));
+  EXPECT_EQ(node.stats().aggregates_built, 1u);
+  EXPECT_EQ(aggregates_heard.size(), 1u);
+}
+
 // --- Compromised relays on aggregates ----------------------------------------
 
 TEST(AggregateRelay, CompromisedRelayDropsOrScribblesADeeperHeadsAggregate) {

@@ -1,13 +1,18 @@
 // Tests for the runtime energy meter: per-arch charge tables, go-dark
 // transition semantics, saturating integer accumulation, fleet totals,
-// and thread-count invariance of a metered ShardedFleetRunner.
+// and thread-count invariance of a metered ShardedFleetRunner (metrics
+// and its went_dark trace instants).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "energy/meter.h"
+#include "obs/trace.h"
 #include "scenario/metrics.h"
 #include "scenario/sharded_runner.h"
 
@@ -173,7 +178,6 @@ scenario::ShardedFleetConfig metered_config(size_t threads) {
 
   scenario::ShardedFleetConfig cfg;
   cfg.plan = swarm::FleetPlan::uniform(24, /*key_seed=*/7, base);
-  cfg.plan.staggered = true;
   cfg.plan.mobility.field_size = 200.0;
   cfg.plan.mobility.radio_range = 60.0;
   cfg.plan.mobility.seed = 7;
@@ -209,6 +213,50 @@ TEST(MeteredShardedRunner, DevicesGoDarkDeterministically) {
   EXPECT_EQ(t1, run_with_threads(8));
   EXPECT_NE(t1.find("\"energy\""), std::string::npos)
       << "metered runs emit the per-round energy table";
+}
+
+// The runner's dark sweep traces each browned-out device once, at the
+// instant of the charge that emptied its battery, and the trace is the
+// same file at any thread count.
+TEST(MeteredShardedRunner, EachDarkDeviceTracesOneWentDarkAtItsDarkInstant) {
+  auto run_traced = [](size_t threads) {
+    obs::TraceRecorder recorder;
+    obs::set_global_trace(&recorder);  // the runner picks it up when built
+    scenario::NullSink sink;
+    scenario::ShardedFleetRunner runner(metered_config(threads));
+    obs::set_global_trace(nullptr);
+    runner.run(sink);
+
+    const energy::FleetMeter& meter = *runner.energy_meter();
+    std::vector<uint64_t> dark;
+    for (swarm::DeviceId id = 0; id < runner.size(); ++id) {
+      if (meter.dark(id)) dark.push_back(id);
+    }
+    EXPECT_FALSE(dark.empty()) << "battery sized to brown out";
+    std::vector<uint64_t> traced;
+    for (const obs::TraceEvent& e : recorder.events()) {
+      if (e.name != "went_dark") continue;
+      EXPECT_EQ(e.sub, obs::Subsystem::kEnergy);
+      if (e.args.empty() || e.args[0].first != "device") {
+        ADD_FAILURE() << "went_dark without a leading device arg";
+        continue;
+      }
+      const uint64_t id = std::stoull(e.args[0].second.to_json());
+      traced.push_back(id);
+      if (id >= runner.size()) {
+        ADD_FAILURE() << "went_dark for unknown device " << id;
+        continue;
+      }
+      EXPECT_TRUE(meter.dark(id)) << id;
+      EXPECT_EQ(e.at.ns(), meter.device(id).dark_at().ns()) << id;
+    }
+    std::sort(traced.begin(), traced.end());
+    EXPECT_EQ(traced, dark) << "exactly one went_dark per dark device";
+    std::ostringstream out;
+    recorder.write_chrome_trace(out);
+    return out.str();
+  };
+  EXPECT_EQ(run_traced(1), run_traced(2));
 }
 
 // Unmetered runs must not change: no meter, no energy rows, no dark column.

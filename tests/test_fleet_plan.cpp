@@ -145,7 +145,6 @@ TEST(FleetPlan, RejectsBadInput) {
   FleetPlan plan(4, 7);
   EXPECT_THROW(plan.add_mix(0.0, DeviceSpec{}), std::invalid_argument);
   EXPECT_THROW(plan.add_mix(-1.0, DeviceSpec{}), std::invalid_argument);
-  EXPECT_THROW(plan.spec(4), std::out_of_range);
 
   sim::EventQueue queue;
   DeviceSpec keyless;

@@ -1,5 +1,5 @@
-// Tests for the flight recorder (obs::TraceRecorder), the metrics registry
-// (obs::Registry) and the phase profiler (obs::PhaseProfiler).
+// Tests for the flight recorder (obs::TraceRecorder), the fixed-bucket
+// histogram (obs::Histogram) and the phase profiler (obs::PhaseProfiler).
 //
 // The load-bearing property is partition-independence: the merged trace
 // must be a pure function of the emitted events, never of how devices were
@@ -11,8 +11,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "obs/histogram.h"
 #include "obs/phase.h"
-#include "obs/registry.h"
 #include "obs/trace.h"
 
 namespace erasmus::obs {
@@ -197,75 +197,19 @@ TEST(TraceExport, JsonlOneObjectPerLine) {
             "\"kind\":\"instant\",\"name\":\"flood\",\"args\":{\"ttl\":6}}\n");
 }
 
-// --- registry ----------------------------------------------------------------
+// --- histogram ---------------------------------------------------------------
 
-TEST(Registry, DuplicateRegistrationThrows) {
-  // Each count has one ledger, so one name has one reader: a second
-  // registration -- of any kind -- is two owners claiming the same row.
-  Registry registry;
-  const Histogram h({1.0});
-  registry.counter("service", "responses", [] { return uint64_t{0}; });
-  EXPECT_THROW(
-      registry.counter("service", "responses", [] { return uint64_t{1}; }),
-      std::logic_error);
-  EXPECT_THROW(registry.gauge("service", "responses", [] { return 0.0; }),
-               std::logic_error);
-  EXPECT_THROW(registry.histogram("service", "responses", h),
-               std::logic_error);
-  EXPECT_EQ(registry.size(), 1u);
-  // Same name under another subsystem is another row.
-  registry.counter("overlay", "responses", [] { return uint64_t{0}; });
-  EXPECT_EQ(registry.size(), 2u);
-}
-
-TEST(Registry, SnapshotReadsOwnersInRegistrationOrder) {
-  uint64_t responses = 2;
-  double window = 24.0;
-  uint64_t floods = 1;
-  Registry registry;
-  registry.counter("service", "responses", [&] { return responses; });
-  registry.gauge("window", "window", [&] { return window; });
-  registry.counter("overlay", "floods", [&] { return floods; });
-  auto samples = registry.snapshot();
-  ASSERT_EQ(samples.size(), 3u);
-  EXPECT_EQ(samples[0].name, "responses");
-  EXPECT_EQ(samples[0].kind, Registry::Kind::kCounter);
-  EXPECT_EQ(samples[0].value, 2.0);
-  EXPECT_EQ(samples[1].subsystem, "window");
-  EXPECT_EQ(samples[1].kind, Registry::Kind::kGauge);
-  EXPECT_EQ(samples[1].value, 24.0);
-  EXPECT_EQ(samples[2].name, "floods");
-  // The catalogue holds no values: a snapshot reads the owners as they
-  // stand now.
-  responses = 7;
-  window = 12.0;
-  samples = registry.snapshot();
-  EXPECT_EQ(samples[0].value, 7.0);
-  EXPECT_EQ(samples[1].value, 12.0);
-  EXPECT_EQ(samples[2].value, 1.0);
-}
-
-TEST(Registry, HistogramBucketsInclusiveUpperWithOverflow) {
+TEST(Histogram, BucketsInclusiveUpperWithOverflow) {
   Histogram h({1.0, 3.0, 8.0});
-  Registry registry;
-  registry.histogram("overlay", "hop_count", h);
   h.observe(1.0);   // inclusive: lands in le=1
   h.observe(2.0);   // le=3
   h.observe(100.0); // overflow
-  const auto samples = registry.snapshot();
-  ASSERT_EQ(samples.size(), 1u);
-  EXPECT_EQ(samples[0].kind, Registry::Kind::kHistogram);
-  const auto& buckets = samples[0].buckets;
-  ASSERT_EQ(buckets.size(), 4u);
-  EXPECT_EQ(buckets[0].second, 1u);
-  EXPECT_EQ(buckets[1].second, 1u);
-  EXPECT_EQ(buckets[2].second, 0u);
-  EXPECT_EQ(buckets[3].second, 1u);  // overflow, bound +inf
-  EXPECT_EQ(samples[0].value, 3.0);  // total observations
+  EXPECT_EQ(h.counts(), (std::vector<uint64_t>{1, 1, 0, 1}));
+  EXPECT_EQ(h.total(), 3u);
   EXPECT_EQ(h.sum(), 103.0);
 }
 
-TEST(Registry, HistogramBoundsMustStrictlyIncrease) {
+TEST(Histogram, BoundsMustStrictlyIncrease) {
   EXPECT_THROW(Histogram({1.0, 1.0}), std::invalid_argument);
   EXPECT_THROW(Histogram({3.0, 1.0}), std::invalid_argument);
   // Empty bounds are legal: a pure event counter with one overflow bucket.
