@@ -10,7 +10,11 @@ TrustLiteArch::TrustLiteArch(Bytes key, size_t app_ram_bytes,
   // DeviceMemory policies below are the *hardware floor*; the EA-MPU rule
   // table refines what each trustlet may do and is checked at protected-
   // section entry.
-  code_ = memory_.add_region("attestation_trustlet", 8 * 1024, policy::kRom);
+  // The trustlet's 8 KiB are zero-filled and never written (kRom, no
+  // provision), so every device maps one shared zero image.
+  static const Bytes kTrustletImage(8 * 1024, 0);
+  code_ = memory_.add_image_region("attestation_trustlet", kTrustletImage,
+                                   policy::kRom);
   key_region_ = memory_.add_region("key", key_.size(), policy::kKey);
   app_ = memory_.add_region("app_ram", app_ram_bytes, policy::kAppRam);
   store_ = memory_.add_region("measurement_store", store_bytes,

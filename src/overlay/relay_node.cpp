@@ -188,12 +188,26 @@ bool RelayNode::first_sight(uint32_t flood) {
   // mistaken for first sight, its echoes would re-flood exponentially.
   constexpr uint32_t kWindow = 1u << 16;
   if (flood + kWindow < flood_watermark_) return false;  // ancient echo
-  if (!seen_floods_.insert(flood).second) return false;
+  auto& seen = seen_floods_;
+  // Ids arrive nearly ascending: the common case appends.
+  if (seen.empty() || seen.back() < flood) {
+    seen.push_back(flood);
+  } else {
+    const auto it = std::lower_bound(seen.begin(), seen.end(), flood);
+    if (*it == flood) return false;
+    seen.insert(it, flood);
+  }
   if (flood > flood_watermark_) {
     flood_watermark_ = flood;
-    while (!seen_floods_.empty() &&
-           *seen_floods_.begin() + kWindow < flood_watermark_) {
-      seen_floods_.erase(seen_floods_.begin());
+    // An id below the window never matches again (the echo test above
+    // turns it away first). Dropping them once they are half the list
+    // moves each id a bounded number of times.
+    if (flood_watermark_ > kWindow) {
+      const auto live = std::lower_bound(seen.begin(), seen.end(),
+                                         flood_watermark_ - kWindow);
+      if (live - seen.begin() >= seen.end() - live) {
+        seen.erase(seen.begin(), live);
+      }
     }
   }
   return true;

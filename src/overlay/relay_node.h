@@ -32,7 +32,6 @@
 
 #include <deque>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "aggregate/combine.h"
@@ -227,12 +226,13 @@ class RelayNode {
   LinkProbe link_probe_;
 
   /// First-sight dedup, decoupled from route pruning. Transport flood ids
-  /// are monotone, so anything at or below the watermark minus the window
+  /// are monotone, so anything more than the window below the watermark
   /// is a duplicate by construction.
   bool first_sight(uint32_t flood);
 
   std::map<uint32_t, FloodRoute> routes_;  // flood id -> uplink state
-  std::set<uint32_t> seen_floods_;         // recent ids above watermark
+  /// Ids seen, ascending; ids that fell out of the window may linger.
+  std::vector<uint32_t> seen_floods_;
   uint32_t flood_watermark_ = 0;           // highest flood id seen
   std::deque<QueuedReport> queue_out_;
   /// Held hold-and-combine state per flood this node heads. Entries live

@@ -472,6 +472,10 @@ FleetRoundResult ShardedFleetRunner::collect_round(size_t round,
   // timeout entries from the previous round are reclaimed instead of
   // accumulating one per session per round for the runner's lifetime.
   coordinator_queue_.run_until(at);
+  // Every earlier coordinator event has run, and every later query asks at
+  // or after `at`: the radio at the clock's instant, round hooks and the
+  // §6 contrast at the last barrier. Legs that end by now can go.
+  mobility_.forget_before(at);
 
   const auto judge = [this, &result](
       const attest::AttestationService::SessionOutcome& outcome) {

@@ -156,6 +156,7 @@ class ShardedFleetRunner {
   /// The shared verifier-side state: one record per device, judged through
   /// the AttestationService at collection barriers.
   const attest::DeviceDirectory& directory() const { return directory_; }
+  /// Floored at each collection barrier: ask at or after the latest one.
   swarm::RandomWaypointMobility& mobility() { return mobility_; }
 
   /// Schedules `fn(prover)` at virtual time `at` on the owning shard's

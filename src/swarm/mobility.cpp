@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "common/strings.h"
 
@@ -58,6 +59,10 @@ void RandomWaypointMobility::extend(DeviceId node, sim::Time until) {
   // for the clock is cut here.
   constexpr sim::Duration kHorizon = sim::Duration::hours(1000);
   auto& segs = segments_[node];
+  // Legs that fell behind the floor since this device last extended.
+  segs.erase(segs.begin(),
+             std::find_if(segs.begin(), segs.end(),
+                          [this](const Segment& leg) { return kept(leg); }));
   do {
     const Point from = last.to;
     const Point to{rng_.next_double() * config_.field_size,
@@ -87,7 +92,7 @@ void RandomWaypointMobility::extend(DeviceId node, sim::Time until) {
                        from.y + (to.y - from.y) * share};
       last = Segment{last.end, last.end + kHorizon, from, stop};
     }
-    segs.push_back(last);
+    if (kept(last)) segs.push_back(last);
   } while (last.end < until);
 }
 
@@ -101,12 +106,23 @@ Point RandomWaypointMobility::position(DeviceId node, sim::Time t) {
   const Segment& last = current_[node];
   if (t >= last.start) return last.at(t);
   // An earlier instant: binary search the history for the segment
-  // containing t (the current leg ends after t, so one does).
+  // containing t (the current leg ends after t, so one does; at or after
+  // the floor, that segment is still kept).
+  if (floor_ && t < *floor_) {
+    throw std::logic_error(
+        "RandomWaypointMobility: position at t = " + std::to_string(t.ns()) +
+        " ns is before the floor at " + std::to_string(floor_->ns()) +
+        " ns");
+  }
   const auto& segs = segments_[node];
   const auto it = std::upper_bound(
       segs.begin(), segs.end(), t,
       [](sim::Time value, const Segment& s) { return value < s.end; });
   return it->at(t);
+}
+
+void RandomWaypointMobility::forget_before(sim::Time t) {
+  if (!floor_ || *floor_ < t) floor_ = t;
 }
 
 bool RandomWaypointMobility::reaches(DeviceId node, sim::Time t) const {

@@ -3,15 +3,21 @@
 // Each device moves toward a random waypoint at a random speed, picks a new
 // waypoint on arrival, and is connected to every device within radio range
 // (in_range(), the one range test every link path evaluates).
-// Trajectories are generated lazily and kept, so position(node, t) is
-// well-defined for any already-reached or future t and the model can be
-// queried out of order within a protocol round (hops at different times).
+// Trajectories are generated lazily and kept back to the floor, so
+// position(node, t) is well-defined for any t at or after the floor,
+// already reached or not, and the model can be queried out of order within
+// a protocol round (hops at different times). forget_before(t) raises the
+// floor: the caller's promise that no later query asks before t. A leg
+// that ends at or before the floor is dropped when it is drawn or when its
+// device next extends, so a floored model keeps a few legs per device
+// however long it runs; a model nobody floors keeps every leg.
 //
 // Each device's latest leg also sits in one contiguous current-leg table
 // (48 B per device). reaches(), and position() at or after that leg's
 // start, read only the table; only an earlier instant searches the kept
-// history. The table is a copy of each history's last leg: it changes no
-// draw.
+// history (and throws below the floor). The table is a copy of each
+// device's last drawn leg, and the floor only decides which legs are
+// kept: neither changes a draw.
 //
 // The `speed` knob is the mobility-rate axis of the paper's §6 argument:
 // at speed 0 the topology is static and on-demand swarm RA works; as speed
@@ -20,6 +26,7 @@
 // far more slowly.
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "common/parallel.h"
@@ -89,20 +96,31 @@ class RandomWaypointMobility {
     executor_ = executor;
   }
 
+  /// Raises the floor to `t` (it never falls): no later query may ask for
+  /// an instant before `t`. A later position() query that needs a leg
+  /// from before the floor throws std::logic_error.
+  void forget_before(sim::Time t);
+
   const MobilityConfig& config() const { return config_; }
-  /// Every leg `node` has been given so far: the kept history.
+  /// The legs `node` keeps, time-ordered: every leg it has been given so
+  /// far, back to the floor.
   const std::vector<Segment>& segments(DeviceId node) const {
     return segments_.at(node);
   }
 
  private:
   void extend(DeviceId node, sim::Time until);
+  /// False for a leg that ends at or before the floor.
+  bool kept(const Segment& leg) const {
+    return !floor_ || leg.end > *floor_;
+  }
 
   MobilityConfig config_;
   sim::Rng rng_;
   common::ParallelExecutor* executor_ = nullptr;  // not owned
   std::vector<Segment> current_;                // per node, the latest leg
   std::vector<std::vector<Segment>> segments_;  // per node, time-ordered
+  std::optional<sim::Time> floor_;  // none: every leg is kept
 };
 
 }  // namespace erasmus::swarm

@@ -7,12 +7,14 @@
 
 #include <algorithm>
 #include <functional>
+#include <set>
 
 #include "attest/service.h"
 #include "crypto/hkdf.h"
 #include "overlay/relay_node.h"
 #include "overlay/relay_transport.h"
 #include "seeded_fuzz.h"
+#include "sim/rng.h"
 #include "swarm/mobility.h"
 
 namespace erasmus::overlay {
@@ -652,6 +654,84 @@ TEST(Overlay, BrokenScopedHopNaksAndEvictsRoute) {
   transport.hint_retry_wave();
   transport.send(3, attest::MsgType::kCollectRequest, body);
   EXPECT_EQ(transport.stats().targeted_floods, 1u);
+}
+
+// First-sight flood dedup: an id up to 65,536 below the highest id seen
+// counts once, in or out of order; one below that is an ancient echo.
+// Checked against the std::set the node used to keep: the edges first
+// (also right after ids fall out of the window), then a seeded stream of
+// nearly ascending ids across many windows.
+TEST(Overlay, FloodDedupCountsEachIdInTheWindowOnce) {
+  OverlayRig rig(1);
+  const RelayNode& node = *rig.nodes[0];
+  const auto first_sight = [&](uint32_t id) {
+    CollectFlood flood;
+    flood.flood = id;
+    flood.ttl = 1;             // a first sight re-floods (to nobody)
+    flood.targets = {12345};   // and serves nothing
+    const uint64_t before = node.stats().floods_forwarded;
+    rig.network.send(rig.collector_node, 0,
+                     frame_relay(RelayMsg::kCollectFlood, flood.serialize()));
+    rig.queue.run_until(rig.queue.now() + Duration::millis(10));
+    return node.stats().floods_forwarded > before;
+  };
+  constexpr uint32_t kWindow = 65'536;
+  std::set<uint32_t> seen;
+  uint32_t watermark = 0;
+  const auto reference = [&](uint32_t id) {
+    if (id + kWindow < watermark) return false;
+    if (!seen.insert(id).second) return false;
+    if (id > watermark) {
+      watermark = id;
+      while (*seen.begin() + kWindow < watermark) seen.erase(seen.begin());
+    }
+    return true;
+  };
+  const auto check = [&](uint32_t id, bool want, const char* what) {
+    ASSERT_EQ(reference(id), want) << what;
+    ASSERT_EQ(first_sight(id), want) << what << ", id " << id;
+  };
+  check(100'000, true, "first sight");
+  check(100'000, false, "duplicate");
+  check(99'990, true, "out of order, inside the window");
+  check(99'990, false, "counted once");
+  check(100'000 - kWindow, true, "the window's edge");
+  check(100'000 - kWindow - 1, false, "ancient echo");
+  check(100'000 - kWindow, false, "the edge, counted once");
+  // Three ids fall out of the window; 100,000 is its new edge.
+  check(100'000 + kWindow, true, "a jump");
+  check(100'000, false, "the new edge, still a duplicate");
+  check(99'990, false, "fell out of the window");
+  check(100'001, true, "inside the window, never seen");
+
+  sim::Rng rng(31);
+  uint32_t next = 100'001 + kWindow;
+  size_t fresh = 0;
+  for (int i = 0; i < 20'000; ++i) {
+    uint32_t id;
+    switch (rng.next_below(16)) {
+      case 0:  // recent: a duplicate or an out-of-order first sight
+        id = watermark - static_cast<uint32_t>(rng.next_below(64));
+        break;
+      case 1:  // around the window's lower edge
+        id = watermark - kWindow - 1 + static_cast<uint32_t>(rng.next_below(3));
+        break;
+      case 2:  // now and then a jump
+        next += static_cast<uint32_t>(rng.next_below(40'000));
+        id = next++;
+        break;
+      default:
+        next += static_cast<uint32_t>(rng.next_below(3));
+        id = next++;
+        break;
+    }
+    const bool want = reference(id);
+    ASSERT_EQ(first_sight(id), want) << "frame " << i << ", id " << id;
+    fresh += want;
+  }
+  EXPECT_GT(watermark, 100'000 + 10 * kWindow);
+  EXPECT_GT(fresh, 10'000u);
+  EXPECT_LT(fresh, 20'000u);
 }
 
 TEST(Overlay, MobileSwarmMomentaryReachability) {

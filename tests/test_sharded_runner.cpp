@@ -487,6 +487,28 @@ TEST(ShardedFleetRunner, DeadlineCutRoundsConserveSessions) {
   EXPECT_GT(runner.service().stats().aborted_sessions, 0u);
 }
 
+// The runner floors its mobility model at every barrier, so trajectory
+// legs do not pile up with simulated time: after 120 rounds the fleet
+// keeps at most two legs per device (unfloored, it kept every leg drawn:
+// about 3.7 per device per round at the fleetbench scale, far more here).
+// A §6-style query at the last barrier is still answered.
+TEST(ShardedFleetRunner, TrajectoryHistoryStaysFlatOverRounds) {
+  ShardedFleetConfig cfg = small_config(2);
+  cfg.rounds = 120;
+  NullSink sink;
+  ShardedFleetRunner runner(cfg);
+  runner.run(sink);
+  size_t legs = 0;
+  for (swarm::DeviceId id = 0; id < runner.size(); ++id) {
+    legs += runner.mobility().segments(id).size();
+  }
+  EXPECT_LE(legs, 2 * runner.size());
+  const Time end = Time::zero() + cfg.round_interval * cfg.rounds;
+  for (swarm::DeviceId id = 0; id < runner.size(); ++id) {
+    EXPECT_NO_THROW(runner.mobility().position(id, end));
+  }
+}
+
 // The registered swarm_patrol scenario (the acceptance-criteria surface):
 // same params, different `threads`, identical JSON bytes.
 TEST(ShardedFleetRunner, SwarmPatrolScenarioThreadCountInvariant) {

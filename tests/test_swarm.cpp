@@ -332,6 +332,133 @@ TEST(Mobility, PositionAndReachesMatchASearchOverTheKeptLegs) {
   }
 }
 
+// A floored model draws exactly what an unfloored twin draws: every query
+// at or after the floor -- the floor itself, t = 0 under a zero floor, a
+// floor exactly at a kept leg's end or a nanosecond short of it, history
+// instants behind the current leg -- gets the twin's position and
+// reaches() answer bit for bit. What it keeps is a tail of the twin's
+// legs; a query that extends a device drops every leg that ends by the
+// floor, so it keeps a few legs per device where the twin keeps them all.
+// A query that needs a leg from before the floor throws, naming both
+// instants.
+TEST(Mobility, FlooredModelAnswersAsItsUnflooredTwin) {
+  MobilityConfig cfg;
+  cfg.devices = 8;
+  RandomWaypointMobility floored(cfg);
+  RandomWaypointMobility twin(cfg);
+  sim::Rng rng(23);
+  Time floor = Time::zero();
+  const auto same = [&](DeviceId v, Time t) {
+    const bool extends = !twin.reaches(v, t);
+    ASSERT_EQ(floored.reaches(v, t), !extends) << t.ns();
+    const Point p = floored.position(v, t);
+    const Point want = twin.position(v, t);
+    ASSERT_EQ(p.x, want.x) << "device " << v << " at " << t.ns();
+    ASSERT_EQ(p.y, want.y) << "device " << v << " at " << t.ns();
+    const auto& kept = floored.segments(v);
+    if (extends && !kept.empty()) {
+      ASSERT_GT(kept.front().end, floor);
+    }
+  };
+
+  floored.forget_before(floor);
+  for (DeviceId v = 0; v < cfg.devices; ++v) same(v, Time::zero());
+  Time clock = Time::zero();
+  size_t from_history = 0;
+  size_t at_a_leg_end = 0;
+  size_t most_kept = 0;
+  for (int step = 0; step < 400; ++step) {
+    clock = clock + Duration::millis(rng.next_below(120'000));
+    for (int q = 0; q < 24; ++q) {
+      const auto v = static_cast<DeviceId>(rng.next_below(cfg.devices));
+      Time t;
+      switch (rng.next_below(4)) {
+        case 0:
+          t = floor;
+          break;
+        case 1:
+          t = clock;
+          break;
+        default:  // anywhere from the floor to the clock
+          t = floor + Duration(rng.next_below((clock - floor).ns() + 1));
+          break;
+      }
+      same(v, t);
+      // The twin's last leg is the current leg both models share.
+      from_history += t < twin.segments(v).back().start;
+      if (step == 0 && q < 4) same(v, Time::zero());
+    }
+    // Raise the floor: exactly to a kept leg's end (which drops it), one
+    // nanosecond short of it (which keeps it), or to the clock, as the
+    // runner raises it to each barrier.
+    const auto v = static_cast<DeviceId>(rng.next_below(cfg.devices));
+    const auto& legs = floored.segments(v);
+    const Time end = legs.empty() ? floor : legs.front().end;
+    const uint64_t how = rng.next_below(3);
+    if (how < 2 && end > floor && end <= clock) {
+      floor = end - Duration(how);
+      ++at_a_leg_end;
+    } else {
+      floor = clock;
+    }
+    floored.forget_before(floor);
+    same(v, floor);
+    // What a device keeps is a tail of the twin's legs, bit for bit, and
+    // every leg it dropped ends by the floor.
+    for (DeviceId d = 0; d < cfg.devices; ++d) {
+      const auto& kept = floored.segments(d);
+      const auto& all = twin.segments(d);
+      ASSERT_LE(kept.size(), all.size());
+      const size_t dropped = all.size() - kept.size();
+      for (size_t i = 0; i < kept.size(); ++i) {
+        const auto& want = all[dropped + i];
+        ASSERT_TRUE(kept[i].start == want.start && kept[i].end == want.end &&
+                    kept[i].from.x == want.from.x &&
+                    kept[i].from.y == want.from.y &&
+                    kept[i].to.x == want.to.x && kept[i].to.y == want.to.y)
+            << "device " << d << ", leg " << i;
+      }
+      if (dropped > 0) {
+        ASSERT_LE(all[dropped - 1].end, floor);
+      }
+      most_kept = std::max(most_kept, kept.size());
+    }
+  }
+  EXPECT_GT(from_history, 500u);
+  EXPECT_GT(at_a_leg_end, 50u);
+  // The clock moves up to two minutes a step and the floor lags it by at
+  // most a step: the legs of about four minutes, against the twin's whole
+  // run.
+  EXPECT_LE(most_kept, 16u);
+  size_t twin_legs = 0;
+  for (DeviceId d = 0; d < cfg.devices; ++d) {
+    twin_legs += twin.segments(d).size();
+  }
+  EXPECT_GT(twin_legs, 50 * cfg.devices);
+
+  // Below the floor: a device whose current leg starts after the floor
+  // needs its history, which is gone.
+  floored.position(0, floor + Duration::hours(2));
+  ASSERT_GT(floored.segments(0).back().start, floor);
+  const Time before = floor - Duration(1);
+  try {
+    floored.position(0, before);
+    FAIL() << "a query below the floor must throw";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(std::to_string(before.ns())), std::string::npos)
+        << what;
+    EXPECT_NE(what.find(std::to_string(floor.ns())), std::string::npos)
+        << what;
+  }
+  // The floor never falls, and the throw changed nothing.
+  floored.forget_before(Time::zero());
+  EXPECT_THROW(floored.position(0, before), std::logic_error);
+  twin.position(0, floor + Duration::hours(2));
+  same(0, floor);
+  same(0, floor + Duration::hours(3));
+}
+
 // A speed of a few nm/s puts a leg's travel time past the nanosecond
 // clock (~584 years). Such a leg is cut at the stationary horizon, at the
 // point its speed reaches by then: the device never outruns its speed.

@@ -3,6 +3,8 @@
 // stack runs on TrustLiteArch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "attest/directory.h"
 #include "attest/prover.h"
 #include "hw/trustlite.h"
@@ -71,6 +73,24 @@ TEST(TrustLite, KeyIsolationIdenticalToOtherArchitectures) {
   EXPECT_EQ(seen, test_key());
   EXPECT_THROW((void)arch.memory().read(arch.key_region(), 0, 1, false),
                hw::AccessViolation);
+}
+
+// The trustlet region is 8 KiB of zeros that no device writes: every
+// device maps one shared image (DETERMINISM.md R10), and kRom still
+// refuses even a privileged write.
+TEST(TrustLite, TrustletMapsOneSharedZeroImage) {
+  auto a = make_arch();
+  auto b = make_arch();
+  const hw::DeviceMemory& ma = a.memory();
+  ASSERT_TRUE(ma.maps_shared_image(a.code_region()));
+  ASSERT_TRUE(b.memory().maps_shared_image(b.code_region()));
+  const ByteView va = ma.view(a.code_region(), /*privileged=*/true);
+  EXPECT_EQ(va.data(), b.memory().view(b.code_region(), true).data());
+  EXPECT_EQ(va.size(), 8u * 1024);
+  EXPECT_EQ(std::count(va.begin(), va.end(), 0), 8 * 1024);
+  EXPECT_THROW(a.memory().write(a.code_region(), 0, bytes_of("x"), true),
+               hw::AccessViolation);
+  EXPECT_TRUE(ma.maps_shared_image(a.code_region()));
 }
 
 TEST(TrustLite, InterruptsAllowedUnlikeSmartPlus) {
