@@ -11,6 +11,7 @@ namespace erasmus::aggregate {
 Bytes evidence_leaf(crypto::HashAlgo algo, net::NodeId origin,
                     ByteView response) {
   ByteWriter w;
+  w.reserve(4 + response.size());
   w.u32(origin);
   w.raw(response);
   return crypto::Hash::digest(algo, w.take());

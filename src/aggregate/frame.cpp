@@ -61,6 +61,8 @@ std::optional<AggregateFrame> AggregateFrame::deserialize(ByteView data) {
 
 Bytes aggregate_mac_input(const AggregateFrame& frame) {
   ByteWriter w;
+  w.reserve(4 + 4 + 4 + 4 * frame.members.size() + 4 + frame.bitmap.size() +
+            4 + frame.root.size() + 4);
   w.u32(frame.flood);
   w.u32(frame.head);
   write_members(w, frame.members);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_set>
 
 namespace erasmus::attest {
 
@@ -134,15 +133,19 @@ void AttestationService::admit_round(const std::vector<DeviceId>& devices) {
   if (round_active_) {
     throw std::logic_error("AttestationService: round already in progress");
   }
-  std::unordered_set<net::NodeId> nodes;
-  nodes.reserve(devices.size());
+  // The directory enrolls one device per node, so a repeated endpoint is
+  // a repeated device id: each id is flagged on a reused per-device
+  // vector.
+  admitted_.assign(directory_.size(), false);
   for (const DeviceId id : devices) {
     // directory_.node() also rejects unknown device ids here, before any
     // session has been dispatched.
-    if (!nodes.insert(directory_.node(id)).second) {
+    directory_.node(id);
+    if (admitted_[id]) {
       throw std::logic_error(
           "AttestationService: duplicate target endpoint in round");
     }
+    admitted_[id] = true;
   }
 }
 
@@ -507,25 +510,26 @@ void AttestationService::flush_intake() {
   const size_t n = intake.size();
   // verify_collection is a pure function of (record, response, now, k), so
   // every response can be judged concurrently into its own report slot.
-  // Chunks are grouped by MAC algorithm first (stable sort, so within an
-  // algorithm intake order is kept) -- on a heterogeneous fleet each
-  // worker then stays on one arch family's crypto code path.
+  // Chunks are grouped by MAC algorithm first -- on a heterogeneous fleet
+  // each worker then stays on one arch family's crypto code path. Each
+  // response's algorithm is read once, and the pairs compare their intake
+  // index last, so within an algorithm intake order is kept.
   std::vector<CollectionReport> reports(n);
-  std::vector<size_t> order(n);
-  for (size_t i = 0; i < n; ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return directory_.record(intake[a].device).key.algo() <
-           directory_.record(intake[b].device).key.algo();
-  });
+  std::vector<std::pair<crypto::MacAlgo, size_t>> order(n);
+  for (size_t i = 0; i < n; ++i) {
+    order[i] = {directory_.record(intake[i].device).key.algo(), i};
+  }
+  std::sort(order.begin(), order.end());
   const sim::Time now = queue_.now();
   constexpr size_t kChunk = 8;
   const size_t chunks = (n + kChunk - 1) / kChunk;
   const auto verify_chunk = [&](size_t c) {
     const size_t hi = std::min((c + 1) * kChunk, n);
     for (size_t j = c * kChunk; j < hi; ++j) {
-      const PendingVerify& pv = intake[order[j]];
-      reports[order[j]] = verify_collection(directory_.record(pv.device),
-                                            pv.resp, now, round_k_);
+      const size_t i = order[j].second;
+      const PendingVerify& pv = intake[i];
+      reports[i] = verify_collection(directory_.record(pv.device), pv.resp,
+                                     now, round_k_);
     }
   };
   if (config_.verify_executor != nullptr) {

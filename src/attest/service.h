@@ -293,6 +293,8 @@ class AttestationService {
   std::optional<sim::EventId> next_round_event_;
 
   std::deque<DeviceId> pending_;
+  /// admit_round()'s duplicate check, indexed by DeviceId.
+  std::vector<bool> admitted_;
   uint32_t round_k_ = 0;  // one uniform k per round, by construction
   /// The one intake of collect responses. A reply delivered while a
   /// broadcast is on the stack waits here for that broadcast's batch

@@ -9,12 +9,6 @@
 
 namespace erasmus::overlay {
 
-namespace {
-/// Alternate-uplink memory per flood: enough for route repair in dense
-/// neighbourhoods without unbounded growth in them.
-constexpr size_t kMaxAlternates = 4;
-}  // namespace
-
 RelayNode::RelayNode(sim::EventQueue& queue, net::Network& network,
                      net::NodeId self, attest::Prover& prover,
                      RelayNodeConfig config)
@@ -45,7 +39,7 @@ void RelayNode::on_datagram(const net::Datagram& dgram) {
   }
   switch (framed->first) {
     case RelayMsg::kCollectFlood: {
-      const auto flood = CollectFlood::deserialize(framed->second);
+      const auto flood = FloodView::parse(framed->second);
       if (!flood) {
         ++stats_.malformed_frames;
         return;
@@ -55,12 +49,12 @@ void RelayNode::on_datagram(const net::Datagram& dgram) {
     }
     case RelayMsg::kRelayReport:
     case RelayMsg::kAggregateReport: {
-      auto report = RelayReport::deserialize(framed->first, framed->second);
+      const auto report = ReportView::parse(framed->first, framed->second);
       if (!report) {
         ++stats_.malformed_frames;
         return;
       }
-      relay(std::move(*report));
+      relay(*report);
       return;
     }
     case RelayMsg::kScopedRequest: {
@@ -95,7 +89,7 @@ void RelayNode::on_datagram(const net::Datagram& dgram) {
 }
 
 void RelayNode::trace_adversarial(const char* name,
-                                  const RelayReport& report) {
+                                  const ReportView& report) {
   obs::TraceRecorder* trace = config_.trace;
   if (!trace || !trace->enabled(obs::Subsystem::kOverlay)) return;
   trace->instant(obs::Subsystem::kOverlay, queue_.now(), name,
@@ -104,7 +98,7 @@ void RelayNode::trace_adversarial(const char* name,
                   {"origin", static_cast<uint64_t>(report.origin)}});
 }
 
-void RelayNode::relay(RelayReport report) {
+void RelayNode::relay(const ReportView& report) {
   // Pure relay: never parse the payload. Unknown flood (never heard it,
   // or route state already pruned) -> nowhere to send it.
   if (routes_.find(report.flood) == routes_.end()) {
@@ -134,30 +128,32 @@ void RelayNode::relay(RelayReport report) {
       return;
     }
   }
-  ++report.hops;
-  report.path.push_back(self_);
   if (config_.compromise.corrupt_relayed) {
     // Scribble instead of drop: the mangled frame still burns this node's
     // queue slot and forward spacing, then fails to parse at the next hop
     // (its malformed_frames). Truncating the tail keeps the relay framing
-    // header valid but breaks the inner deserialize, which insists on
-    // consuming the frame exactly.
+    // header valid but breaks the inner parse, which insists on consuming
+    // the frame exactly. The queue byte is left as it arrived.
     ++stats_.corrupted_adversarial;
     trace_adversarial("adversarial_corrupt", report);
-    Bytes frame = report.frame();
+    Bytes frame = report.relay_frame(self_, report.queue);
     frame.resize(frame.size() - frame.size() / 3);
     enqueue_frame(report.flood, report.origin, std::move(frame),
                   /*relayed=*/true, report.aggregate());
     return;
   }
-  enqueue_report(std::move(report), /*relayed=*/true);
+  // The congestion piggyback of enqueue_report(), on the patched frame.
+  enqueue_frame(report.flood, report.origin,
+                report.relay_frame(self_,
+                                   std::max(report.queue, occupancy_byte())),
+                /*relayed=*/true, report.aggregate());
 }
 
 void RelayNode::handle_scoped(ScopedRequest request, net::NodeId from) {
   // Record the sender as this flood's parent BEFORE anything else: the
   // response report (or a NAK from further down) returns over exactly the
   // hops the request traversed.
-  routes_[request.flood] = FloodRoute{from, {}};
+  routes_[request.flood] = FloodRoute{from};
   prune_routes();
   first_sight(request.flood);  // keep the dedup watermark monotone
 
@@ -213,7 +209,7 @@ bool RelayNode::first_sight(uint32_t flood) {
   return true;
 }
 
-void RelayNode::handle_flood(const CollectFlood& flood, net::NodeId from) {
+void RelayNode::handle_flood(const FloodView& flood, net::NodeId from) {
   ++stats_.floods_seen;
   if (!first_sight(flood.flood)) {
     // Duplicate arrival: remember the sender as an alternate uplink for
@@ -221,16 +217,17 @@ void RelayNode::handle_flood(const CollectFlood& flood, net::NodeId from) {
     const auto it = routes_.find(flood.flood);
     if (it == routes_.end()) return;  // route state already pruned
     FloodRoute& route = it->second;
-    if (from != route.parent &&
-        route.alternates.size() < kMaxAlternates &&
-        std::find(route.alternates.begin(), route.alternates.end(), from) ==
-            route.alternates.end()) {
-      route.alternates.push_back(from);
+    const auto alternates_end =
+        route.alternates.begin() + route.alternate_count;
+    if (from != route.parent && route.alternate_count < kMaxAlternates &&
+        std::find(route.alternates.begin(), alternates_end, from) ==
+            alternates_end) {
+      route.alternates[route.alternate_count++] = from;
     }
     return;
   }
 
-  routes_[flood.flood] = FloodRoute{from, {}};
+  routes_[flood.flood] = FloodRoute{from};
   prune_routes();
 
   if (config_.compromise.sybil_per_flood > 0) {
@@ -278,14 +275,14 @@ void RelayNode::handle_flood(const CollectFlood& flood, net::NodeId from) {
   }
 
   if (flood.ttl > 0) {
-    CollectFlood next = flood;
-    next.ttl = flood.ttl - 1;
-    next.depth = static_cast<uint8_t>(std::min<uint32_t>(depth, 255));
     ++stats_.floods_forwarded;
     // Offered to every node but the one it came from; the network's link
     // filter delivers only to nodes in radio range at this instant (§6).
     network_.broadcast_all(
-        self_, from, frame_relay(RelayMsg::kCollectFlood, next.serialize()));
+        self_, from,
+        flood.forward_frame(
+            static_cast<uint8_t>(flood.ttl - 1),
+            static_cast<uint8_t>(std::min<uint32_t>(depth, 255))));
   }
 }
 
@@ -414,14 +411,13 @@ void RelayNode::serve(uint32_t flood_id, uint8_t inner_type,
 
 uint8_t RelayNode::occupancy_byte() const {
   if (config_.queue_depth == 0) return 255;
-  const size_t occupied =
-      std::min(queue_out_.size() + 1, config_.queue_depth);
+  const size_t occupied = std::min(queued() + 1, config_.queue_depth);
   return static_cast<uint8_t>(occupied * 255 / config_.queue_depth);
 }
 
 void RelayNode::enqueue_frame(uint32_t flood, net::NodeId origin, Bytes frame,
                               bool relayed, bool aggregate) {
-  if (queue_out_.size() >= config_.queue_depth) {
+  if (queued() >= config_.queue_depth) {
     ++stats_.reports_dropped;
     if (obs::TraceRecorder* trace = config_.trace;
         trace && trace->enabled(obs::Subsystem::kOverlay)) {
@@ -434,6 +430,12 @@ void RelayNode::enqueue_frame(uint32_t flood, net::NodeId origin, Bytes frame,
   }
   if (config_.occupancy) {
     config_.occupancy->observe(static_cast<double>(occupancy_byte()) / 255.0);
+  }
+  if (queue_head_ > 0 && queue_out_.size() == queue_out_.capacity()) {
+    queue_out_.erase(queue_out_.begin(),
+                     queue_out_.begin() +
+                         static_cast<std::ptrdiff_t>(queue_head_));
+    queue_head_ = 0;
   }
   queue_out_.push_back({flood, std::move(frame), relayed, aggregate});
   if (!draining_) {
@@ -456,8 +458,8 @@ void RelayNode::drain_one() {
     // dies with the node. Aggregates (queued or still held in an open
     // window) are accounted apart from plain reports -- their members
     // re-enter collection via election-time recovery, not silently.
-    for (const QueuedReport& item : queue_out_) {
-      if (item.aggregate) {
+    for (size_t i = queue_head_; i < queue_out_.size(); ++i) {
+      if (queue_out_[i].aggregate) {
         ++stats_.aggregates_dark_purged;
       } else {
         ++stats_.dropped_dark;
@@ -468,15 +470,15 @@ void RelayNode::drain_one() {
     }
     aggs_.clear();
     queue_out_.clear();
+    queue_head_ = 0;
     draining_ = false;
     return;
   }
-  if (queue_out_.empty()) {
+  if (queued() == 0) {
     draining_ = false;
     return;
   }
-  QueuedReport item = std::move(queue_out_.front());
-  queue_out_.pop_front();
+  QueuedReport item = std::move(queue_out_[queue_head_++]);
 
   const auto it = routes_.find(item.flood);
   if (it == routes_.end()) {
@@ -493,7 +495,7 @@ void RelayNode::drain_one() {
     network_.send(self_, uplink(it->second), std::move(item.frame));
   }
 
-  if (queue_out_.empty()) {
+  if (queued() == 0) {
     draining_ = false;
   } else {
     events_.schedule_after(config_.forward_spacing, [this] { drain_one(); });
@@ -507,7 +509,8 @@ net::NodeId RelayNode::uplink(FloodRoute& route) {
   // no live alternate, send toward the recorded parent and let the radio
   // drop it -- datagram networks do not report loss to the sender.
   if (!link_probe_ || link_probe_(self_, route.parent)) return route.parent;
-  for (net::NodeId alt : route.alternates) {
+  for (size_t i = 0; i < route.alternate_count; ++i) {
+    const net::NodeId alt = route.alternates[i];
     if (link_probe_(self_, alt)) {
       ++stats_.route_repairs;
       if (obs::TraceRecorder* trace = config_.trace;

@@ -30,7 +30,7 @@
 // they pass, so the verifier sees relay congestion end to end.
 #pragma once
 
-#include <deque>
+#include <array>
 #include <map>
 #include <vector>
 
@@ -172,9 +172,14 @@ class RelayNode {
   net::NodeId self() const { return self_; }
 
  private:
+  /// Alternate-uplink memory per flood: enough for route repair in dense
+  /// neighbourhoods without unbounded growth in them.
+  static constexpr size_t kMaxAlternates = 4;
   struct FloodRoute {
     net::NodeId parent = 0;
-    std::vector<net::NodeId> alternates;  // duplicate-arrival uplinks
+    /// Duplicate-arrival uplinks, the first `alternate_count` slots.
+    std::array<net::NodeId, kMaxAlternates> alternates{};
+    uint8_t alternate_count = 0;
   };
   struct QueuedReport {
     uint32_t flood = 0;
@@ -185,17 +190,19 @@ class RelayNode {
 
   void on_datagram(const net::Datagram& dgram);
   /// The relay path of both report kinds: route lookup, the compromised
-  /// relay's drop or corrupt, head absorption (raw reports only), hop and
-  /// path bump, enqueue.
-  void relay(RelayReport report);
+  /// relay's drop or corrupt, head absorption (raw reports only), then
+  /// the received frame patched one hop on and enqueued.
+  void relay(const ReportView& report);
   /// kOverlay "adversarial_drop"/"adversarial_corrupt" instant.
-  void trace_adversarial(const char* name, const RelayReport& report);
-  void handle_flood(const CollectFlood& flood, net::NodeId from);
+  void trace_adversarial(const char* name, const ReportView& report);
+  void handle_flood(const FloodView& flood, net::NodeId from);
   void handle_scoped(ScopedRequest request, net::NodeId from);
   /// Serves one inner attest request via the co-located prover and
   /// schedules the response report (shared by floods and scoped
   /// requests).
   void serve(uint32_t flood_id, uint8_t inner_type, ByteView request);
+  /// Reports waiting in the store-and-forward queue.
+  size_t queued() const { return queue_out_.size() - queue_head_; }
   /// This node's store-and-forward occupancy as a wire byte (0..255),
   /// as it will be once one more report is queued.
   uint8_t occupancy_byte() const;
@@ -234,7 +241,11 @@ class RelayNode {
   /// Ids seen, ascending; ids that fell out of the window may linger.
   std::vector<uint32_t> seen_floods_;
   uint32_t flood_watermark_ = 0;           // highest flood id seen
-  std::deque<QueuedReport> queue_out_;
+  /// Store-and-forward queue: the live reports are queue_out_[queue_head_,
+  /// end). The slots before the head are reclaimed when a push would
+  /// outgrow the buffer, so a relay reuses one buffer.
+  std::vector<QueuedReport> queue_out_;
+  size_t queue_head_ = 0;
   /// Held hold-and-combine state per flood this node heads. Entries live
   /// from election to flush (or dark purge); bounded like routes_.
   std::map<uint32_t, aggregate::Combiner> aggs_;

@@ -211,7 +211,7 @@ void RelayTransport::on_datagram(const net::Datagram& dgram) {
   }
   // One intake prefix for both report kinds: parse, origin-range guard,
   // congestion sample, route-cache refresh, stale check.
-  const auto report = RelayReport::deserialize(framed->first, framed->second);
+  const auto report = ReportView::parse(framed->first, framed->second);
   if (!report ||
       (!report->aggregate() && !valid_msg_type(report->inner_type))) {
     ++stats_.malformed_frames;
@@ -232,9 +232,10 @@ void RelayTransport::on_datagram(const net::Datagram& dgram) {
   // crossed are real even when the payload is redundant.
   pending_congestion_ = std::max(
       pending_congestion_, static_cast<double>(report->queue) / 255.0);
-  if (config_.scoped_retries && !report->path.empty() &&
-      report->path.front() == report->origin &&
-      report->path.size() == static_cast<size_t>(report->hops) + 1) {
+  const NodeList& path = report->path;
+  if (config_.scoped_retries && !path.empty() &&
+      path[0] == report->origin &&
+      path.size() == static_cast<size_t>(report->hops) + 1) {
     // The path, reversed, is the verifier's downlink route to the origin
     // -- and every prefix of it is the route to the relay that appended
     // that hop. Cache them all: a device whose own response was lost is
@@ -242,13 +243,13 @@ void RelayTransport::on_datagram(const net::Datagram& dgram) {
     // else's report.
     const sim::Time now = network_.now();
     std::vector<net::NodeId> route;
-    route.reserve(report->path.size());
-    for (auto hop = report->path.rbegin(); hop != report->path.rend();
-         ++hop) {
-      route.push_back(*hop);
-      if (*hop < routes_.size()) {
-        routes_[*hop] = CachedRoute{route, now, /*used=*/false,
-                                    /*valid=*/true};
+    route.reserve(path.size());
+    for (size_t i = path.size(); i-- > 0;) {
+      const net::NodeId hop = path[i];
+      route.push_back(hop);
+      if (hop < routes_.size()) {
+        routes_[hop] = CachedRoute{route, now, /*used=*/false,
+                                   /*valid=*/true};
       }
     }
   }
@@ -283,7 +284,7 @@ void RelayTransport::on_datagram(const net::Datagram& dgram) {
   }
 }
 
-void RelayTransport::deliver_aggregate(const RelayReport& env) {
+void RelayTransport::deliver_aggregate(const ReportView& env) {
   if (!agg_delivered_[env.flood].insert(env.origin).second) {
     ++stats_.duplicate_aggregates;  // same aggregate over a second path
     return;

@@ -175,7 +175,7 @@ class RelayTransport : public attest::Transport {
                     ByteView body, bool aggregate_eligible = false);
   /// The aggregate tail of the intake: per-head dedup, payload parse,
   /// aggregate stats, delivery to the aggregate receiver.
-  void deliver_aggregate(const RelayReport& env);
+  void deliver_aggregate(const ReportView& env);
   void launch_scoped(CachedRoute& route, attest::MsgType type, ByteView body);
 
   net::Network& network_;

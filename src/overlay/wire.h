@@ -30,9 +30,20 @@
 // The inner request/response bytes are exactly what attest::Transport
 // peers exchange, so the AttestationService session machine runs unchanged
 // on top: the overlay is routing, not protocol.
+//
+// Receivers read frames where they land. FloodView and ReportView parse a
+// received CollectFlood or RelayReport body in place: the fixed fields by
+// value, the target list, path and body as views into the datagram. Like
+// net::Datagram::payload, a view lives as long as its handler call; a
+// handler that keeps bytes copies them. Relays never re-encode what they
+// pass on: a forwarded flood is the received frame with `ttl` and `depth`
+// patched, and a relayed report is the received frame with the relay's id
+// appended to the path and `hops`, `queue` and the path count patched. The
+// encoding is canonical (every accepted frame re-serializes to exactly its
+// bytes), so a patched frame is byte-equal to decoding, editing and
+// re-serializing it.
 #pragma once
 
-#include <algorithm>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -88,14 +99,58 @@ struct CollectFlood {
   std::vector<net::NodeId> targets{kEveryone};
   Bytes request;  // serialized attest request body
 
-  bool serves(net::NodeId node) const {
-    return std::find(targets.begin(), targets.end(), kEveryone) !=
-               targets.end() ||
-           std::find(targets.begin(), targets.end(), node) != targets.end();
-  }
-
   Bytes serialize() const;
+  /// An owned copy of FloodView::parse(data).
   static std::optional<CollectFlood> deserialize(ByteView data);
+};
+
+/// A node-id list read in place: the little-endian u32 entries of a
+/// frame's list, without its count prefix.
+class NodeList {
+ public:
+  NodeList() = default;
+  explicit NodeList(ByteView entries) : entries_(entries) {}
+
+  size_t size() const { return entries_.size() / 4; }
+  bool empty() const { return entries_.empty(); }
+  net::NodeId operator[](size_t i) const {
+    const uint8_t* p = entries_.data() + 4 * i;
+    return static_cast<net::NodeId>(p[0]) |
+           static_cast<net::NodeId>(p[1]) << 8 |
+           static_cast<net::NodeId>(p[2]) << 16 |
+           static_cast<net::NodeId>(p[3]) << 24;
+  }
+  std::vector<net::NodeId> to_vector() const;
+
+ private:
+  ByteView entries_;
+};
+
+/// A received CollectFlood body read in place (see the header note): valid
+/// as long as the bytes it was parsed from.
+class FloodView {
+ public:
+  uint32_t flood = 0;
+  uint8_t ttl = 0;
+  uint8_t depth = 0;
+  uint8_t flags = 0;
+  uint8_t inner_type = 0;
+  NodeList targets;
+  ByteView request;
+
+  /// Whether `node` answers: the targets hold it or kEveryone.
+  bool serves(net::NodeId node) const;
+  /// The flood re-broadcast one hop further: its frame with `ttl` and
+  /// `depth` replaced by `next_ttl` and `next_depth`.
+  Bytes forward_frame(uint8_t next_ttl, uint8_t next_depth) const;
+
+  /// Accepts exactly one whole CollectFlood body: a list count the
+  /// remaining input cannot cover, a short read or a trailing byte is
+  /// nullopt.
+  static std::optional<FloodView> parse(ByteView body);
+
+ private:
+  ByteView body_;
 };
 
 /// The uplink envelope of both kinds. A kRelayReport carries one prover's
@@ -125,11 +180,38 @@ struct RelayReport {
   bool aggregate() const { return kind == RelayMsg::kAggregateReport; }
   /// The body, without the frame tag.
   Bytes serialize() const;
-  /// Parses a body of `kind`; nullopt for any other tag.
+  /// An owned copy of ReportView::parse(kind, data).
   static std::optional<RelayReport> deserialize(RelayMsg kind,
                                                 ByteView data);
   /// The framed datagram: frame_relay(kind, serialize()).
   Bytes frame() const;
+};
+
+/// A received RelayReport body of either kind read in place (see the
+/// header note): valid as long as the bytes it was parsed from.
+class ReportView {
+ public:
+  RelayMsg kind = RelayMsg::kRelayReport;
+  uint32_t flood = 0;
+  net::NodeId origin = 0;
+  uint8_t hops = 0;
+  uint8_t inner_type = 0;  // 0 for an aggregate, whose body has none
+  uint8_t queue = 0;
+  NodeList path;
+  ByteView response;
+
+  bool aggregate() const { return kind == RelayMsg::kAggregateReport; }
+  /// The report relayed one hop further: its frame with `self` appended
+  /// to the path, the hop count bumped (wrapping, as a uint8_t does) and
+  /// the queue byte replaced by `next_queue`.
+  Bytes relay_frame(net::NodeId self, uint8_t next_queue) const;
+
+  /// Accepts exactly one whole body of `kind`, like FloodView::parse;
+  /// nullopt for any tag but the two report kinds.
+  static std::optional<ReportView> parse(RelayMsg kind, ByteView body);
+
+ private:
+  ByteView body_;
 };
 
 struct ScopedRequest {

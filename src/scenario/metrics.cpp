@@ -1,6 +1,7 @@
 #include "scenario/metrics.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace erasmus::scenario {
 
@@ -63,13 +64,22 @@ void JsonSink::note(std::string_view key, Value value) {
 }
 
 void JsonSink::row(std::string_view table, const Row& r) {
-  for (auto& [name, rows] : tables_) {
-    if (name == table) {
-      rows.push_back(r);
-      return;
-    }
+  auto it = std::find_if(tables_.begin(), tables_.end(),
+                         [&](const auto& t) { return t.first == table; });
+  if (it == tables_.end()) {
+    tables_.emplace_back(std::string(table), std::string());
+    it = std::prev(tables_.end());
   }
-  tables_.emplace_back(std::string(table), std::vector<Row>{r});
+  std::string& text = it->second;
+  text += text.empty() ? "\n      {" : ",\n      {";
+  for (size_t c = 0; c < r.size(); ++c) {
+    if (c != 0) text += ", ";
+    text += '"';
+    text += json_escape(r[c].first);
+    text += "\": ";
+    text += r[c].second.to_json();
+  }
+  text += '}';
 }
 
 void JsonSink::end_run() {
@@ -84,17 +94,9 @@ void JsonSink::end_run() {
   out_ << "  \"tables\": {";
   for (size_t t = 0; t < tables_.size(); ++t) {
     out_ << (t ? ",\n    " : "\n    ");
-    out_ << "\"" << json_escape(tables_[t].first) << "\": [";
-    const auto& rows = tables_[t].second;
-    for (size_t i = 0; i < rows.size(); ++i) {
-      out_ << (i ? ",\n      " : "\n      ") << "{";
-      for (size_t c = 0; c < rows[i].size(); ++c) {
-        out_ << (c ? ", " : "") << "\"" << json_escape(rows[i][c].first)
-             << "\": " << rows[i][c].second.to_json();
-      }
-      out_ << "}";
-    }
-    out_ << (rows.empty() ? "]" : "\n    ]");
+    // A table exists once it has a row, so its text is never empty.
+    out_ << "\"" << json_escape(tables_[t].first) << "\": ["
+         << tables_[t].second << "\n    ]";
   }
   out_ << (tables_.empty() ? "}" : "\n  }") << "\n}\n";
   out_.flush();

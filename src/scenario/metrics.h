@@ -62,6 +62,8 @@ class CsvSink : public MetricsSink {
 
 /// Accumulates everything and writes a single stable-format JSON document:
 /// {"scenario": ..., "notes": {...}, "tables": {name: [{col: val}...]}}.
+/// Each row is rendered to its JSON text as it arrives, so a long run
+/// keeps one text buffer per table rather than its rows.
 class JsonSink : public MetricsSink {
  public:
   explicit JsonSink(std::ostream& out) : out_(out) {}
@@ -75,7 +77,8 @@ class JsonSink : public MetricsSink {
   std::ostream& out_;
   std::string scenario_;
   std::vector<std::pair<std::string, Value>> notes_;
-  std::vector<std::pair<std::string, std::vector<Row>>> tables_;
+  /// Table name -> its rendered rows, each led by its separator.
+  std::vector<std::pair<std::string, std::string>> tables_;
 };
 
 /// Swallows everything (for tests and dry runs).

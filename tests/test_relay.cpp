@@ -10,6 +10,7 @@
 #include <set>
 
 #include "attest/service.h"
+#include "common/serde.h"
 #include "crypto/hkdf.h"
 #include "overlay/relay_node.h"
 #include "overlay/relay_transport.h"
@@ -136,16 +137,20 @@ TEST(OverlayWire, FloodAndReportRoundTrip) {
   ASSERT_TRUE(f.has_value());
   EXPECT_EQ(f->flood, 42u);
   EXPECT_EQ(f->targets, (std::vector<net::NodeId>{7, 11}));
-  EXPECT_TRUE(f->serves(7));
-  EXPECT_TRUE(f->serves(11));
-  EXPECT_FALSE(f->serves(8));
   EXPECT_EQ(f->ttl, 3u);
   EXPECT_EQ(f->inner_type, 1u);
   EXPECT_EQ(f->request, bytes_of("req"));
+  const Bytes body = flood.serialize();
+  const auto view = FloodView::parse(body);
+  ASSERT_TRUE(view.has_value());
+  EXPECT_TRUE(view->serves(7));
+  EXPECT_TRUE(view->serves(11));
+  EXPECT_FALSE(view->serves(8));
 
   CollectFlood everyone;
   everyone.targets = {kEveryone};
-  EXPECT_TRUE(everyone.serves(8));
+  const Bytes everyone_body = everyone.serialize();
+  EXPECT_TRUE(FloodView::parse(everyone_body)->serves(8));
 
   // The one uplink envelope, both kinds. Only a raw report's body carries
   // inner_type; an aggregate's is the same envelope one byte shorter.
@@ -205,18 +210,181 @@ TEST(OverlayWire, FloodAndReportRoundTrip) {
   }
 }
 
+// The owned decoders the in-place views replaced, kept as the reference
+// the views are checked against.
+namespace reference {
+
+std::optional<std::vector<net::NodeId>> read_node_list(ByteReader& r) {
+  const uint32_t count = r.u32();
+  if (!r.ok() || count > r.remaining() / 4) return std::nullopt;
+  std::vector<net::NodeId> nodes;
+  nodes.reserve(count);
+  for (uint32_t i = 0; i < count; ++i) nodes.push_back(r.u32());
+  if (!r.ok()) return std::nullopt;
+  return nodes;
+}
+
+std::optional<CollectFlood> decode_flood(ByteView data) {
+  ByteReader r(data);
+  CollectFlood f;
+  f.flood = r.u32();
+  f.ttl = r.u8();
+  f.depth = r.u8();
+  f.flags = r.u8();
+  f.inner_type = r.u8();
+  auto targets = read_node_list(r);
+  if (!targets) return std::nullopt;
+  f.targets = std::move(*targets);
+  f.request = r.var_bytes();
+  if (!r.done()) return std::nullopt;
+  return f;
+}
+
+bool serves(const CollectFlood& f, net::NodeId node) {
+  return std::find(f.targets.begin(), f.targets.end(), kEveryone) !=
+             f.targets.end() ||
+         std::find(f.targets.begin(), f.targets.end(), node) !=
+             f.targets.end();
+}
+
+std::optional<RelayReport> decode_report(RelayMsg kind, ByteView data) {
+  if (kind != RelayMsg::kRelayReport && kind != RelayMsg::kAggregateReport) {
+    return std::nullopt;
+  }
+  ByteReader r(data);
+  RelayReport report;
+  report.kind = kind;
+  report.flood = r.u32();
+  report.origin = r.u32();
+  report.hops = r.u8();
+  if (!report.aggregate()) report.inner_type = r.u8();
+  report.queue = r.u8();
+  auto path = read_node_list(r);
+  if (!path) return std::nullopt;
+  report.path = std::move(*path);
+  report.response = r.var_bytes();
+  if (!r.done()) return std::nullopt;
+  return report;
+}
+
+}  // namespace reference
+
+/// What the differential decoders below saw accepted.
+struct Accepted {
+  size_t floods = 0;
+  size_t reports = 0;
+  size_t aggregates = 0;
+  size_t wrapped_hops = 0;  // hops 255: the relay's bump wraps to 0
+  size_t queue_max = 0;
+  size_t empty_paths = 0;
+};
+
+/// FloodView::parse under differential test: it accepts exactly what the
+/// reference accepts, with equal fields, and a forward patched from the
+/// view equals the reference's decode, edit, serialize and frame.
+std::optional<Bytes> differential_flood(ByteView in, Accepted& seen) {
+  const auto ref = reference::decode_flood(in);
+  const auto view = FloodView::parse(in);
+  if (view.has_value() != ref.has_value()) {
+    ADD_FAILURE() << "the flood view and the reference disagree on "
+                  << to_hex(in);
+    return std::nullopt;
+  }
+  if (!ref) return std::nullopt;
+  ++seen.floods;
+  EXPECT_EQ(view->flood, ref->flood);
+  EXPECT_EQ(view->ttl, ref->ttl);
+  EXPECT_EQ(view->depth, ref->depth);
+  EXPECT_EQ(view->flags, ref->flags);
+  EXPECT_EQ(view->inner_type, ref->inner_type);
+  EXPECT_EQ(view->targets.to_vector(), ref->targets);
+  EXPECT_TRUE(equal(view->request, ref->request));
+  for (const net::NodeId node : {0u, 3u, 5u}) {
+    EXPECT_EQ(view->serves(node), reference::serves(*ref, node));
+  }
+  // A relay node's own edit (ttl down one, depth up one, saturating),
+  // then both byte extremes.
+  const std::pair<uint8_t, uint8_t> edits[] = {
+      {static_cast<uint8_t>(ref->ttl - 1),
+       static_cast<uint8_t>(std::min<uint32_t>(ref->depth, 254) + 1)},
+      {0, 255},
+      {255, 0}};
+  for (const auto& [ttl, depth] : edits) {
+    CollectFlood next = *ref;
+    next.ttl = ttl;
+    next.depth = depth;
+    EXPECT_EQ(view->forward_frame(ttl, depth),
+              frame_relay(RelayMsg::kCollectFlood, next.serialize()));
+  }
+  return ref->serialize();
+}
+
+/// ReportView::parse under differential test: it accepts exactly what the
+/// reference accepts, with equal fields; the frame patched from the view
+/// equals the reference's decode, edit, serialize and frame at every
+/// occupancy; and so does the corrupt relay's truncated frame, which
+/// neither parser accepts.
+std::optional<Bytes> differential_report(RelayMsg kind, ByteView in,
+                                         Accepted& seen) {
+  const auto ref = reference::decode_report(kind, in);
+  const auto view = ReportView::parse(kind, in);
+  if (view.has_value() != ref.has_value()) {
+    ADD_FAILURE() << "the report view and the reference disagree on "
+                  << to_hex(in);
+    return std::nullopt;
+  }
+  if (!ref) return std::nullopt;
+  ++seen.reports;
+  seen.aggregates += ref->aggregate() ? 1 : 0;
+  seen.wrapped_hops += ref->hops == 255 ? 1 : 0;
+  seen.queue_max += ref->queue == 255 ? 1 : 0;
+  seen.empty_paths += ref->path.empty() ? 1 : 0;
+  EXPECT_EQ(view->kind, ref->kind);
+  EXPECT_EQ(view->aggregate(), ref->aggregate());
+  EXPECT_EQ(view->flood, ref->flood);
+  EXPECT_EQ(view->origin, ref->origin);
+  EXPECT_EQ(view->hops, ref->hops);
+  EXPECT_EQ(view->inner_type, ref->inner_type);
+  EXPECT_EQ(view->queue, ref->queue);
+  EXPECT_EQ(view->path.to_vector(), ref->path);
+  EXPECT_TRUE(equal(view->response, ref->response));
+
+  constexpr net::NodeId kSelf = 0xA1B2C3D4u;
+  RelayReport next = *ref;
+  ++next.hops;
+  next.path.push_back(kSelf);
+  for (const uint8_t occupancy : {0, 1, 128, 255}) {
+    RelayReport stamped = next;
+    stamped.queue = std::max(stamped.queue, occupancy);
+    EXPECT_EQ(view->relay_frame(kSelf, stamped.queue), stamped.frame());
+  }
+  Bytes scribbled = view->relay_frame(kSelf, view->queue);
+  scribbled.resize(scribbled.size() - scribbled.size() / 3);
+  Bytes want = next.frame();
+  want.resize(want.size() - want.size() / 3);
+  EXPECT_EQ(scribbled, want);
+  const ByteView cut = ByteView(scribbled).subspan(1);
+  EXPECT_FALSE(ReportView::parse(kind, cut).has_value());
+  EXPECT_FALSE(reference::decode_report(kind, cut).has_value());
+  return ref->serialize();
+}
+
 // Decoder fuzz: seeded mutations of one valid input per overlay decoder.
+// The flood and report decoders are the in-place views, differentially
+// checked against the owned reference decoders above.
 TEST(OverlayWire, SeededMutantsNeverCrashAndAcceptedOnesReserializeExactly) {
   using fuzz::reparse;
-  const auto report_of = [](RelayMsg kind) -> fuzz::Reparse {
-    return [kind](ByteView in) -> std::optional<Bytes> {
-      const auto r = RelayReport::deserialize(kind, in);
-      if (!r) return std::nullopt;
-      return r->serialize();
+  Accepted seen;
+  const auto report_of = [&seen](RelayMsg kind) -> fuzz::Reparse {
+    return [kind, &seen](ByteView in) {
+      return differential_report(kind, in, seen);
     };
   };
+  const fuzz::Reparse flood_decoder = [&seen](ByteView in) {
+    return differential_flood(in, seen);
+  };
   const std::vector<fuzz::Reparse> decoders = {
-      reparse<CollectFlood>,
+      flood_decoder,
       report_of(RelayMsg::kRelayReport),
       report_of(RelayMsg::kAggregateReport),
       reparse<ScopedRequest>,
@@ -235,6 +403,12 @@ TEST(OverlayWire, SeededMutantsNeverCrashAndAcceptedOnesReserializeExactly) {
   flood.flags = kFloodAggregate;
   flood.inner_type = 1;
   flood.request = bytes_of("req");
+  CollectFlood everyone;
+  everyone.flood = 9;
+  everyone.ttl = 0;
+  everyone.depth = 255;
+  everyone.inner_type = 1;
+  everyone.request = bytes_of("req");
   RelayReport report;
   report.flood = 7;
   report.origin = 5;
@@ -246,6 +420,15 @@ TEST(OverlayWire, SeededMutantsNeverCrashAndAcceptedOnesReserializeExactly) {
   RelayReport agg = report;
   agg.kind = RelayMsg::kAggregateReport;
   agg.inner_type = 0;
+  // The byte extremes a relay patches: the hop count about to wrap, a
+  // saturated queue, and a path with nothing on it yet.
+  RelayReport edge = report;
+  edge.hops = 255;
+  edge.queue = 255;
+  edge.path.clear();
+  RelayReport agg_edge = edge;
+  agg_edge.kind = RelayMsg::kAggregateReport;
+  agg_edge.inner_type = 0;
   ScopedRequest scoped;
   scoped.flood = 8;
   scoped.inner_type = 1;
@@ -259,14 +442,30 @@ TEST(OverlayWire, SeededMutantsNeverCrashAndAcceptedOnesReserializeExactly) {
   frame.root = Bytes(32, 0x11);
   frame.raw_bytes = 300;
   frame.mac = Bytes(32, 0x22);
+
+  // The seeds themselves, unmutated, each under its own decoder.
+  EXPECT_TRUE(differential_flood(flood.serialize(), seen));
+  EXPECT_TRUE(differential_flood(everyone.serialize(), seen));
+  for (const RelayReport& r : {report, agg, edge, agg_edge}) {
+    EXPECT_TRUE(differential_report(r.kind, r.serialize(), seen));
+  }
+
   const fuzz::Tally tally = fuzz::mutate_and_reparse(
-      {flood.serialize(), report.serialize(), agg.serialize(),
+      {flood.serialize(), everyone.serialize(), report.serialize(),
+       agg.serialize(), edge.serialize(), agg_edge.serialize(),
        scoped.serialize(), ScopedNak{8, 5}.serialize(), frame.serialize(),
        report.frame()},
       decoders);
   // Neither vacuous nor a decoder that accepts anything.
   EXPECT_GT(tally.accepted, 0u);
   EXPECT_LT(tally.accepted, tally.decoded);
+  // Every edge a patching relay meets was reached, seeds and mutants.
+  EXPECT_GT(seen.floods, 2u);
+  EXPECT_GT(seen.reports, 4u);
+  EXPECT_GT(seen.aggregates, 2u);
+  EXPECT_GT(seen.wrapped_hops, 2u);
+  EXPECT_GT(seen.queue_max, 2u);
+  EXPECT_GT(seen.empty_paths, 2u);
 }
 
 TEST(Overlay, FullyConnectedSwarmAllAttested) {
