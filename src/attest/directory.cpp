@@ -20,7 +20,8 @@ std::string to_string(MeasurementStatus s) {
 }
 
 void DeviceRecord::set_golden(Bytes digest) {
-  goldens.assign(1, {0, std::move(digest)});
+  goldens.clear();
+  goldens.emplace_back(0, std::move(digest));
 }
 
 void DeviceRecord::rotate_golden(Bytes digest, uint64_t from_ticks) {

@@ -10,10 +10,17 @@ namespace erasmus::crypto {
 
 namespace {
 constexpr size_t kOutLen = Sha256::kDigestSize;
+
+// Instantiation's initial K = 0x00...00 as HMAC state: its two key blocks
+// are compressed once per process, not once per generator.
+const Hmac& zero_key() {
+  static const Hmac kZero(HashAlgo::kSha256, std::array<uint8_t, kOutLen>{});
+  return kZero;
 }
+}  // namespace
 
 HmacDrbg::HmacDrbg(ByteView seed, ByteView personalization)
-    : key_(HashAlgo::kSha256, std::array<uint8_t, kOutLen>{}) {
+    : key_(zero_key()) {
   std::array<uint8_t, kOutLen> ones;
   ones.fill(0x01);
   v_.assign(ones);
@@ -33,7 +40,7 @@ void HmacDrbg::update(ByteView head, ByteView tail) {
   v_ = key_.tag({v_});
 }
 
-void HmacDrbg::generate(std::span<uint8_t> out) {
+void HmacDrbg::fill(std::span<uint8_t> out) {
   size_t produced = 0;
   while (produced < out.size()) {
     v_ = key_.tag({v_});
@@ -41,7 +48,16 @@ void HmacDrbg::generate(std::span<uint8_t> out) {
     std::copy_n(v_.bytes().begin(), take, out.data() + produced);
     produced += take;
   }
+}
+
+void HmacDrbg::generate(std::span<uint8_t> out) {
+  fill(out);
   update({});
+}
+
+void HmacDrbg::generate_once(ByteView seed, ByteView personalization,
+                             std::span<uint8_t> out) {
+  HmacDrbg(seed, personalization).fill(out);
 }
 
 Bytes HmacDrbg::generate(size_t n) {

@@ -21,6 +21,13 @@ class HmacDrbg {
   /// Fills `out` with pseudo-random bytes.
   void generate(std::span<uint8_t> out);
 
+  /// Writes what the first generate(out) of HmacDrbg(seed,
+  /// personalization) writes, for a generator used once and discarded:
+  /// it skips generate()'s closing update, which only readies state for a
+  /// next request. One-shot derivations (a fleet's device keys) use it.
+  static void generate_once(ByteView seed, ByteView personalization,
+                            std::span<uint8_t> out);
+
   /// Convenience: next `n` bytes as a buffer.
   Bytes generate(size_t n);
 
@@ -36,6 +43,8 @@ class HmacDrbg {
  private:
   /// SP 800-90A's HMAC_DRBG_Update with provided data `head || tail`.
   void update(ByteView head, ByteView tail = {});
+  /// generate()'s output loop, without its closing update.
+  void fill(std::span<uint8_t> out);
 
   Hmac key_;  // K in SP 800-90A terms (not the device key), as HMAC state
   Digest v_;

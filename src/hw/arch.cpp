@@ -10,19 +10,14 @@ namespace erasmus::hw {
 
 namespace {
 
-struct FirmwareImage {
-  Bytes bytes;
-  Bytes sha256;
-};
-
 // Deterministic pseudo-content standing in for a binary image (kernel, PrAtt,
 // ROM code). Content only matters for integrity digests, so a cheap LCG byte
 // stream suffices. Every device of a kind holds the same image, so each
-// (tag, size) is built and hashed once per process and mapped by all of
-// them; map nodes never move, so the reference lives as long as the process.
-const FirmwareImage& firmware_image(uint32_t tag, size_t size) {
+// (tag, size) is built once per process and mapped by all of them; map
+// nodes never move, so the reference lives as long as the process.
+const SharedImage& firmware_image(uint32_t tag, size_t size) {
   static std::mutex mu;
-  static std::map<std::pair<uint32_t, size_t>, FirmwareImage> images;
+  static std::map<std::pair<uint32_t, size_t>, SharedImage> images;
   const std::lock_guard<std::mutex> lock(mu);
   const auto key = std::make_pair(tag, size);
   auto it = images.find(key);
@@ -33,9 +28,7 @@ const FirmwareImage& firmware_image(uint32_t tag, size_t size) {
       x = x * 1664525u + 1013904223u;
       b = static_cast<uint8_t>(x >> 24);
     }
-    Bytes digest = crypto::Hash::digest(crypto::HashAlgo::kSha256, image);
-    it = images.emplace(key, FirmwareImage{std::move(image), std::move(digest)})
-             .first;
+    it = images.try_emplace(key, std::move(image)).first;
   }
   return it->second;
 }
@@ -72,10 +65,11 @@ SmartPlusArch::SmartPlusArch(Bytes key, size_t rom_bytes, size_t app_ram_bytes,
                              size_t store_bytes)
     : SecurityArch(std::move(key)) {
   rom_ = memory_.add_image_region(
-      "rom", firmware_image(/*tag=*/0x534d4152u, rom_bytes).bytes,  // "SMAR"
+      "rom", firmware_image(/*tag=*/0x534d4152u, rom_bytes),  // "SMAR"
       policy::kRom);
   key_region_ = memory_.add_region("key", key_.size(), policy::kKey);
-  app_ = memory_.add_region("app_ram", app_ram_bytes, policy::kAppRam);
+  app_ = memory_.add_image_region("app_ram", zero_image(app_ram_bytes),
+                                  policy::kAppRam);
   store_ = memory_.add_region("measurement_store", store_bytes,
                               policy::kMeasurementStore);
   // The ROM image and K are burned in at manufacture (provision bypasses the
@@ -94,22 +88,22 @@ HydraArch::HydraArch(Bytes key, size_t app_ram_bytes, size_t store_bytes)
     : SecurityArch(std::move(key)) {
   // Sizes follow the paper's Table 1 scale: the seL4 kernel plus PrAtt image
   // is a couple hundred KB.
-  const FirmwareImage& kernel =
+  const SharedImage& kernel =
       firmware_image(/*tag=*/0x73654c34u, 160 * 1024);  // "seL4"
-  const FirmwareImage& pratt =
+  const SharedImage& pratt =
       firmware_image(/*tag=*/0x50724174u, 72 * 1024);  // "PrAt"
   kernel_ = memory_.add_image_region(
-      "sel4_kernel", kernel.bytes,
-      RegionPolicy{Access::kRead, Access::kReadWrite});
+      "sel4_kernel", kernel, RegionPolicy{Access::kRead, Access::kReadWrite});
   pratt_ = memory_.add_image_region(
-      "pratt", pratt.bytes, RegionPolicy{Access::kRead, Access::kReadWrite});
+      "pratt", pratt, RegionPolicy{Access::kRead, Access::kReadWrite});
   key_region_ = memory_.add_region("key", key_.size(), policy::kKey);
-  app_ = memory_.add_region("app_ram", app_ram_bytes, policy::kAppRam);
+  app_ = memory_.add_image_region("app_ram", zero_image(app_ram_bytes),
+                                  policy::kAppRam);
   store_ = memory_.add_region("measurement_store", store_bytes,
                               policy::kMeasurementStore);
   memory_.provision(key_region_, 0, key_);
-  kernel_digest_ = kernel.sha256;
-  pratt_digest_ = pratt.sha256;
+  kernel_digest_ = kernel.digest(crypto::HashAlgo::kSha256);
+  pratt_digest_ = pratt.digest(crypto::HashAlgo::kSha256);
 
   // HYDRA: PrAtt is the initial user-space process at top priority; all
   // other processes are spawned by it at strictly lower priorities.
@@ -117,14 +111,8 @@ HydraArch::HydraArch(Bytes key, size_t app_ram_bytes, size_t store_bytes)
 }
 
 void HydraArch::secure_boot() {
-  // A region that still maps its image reads exactly the image's bytes (any
-  // write copies the image first), so its digest is the reference digest;
-  // only a private copy needs hashing.
   const auto intact = [this](RegionId region, ByteView reference) {
-    return memory_.maps_shared_image(region) ||
-           equal(crypto::Hash::digest(crypto::HashAlgo::kSha256,
-                                      memory_.view(region, /*privileged=*/true)),
-                 reference);
+    return equal(memory_.digest(region, crypto::HashAlgo::kSha256), reference);
   };
   if (!intact(kernel_, kernel_digest_)) {
     throw SecurityViolation("secure boot: seL4 kernel image digest mismatch");

@@ -1,5 +1,6 @@
 #include "hw/memory.h"
 
+#include <map>
 #include <utility>
 
 namespace erasmus::hw {
@@ -17,20 +18,39 @@ void check_bounds(const std::string& region, size_t size, size_t offset,
 
 }  // namespace
 
+const crypto::Digest& SharedImage::digest(crypto::HashAlgo algo) const {
+  const size_t i = static_cast<size_t>(algo) - 1;
+  std::call_once(hashed_.at(i), [&] {
+    crypto::Hash::digest(algo, bytes_, digests_[i]);
+  });
+  return digests_[i];
+}
+
+const SharedImage& zero_image(size_t size) {
+  // Map nodes never move, so the reference lives as long as the process.
+  static std::mutex mu;
+  static std::map<size_t, SharedImage> images;
+  const std::lock_guard<std::mutex> lock(mu);
+  auto it = images.find(size);
+  if (it == images.end()) it = images.try_emplace(size, Bytes(size, 0)).first;
+  return it->second;
+}
+
 RegionId DeviceMemory::add_region(std::string name, size_t size,
                                   RegionPolicy policy) {
   regions_.push_back(Region{std::move(name), Bytes(size, 0), nullptr, policy});
   return regions_.size() - 1;
 }
 
-RegionId DeviceMemory::add_image_region(std::string name, const Bytes& image,
+RegionId DeviceMemory::add_image_region(std::string name,
+                                        const SharedImage& image,
                                         RegionPolicy policy) {
   regions_.push_back(Region{std::move(name), Bytes{}, &image, policy});
   return regions_.size() - 1;
 }
 
-bool DeviceMemory::maps_shared_image(RegionId region) const {
-  return region_at(region).image != nullptr;
+const SharedImage* DeviceMemory::shared_image(RegionId region) const {
+  return region_at(region).image;
 }
 
 const DeviceMemory::Region& DeviceMemory::region_at(RegionId id) const {
@@ -46,7 +66,7 @@ DeviceMemory::Region& DeviceMemory::region_at(RegionId id) {
 
 Bytes& DeviceMemory::private_bytes(Region& r) {
   if (r.image != nullptr) {
-    r.data = *r.image;
+    r.data = r.image->bytes();
     r.image = nullptr;
   }
   return r.data;
@@ -93,6 +113,19 @@ ByteView DeviceMemory::view(RegionId region, bool privileged) const {
   const Region& r = region_at(region);
   check(r, privileged, /*write=*/false, 0, r.bytes().size());
   return ByteView(r.bytes());
+}
+
+crypto::Digest DeviceMemory::digest(RegionId region,
+                                    crypto::HashAlgo algo) const {
+  const ByteView bytes = view(region, /*privileged=*/true);
+  // A region that maps its image holds exactly the image's bytes (any
+  // write copies the image first).
+  if (const SharedImage* image = regions_[region].image) {
+    return image->digest(algo);
+  }
+  crypto::Digest out;
+  crypto::Hash::digest(algo, bytes, out);
+  return out;
 }
 
 size_t DeviceMemory::region_size(RegionId region) const {

@@ -14,12 +14,15 @@
 // modelling the hardware fault the real MCU rules would raise.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/bytes.h"
+#include "crypto/hash.h"
 
 namespace erasmus::hw {
 
@@ -48,22 +51,44 @@ class AccessViolation : public std::runtime_error {
 /// Opaque region handle.
 using RegionId = size_t;
 
+/// An immutable image that many memories map: a firmware image, or the
+/// zero-filled contents of fresh RAM. Its digest under each hash algorithm
+/// is computed on first request and kept beside it.
+class SharedImage {
+ public:
+  explicit SharedImage(Bytes bytes) : bytes_(std::move(bytes)) {}
+
+  const Bytes& bytes() const { return bytes_; }
+  /// H(image) under `algo`, hashed once per image; safe from any thread.
+  const crypto::Digest& digest(crypto::HashAlgo algo) const;
+
+ private:
+  Bytes bytes_;
+  // By HashAlgo value - 1.
+  mutable std::array<std::once_flag, 3> hashed_;
+  mutable std::array<crypto::Digest, 3> digests_;
+};
+
+/// The all-zero image of `size` bytes, built once per size per process:
+/// what every device's fresh RAM maps.
+const SharedImage& zero_image(size_t size);
+
 class DeviceMemory {
  public:
   /// Appends a region of `size` bytes (zero-initialised) and returns its id.
   RegionId add_region(std::string name, size_t size, RegionPolicy policy);
 
-  /// Appends a region that maps `image`, an immutable image shared by every
-  /// memory that maps it, and returns its id. `image` must outlive this
-  /// memory (static storage). The region's first write or provision gives
-  /// this memory a private copy; reads before that see the shared bytes.
-  RegionId add_image_region(std::string name, const Bytes& image,
+  /// Appends a region that maps `image`, shared by every memory that maps
+  /// it, and returns its id. `image` must outlive this memory (static
+  /// storage). The region's first write or provision gives this memory a
+  /// private copy; reads before that see the shared bytes.
+  RegionId add_image_region(std::string name, const SharedImage& image,
                             RegionPolicy policy);
-  RegionId add_image_region(std::string, Bytes&&, RegionPolicy) = delete;
+  RegionId add_image_region(std::string, SharedImage&&, RegionPolicy) = delete;
 
-  /// True while the region still maps its shared image, i.e. holds exactly
-  /// the image's bytes.
-  bool maps_shared_image(RegionId region) const;
+  /// The image the region still maps, i.e. whose bytes it holds exactly;
+  /// nullptr once it holds a private copy (or never mapped one).
+  const SharedImage* shared_image(RegionId region) const;
 
   /// Reads `len` bytes at `offset` within the region.
   Bytes read(RegionId region, size_t offset, size_t len,
@@ -79,6 +104,12 @@ class DeviceMemory {
   /// Zero-copy read-only view of a whole region (policy-checked).
   ByteView view(RegionId region, bool privileged) const;
 
+  /// H(region) under `algo`, read as privileged code: the digest cached
+  /// beside the region's image while it maps one, else its private bytes
+  /// hashed. Secure boot and enrolment read it; a self-measurement hashes
+  /// the bytes it reads.
+  crypto::Digest digest(RegionId region, crypto::HashAlgo algo) const;
+
   size_t region_size(RegionId region) const;
   const std::string& region_name(RegionId region) const;
   size_t region_count() const { return regions_.size(); }
@@ -89,11 +120,11 @@ class DeviceMemory {
  private:
   struct Region {
     std::string name;
-    Bytes data;                    // private bytes
-    const Bytes* image = nullptr;  // shared image, until a write/provision
+    Bytes data;                          // private bytes
+    const SharedImage* image = nullptr;  // until a write/provision
     RegionPolicy policy;
 
-    const Bytes& bytes() const { return image ? *image : data; }
+    const Bytes& bytes() const { return image ? image->bytes() : data; }
   };
 
   const Region& region_at(RegionId id) const;

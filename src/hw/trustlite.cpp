@@ -11,12 +11,12 @@ TrustLiteArch::TrustLiteArch(Bytes key, size_t app_ram_bytes,
   // table refines what each trustlet may do and is checked at protected-
   // section entry.
   // The trustlet's 8 KiB are zero-filled and never written (kRom, no
-  // provision), so every device maps one shared zero image.
-  static const Bytes kTrustletImage(8 * 1024, 0);
-  code_ = memory_.add_image_region("attestation_trustlet", kTrustletImage,
-                                   policy::kRom);
+  // provision), so every device maps the shared zero image.
+  code_ = memory_.add_image_region("attestation_trustlet",
+                                   zero_image(8 * 1024), policy::kRom);
   key_region_ = memory_.add_region("key", key_.size(), policy::kKey);
-  app_ = memory_.add_region("app_ram", app_ram_bytes, policy::kAppRam);
+  app_ = memory_.add_image_region("app_ram", zero_image(app_ram_bytes),
+                                  policy::kAppRam);
   store_ = memory_.add_region("measurement_store", store_bytes,
                               policy::kMeasurementStore);
   memory_.provision(key_region_, 0, key_);

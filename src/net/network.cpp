@@ -66,15 +66,34 @@ void Network::hand_over(NodeId src, NodeId dst, ByteView payload) {
 }
 
 void Network::deliver_admitted(NodeId src, ByteView payload) {
-  if (admitted_.empty()) return;
-  // The copy of admitted_ is exactly sized: a transmission allocates the
-  // same however many destinations it reaches.
-  queue_.schedule_after(latency_, [this, src, dsts = admitted_,
-                                   bytes = Bytes(payload.begin(),
-                                                 payload.end())] {
-    for (const NodeId dst : dsts) hand_over(src, dst, bytes);
-  });
+  if (InFlight* t = dispatch_admitted(src)) {
+    t->payload.assign(payload.begin(), payload.end());
+  }
+}
+
+Network::InFlight* Network::dispatch_admitted(NodeId src) {
+  if (admitted_.empty()) return nullptr;
+  uint32_t slot;
+  if (free_in_flight_.empty()) {
+    slot = static_cast<uint32_t>(in_flight_.size());
+    in_flight_.emplace_back();
+  } else {
+    slot = free_in_flight_.back();
+    free_in_flight_.pop_back();
+  }
+  InFlight& t = in_flight_[slot];
+  t.src = src;
+  t.dsts.assign(admitted_.begin(), admitted_.end());
   admitted_.clear();
+  // (this, slot) fits std::function's inline buffer: no allocation.
+  queue_.schedule_after(latency_, [this, slot] { deliver(slot); });
+  return &t;
+}
+
+void Network::deliver(uint32_t slot) {
+  const InFlight& t = in_flight_[slot];
+  for (const NodeId dst : t.dsts) hand_over(t.src, dst, t.payload);
+  free_in_flight_.push_back(slot);
 }
 
 void Network::key_radio(NodeId src, size_t payload_bytes) {
@@ -91,12 +110,9 @@ void Network::send(NodeId src, NodeId dst, Bytes payload) {
     throw std::out_of_range("Network: unknown endpoint");
   }
   key_radio(src, payload.size());
-  if (admit(src, dst, payload.size())) {
-    queue_.schedule_after(latency_,
-                          [this, src, dst, bytes = std::move(payload)] {
-                            hand_over(src, dst, bytes);
-                          });
-  }
+  offer(src, dst, payload.size());
+  // The slot takes the caller's buffer instead of copying it.
+  if (InFlight* t = dispatch_admitted(src)) t->payload.swap(payload);
 }
 
 void Network::broadcast(NodeId src, const std::vector<NodeId>& dsts,

@@ -10,10 +10,12 @@
 // One transmission (a send() or a broadcast) is one delivery event, however
 // many destinations it reaches. Destinations are admitted at send time --
 // stats, link filter, loss draw and the energy tap's rx charge, one
-// destination after another -- and the event, at now + latency, owns one
-// copy of the payload and hands it to every admitted destination in admit
-// order, looking each handler up as it goes (a handler replaced by an
-// earlier receiver of the same transmission is the one that runs).
+// destination after another -- and the transmission's payload and admitted
+// list go into an in-flight slot the network reuses. The event, at now +
+// latency, names only that slot; it hands the payload to every admitted
+// destination in admit order, looking each handler up as it goes (a
+// handler replaced by an earlier receiver of the same transmission is the
+// one that runs), and frees the slot after the last one.
 // Anything a handler schedules at the delivery instant runs after every
 // receiver of that transmission, exactly as when each destination had an
 // event of its own: those events held consecutive sequence numbers.
@@ -24,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <vector>
 
@@ -38,7 +41,7 @@ using NodeId = uint32_t;
 struct Datagram {
   NodeId src = 0;
   NodeId dst = 0;
-  /// The transmission's payload, owned by its delivery event: valid only
+  /// The transmission's payload, held in its in-flight slot: valid only
   /// while the handler runs. A handler that keeps bytes copies them.
   ByteView payload;
 };
@@ -148,6 +151,14 @@ class Network {
   Stats node_stats(NodeId dst) const;
 
  private:
+  /// A transmission between its send and its delivery event. Its buffers
+  /// keep their capacity for the slot's next transmission, so the steady
+  /// state allocates nothing.
+  struct InFlight {
+    NodeId src = 0;
+    Bytes payload;
+    std::vector<NodeId> dsts;
+  };
   /// Destinations a range query spared the filter, as (count, bytes).
   struct Unasked {
     uint64_t count = 0;
@@ -163,10 +174,15 @@ class Network {
   void key_radio(NodeId src, size_t payload_bytes);
   /// Takes `node` out of the current answered broadcast's unasked set.
   void exempt(NodeId node, size_t payload_bytes);
-  /// Schedules the broadcast's one delivery event, which owns a copy of
-  /// the payload and hands it to every destination in admitted_, and
-  /// empties admitted_. With none admitted, nothing is scheduled.
+  /// Moves admitted_ into a free in-flight slot, schedules the
+  /// transmission's one delivery event and returns the slot, whose
+  /// payload the caller fills; nullptr, and nothing scheduled, when none
+  /// was admitted.
+  InFlight* dispatch_admitted(NodeId src);
+  /// dispatch_admitted() with a copy of `payload`.
   void deliver_admitted(NodeId src, ByteView payload);
+  /// The delivery event of in-flight slot `slot`.
+  void deliver(uint32_t slot);
   /// Delivery to one destination, inside a delivery event.
   void hand_over(NodeId src, NodeId dst, ByteView payload);
 
@@ -188,6 +204,11 @@ class Network {
   std::vector<Unasked> exempt_;  // indexed by node
   std::vector<NodeId> candidates_;  // range query reuse
   std::vector<NodeId> admitted_;    // the current broadcast's, in order
+  /// A deque never moves its elements, so a handler that transmits during
+  /// a delivery cannot move the slot being delivered; and that slot is
+  /// freed only after its last receiver, so no transmission reuses it.
+  std::deque<InFlight> in_flight_;
+  std::vector<uint32_t> free_in_flight_;
 };
 
 }  // namespace erasmus::net

@@ -1,5 +1,7 @@
 #include "swarm/provision.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -11,11 +13,20 @@
 namespace erasmus::swarm {
 
 Bytes fleet_device_key(uint64_t seed, DeviceId id) {
-  ByteWriter w;
-  w.u64(seed);
-  w.u32(id);
-  crypto::HmacDrbg drbg(w.bytes(), bytes_of("erasmus-fleet-key"));
-  return drbg.generate(32);
+  // HMAC-DRBG(le64(seed) || le32(id), "erasmus-fleet-key"), first 32
+  // bytes, on stack buffers: the key is the one allocation.
+  std::array<uint8_t, 12> input;
+  const std::array<uint8_t, 8> seed_le = le64(seed), id_le = le64(id);
+  std::copy_n(seed_le.begin(), 8, input.begin());
+  std::copy_n(id_le.begin(), 4, input.begin() + 8);
+  constexpr std::string_view kPersonalization = "erasmus-fleet-key";
+  Bytes key(32);
+  crypto::HmacDrbg::generate_once(
+      input,
+      {reinterpret_cast<const uint8_t*>(kPersonalization.data()),
+       kPersonalization.size()},
+      key);
+  return key;
 }
 
 namespace detail {
@@ -92,9 +103,12 @@ attest::DeviceRecord build_device_record(const DeviceSpec& spec,
                                          const DeviceStack& stack) {
   attest::DeviceRecord record;
   record.key = crypto::MacKey(spec.algo, spec.key);
-  record.set_golden(crypto::Hash::digest(
-      attest::hash_for(spec.algo),
-      stack.arch->memory().view(stack.app_region, /*privileged=*/true)));
+  // While the app RAM maps its zero image, its digest is the one cached
+  // beside the image (R10); the prover still hashes it at every
+  // self-measurement.
+  record.set_golden(stack.arch->memory()
+                        .digest(stack.app_region, attest::hash_for(spec.algo))
+                        .to_bytes());
   return record;
 }
 

@@ -41,18 +41,20 @@ void NeighbourGrid::build(const std::vector<Entry>& entries) {
   entry_cell_.resize(entries.size());
   marks_.assign(entries.empty() ? 0 : entries.back().id / 64 + 1, 0);
   for (size_t i = 0; i < entries.size(); ++i) {
-    entry_cell_[i] = static_cast<uint32_t>(index(entries[i].p.y) * side_ +
-                                           index(entries[i].p.x));
+    entry_cell_[i] = static_cast<uint32_t>(cell_of(entries[i].p));
     ++cell_start_[entry_cell_[i] + 1];
   }
   for (size_t c = 1; c < cell_start_.size(); ++c) {
     cell_start_[c] += cell_start_[c - 1];
   }
   ids_.resize(entries.size());
+  pts_.resize(entries.size());
   for (size_t i = 0; i < entries.size(); ++i) {
     // cell_start_[c] doubles as cell c's fill cursor, ending at c + 1's
     // start; the shift below restores the offsets.
-    ids_[cell_start_[entry_cell_[i]]++] = entries[i].id;
+    const uint32_t slot = cell_start_[entry_cell_[i]]++;
+    ids_[slot] = entries[i].id;
+    pts_[slot] = entries[i].p;
   }
   for (size_t c = cell_start_.size() - 1; c > 0; --c) {
     cell_start_[c] = cell_start_[c - 1];
@@ -177,21 +179,14 @@ std::vector<DeviceId> RadioLinks::reachable() {
   std::vector<DeviceId> reached;
   if (!active_(root_)) return reached;
   // The root is active, so every grid member is. An edge needs the range
-  // test and the partition veto; the BFS's visiting order cannot change
-  // the reached set, which is returned sorted.
-  std::vector<bool> seen(verifier_, false);
-  seen[root_] = true;
-  reached.push_back(root_);
-  for (size_t head = 0; head < reached.size(); ++head) {
-    const DeviceId v = reached[head];
-    const Point pv = pos_[v];
-    grid_.for_each_in_block(pv, [&](DeviceId u) {
-      if (seen[u] || !mobility_.in_range(pv, pos_[u])) return;
-      if (allowed_ && !allowed_(v, u, now)) return;
-      seen[u] = true;
-      reached.push_back(u);
-    });
-  }
+  // test and the partition veto (R5); the BFS's visiting order cannot
+  // change the reached set, which is returned sorted.
+  using Entry = NeighbourGrid::Entry;
+  const auto edge = [&](const Entry& v, const Entry& u) {
+    return mobility_.in_range(v.p, u.p) &&
+           (!allowed_ || allowed_(v.id, u.id, now));
+  };
+  grid_.reach(root_, edge, reached);
   std::sort(reached.begin(), reached.end());
   return reached;
 }

@@ -27,10 +27,12 @@
 // reachable() is the in-process backend's reachability: every device's
 // position in ascending id (the draw order of
 // RandomWaypointMobility::snapshot), the grid indexed from those
-// positions, then a BFS from the root that reads only them. link_up()'s
-// dark/departed gates ran once per device at indexing, so each candidate
-// pair costs the shared range test (RandomWaypointMobility::in_range)
-// and the partition veto -- no mobility query, no per-pair link_up().
+// positions, then a BFS from the root that reads only them
+// (NeighbourGrid::reach, which scans only devices not reached yet).
+// link_up()'s dark/departed gates ran once per device at indexing, so
+// each candidate pair costs the shared range test
+// (RandomWaypointMobility::in_range) and the partition veto -- no
+// mobility query, no per-pair link_up().
 #pragma once
 
 #include <algorithm>
@@ -67,33 +69,76 @@ class NeighbourGrid {
   /// not depend on the visiting order.
   template <typename Visit>
   void for_each_in_block(Point p, Visit&& visit) const {
+    for_each_block_row(p, [&](size_t first, size_t last) {
+      const uint32_t end = cell_start_[last + 1];
+      for (uint32_t i = cell_start_[first]; i < end; ++i) visit(ids_[i]);
+    });
+  }
+  /// True when `q`'s cell is in the 3x3 block around `p`.
+  bool in_block(Point p, Point q) const;
+
+  /// Appends member `root` and every member it reaches to `reached`, in
+  /// BFS order, over the pairs (v, u) in one 3x3 block that `edge(v, u)`
+  /// accepts (Entries; v reached, u not yet). Each cell keeps its members
+  /// not reached yet in front and swaps one behind them when it is
+  /// reached, so a scan visits only those. Whatever the visiting order,
+  /// the reached set is `edge`'s closure from the root.
+  template <typename Edge>
+  void reach(DeviceId root, Edge&& edge, std::vector<DeviceId>& reached) {
+    // Cell c's members not reached yet: open_[cell_start_[c], open_end_[c]).
+    open_end_.assign(cell_start_.begin() + 1, cell_start_.end());
+    open_.resize(ids_.size());
+    frontier_.clear();
+    const auto take = [&](size_t c, uint32_t i) {
+      frontier_.push_back(open_[i]);
+      std::swap(open_[i], open_[--open_end_[c]]);
+    };
+    for (uint32_t i = 0; i < ids_.size(); ++i) open_[i] = {ids_[i], pts_[i]};
+    for (uint32_t i = 0; i < ids_.size(); ++i) {
+      if (ids_[i] == root) take(cell_of(pts_[i]), i);
+    }
+    for (size_t head = 0; head < frontier_.size(); ++head) {
+      const Entry v = frontier_[head];
+      for_each_block_row(v.p, [&](size_t first, size_t last) {
+        for (size_t c = first; c <= last; ++c) {
+          for (uint32_t i = cell_start_[c]; i < open_end_[c];) {
+            // A taken member's slot now holds one not reached yet.
+            if (edge(v, open_[i])) take(c, i); else ++i;
+          }
+        }
+      });
+    }
+    for (const Entry& e : frontier_) reached.push_back(e.id);
+  }
+
+ private:
+  /// Cell column (or row) of one coordinate, clamped to the grid.
+  size_t index(double v) const;
+  size_t cell_of(Point p) const { return index(p.y) * side_ + index(p.x); }
+  /// Calls `visit(first, last)` for each row of the 3x3 cell block around
+  /// `p`: that row's cells first..last, contiguous in ids_.
+  template <typename VisitRow>
+  void for_each_block_row(Point p, VisitRow&& visit) const {
     const size_t cx = index(p.x);
     const size_t cy = index(p.y);
     const size_t x0 = cx == 0 ? 0 : cx - 1;
     const size_t x1 = std::min(cx + 1, side_ - 1);
     const size_t y0 = cy == 0 ? 0 : cy - 1;
     const size_t y1 = std::min(cy + 1, side_ - 1);
-    for (size_t y = y0; y <= y1; ++y) {
-      // A row's cells are contiguous in ids_.
-      const uint32_t end = cell_start_[y * side_ + x1 + 1];
-      for (uint32_t i = cell_start_[y * side_ + x0]; i < end; ++i) {
-        visit(ids_[i]);
-      }
-    }
+    for (size_t y = y0; y <= y1; ++y) visit(y * side_ + x0, y * side_ + x1);
   }
-  /// True when `q`'s cell is in the 3x3 block around `p`.
-  bool in_block(Point p, Point q) const;
-
- private:
-  /// Cell column (or row) of one coordinate, clamped to the grid.
-  size_t index(double v) const;
 
   double cell_ = 1.0;
   size_t side_ = 1;
   std::vector<uint32_t> cell_start_;  // offsets into ids_, side_^2 + 1
   std::vector<DeviceId> ids_;         // by cell, ascending within a cell
+  std::vector<Point> pts_;            // ids_'s positions
   std::vector<uint32_t> entry_cell_;  // build() reuse
   std::vector<uint64_t> marks_;       // block()'s bitmap, clear between calls
+  // reach() reuse.
+  std::vector<Entry> open_;
+  std::vector<uint32_t> open_end_;
+  std::vector<Entry> frontier_;
 };
 
 class RadioLinks {

@@ -167,12 +167,12 @@ TEST(Hydra, SecureBootHashesAPrivateCopy) {
   const Bytes original = mem.read(kernel, 100, 1, /*privileged=*/true);
   mem.write(kernel, 100, Bytes{static_cast<uint8_t>(original[0] ^ 0x01)},
             /*privileged=*/true);
-  EXPECT_FALSE(mem.maps_shared_image(kernel));
+  EXPECT_EQ(nullptr, mem.shared_image(kernel));
   EXPECT_THROW(arch.secure_boot(), SecurityViolation);
   EXPECT_FALSE(arch.booted());
   // The copy now holds the image's bytes again: boot hashes it and passes.
   mem.write(kernel, 100, original, /*privileged=*/true);
-  EXPECT_FALSE(mem.maps_shared_image(kernel));
+  EXPECT_EQ(nullptr, mem.shared_image(kernel));
   EXPECT_NO_THROW(arch.secure_boot());
   EXPECT_TRUE(arch.booted());
 }
@@ -185,8 +185,9 @@ TEST(Hydra, TamperingOneDeviceLeavesOthersBooting) {
   EXPECT_THROW(victim.secure_boot(), SecurityViolation);
   EXPECT_NO_THROW(before.secure_boot());
   EXPECT_NO_THROW(after.secure_boot());
-  EXPECT_TRUE(before.memory().maps_shared_image(before.pratt_region()));
-  EXPECT_TRUE(after.memory().maps_shared_image(after.pratt_region()));
+  EXPECT_EQ(before.memory().shared_image(before.pratt_region()),
+            after.memory().shared_image(after.pratt_region()));
+  EXPECT_NE(after.memory().shared_image(after.pratt_region()), nullptr);
   EXPECT_NE(victim.memory().read(victim.pratt_region(), 0, 1, true),
             after.memory().read(after.pratt_region(), 0, 1, true));
 }

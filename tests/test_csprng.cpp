@@ -3,6 +3,7 @@
 
 #include <set>
 
+#include "common/hex.h"
 #include "crypto/hmac_drbg.h"
 
 namespace erasmus::crypto {
@@ -13,6 +14,29 @@ TEST(HmacDrbg, DeterministicForSameSeed) {
   HmacDrbg b(bytes_of("seed"), bytes_of("pers"));
   EXPECT_EQ(a.generate(64), b.generate(64));
   EXPECT_EQ(a.next_u64(), b.next_u64());
+}
+
+// Pinned output: the stream must not move when the implementation does
+// (the initial K = 0 state is derived once per process).
+TEST(HmacDrbg, OutputIsPinned) {
+  HmacDrbg drbg(bytes_of("seed"), bytes_of("pers"));
+  EXPECT_EQ(to_hex(drbg.generate(64)),
+            "e9d46de0679214100dda4e8a671a8095df2cb4bf396b4196c03cd08a5f5d6c88"
+            "3a74507709edb610528e59c4b5037c6b2f3e49cea38c4a16d69bc9d429602e86");
+}
+
+// generate_once skips only the closing update, which no output of the
+// first request depends on: it writes exactly what a fresh generator's
+// first generate() writes, for any length.
+TEST(HmacDrbg, GenerateOnceEqualsAFreshGeneratorsFirstRequest) {
+  for (const size_t n : {0u, 1u, 31u, 32u, 33u, 64u, 100u}) {
+    for (const char* pers : {"", "pers", "erasmus-fleet-key"}) {
+      Bytes once(n);
+      HmacDrbg::generate_once(bytes_of("seed"), bytes_of(pers), once);
+      EXPECT_EQ(once, HmacDrbg(bytes_of("seed"), bytes_of(pers)).generate(n))
+          << "n = " << n << ", personalization '" << pers << "'";
+    }
+  }
 }
 
 TEST(HmacDrbg, DifferentSeedsDiverge) {

@@ -5,8 +5,13 @@
 // at 1/2/8 threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
+#include "common/hex.h"
+#include "common/serde.h"
+#include "crypto/hmac_drbg.h"
+#include "malware/malware.h"
 #include "scenario/scenario.h"
 #include "scenario/sharded_runner.h"
 #include "swarm/provision.h"
@@ -67,6 +72,120 @@ TEST(ArchFactory, KindNamesRoundTrip) {
   }
   EXPECT_EQ(hw::arch_kind_from_string("smart+"), hw::ArchKind::kSmartPlus);
   EXPECT_THROW(hw::arch_kind_from_string("sgx"), std::invalid_argument);
+}
+
+// fleet_device_key is HMAC-DRBG(le64(seed) || le32(id),
+// "erasmus-fleet-key")'s first 32 bytes, computed without the DRBG's
+// closing update: the same key as the full generator's, on seeded pairs
+// and at the ends of both ranges.
+TEST(FleetKey, EqualsTheFullDrbgsFirst32Bytes) {
+  const auto reference = [](uint64_t seed, DeviceId id) {
+    ByteWriter w;
+    w.u64(seed);
+    w.u32(id);
+    return crypto::HmacDrbg(w.bytes(), bytes_of("erasmus-fleet-key"))
+        .generate(32);
+  };
+  std::vector<std::pair<uint64_t, DeviceId>> pairs;
+  for (const uint64_t seed : {uint64_t{0}, uint64_t{1}, UINT64_MAX}) {
+    for (const DeviceId id : {DeviceId{0}, DeviceId{1}, UINT32_MAX}) {
+      pairs.emplace_back(seed, id);
+    }
+  }
+  sim::Rng rng(2024);
+  while (pairs.size() < 1100) {
+    pairs.emplace_back(rng.next_u64(), static_cast<DeviceId>(rng.next_u64()));
+  }
+  for (const auto& [seed, id] : pairs) {
+    ASSERT_EQ(fleet_device_key(seed, id), reference(seed, id))
+        << "seed " << seed << ", id " << id;
+  }
+}
+
+TEST(FleetKey, IsPinned) {
+  EXPECT_EQ(to_hex(fleet_device_key(42, 7)),
+            "c0d389100ce927ed101f1f097479c4cca7e043bdfa808fc441b5e76a0416d3d7");
+  EXPECT_EQ(to_hex(fleet_device_key(UINT64_MAX, UINT32_MAX)),
+            "0e30f6dc9b716784224b1ee4bd064c59eadab4519975a09a766909b5255dc0dc");
+}
+
+const hw::ArchKind kAllArchs[] = {hw::ArchKind::kSmartPlus,
+                                  hw::ArchKind::kHydra,
+                                  hw::ArchKind::kTrustLite};
+
+DeviceSpec spec_for(hw::ArchKind kind, DeviceId id) {
+  DeviceSpec spec;
+  spec.arch = kind;
+  spec.profile = default_profile_for(kind);
+  spec.app_ram_bytes = 1024;
+  spec.key = fleet_device_key(5, id);
+  return spec;
+}
+
+// A new device's app RAM maps the one shared zero image of its size; an
+// implant gives that device alone a private copy, and removing it leaves
+// a private copy of zeros that still matches the golden digest.
+TEST(FleetBuild, AppRamMapsTheSharedZeroImageUntilAWrite) {
+  for (const hw::ArchKind kind : kAllArchs) {
+    SCOPED_TRACE(hw::to_string(kind));
+    sim::EventQueue queue;
+    const DeviceSpec spec = spec_for(kind, 0);
+    DeviceStack a = build_device_stack(queue, spec);
+    const DeviceStack b = build_device_stack(queue, spec_for(kind, 1));
+    const hw::SharedImage& zeros = hw::zero_image(spec.app_ram_bytes);
+    hw::DeviceMemory& ma = a.arch->memory();
+    const hw::DeviceMemory& mb = b.arch->memory();
+    ASSERT_EQ(ma.shared_image(a.app_region), &zeros);
+    ASSERT_EQ(mb.shared_image(b.app_region), &zeros);
+    EXPECT_EQ(ma.view(a.app_region, true).data(), zeros.bytes().data());
+    const attest::DeviceRecord record = build_device_record(spec, a);
+
+    const Bytes saved = malware::write_implant(*a.prover);
+    ASSERT_FALSE(saved.empty());
+    EXPECT_EQ(ma.shared_image(a.app_region), nullptr);
+    const ByteView infected = ma.view(a.app_region, true);
+    EXPECT_NE(std::count(infected.begin(), infected.end(), 0),
+              static_cast<std::ptrdiff_t>(infected.size()));
+    // The image and the other device stay zero.
+    EXPECT_EQ(mb.shared_image(b.app_region), &zeros);
+    EXPECT_EQ(std::count(zeros.bytes().begin(), zeros.bytes().end(), 0),
+              static_cast<std::ptrdiff_t>(spec.app_ram_bytes));
+
+    malware::remove_implant(*a.prover, saved);
+    EXPECT_EQ(ma.shared_image(a.app_region), nullptr);
+    EXPECT_TRUE(equal(ma.view(a.app_region, true), zeros.bytes()));
+    const attest::Measurement m = attest::compute_measurement_protected(
+        *a.arch, spec.algo, a.app_region, 1);
+    EXPECT_TRUE(equal(m.digest, record.golden()));
+  }
+}
+
+// The enrolment golden is H(app RAM): read from the image's cache while
+// the region maps its image, hashed when the device holds a private copy.
+TEST(FleetBuild, GoldenIsTheDigestOfTheRegion) {
+  for (const crypto::MacAlgo algo : crypto::all_mac_algos()) {
+    for (const size_t app_ram : {size_t{512}, size_t{3000}}) {
+      for (const hw::ArchKind kind : kAllArchs) {
+        SCOPED_TRACE(crypto::to_string(algo) + " " + hw::to_string(kind) +
+                     " " + std::to_string(app_ram));
+        sim::EventQueue queue;
+        DeviceSpec spec = spec_for(kind, 0);
+        spec.algo = algo;
+        spec.app_ram_bytes = app_ram;
+        DeviceStack stack = build_device_stack(queue, spec);
+        const hw::DeviceMemory& mem = stack.arch->memory();
+        const auto hashed = [&] {
+          return crypto::Hash::digest(attest::hash_for(algo),
+                                      mem.view(stack.app_region, true));
+        };
+        ASSERT_NE(mem.shared_image(stack.app_region), nullptr);
+        EXPECT_EQ(build_device_record(spec, stack).golden(), hashed());
+        malware::write_implant(*stack.prover);
+        ASSERT_EQ(mem.shared_image(stack.app_region), nullptr);
+        EXPECT_EQ(build_device_record(spec, stack).golden(), hashed());
+      }
+    }
+  }
 }
 
 TEST(FleetPlan, UniformExpansionDerivesDistinctKeys) {

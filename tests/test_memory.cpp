@@ -61,7 +61,7 @@ TEST(DeviceMemory, ProvisionBypassesPolicyOnce) {
 }
 
 TEST(DeviceMemory, OutOfBoundsAccessThrows) {
-  static const Bytes kImage(8, 0x5a);
+  static const SharedImage kImage(Bytes(8, 0x5a));
   DeviceMemory mem;
   const RegionId app = mem.add_region("app", 8, policy::kAppRam);
   const RegionId img = mem.add_image_region("img", kImage, policy::kAppRam);
@@ -79,7 +79,7 @@ TEST(DeviceMemory, OutOfBoundsAccessThrows) {
                  AccessViolation);
   }
   // A rejected access never copies the image.
-  EXPECT_TRUE(mem.maps_shared_image(img));
+  EXPECT_EQ(mem.shared_image(img), &kImage);
 }
 
 TEST(DeviceMemory, BadRegionIdThrows) {
@@ -114,15 +114,15 @@ TEST(DeviceMemory, ZeroLengthAccessAtEndIsAllowed) {
 }
 
 TEST(DeviceMemory, ImageRegionIsSharedUntilFirstWrite) {
-  static const Bytes kImage = {1, 2, 3, 4, 5, 6, 7, 8};
+  static const SharedImage kImage(Bytes{1, 2, 3, 4, 5, 6, 7, 8});
   const RegionPolicy firmware{Access::kRead, Access::kReadWrite};
   DeviceMemory a;
   DeviceMemory b;
   const RegionId ra = a.add_image_region("fw", kImage, firmware);
   const RegionId rb = b.add_image_region("fw", kImage, firmware);
   const RegionId rom = a.add_image_region("rom", kImage, policy::kRom);
-  EXPECT_TRUE(a.maps_shared_image(ra));
-  EXPECT_EQ(a.view(ra, true).data(), kImage.data());
+  EXPECT_EQ(a.shared_image(ra), &kImage);
+  EXPECT_EQ(a.view(ra, true).data(), kImage.bytes().data());
   EXPECT_EQ(a.view(ra, true).data(), b.view(rb, true).data());
   EXPECT_EQ(a.read(ra, 2, 3, false), (Bytes{3, 4, 5}));
   EXPECT_EQ(a.total_size(), 16u);
@@ -133,23 +133,23 @@ TEST(DeviceMemory, ImageRegionIsSharedUntilFirstWrite) {
                AccessViolation);
   EXPECT_THROW(a.write(rom, 0, Bytes{9}, /*privileged=*/true),
                AccessViolation);
-  EXPECT_TRUE(a.maps_shared_image(ra));
-  EXPECT_TRUE(a.maps_shared_image(rom));
+  EXPECT_EQ(a.shared_image(ra), &kImage);
+  EXPECT_EQ(a.shared_image(rom), &kImage);
 
   // A view taken before the first write keeps showing the image after it.
   const ByteView before = a.view(ra, true);
   a.write(ra, 1, Bytes{0xee}, /*privileged=*/true);
-  EXPECT_FALSE(a.maps_shared_image(ra));
+  EXPECT_EQ(nullptr, a.shared_image(ra));
   EXPECT_EQ(a.read(ra, 0, 3, true), (Bytes{1, 0xee, 3}));
-  EXPECT_NE(a.view(ra, true).data(), kImage.data());
-  EXPECT_EQ(Bytes(before.begin(), before.end()), kImage);
+  EXPECT_NE(a.view(ra, true).data(), kImage.bytes().data());
+  EXPECT_EQ(Bytes(before.begin(), before.end()), kImage.bytes());
   // The other memory still maps the untouched image.
-  EXPECT_TRUE(b.maps_shared_image(rb));
-  EXPECT_EQ(b.view(rb, true).data(), kImage.data());
+  EXPECT_EQ(b.shared_image(rb), &kImage);
+  EXPECT_EQ(b.view(rb, true).data(), kImage.bytes().data());
 
   // provision copies too, even where the run-time policy forbids writes.
   a.provision(rom, 7, Bytes{0});
-  EXPECT_FALSE(a.maps_shared_image(rom));
+  EXPECT_EQ(nullptr, a.shared_image(rom));
   EXPECT_EQ(a.read(rom, 6, 2, false), (Bytes{7, 0}));
   EXPECT_EQ(b.read(rb, 0, 8, true), (Bytes{1, 2, 3, 4, 5, 6, 7, 8}));
   EXPECT_THROW(a.write(rom, 0, Bytes{9}, /*privileged=*/true),
@@ -159,7 +159,8 @@ TEST(DeviceMemory, ImageRegionIsSharedUntilFirstWrite) {
   EXPECT_EQ(a.region_size(rom), 8u);
   EXPECT_EQ(a.total_size(), 16u);
   EXPECT_EQ(b.total_size(), 8u);
-  EXPECT_FALSE(a.maps_shared_image(a.add_region("app", 4, policy::kAppRam)));
+  EXPECT_EQ(a.shared_image(a.add_region("app", 4, policy::kAppRam)),
+            nullptr);
 }
 
 // Access-policy matrix, parameterised: every (policy, privilege, op) cell.

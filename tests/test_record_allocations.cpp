@@ -139,5 +139,53 @@ TEST_P(RecordPathAllocations, OdResponseVerifiesInPlace) {
 INSTANTIATE_TEST_SUITE_P(AllAlgos, RecordPathAllocations,
                          ::testing::ValuesIn(crypto::all_mac_algos()));
 
+// A fleet build's allocations per device. A key is its one buffer (the
+// DRBG's input and state live on the stack); a device's app RAM maps the
+// shared zero image, and its record's golden digest is read from that
+// image's cache, so neither grows with the app RAM size.
+TEST(FleetBuildAllocations, FleetKeyIsItsOneBuffer) {
+  (void)swarm::fleet_device_key(1, 0);  // the DRBG's zero key, once
+  for (DeviceId id = 0; id < 4; ++id) {
+    EXPECT_EQ(allocations_in([&] { (void)swarm::fleet_device_key(42, id); }),
+              1u)
+        << "id " << id;
+  }
+}
+
+TEST(FleetBuildAllocations, DeviceStackAndRecordPerArchitecture) {
+  struct Expected {
+    hw::ArchKind kind;
+    size_t stack;
+    size_t record;
+  };
+  // A record is its key's copy, the epoch list and the golden digest.
+  for (const Expected& e : {Expected{hw::ArchKind::kSmartPlus, 12, 3},
+                            Expected{hw::ArchKind::kHydra, 14, 3},
+                            Expected{hw::ArchKind::kTrustLite, 19, 3}}) {
+    for (const size_t app_ram : {size_t{1024}, size_t{64 * 1024}}) {
+      sim::EventQueue queue;
+      swarm::DeviceSpec spec;
+      spec.arch = e.kind;
+      spec.app_ram_bytes = app_ram;
+      spec.key = swarm::fleet_device_key(42, 0);
+      // The first build of a kind and size makes the shared images and
+      // hashes the golden once.
+      const swarm::DeviceStack first = swarm::build_device_stack(queue, spec);
+      (void)swarm::build_device_record(spec, first);
+
+      swarm::DeviceStack stack;
+      EXPECT_EQ(allocations_in(
+                    [&] { stack = swarm::build_device_stack(queue, spec); }),
+                e.stack)
+          << hw::to_string(e.kind) << ", app RAM " << app_ram;
+      DeviceRecord record;
+      EXPECT_EQ(allocations_in(
+                    [&] { record = swarm::build_device_record(spec, stack); }),
+                e.record)
+          << hw::to_string(e.kind) << ", app RAM " << app_ram;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace erasmus::attest

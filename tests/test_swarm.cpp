@@ -622,6 +622,173 @@ TEST(NeighbourGrid, BlockEqualsTheSortedVisit) {
   }
 }
 
+// The reachability BFS as RadioLinks::reachable() ran it before the grid
+// kept per-cell lists of the members not reached yet: every member of a
+// reached device's 3x3 block is scanned, and a bitmap skips the reached
+// ones. Kept as the reference NeighbourGrid::reach must agree with.
+template <typename Edge>
+std::vector<DeviceId> block_scan_bfs(const NeighbourGrid& grid,
+                                     const std::vector<Point>& pos,
+                                     DeviceId root, Edge edge) {
+  std::vector<bool> seen(pos.size(), false);
+  seen[root] = true;
+  std::vector<DeviceId> reached{root};
+  for (size_t head = 0; head < reached.size(); ++head) {
+    const DeviceId v = reached[head];
+    grid.for_each_in_block(pos[v], [&](DeviceId u) {
+      if (seen[u] || !edge(v, u)) return;
+      seen[u] = true;
+      reached.push_back(u);
+    });
+  }
+  std::sort(reached.begin(), reached.end());
+  return reached;
+}
+
+// NeighbourGrid::reach against the block-scan BFS on explicit points:
+// exactly-in-range pairs straddling cell borders (horizontal, vertical and
+// 3-4-5 offsets of the range), random fill, sparse ids, a seeded
+// directional veto, many roots, and rebuilds with fewer members -- the
+// reuse buffers must not carry a previous search or grid over.
+TEST(NeighbourGrid, ReachEqualsTheBlockScanBfs) {
+  constexpr double kField = 300.0;
+  constexpr double kRange = 30.0;
+  std::vector<Point> pts;
+  for (int k = 0; k <= 9; ++k) {
+    for (const double eps : {-1e-9, 0.0, 1e-9}) {
+      const double x = k * kRange + eps;
+      for (const double y : {5.0, 77.0, 150.0}) {
+        pts.push_back({x, y});
+        pts.push_back({x + kRange, y});
+        pts.push_back({y, x});
+        pts.push_back({y, x + kRange});
+        pts.push_back({x + 18.0, y + 24.0});
+      }
+    }
+  }
+  sim::Rng rng(77);
+  for (int i = 0; i < 300; ++i) {
+    pts.push_back({rng.next_double() * kField, rng.next_double() * kField});
+  }
+  const DeviceId n = static_cast<DeviceId>(pts.size());
+  NeighbourGrid grid(kField, kRange);
+  size_t exact_edges = 0;
+  size_t largest = 0;
+  for (const double share : {1.0, 0.6, 0.3}) {
+    std::vector<NeighbourGrid::Entry> entries;
+    for (DeviceId id = 0; id < n; ++id) {
+      if (share == 1.0 || rng.chance(share)) entries.push_back({id, pts[id]});
+    }
+    grid.build(entries);
+    for (const bool vetoed : {false, true}) {
+      // A directional veto: v may not reach u, while u may reach v.
+      const auto allowed = [&](DeviceId v, DeviceId u) {
+        return !vetoed || (v * 7 + u * 3) % 5 != 0;
+      };
+      const auto edge = [&](DeviceId v, DeviceId u) {
+        if (distance(pts[v], pts[u]) == kRange) ++exact_edges;
+        return distance(pts[v], pts[u]) <= kRange && allowed(v, u);
+      };
+      for (int r = 0; r < 12; ++r) {
+        const DeviceId root = entries[rng.next_below(entries.size())].id;
+        std::vector<DeviceId> got{n + 5};  // reach() appends
+        grid.reach(root,
+                   [&](const NeighbourGrid::Entry& v,
+                       const NeighbourGrid::Entry& u) {
+                     EXPECT_EQ(v.p.x, pts[v.id].x);
+                     EXPECT_EQ(u.p.y, pts[u.id].y);
+                     return edge(v.id, u.id);
+                   },
+                   got);
+        ASSERT_EQ(got.front(), n + 5);
+        ASSERT_EQ(got[1], root) << "the root comes first";
+        got.erase(got.begin());
+        std::sort(got.begin(), got.end());
+        ASSERT_EQ(got, block_scan_bfs(grid, pts, root, edge))
+            << "share " << share << ", vetoed " << vetoed << ", root "
+            << root;
+        largest = std::max(largest, got.size());
+      }
+    }
+  }
+  EXPECT_GT(exact_edges, 100u) << "exact-range pairs must be exercised";
+  EXPECT_GT(largest, pts.size() / 2) << "a search must reach most points";
+}
+
+// RadioLinks::reachable() against the block-scan BFS over the same
+// instant's positions, on seeded fleets: churn, dark devices, a dark or
+// departed root, a half-fleet partition and a directional veto.
+TEST(RadioLinks, ReachableEqualsTheBlockScanBfs) {
+  for (const uint64_t seed : {3u, 19u, 42u}) {
+    MobilityConfig cfg;
+    cfg.devices = 400;
+    cfg.field_size = 400.0;
+    cfg.radio_range = 40.0;
+    cfg.speed_min = 1.0;
+    cfg.speed_max = 20.0;
+    cfg.seed = seed;
+    const DeviceId root = static_cast<DeviceId>(seed % cfg.devices);
+    const DeviceId n = static_cast<DeviceId>(cfg.devices);
+    RandomWaypointMobility mobility(cfg);
+    sim::EventQueue clock;
+    std::vector<bool> present(n, true);
+    std::vector<bool> dark(n, false);
+    int veto = 0;  // 0 none, 1 half-fleet partition, 2 directional
+    const auto active = [&](DeviceId id) { return present[id] && !dark[id]; };
+    const auto allowed = [&](DeviceId a, DeviceId b) {
+      if (veto == 1) return (a < n / 2) == (b < n / 2);
+      return veto == 0 || (a + 2 * b) % 7 != 0;
+    };
+    RadioLinks links(mobility, clock, root, active,
+                     [&](DeviceId a, DeviceId b, Time) {
+                       return allowed(a, b);
+                     });
+    sim::Rng script(seed);
+    size_t root_away = 0;
+    size_t most_reached = 0;
+    for (int instant = 0; instant < 40; ++instant) {
+      clock.advance_to(clock.now() +
+                       Duration::seconds(script.next_below(600)));
+      if (script.chance(0.5)) {
+        for (int c = 0; c < 20; ++c) {
+          const DeviceId id = static_cast<DeviceId>(script.next_below(n));
+          present[id] = !present[id];
+        }
+        if (script.chance(0.2)) present[root] = !present[root];
+        links.invalidate();
+      }
+      for (size_t c = script.next_below(10); c > 0; --c) {
+        dark[script.next_below(n)] = !script.chance(0.3);
+      }
+      if (script.chance(0.1)) dark[root] = !dark[root];
+      veto = static_cast<int>(script.next_below(3));
+
+      const std::vector<DeviceId> got = links.reachable();
+      // reachable() extended every trajectory to now: these draw nothing.
+      std::vector<Point> pos(n);
+      std::vector<NeighbourGrid::Entry> members;
+      for (DeviceId id = 0; id < n; ++id) {
+        pos[id] = mobility.position(id, clock.now());
+        if (id == root || active(id)) members.push_back({id, pos[id]});
+      }
+      std::vector<DeviceId> want;
+      if (active(root)) {
+        NeighbourGrid grid(cfg.field_size, cfg.radio_range);
+        grid.build(members);
+        want = block_scan_bfs(grid, pos, root, [&](DeviceId v, DeviceId u) {
+          return mobility.in_range(pos[v], pos[u]) && allowed(v, u);
+        });
+      } else {
+        ++root_away;
+      }
+      ASSERT_EQ(got, want) << "seed " << seed << ", instant " << instant;
+      most_reached = std::max(most_reached, got.size());
+    }
+    EXPECT_GT(most_reached, cfg.devices / 2) << "seed " << seed;
+    EXPECT_GT(root_away, 0u) << "seed " << seed << ": the root must go away";
+  }
+}
+
 // The in-process backend's reachability against the snapshot-and-prune
 // tree it replaced: snapshot(), strip the edges of inactive devices and
 // of vetoed pairs, BFS from the root, keep the active reached devices.

@@ -82,15 +82,15 @@ TEST(TrustLite, TrustletMapsOneSharedZeroImage) {
   auto a = make_arch();
   auto b = make_arch();
   const hw::DeviceMemory& ma = a.memory();
-  ASSERT_TRUE(ma.maps_shared_image(a.code_region()));
-  ASSERT_TRUE(b.memory().maps_shared_image(b.code_region()));
+  ASSERT_NE(nullptr, ma.shared_image(a.code_region()));
+  ASSERT_NE(nullptr, b.memory().shared_image(b.code_region()));
   const ByteView va = ma.view(a.code_region(), /*privileged=*/true);
   EXPECT_EQ(va.data(), b.memory().view(b.code_region(), true).data());
   EXPECT_EQ(va.size(), 8u * 1024);
   EXPECT_EQ(std::count(va.begin(), va.end(), 0), 8 * 1024);
   EXPECT_THROW(a.memory().write(a.code_region(), 0, bytes_of("x"), true),
                hw::AccessViolation);
-  EXPECT_TRUE(ma.maps_shared_image(a.code_region()));
+  EXPECT_NE(nullptr, ma.shared_image(a.code_region()));
 }
 
 TEST(TrustLite, InterruptsAllowedUnlikeSmartPlus) {
