@@ -106,6 +106,7 @@ int main(int argc, char** argv) {
     scenario::NullSink sink;
     runner.run(sink);
     const adversary::Engine& e = *runner.adversary_engine();
+    const adversary::Engine::Snapshot snap = e.snapshot();
     const double p = e.detection_probability();
     probs.push_back(p);
     const double latency_min =
@@ -117,13 +118,13 @@ int main(int argc, char** argv) {
     curve.add_row({analysis::fmt(tm.to_seconds() / 60.0, 0) + "m",
                    std::to_string(e.detected_chains()), analysis::fmt(p, 2),
                    analysis::fmt(latency_min, 1),
-                   std::to_string(e.migrations_total()),
-                   std::to_string(e.evasions_total()),
-                   std::to_string(e.captures_total())});
+                   std::to_string(snap.migrations),
+                   std::to_string(snap.evasions),
+                   std::to_string(snap.captures)});
     const std::string tag =
         "tm" + std::to_string(static_cast<int>(tm.to_seconds() / 60));
     bench.sample("detect_prob_" + tag, p);
-    bench.sample("migrations_" + tag, static_cast<double>(e.migrations_total()));
+    bench.sample("migrations_" + tag, static_cast<double>(snap.migrations));
   }
   std::printf("%s\n", curve.render().c_str());
 

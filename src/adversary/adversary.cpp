@@ -241,26 +241,17 @@ void Engine::on_verdict(swarm::DeviceId device, bool healthy, sim::Time at) {
   // on this device whose chain is still undetected; the infected record
   // stays in the device's store, so later rounds re-flag it (repeat).
   int32_t best = -1;
-  bool any_measured = false;
   for (size_t i = 0; i < legs_.size(); ++i) {
     const Leg& leg = legs_[i];
-    if (leg.device != device || !leg.measured || at < leg.measured_at) {
+    if (leg.device != device || !leg.measured || at < leg.measured_at ||
+        chains_[leg.chain].detected) {
       continue;
     }
-    any_measured = true;
-    if (chains_[leg.chain].detected) continue;
     if (best < 0 || leg.enter < legs_[static_cast<size_t>(best)].enter) {
       best = static_cast<int32_t>(i);
     }
   }
-  if (best < 0) {
-    if (any_measured) {
-      ++repeat_flags_;
-    } else {
-      ++unattributed_flags_;  // a flag no measured leg explains
-    }
-    return;
-  }
+  if (best < 0) return;
   const Leg& leg = legs_[static_cast<size_t>(best)];
   Chain& chain = chains_[leg.chain];
   chain.detected = true;
@@ -377,30 +368,6 @@ sim::Duration Engine::mean_detection_latency() const {
   }
   if (n == 0) return sim::Duration::nanos(0);
   return sim::Duration::nanos(total_ns / n);
-}
-
-uint64_t Engine::migrations_total() const {
-  uint64_t n = 0;
-  for (const Leg& leg : legs_) {
-    if (leg.entered && !leg.first) ++n;
-  }
-  return n;
-}
-
-uint64_t Engine::evasions_total() const {
-  uint64_t n = 0;
-  for (const Leg& leg : legs_) {
-    if (leg.left && leg.evade) ++n;
-  }
-  return n;
-}
-
-uint64_t Engine::captures_total() const {
-  uint64_t n = 0;
-  for (const Leg& leg : legs_) {
-    if (leg.measured) ++n;
-  }
-  return n;
 }
 
 }  // namespace erasmus::adversary

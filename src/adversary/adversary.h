@@ -152,8 +152,8 @@ class Engine {
   /// Feeds one attestation verdict. A failed verdict on a device hosting
   /// a measured, not-yet-detected leg detects that chain (detection
   /// latency = at - chain start) and emits a kAdversary "detected"
-  /// instant. Repeat flags of already-detected chains and flags the
-  /// engine cannot attribute are counted separately.
+  /// instant. Any other failed verdict (a repeat flag of a detected
+  /// chain, or one no measured leg explains) changes nothing.
   void on_verdict(swarm::DeviceId device, bool healthy, sim::Time at);
 
   /// True when relay node `id` is compromised (kRelay/kSybil only).
@@ -191,13 +191,6 @@ class Engine {
   double detection_probability() const;
   /// Mean infection-to-first-failed-verdict time over detected chains.
   sim::Duration mean_detection_latency() const;
-  uint64_t migrations_total() const;
-  uint64_t evasions_total() const;
-  uint64_t captures_total() const;
-  /// Verdict-attribution tallies (failed verdicts beyond first detection,
-  /// and ones no measured leg explains -- e.g. externally planted code).
-  uint64_t repeat_flags() const { return repeat_flags_; }
-  uint64_t unattributed_flags() const { return unattributed_flags_; }
 
  private:
   struct Chain {
@@ -231,8 +224,6 @@ class Engine {
 
   obs::TraceRecorder* trace_ = nullptr;
   sim::Time last_emit_;
-  uint64_t repeat_flags_ = 0;
-  uint64_t unattributed_flags_ = 0;
 };
 
 }  // namespace erasmus::adversary

@@ -229,40 +229,46 @@ Prover::OdResult Prover::handle_od(const OdRequest& req) {
   return result;
 }
 
-void Prover::bind(net::Network& network, net::NodeId id) {
-  network_ = &network;
-  node_id_ = id;
-  network.set_handler(id, [this](const net::Datagram& dgram) {
-    const auto framed = unframe(dgram.payload);
-    if (!framed) return;
-    const auto [type, body] = *framed;
-    Bytes reply;
-    sim::Duration processing;
-    switch (type) {
-      case MsgType::kCollectRequest: {
-        const auto req = CollectRequest::deserialize(body);
-        if (!req) return;
-        auto res = handle_collect(*req);
-        reply = frame(MsgType::kCollectResponse, res.response.serialize());
-        processing = res.processing;
-        break;
-      }
-      case MsgType::kOdRequest: {
-        const auto req = OdRequest::deserialize(body);
-        if (!req) return;
-        auto res = handle_od(*req);
-        if (!res.response) return;  // aborted: no reply at all
-        reply = frame(MsgType::kOdResponse, res.response->serialize());
-        processing = res.processing;
-        break;
-      }
-      default:
-        return;  // responses are not expected at the prover
+Prover::Reply Prover::serve(MsgType type, ByteView body) {
+  Reply reply;
+  if (type == MsgType::kCollectRequest) {
+    const auto req = CollectRequest::deserialize(body);
+    reply.outcome = req ? Outcome::kReplied : Outcome::kMalformed;
+    if (req) {
+      const CollectResult res = handle_collect(*req);
+      reply.type = MsgType::kCollectResponse;
+      reply.body = res.response.serialize();
+      reply.processing = res.processing;
     }
+  } else if (type == MsgType::kOdRequest) {
+    const auto req = OdRequest::deserialize(body);
+    reply.outcome = req ? Outcome::kRejected : Outcome::kMalformed;
+    if (req) {
+      const OdResult res = handle_od(*req);
+      reply.type = MsgType::kOdResponse;
+      reply.processing = res.processing;
+      // A rejected request gets no reply at all (anti-DoS).
+      if (res.response) {
+        reply.outcome = Outcome::kReplied;
+        reply.body = res.response->serialize();
+      }
+    }
+  }
+  return reply;  // kNotRequest: responses are not expected at the prover
+}
+
+void Prover::bind(net::Network& network, net::NodeId id) {
+  network.set_handler(id, [this, &network, id](const net::Datagram& dgram) {
+    const auto request = unframe(dgram.payload);
+    if (!request) return;
+    const Reply reply = serve(request->first, request->second);
+    if (reply.outcome != Outcome::kReplied) return;
     const net::NodeId src = dgram.src;
-    queue_.schedule_after(processing, [this, src, reply = std::move(reply)] {
-      network_->send(node_id_, src, reply);
-    });
+    queue_.schedule_after(
+        reply.processing,
+        [&network, id, src, framed = frame(reply.type, reply.body)] {
+          network.send(id, src, framed);
+        });
   });
 }
 

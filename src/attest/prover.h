@@ -79,12 +79,32 @@ class Prover {
   };
   OdResult handle_od(const OdRequest& req);
 
+  // --- The one serve path ---------------------------------------------------
+  /// Whether serve() replied, and if not, why.
+  enum class Outcome : uint8_t {
+    kReplied,
+    kNotRequest,  // a response or unknown type: provers only serve requests
+    kMalformed,   // the request body did not decode
+    kRejected,    // OD failed freshness or authentication (silent abort)
+  };
+  struct Reply {
+    Outcome outcome = Outcome::kNotRequest;
+    MsgType type = MsgType::kCollectResponse;  // kReplied only
+    Bytes body;                                // kReplied only
+    /// Prover-side time until the reply leaves (see CollectResult); for
+    /// kRejected, the time the checks took.
+    sim::Duration processing;
+  };
+  /// Decodes one request, runs handle_collect or handle_od and encodes the
+  /// reply. Every transport answers through here, so the answer cannot
+  /// depend on what carried the request.
+  Reply serve(MsgType type, ByteView body);
+
   // --- Network binding ------------------------------------------------------
   /// Attaches the prover to a simulated network node: incoming datagrams
-  /// are dispatched to the handlers above and replies are sent back to the
-  /// requester after the prover-side processing delay.
+  /// are served and replies are sent back to the requester after the
+  /// prover-side processing delay.
   void bind(net::Network& network, net::NodeId id);
-  net::NodeId node_id() const { return node_id_; }
 
   // --- Time-critical task model (§5) ---------------------------------------
   /// Declares a window during which the device must not be interrupted.
@@ -115,7 +135,6 @@ class Prover {
   /// Index of the most recent measurement (the `i` of Fig. 3).
   uint64_t latest_index() const { return latest_index_; }
   bool any_measurement_taken() const { return stats_.measurements > 0; }
-  sim::Time busy_until() const { return busy_until_; }
   uint64_t attested_bytes() const;
 
   /// Observer invoked after each completed self-measurement with its RROC
@@ -144,9 +163,6 @@ class Prover {
   ProverConfig config_;
   hw::Rroc rroc_;
   hw::HwTimer timer_;
-
-  net::Network* network_ = nullptr;
-  net::NodeId node_id_ = 0;
 
   std::vector<std::pair<sim::Time, sim::Time>> critical_tasks_;
   sim::Time busy_until_ = sim::Time::zero();

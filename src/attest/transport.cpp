@@ -74,116 +74,60 @@ size_t DirectTransport::domain_of(net::NodeId node) const {
   return offset * domains_ / domain_span_;
 }
 
-void DirectTransport::serve_collect(net::NodeId peer,
-                                    const CollectRequest& req) {
-  last_processing_ = sim::Duration(0);
-  const auto it = provers_.find(peer);
-  if (it == provers_.end()) return;
-  const auto res = it->second->handle_collect(req);
-  last_processing_ = res.processing;
-  if (receiver_) {
-    receiver_(peer, MsgType::kCollectResponse, res.response.serialize());
-  }
-}
-
-void DirectTransport::serve_od(net::NodeId peer, const OdRequest& req) {
-  last_processing_ = sim::Duration(0);
-  const auto it = provers_.find(peer);
-  if (it == provers_.end()) return;
-  const auto res = it->second->handle_od(req);
-  last_processing_ = res.processing;
-  if (res.response && receiver_) {
-    receiver_(peer, MsgType::kOdResponse, res.response->serialize());
-  }
-}
-
 void DirectTransport::send(net::NodeId peer, MsgType type, ByteView body) {
-  last_processing_ = sim::Duration(0);
-  if (type == MsgType::kCollectRequest) {
-    const auto req = CollectRequest::deserialize(body);
-    if (req) serve_collect(peer, *req);
-    return;
-  }
-  if (type == MsgType::kOdRequest) {
-    const auto req = OdRequest::deserialize(body);
-    if (req) serve_od(peer, *req);
-    return;
-  }
-  // Provers only serve requests; anything else is silently dropped.
+  serve({&peer, 1}, type, body);
 }
 
 void DirectTransport::broadcast(const std::vector<net::NodeId>& peers,
                                 MsgType type, ByteView body) {
-  // A round's batched dispatch carries one shared body (uniform k), so
-  // decode it once and run a single dispatch loop instead of re-parsing
-  // per peer -- observable behaviour stays identical to the send() loop.
-  last_processing_ = sim::Duration(0);
-  if (type == MsgType::kCollectRequest) {
-    const auto req = CollectRequest::deserialize(body);
-    if (!req) return;
-    if (executor_ != nullptr && peers.size() > 1) {
-      serve_collect_batch(peers, *req);
-      return;
-    }
-    for (const net::NodeId peer : peers) serve_collect(peer, *req);
-    return;
-  }
-  if (type == MsgType::kOdRequest) {
-    const auto req = OdRequest::deserialize(body);
-    if (!req) return;
-    for (const net::NodeId peer : peers) serve_od(peer, *req);
-    return;
-  }
+  serve(peers, type, body);
 }
 
-void DirectTransport::serve_collect_batch(
-    const std::vector<net::NodeId>& peers, const CollectRequest& req) {
-  // Partition the batch's slot indices by radio domain, preserving batch
-  // order within each domain: a peer listed twice is served twice, in
-  // order, by the same worker -- as the send() loop would.
-  std::vector<std::vector<size_t>> by_domain(domains_);
-  for (size_t i = 0; i < peers.size(); ++i) {
-    by_domain[domain_of(peers[i])].push_back(i);
-  }
-  std::vector<size_t> live;
-  live.reserve(domains_);
-  for (size_t d = 0; d < domains_; ++d) {
-    if (!by_domain[d].empty()) live.push_back(d);
-  }
-  // Parallel phase: each domain serves its own provers into their peers'
-  // slots. A prover touches only its own state and handle_collect is
-  // crypto-free (records are pre-MAC'd at measurement time), so the only
-  // shared structure is the read-only prover table.
-  struct Reply {
-    bool served = false;
-    sim::Duration processing;
-    Bytes body;
+void DirectTransport::serve(std::span<const net::NodeId> peers, MsgType type,
+                            ByteView body) {
+  // Each attached peer is served into its batch slot; an unattached one's
+  // slot stays empty, a silent drop.
+  std::vector<Prover::Reply> slots(peers.size());
+  const auto serve_slot = [&](size_t i) {
+    const auto it = provers_.find(peers[i]);
+    if (it != provers_.end()) slots[i] = it->second->serve(type, body);
   };
-  std::vector<Reply> slots(peers.size());
-  executor_->run(live.size(), [&](size_t j) {
-    for (const size_t i : by_domain[live[j]]) {
-      const auto it = provers_.find(peers[i]);
-      if (it == provers_.end()) continue;  // silent drop, like send()
-      const auto res = it->second->handle_collect(req);
-      slots[i] = {true, res.processing, res.response.serialize()};
+  const bool batched = executor_ != nullptr && peers.size() > 1;
+  if (batched) {
+    // Partition the slot indices by radio domain, preserving batch order
+    // within each domain: a peer listed twice is served twice, in order,
+    // by the same worker. A prover touches only its own state, so the only
+    // shared structure is the read-only prover table.
+    std::vector<std::vector<size_t>> by_domain(domains_);
+    for (size_t i = 0; i < peers.size(); ++i) {
+      by_domain[domain_of(peers[i])].push_back(i);
     }
-  });
-  // Delivery, after the join: batch order, exactly the send() loop's.
+    std::vector<size_t> live;
+    for (size_t d = 0; d < domains_; ++d) {
+      if (!by_domain[d].empty()) live.push_back(d);
+    }
+    executor_->run(live.size(), [&](size_t j) {
+      for (const size_t i : by_domain[live[j]]) serve_slot(i);
+    });
+  } else {
+    for (size_t i = 0; i < peers.size(); ++i) serve_slot(i);
+  }
+  // Delivery in batch order, whichever worker served a slot.
+  last_processing_ = sim::Duration(0);
   bool delivered = false;
   for (size_t i = 0; i < peers.size(); ++i) {
-    if (!slots[i].served) continue;
+    const Prover::Reply& reply = slots[i];
+    const bool replied = reply.outcome == Prover::Outcome::kReplied;
+    last_processing_ = replied ? reply.processing : sim::Duration(0);
+    if (!replied) continue;
     delivered = true;
-    if (domain_of(peers[i]) == sink_domain_) {
-      ++batch_counters_.frames_local;
-    } else {
-      ++batch_counters_.frames_cross;
+    if (batched) {
+      ++(domain_of(peers[i]) == sink_domain_ ? batch_counters_.frames_local
+                                             : batch_counters_.frames_cross);
     }
-    last_processing_ = slots[i].processing;
-    if (receiver_) {
-      receiver_(peers[i], MsgType::kCollectResponse, slots[i].body);
-    }
+    if (receiver_) receiver_(peers[i], reply.type, reply.body);
   }
-  if (delivered) ++batch_counters_.drains;
+  if (batched && delivered) ++batch_counters_.drains;
 }
 
 void DirectTransport::set_receiver(Receiver receiver) {

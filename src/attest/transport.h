@@ -8,9 +8,9 @@
 //    link filters). Responses arrive asynchronously via the EventQueue;
 //    the service's timeout/retry machinery does real work.
 //  * DirectTransport  -- the in-process path of kDirect fleet collection:
-//    requests are dispatched straight into the prover's handler and the
-//    response is looped back synchronously at the current virtual time
-//    (zero latency, no queue involvement) -- exactly the
+//    requests are served straight by Prover::serve and the response is
+//    looped back synchronously at the current virtual time (zero
+//    latency, no queue involvement) -- exactly the
 //    reachability-at-an-instant semantics swarm collection needs (§6).
 //
 // Addresses are net::NodeIds in both backends; the DirectTransport's
@@ -19,6 +19,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -110,30 +111,30 @@ class DirectTransport : public Transport {
   /// likes -- fleets use the global device id).
   void attach(net::NodeId node, Prover& prover);
 
-  /// Dispatches to the attached prover and loops the reply straight back
-  /// into the receiver before returning. Unknown endpoints and requests
-  /// the prover rejects (OD auth failure) produce no reply, like a silent
-  /// datagram drop.
+  /// Serves the attached prover (Prover::serve) and loops the reply
+  /// straight back into the receiver before returning. Unknown endpoints
+  /// and requests the prover does not answer (undecodable, not a request,
+  /// OD auth failure) produce no reply, like a silent datagram drop.
   void send(net::NodeId peer, MsgType type, ByteView body) override;
   /// Batched round dispatch, symmetric with NetworkTransport::broadcast:
-  /// one pass that decodes the shared request once and serves each peer in
-  /// `peers` order -- observable effects identical to the send() loop.
+  /// send()'s path for many peers. Each peer is served into its batch
+  /// slot, then the slots are delivered in `peers` order -- observable
+  /// effects identical to the send() loop.
   void broadcast(const std::vector<net::NodeId>& peers, MsgType type,
                  ByteView body) override;
   void set_receiver(Receiver receiver) override;
   sim::Duration latency() const override { return sim::Duration(0); }
 
-  /// Prover-side processing time charged for the last served request
+  /// Prover-side processing time charged for the last peer served
   /// (busy-wait + buffer read + packet construction; see
-  /// Prover::CollectResult). Zero when the last send produced no reply.
+  /// Prover::CollectResult). Zero when that peer produced no reply.
   sim::Duration last_processing() const { return last_processing_; }
 
   /// Shard-local radio domains: partitions the attached endpoints into
-  /// `domains` contiguous-id blocks and serves collect broadcasts domain-
-  /// parallel. Each domain's worker runs its own provers and writes each
-  /// reply into that peer's batch slot (DETERMINISM.md R1); the slots are
-  /// then delivered to the receiver in batch order -- the send() loop's
-  /// order for any batch, so observable behaviour is unchanged and only
+  /// `domains` contiguous-id blocks and serves broadcasts of >= 2 peers
+  /// domain-parallel. Each domain's worker runs its own provers and writes
+  /// each reply into that peer's batch slot (DETERMINISM.md R1); delivery
+  /// stays in batch order, so observable behaviour is unchanged and only
   /// the prover-side work runs in parallel. `sink` is the endpoint the
   /// verifier is co-located with: replies from its domain count as local
   /// traffic, everything else as cross-domain.
@@ -143,9 +144,10 @@ class DirectTransport : public Transport {
   /// The domain an attached endpoint belongs to (batch serve only).
   size_t domain_of(net::NodeId node) const;
 
-  /// Cumulative batch-serve traffic, counted at delivery. The runner's
-  /// channels/* metrics read these; their names every kDirect metrics
-  /// table and the fleet benchmark's golden digest pin.
+  /// Cumulative batch-serve traffic, counted at delivery of a broadcast
+  /// the pool served (>= 2 peers); send() and single-peer broadcasts never
+  /// count. The runner's channels/* metrics read these; their names every
+  /// kDirect metrics table and the fleet benchmark's golden digest pin.
   struct BatchCounters {
     uint64_t frames_local = 0;  // replies from the sink's own domain
     uint64_t frames_cross = 0;  // replies that crossed domains
@@ -154,13 +156,11 @@ class DirectTransport : public Transport {
   const BatchCounters& batch_counters() const { return batch_counters_; }
 
  private:
-  /// Per-peer dispatch of an already-decoded request (send() and
-  /// broadcast() decode once, then share these).
-  void serve_collect(net::NodeId peer, const CollectRequest& req);
-  void serve_od(net::NodeId peer, const OdRequest& req);
-  /// The domain-parallel broadcast path (batch serve enabled, >= 2 peers).
-  void serve_collect_batch(const std::vector<net::NodeId>& peers,
-                           const CollectRequest& req);
+  /// The one path of send() and broadcast(): serves each peer into its
+  /// batch slot -- on the pool with batch serve enabled and >= 2 peers,
+  /// inline otherwise -- then delivers the slots in batch order.
+  void serve(std::span<const net::NodeId> peers, MsgType type,
+             ByteView body);
 
   std::unordered_map<net::NodeId, Prover*> provers_;
   Receiver receiver_;

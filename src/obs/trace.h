@@ -135,7 +135,6 @@ class TraceRecorder {
 
   /// (Re)creates `n` shard buffers, merging any unmerged leftovers first.
   void attach_shards(size_t n);
-  size_t shard_count() const { return shards_.size(); }
   /// The shard buffer for shard `i`; nullptr when the whole recorder or
   /// device tracing is disabled (callers then skip instrumentation).
   TraceShard* shard(size_t i);

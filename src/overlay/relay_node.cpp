@@ -361,48 +361,24 @@ void RelayNode::serve(uint32_t flood_id, uint8_t inner_type,
                       ByteView request) {
   // Serve from the co-located prover: a buffer read plus (for OD) one MAC
   // check -- collection itself triggers no measurement (§3, §6).
-  Bytes response;
-  uint8_t response_type = 0;
-  sim::Duration processing;
-  switch (static_cast<attest::MsgType>(inner_type)) {
-    case attest::MsgType::kCollectRequest: {
-      const auto req = attest::CollectRequest::deserialize(request);
-      if (!req) {
-        ++stats_.malformed_frames;
-        return;
-      }
-      const auto res = prover_.handle_collect(*req);
-      response = res.response.serialize();
-      response_type = static_cast<uint8_t>(attest::MsgType::kCollectResponse);
-      processing = res.processing;
-      break;
-    }
-    case attest::MsgType::kOdRequest: {
-      const auto req = attest::OdRequest::deserialize(request);
-      if (!req) {
-        ++stats_.malformed_frames;
-        return;
-      }
-      const auto res = prover_.handle_od(*req);
-      if (!res.response) return;  // auth/freshness reject: silent (anti-DoS)
-      response = res.response->serialize();
-      response_type = static_cast<uint8_t>(attest::MsgType::kOdResponse);
-      processing = res.processing;
-      break;
-    }
-    default:
-      return;  // not a request; floods never carry responses
+  attest::Prover::Reply reply =
+      prover_.serve(static_cast<attest::MsgType>(inner_type), request);
+  if (reply.outcome == attest::Prover::Outcome::kMalformed) {
+    ++stats_.malformed_frames;
   }
+  // Not a request (floods never carry responses), or an OD rejected
+  // silently (anti-DoS): no report.
+  if (reply.outcome != attest::Prover::Outcome::kReplied) return;
   ++stats_.requests_served;
 
   RelayReport report;
   report.flood = flood_id;
   report.origin = self_;
   report.hops = 0;
-  report.inner_type = response_type;
+  report.inner_type = static_cast<uint8_t>(reply.type);
   report.path.push_back(self_);
-  report.response = std::move(response);
-  events_.schedule_after(processing,
+  report.response = std::move(reply.body);
+  events_.schedule_after(reply.processing,
                          [this, report = std::move(report)]() mutable {
                            enqueue_report(std::move(report),
                                           /*relayed=*/false);

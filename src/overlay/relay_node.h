@@ -197,9 +197,9 @@ class RelayNode {
   void trace_adversarial(const char* name, const ReportView& report);
   void handle_flood(const FloodView& flood, net::NodeId from);
   void handle_scoped(ScopedRequest request, net::NodeId from);
-  /// Serves one inner attest request via the co-located prover and
-  /// schedules the response report (shared by floods and scoped
-  /// requests).
+  /// Serves one inner attest request via the co-located prover
+  /// (Prover::serve) and schedules the response report (shared by floods
+  /// and scoped requests); an undecodable request is a malformed frame.
   void serve(uint32_t flood_id, uint8_t inner_type, ByteView request);
   /// Reports waiting in the store-and-forward queue.
   size_t queued() const { return queue_out_.size() - queue_head_; }

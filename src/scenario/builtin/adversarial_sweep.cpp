@@ -86,6 +86,7 @@ class AdversarialSweepScenario : public Scenario {
       runner.run(quiet);
 
       const adversary::Engine* engine = runner.adversary_engine();
+      const adversary::Engine::Snapshot snap = engine->snapshot();
       sink.row("sweep",
                {{"tm_min", tm.to_seconds() / 60.0},
                 {"chains", static_cast<uint64_t>(engine->chain_count())},
@@ -94,9 +95,9 @@ class AdversarialSweepScenario : public Scenario {
                 {"detection_probability", engine->detection_probability()},
                 {"detection_latency_min",
                  engine->mean_detection_latency().to_seconds() / 60.0},
-                {"migrations", engine->migrations_total()},
-                {"evasions", engine->evasions_total()},
-                {"captures", engine->captures_total()}});
+                {"migrations", snap.migrations},
+                {"evasions", snap.evasions},
+                {"captures", snap.captures}});
     }
     return 0;
   }

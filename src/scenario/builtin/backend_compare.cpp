@@ -139,6 +139,7 @@ class BackendCompareScenario : public Scenario {
             flagged_rounds += r.flagged > 0;
           }
           const adversary::Engine* engine = runner.adversary_engine();
+          const adversary::Engine::Snapshot snap = engine->snapshot();
           sink.row(
               "compare",
               {{"backend", backend.name},
@@ -154,8 +155,8 @@ class BackendCompareScenario : public Scenario {
                {"detection_probability", engine->detection_probability()},
                {"detection_latency_min",
                 engine->mean_detection_latency().to_seconds() / 60.0},
-               {"migrations", engine->migrations_total()},
-               {"captures", engine->captures_total()}});
+               {"migrations", snap.migrations},
+               {"captures", snap.captures}});
         }
       }
     }

@@ -262,9 +262,10 @@ class SwarmRelayScenario : public Scenario {
       sink.note("detection_probability", engine->detection_probability());
       sink.note("detection_latency_min",
                 engine->mean_detection_latency().to_seconds() / 60.0);
-      sink.note("migrations_total", engine->migrations_total());
-      sink.note("evasions_total", engine->evasions_total());
-      sink.note("captures_total", engine->captures_total());
+      const adversary::Engine::Snapshot snap = engine->snapshot();
+      sink.note("migrations_total", snap.migrations);
+      sink.note("evasions_total", snap.evasions);
+      sink.note("captures_total", snap.captures);
       sink.note("dropped_adversarial_total", totals.dropped_adversarial);
       sink.note("corrupted_adversarial_total", totals.corrupted_adversarial);
       sink.note("sybil_injected_total", totals.sybil_injected);

@@ -2,8 +2,11 @@
 //
 // Every scenario declares its knobs as ParamSpecs (name, default, help) so
 // the erasmus_run CLI can print them and reject typos; at run time the
-// parsed ParamMap hands back typed values with the spec defaults filling
-// the gaps.
+// parsed ParamMap hands back typed values, and each getter call passes
+// its own default for an absent key. That default must equal the spec's:
+// the scenario-digest check (tools/check_scenario_digests.py, ctest
+// `scenario_digests`) reruns every scenario with each spec default passed
+// explicitly and requires the same metrics.
 #pragma once
 
 #include <cstdint>

@@ -151,7 +151,6 @@ class FleetPlan {
   size_t devices() const { return devices_; }
   uint64_t key_seed() const { return key_seed_; }
   FleetPlan& set_devices(size_t n) { devices_ = n; return *this; }
-  FleetPlan& set_key_seed(uint64_t s) { key_seed_ = s; return *this; }
 
   MobilityConfig mobility;
 

@@ -150,8 +150,8 @@ TEST(AdversaryEngine, AwareMalwareEvadesSparseScheduleAndTightOneCatchesIt) {
     runner.run(sink);
     const adversary::Engine& e = *runner.adversary_engine();
     EXPECT_EQ(e.detected_chains(), 0u);
-    EXPECT_EQ(e.captures_total(), 0u);
-    EXPECT_GE(e.migrations_total(), 1u);
+    EXPECT_EQ(e.snapshot().captures, 0u);
+    EXPECT_GE(e.snapshot().migrations, 1u);
   }
   // T_M = 6m << dwell 12m: no host has enough slack; after the evasion
   // budget the malware sits through a measurement and is detected.
@@ -161,7 +161,7 @@ TEST(AdversaryEngine, AwareMalwareEvadesSparseScheduleAndTightOneCatchesIt) {
     runner.run(sink);
     const adversary::Engine& e = *runner.adversary_engine();
     EXPECT_GT(e.detected_chains(), 0u);
-    EXPECT_GT(e.captures_total(), 0u);
+    EXPECT_GT(e.snapshot().captures, 0u);
     EXPECT_GT(e.mean_detection_latency().ns(), 0u);
     EXPECT_EQ(e.detection_probability(),
               static_cast<double>(e.detected_chains()) /
