@@ -82,14 +82,17 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
     return 2;
   }
 
-  // Peel the --trace flags off before ParamMap parsing: they are CLI
-  // concerns, not scenario parameters.
+  // Peel the CLI's own arguments off before ParamMap parsing: the output
+  // paths and the trace filter are not scenario parameters.
+  std::string out_path;
   std::string trace_path;
   std::string trace_filter;
   std::vector<std::string> param_args;
   param_args.reserve(args.size());
   for (const std::string& arg : args) {
-    if (arg.rfind("--trace=", 0) == 0) {
+    if (arg.rfind("out=", 0) == 0) {
+      out_path = arg.substr(4);
+    } else if (arg.rfind("--trace=", 0) == 0) {
       trace_path = arg.substr(8);
     } else if (arg.rfind("--trace-filter=", 0) == 0) {
       trace_filter = arg.substr(15);
@@ -104,25 +107,10 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
 
   ParamMap params;
   try {
-    params = ParamMap::from_args(param_args);
+    params = ParamMap::from_args(param_args, s->param_specs());
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
-
-  const std::string out_path = params.get_str("out", "");
-  ParamMap scenario_params;
-  for (const auto& [key, value] : params.entries()) {
-    if (key != "out") scenario_params.set(key, value);
-  }
-
-  const auto unknown = scenario_params.unknown_keys(s->param_specs());
-  if (!unknown.empty()) {
-    for (const auto& key : unknown) {
-      std::fprintf(stderr, "unknown parameter '%s' for scenario '%s'\n",
-                   key.c_str(), name.c_str());
-    }
-    std::fprintf(stderr, "(see: erasmus_run describe %s)\n", name.c_str());
+    std::fprintf(stderr, "%s\n(see: erasmus_run describe %s)\n", e.what(),
+                 name.c_str());
     return 2;
   }
 
@@ -165,7 +153,7 @@ int cmd_run(const std::string& name, const std::vector<std::string>& args) {
   sink->begin_run(s->name());
   int code = 0;
   try {
-    code = s->run(scenario_params, *sink);
+    code = s->run(params, *sink);
   } catch (const std::exception& e) {
     erasmus::obs::set_global_trace(nullptr);
     std::fprintf(stderr, "scenario '%s' failed: %s\n", name.c_str(),

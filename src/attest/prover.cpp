@@ -195,7 +195,10 @@ Prover::OdResult Prover::handle_od(const OdRequest& req) {
   const sim::Duration auth_cost = config_.profile.request_auth_time();
 
   if (!fresh || !authentic) {
+    // The check itself occupies the prover, so the next request queues
+    // behind it; only the measurement is spared (Fig. 4).
     ++stats_.od_rejected;
+    busy_until_ = std::max(busy_until_, now) + auth_cost;
     result.processing = wait + auth_cost;
     return result;  // silent abort (Fig. 4: "if not OK: abort")
   }

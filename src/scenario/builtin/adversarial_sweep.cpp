@@ -44,16 +44,18 @@ class AdversarialSweepScenario : public Scenario {
 
   int run(const ParamMap& params, MetricsSink& sink) const override {
     const std::vector<Duration> tms =
-        parse_duration_list(params.get_str("tms", "30m,20m,15m,10m,6m,4m"));
-    const Duration dwell =
-        params.get_duration("adversary_dwell", Duration::minutes(12));
+        parse_duration_list(params.get_str("tms"));
+    const Duration dwell = params.get_duration("adversary_dwell");
+    const std::string migration_name = params.get_str("migration");
     const adversary::Migration migration =
-        adversary::parse_migration(params.get_str("migration", "aware"));
+        adversary::parse_migration(migration_name);
+    const size_t devices = static_cast<size_t>(params.get_u64("devices"));
+    const uint64_t seed = params.get_u64("seed");
 
-    sink.note("devices", params.get_u64("devices", 32));
-    sink.note("seed", params.get_u64("seed", 2024));
+    sink.note("devices", static_cast<uint64_t>(devices));
+    sink.note("seed", seed);
     sink.note("dwell_min", dwell.to_seconds() / 60.0);
-    sink.note("migration", params.get_str("migration", "aware"));
+    sink.note("migration", migration_name);
     sink.note("points", static_cast<uint64_t>(tms.size()));
 
     for (const Duration tm : tms) {
@@ -64,20 +66,17 @@ class AdversarialSweepScenario : public Scenario {
       base.store_slots = 64;
 
       ShardedFleetConfig cfg;
-      cfg.plan = swarm::FleetPlan::uniform(
-          static_cast<size_t>(params.get_u64("devices", 32)),
-          params.get_u64("seed", 2024), base);
-      cfg.plan.mobility.seed = params.get_u64("seed", 2024);
-      cfg.threads = static_cast<size_t>(params.get_u64("threads", 1));
-      cfg.rounds = static_cast<size_t>(params.get_u64("rounds", 4));
-      cfg.round_interval =
-          params.get_duration("interval", Duration::minutes(30));
+      cfg.plan = swarm::FleetPlan::uniform(devices, seed, base);
+      cfg.plan.mobility.seed = seed;
+      cfg.threads = static_cast<size_t>(params.get_u64("threads"));
+      cfg.rounds = static_cast<size_t>(params.get_u64("rounds"));
+      cfg.round_interval = params.get_duration("interval");
       cfg.adversary.mode = adversary::Mode::kRoaming;
       cfg.adversary.migration = migration;
       cfg.adversary.dwell = dwell;
       cfg.adversary.chains =
-          static_cast<size_t>(params.get_u64("adversary_chains", 4));
-      cfg.adversary.seed = params.get_u64("seed", 2024);
+          static_cast<size_t>(params.get_u64("adversary_chains"));
+      cfg.adversary.seed = seed;
 
       // Per-point fleet rows would swamp the sweep table; the inner run
       // stays silent and only the campaign outcome is reported.

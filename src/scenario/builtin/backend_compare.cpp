@@ -40,17 +40,15 @@ class BackendCompareScenario : public Scenario {
   }
 
   int run(const ParamMap& params, MetricsSink& sink) const override {
-    const size_t devices =
-        static_cast<size_t>(params.get_u64("devices", 36));
-    const size_t rounds = static_cast<size_t>(params.get_u64("rounds", 3));
-    const Duration interval =
-        params.get_duration("interval", Duration::minutes(30));
+    const size_t devices = static_cast<size_t>(params.get_u64("devices"));
+    const size_t rounds = static_cast<size_t>(params.get_u64("rounds"));
+    const Duration interval = params.get_duration("interval");
+    const uint64_t seed = params.get_u64("seed");
+    const Duration tm = params.get_duration("tm");
 
     sink.note("devices", static_cast<uint64_t>(devices));
-    sink.note("seed", params.get_u64("seed", 2024));
-    sink.note("tm_min",
-              params.get_duration("tm", Duration::minutes(8)).to_seconds() /
-                  60.0);
+    sink.note("seed", seed);
+    sink.note("tm_min", tm.to_seconds() / 60.0);
     sink.note("rounds", static_cast<uint64_t>(rounds));
 
     struct Backend {
@@ -75,20 +73,18 @@ class BackendCompareScenario : public Scenario {
         for (const bool churn : churns) {
           swarm::DeviceSpec base;
           base.profile = swarm::default_profile_for(base.arch);
-          base.tm = params.get_duration("tm", Duration::minutes(8));
+          base.tm = tm;
           base.app_ram_bytes = 2 * 1024;
           base.store_slots = 64;
 
           ShardedFleetConfig cfg;
-          cfg.plan = swarm::FleetPlan::uniform(
-              devices, params.get_u64("seed", 2024), base);
+          cfg.plan = swarm::FleetPlan::uniform(devices, seed, base);
           cfg.plan.mobility.field_size = 300.0;
           cfg.plan.mobility.radio_range = 60.0;
           cfg.plan.mobility.speed_min = mobility.speed_min;
           cfg.plan.mobility.speed_max = mobility.speed_max;
-          cfg.plan.mobility.seed = params.get_u64("seed", 2024);
-          cfg.threads =
-              static_cast<size_t>(params.get_u64("threads", 1));
+          cfg.plan.mobility.seed = seed;
+          cfg.threads = static_cast<size_t>(params.get_u64("threads"));
           cfg.rounds = rounds;
           cfg.round_interval = interval;
 
@@ -110,11 +106,10 @@ class BackendCompareScenario : public Scenario {
 
           cfg.adversary.mode = adversary::Mode::kRoaming;
           cfg.adversary.migration = adversary::Migration::kAware;
-          cfg.adversary.dwell =
-              params.get_duration("adversary_dwell", Duration::minutes(12));
-          cfg.adversary.chains = static_cast<size_t>(
-              params.get_u64("adversary_chains", 3));
-          cfg.adversary.seed = params.get_u64("seed", 2024);
+          cfg.adversary.dwell = params.get_duration("adversary_dwell");
+          cfg.adversary.chains =
+              static_cast<size_t>(params.get_u64("adversary_chains"));
+          cfg.adversary.seed = seed;
           if (churn) {
             // Half-fleet split covering the round-2 collection barrier
             // (rounds land at interval multiples), healing before round

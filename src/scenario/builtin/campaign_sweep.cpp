@@ -38,24 +38,21 @@ class CampaignSweepScenario : public Scenario {
   }
 
   int run(const ParamMap& params, MetricsSink& sink) const override {
-    const Duration tm = params.get_duration("tm", Duration::minutes(10));
-    const Duration tc = params.get_duration("tc", Duration::minutes(60));
-    const Duration horizon =
-        params.get_duration("horizon", Duration::hours(48));
-    const Duration dwell = params.get_duration("dwell", Duration::minutes(15));
-    const bool irregular = params.get_bool("irregular", false);
+    const Duration tm = params.get_duration("tm");
+    const Duration tc = params.get_duration("tc");
+    const Duration horizon = params.get_duration("horizon");
+    const Duration dwell = params.get_duration("dwell");
+    const bool irregular = params.get_bool("irregular");
 
     swarm::DeviceSpec spec;
-    spec.arch = hw::arch_kind_from_string(
-        params.get_str("arch", "smartplus"));
+    spec.arch = hw::arch_kind_from_string(params.get_str("arch"));
     spec.profile = swarm::default_profile_for(spec.arch);
     spec.tm = tm;
     spec.scheduler = irregular ? swarm::SchedulerKind::kIrregular
                                : swarm::SchedulerKind::kRegular;
-    spec.irregular_lower = params.get_duration("irr_lo", Duration::minutes(5));
-    spec.irregular_upper =
-        params.get_duration("irr_hi", Duration::minutes(15));
-    spec.store_slots = static_cast<size_t>(params.get_u64("slots", 64));
+    spec.irregular_lower = params.get_duration("irr_lo");
+    spec.irregular_upper = params.get_duration("irr_hi");
+    spec.store_slots = static_cast<size_t>(params.get_u64("slots"));
     spec.key = bytes_of("cli-device-key-0123456789abcdef!");
 
     sim::EventQueue sim;
@@ -82,10 +79,9 @@ class CampaignSweepScenario : public Scenario {
     malware::CampaignConfig cc;
     cc.horizon = horizon;
     cc.tc = tc;
-    cc.infection_count =
-        static_cast<size_t>(params.get_u64("infections", 20));
+    cc.infection_count = static_cast<size_t>(params.get_u64("infections"));
     cc.dwell = dwell;
-    cc.seed = params.get_u64("seed", 1);
+    cc.seed = params.get_u64("seed");
     const auto result = malware::run_mobile_campaign(sim, *device.prover,
                                                      record, cc);
 

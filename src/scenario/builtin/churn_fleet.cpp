@@ -15,8 +15,6 @@
 namespace erasmus::scenario {
 namespace {
 
-using sim::Duration;
-
 class ChurnFleetScenario : public Scenario {
  public:
   std::string name() const override { return "churn_fleet"; }
@@ -39,33 +37,32 @@ class ChurnFleetScenario : public Scenario {
   }
 
   int run(const ParamMap& params, MetricsSink& sink) const override {
+    const uint64_t seed = params.get_u64("seed");
     swarm::DeviceSpec base;
-    base.tm = params.get_duration("tm", Duration::minutes(10));
+    base.tm = params.get_duration("tm");
     base.app_ram_bytes = 2 * 1024;
     base.store_slots = 32;
 
     ShardedFleetConfig cfg;
     cfg.plan = swarm::FleetPlan::uniform(
-        static_cast<size_t>(params.get_u64("devices", 40)),
-        params.get_u64("seed", 11), base);
+        static_cast<size_t>(params.get_u64("devices")), seed, base);
     cfg.plan.mobility.field_size = 120.0;
     cfg.plan.mobility.radio_range = 50.0;
     cfg.plan.mobility.speed_min = 1.0;
     cfg.plan.mobility.speed_max = 4.0;
-    cfg.plan.mobility.seed = params.get_u64("seed", 11);
-    cfg.threads = static_cast<size_t>(params.get_u64("threads", 1));
-    cfg.rounds = static_cast<size_t>(params.get_u64("rounds", 10));
-    cfg.round_interval =
-        params.get_duration("interval", Duration::minutes(20));
-    cfg.k = static_cast<size_t>(params.get_u64("k", 4));
+    cfg.plan.mobility.seed = seed;
+    cfg.threads = static_cast<size_t>(params.get_u64("threads"));
+    cfg.rounds = static_cast<size_t>(params.get_u64("rounds"));
+    cfg.round_interval = params.get_duration("interval");
+    cfg.k = static_cast<size_t>(params.get_u64("k"));
 
-    const double leave_prob = params.get_double("leave_prob", 0.15);
-    const double rejoin_prob = params.get_double("rejoin_prob", 0.5);
+    const double leave_prob = params.get_double("leave_prob");
+    const double rejoin_prob = params.get_double("rejoin_prob");
     require_probability("leave_prob", leave_prob);
     require_probability("rejoin_prob", rejoin_prob);
 
     sink.note("devices", static_cast<uint64_t>(cfg.plan.devices()));
-    sink.note("seed", params.get_u64("seed", 11));
+    sink.note("seed", seed);
     sink.note("leave_prob", leave_prob);
     sink.note("rejoin_prob", rejoin_prob);
 
@@ -73,8 +70,7 @@ class ChurnFleetScenario : public Scenario {
 
     // Churn runs on the coordinator at barriers with its own RNG stream,
     // so it is deterministic regardless of thread count.
-    auto churn_rng =
-        std::make_shared<sim::Rng>(params.get_u64("seed", 11) ^ 0xC4u);
+    auto churn_rng = std::make_shared<sim::Rng>(seed ^ 0xC4u);
     uint64_t left_total = 0, rejoined_total = 0;
     const swarm::DeviceId root = cfg.root;
     runner.set_round_hook([churn_rng, leave_prob, rejoin_prob, root,

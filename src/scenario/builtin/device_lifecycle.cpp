@@ -50,10 +50,9 @@ class DeviceLifecycleScenario : public Scenario {
     sink.note("provisioned_key_bytes", static_cast<uint64_t>(k_device.size()));
 
     swarm::DeviceSpec spec;
-    spec.arch = hw::arch_kind_from_string(
-        params.get_str("arch", "smartplus"));
+    spec.arch = hw::arch_kind_from_string(params.get_str("arch"));
     spec.profile = swarm::default_profile_for(spec.arch);
-    spec.tm = params.get_duration("tm", Duration::minutes(10));
+    spec.tm = params.get_duration("tm");
     spec.app_ram_bytes = 4 * 1024;
     spec.store_slots = 32;
     spec.key = k_device;
@@ -63,9 +62,8 @@ class DeviceLifecycleScenario : public Scenario {
     attest::Prover& prover = *device.prover;
 
     // --- 2. Steady state: AttestationService over a lossy link ------------
-    net::Network network(sim, Duration::millis(20),
-                         params.get_double("loss", 0.15),
-                         params.get_u64("net_seed", 3));
+    net::Network network(sim, Duration::millis(20), params.get_double("loss"),
+                         params.get_u64("net_seed"));
     const net::NodeId hq = network.add_node({});
     const net::NodeId dev_node = network.add_node({});
     prover.bind(network, dev_node);
@@ -75,8 +73,8 @@ class DeviceLifecycleScenario : public Scenario {
         directory.add(dev_node, swarm::build_device_record(spec, device));
     attest::NetworkTransport transport(network, hq);
     attest::ServiceConfig sc;
-    sc.tc = params.get_duration("tc", Duration::minutes(60));
-    sc.k = static_cast<uint32_t>(params.get_u64("k", 8, UINT32_MAX));
+    sc.tc = params.get_duration("tc");
+    sc.k = static_cast<uint32_t>(params.get_u64_at_most("k", UINT32_MAX));
     sc.response_timeout = Duration::seconds(5);
     sc.max_retries = 3;
     attest::AttestationService service(sim, transport, directory, sc);

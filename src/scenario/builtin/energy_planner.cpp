@@ -22,8 +22,6 @@
 namespace erasmus::scenario {
 namespace {
 
-using sim::Duration;
-
 class EnergyPlannerScenario : public Scenario {
  public:
   std::string name() const override { return "energy_planner"; }
@@ -59,14 +57,13 @@ class EnergyPlannerScenario : public Scenario {
   }
 
   int run(const ParamMap& params, MetricsSink& sink) const override {
-    const size_t devices =
-        static_cast<size_t>(params.get_u64("devices", 50));
-    const double field = params.get_double("field", 300.0);
-    const double range = params.get_double("range", 60.0);
+    const size_t devices = static_cast<size_t>(params.get_u64("devices"));
+    const double field = params.get_double("field");
+    const double range = params.get_double("range");
+    const uint64_t seed = params.get_u64("seed");
 
     swarm::DeviceSpec base;
-    base.arch = hw::arch_kind_from_string(
-        params.get_str("arch", "smartplus"));
+    base.arch = hw::arch_kind_from_string(params.get_str("arch"));
     base.profile = swarm::default_profile_for(base.arch);
     base.app_ram_bytes = 2 * 1024;
     base.store_slots = 64;
@@ -78,7 +75,7 @@ class EnergyPlannerScenario : public Scenario {
     fleet.profile = base.profile;
     fleet.algo = base.algo;
     fleet.attested_bytes = base.app_ram_bytes;
-    fleet.k = static_cast<size_t>(params.get_u64("k", 8));
+    fleet.k = static_cast<size_t>(params.get_u64("k"));
     // Radio neighbourhood from the deployment geometry: expected neighbours
     // in a range-disc, expected relay depth across the field.
     fleet.mean_degree = std::max(
@@ -88,13 +85,12 @@ class EnergyPlannerScenario : public Scenario {
     fleet.mean_hops = std::max(1.0, field / (1.4142135624 * range));
 
     energy::Mission mission;
-    mission.dwell = params.get_duration("dwell", Duration::minutes(8));
-    mission.round_interval =
-        params.get_duration("interval", Duration::minutes(30));
-    mission.rounds = static_cast<size_t>(params.get_u64("rounds", 4));
-    mission.loss = params.get_double("loss", 0.0);
-    mission.infrastructure = params.get_bool("infrastructure", false);
-    mission.device_budget = params.get_energy("budget", sim::Energy{});
+    mission.dwell = params.get_duration("dwell");
+    mission.round_interval = params.get_duration("interval");
+    mission.rounds = static_cast<size_t>(params.get_u64("rounds"));
+    mission.loss = params.get_double("loss");
+    mission.infrastructure = params.get_bool("infrastructure");
+    mission.device_budget = params.get_energy("budget");
 
     const energy::Decision d =
         energy::plan(fleet, mission, obs::global_trace());
@@ -110,14 +106,13 @@ class EnergyPlannerScenario : public Scenario {
     // --- Fly the plan ----------------------------------------------------
     base.tm = d.tm;
     ShardedFleetConfig cfg;
-    cfg.plan = swarm::FleetPlan::uniform(devices,
-                                         params.get_u64("seed", 2024), base);
+    cfg.plan = swarm::FleetPlan::uniform(devices, seed, base);
     cfg.plan.mobility.field_size = field;
     cfg.plan.mobility.radio_range = range;
-    cfg.plan.mobility.speed_min = params.get_double("speed_min", 6.0);
-    cfg.plan.mobility.speed_max = params.get_double("speed_max", 12.0);
-    cfg.plan.mobility.seed = params.get_u64("seed", 2024);
-    cfg.threads = static_cast<size_t>(params.get_u64("threads", 1));
+    cfg.plan.mobility.speed_min = params.get_double("speed_min");
+    cfg.plan.mobility.speed_max = params.get_double("speed_max");
+    cfg.plan.mobility.seed = seed;
+    cfg.threads = static_cast<size_t>(params.get_u64("threads"));
     cfg.rounds = mission.rounds;
     cfg.round_interval = mission.round_interval;
     cfg.k = fleet.k;

@@ -52,15 +52,15 @@ class MixedArchFleetScenario : public Scenario {
   }
 
   int run(const ParamMap& params, MetricsSink& sink) const override {
-    const auto mix = swarm::parse_arch_mix(
-        params.get_str("mix", "smartplus:0.7,hydra:0.3"));
+    const std::string mix_text = params.get_str("mix");
+    const auto mix = swarm::parse_arch_mix(mix_text);
     const std::vector<Duration> classes =
-        parse_duration_list(params.get_str("tm_classes", "5m,20m"));
+        parse_duration_list(params.get_str("tm_classes"));
+    const uint64_t seed = params.get_u64("seed");
 
     ShardedFleetConfig cfg;
-    cfg.plan = swarm::FleetPlan(
-        static_cast<size_t>(params.get_u64("devices", 60)),
-        params.get_u64("seed", 7));
+    cfg.plan =
+        swarm::FleetPlan(static_cast<size_t>(params.get_u64("devices")), seed);
     for (const auto& [kind, weight] : mix) {
       swarm::DeviceSpec spec;
       spec.arch = kind;
@@ -70,30 +70,28 @@ class MixedArchFleetScenario : public Scenario {
       cfg.plan.add_mix(weight, spec);
     }
     cfg.plan.cycle_tm(classes);
-    cfg.plan.mobility.field_size = params.get_double("field", 160.0);
-    cfg.plan.mobility.radio_range = params.get_double("range", 55.0);
+    cfg.plan.mobility.field_size = params.get_double("field");
+    cfg.plan.mobility.radio_range = params.get_double("range");
     cfg.plan.mobility.speed_min = 1.0;
     cfg.plan.mobility.speed_max = 3.0;
-    cfg.plan.mobility.seed = params.get_u64("seed", 7);
-    cfg.threads = static_cast<size_t>(params.get_u64("threads", 1));
-    cfg.rounds = static_cast<size_t>(params.get_u64("rounds", 6));
-    cfg.round_interval =
-        params.get_duration("interval", Duration::minutes(30));
-    cfg.k = static_cast<size_t>(params.get_u64("k", 8));
+    cfg.plan.mobility.seed = seed;
+    cfg.threads = static_cast<size_t>(params.get_u64("threads"));
+    cfg.rounds = static_cast<size_t>(params.get_u64("rounds"));
+    cfg.round_interval = params.get_duration("interval");
+    cfg.k = static_cast<size_t>(params.get_u64("k"));
 
     sink.note("devices", static_cast<uint64_t>(cfg.plan.devices()));
-    sink.note("seed", params.get_u64("seed", 7));
-    sink.note("mix", params.get_str("mix", "smartplus:0.7,hydra:0.3"));
+    sink.note("seed", seed);
+    sink.note("mix", mix_text);
     sink.note("rounds", static_cast<uint64_t>(cfg.rounds));
 
     ShardedFleetRunner runner(cfg);
 
-    const uint64_t infect_raw = params.get_u64("infect_device", 17);
+    const uint64_t infect_raw = params.get_u64("infect_device");
     if (infect_raw < cfg.plan.devices()) {
       runner.schedule_on_device(
           static_cast<swarm::DeviceId>(infect_raw),
-          Time::zero() +
-              params.get_duration("infect_at", Duration::minutes(40)),
+          Time::zero() + params.get_duration("infect_at"),
           [](attest::Prover& p) {
             p.memory().write(p.attested_region(), 32, bytes_of("IMPLANT"),
                              false);

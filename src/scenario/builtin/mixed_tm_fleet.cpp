@@ -40,7 +40,8 @@ class MixedTmFleetScenario : public Scenario {
 
   int run(const ParamMap& params, MetricsSink& sink) const override {
     const std::vector<Duration> classes =
-        parse_duration_list(params.get_str("tm_classes", "5m,10m,20m,40m"));
+        parse_duration_list(params.get_str("tm_classes"));
+    const uint64_t seed = params.get_u64("seed");
 
     swarm::DeviceSpec base;
     base.app_ram_bytes = 2 * 1024;
@@ -48,22 +49,20 @@ class MixedTmFleetScenario : public Scenario {
 
     ShardedFleetConfig cfg;
     cfg.plan = swarm::FleetPlan::uniform(
-        static_cast<size_t>(params.get_u64("devices", 48)),
-        params.get_u64("seed", 7), base);
+        static_cast<size_t>(params.get_u64("devices")), seed, base);
     cfg.plan.cycle_tm(classes);
-    cfg.plan.mobility.field_size = params.get_double("field", 150.0);
-    cfg.plan.mobility.radio_range = params.get_double("range", 55.0);
+    cfg.plan.mobility.field_size = params.get_double("field");
+    cfg.plan.mobility.radio_range = params.get_double("range");
     cfg.plan.mobility.speed_min = 1.0;
     cfg.plan.mobility.speed_max = 3.0;
-    cfg.plan.mobility.seed = params.get_u64("seed", 7);
-    cfg.threads = static_cast<size_t>(params.get_u64("threads", 1));
-    cfg.rounds = static_cast<size_t>(params.get_u64("rounds", 8));
-    cfg.round_interval =
-        params.get_duration("interval", Duration::minutes(30));
-    cfg.k = static_cast<size_t>(params.get_u64("k", 12));
+    cfg.plan.mobility.seed = seed;
+    cfg.threads = static_cast<size_t>(params.get_u64("threads"));
+    cfg.rounds = static_cast<size_t>(params.get_u64("rounds"));
+    cfg.round_interval = params.get_duration("interval");
+    cfg.k = static_cast<size_t>(params.get_u64("k"));
 
     sink.note("devices", static_cast<uint64_t>(cfg.plan.devices()));
-    sink.note("seed", params.get_u64("seed", 7));
+    sink.note("seed", seed);
     sink.note("rounds", static_cast<uint64_t>(cfg.rounds));
 
     ShardedFleetRunner runner(cfg);

@@ -110,15 +110,14 @@ class PlantSensorScenario : public Scenario {
   }
 
   int run(const ParamMap& params, MetricsSink& sink) const override {
-    const Duration tm = params.get_duration("tm", Duration::minutes(20));
-    const Duration task_len =
-        params.get_duration("task", Duration::minutes(2));
-    const Duration horizon =
-        Duration::hours(24 * params.get_u64("days", 7, kMaxDays));
-    const double w = params.get_double("window_factor", 2.0);
+    const Duration tm = params.get_duration("tm");
+    const Duration task_len = params.get_duration("task");
+    const uint64_t days = params.get_u64_at_most("days", kMaxDays);
+    const Duration horizon = Duration::hours(24 * days);
+    const double w = params.get_double("window_factor");
 
     sink.note("tm_min", tm.to_seconds() / 60.0);
-    sink.note("days", params.get_u64("days", 7));
+    sink.note("days", days);
 
     bool lenient_clean = false, lenient_detected = false;
     for (const auto policy : {attest::ConflictPolicy::kMeasureAnyway,

@@ -39,20 +39,17 @@ class QuickstartScenario : public Scenario {
   }
 
   int run(const ParamMap& params, MetricsSink& sink) const override {
-    const Duration tm = params.get_duration("tm", Duration::minutes(10));
-    const Duration tc = params.get_duration("tc", Duration::minutes(60));
-    const Duration unattended =
-        params.get_duration("unattended", Duration::minutes(61));
+    const Duration tm = params.get_duration("tm");
+    const Duration tc = params.get_duration("tc");
+    const Duration unattended = params.get_duration("unattended");
 
     swarm::DeviceSpec spec;
-    spec.arch = hw::arch_kind_from_string(
-        params.get_str("arch", "smartplus"));
+    spec.arch = hw::arch_kind_from_string(params.get_str("arch"));
     spec.profile = swarm::default_profile_for(spec.arch);
     spec.tm = tm;
     spec.app_ram_bytes =
-        static_cast<size_t>(params.get_u64("app_ram_kb", 8)) * 1024;
-    spec.store_slots =
-        static_cast<size_t>(params.get_u64("store_slots", 16));
+        static_cast<size_t>(params.get_u64("app_ram_kb")) * 1024;
+    spec.store_slots = static_cast<size_t>(params.get_u64("store_slots"));
     spec.key = bytes_of("quickstart-key-0123456789abcdef!");
 
     sim::EventQueue sim;

@@ -54,35 +54,33 @@ class SwarmPatrolScenario : public Scenario {
   }
 
   int run(const ParamMap& params, MetricsSink& sink) const override {
+    const uint64_t seed = params.get_u64("seed");
     swarm::DeviceSpec base;
-    base.arch = hw::arch_kind_from_string(
-        params.get_str("arch", "smartplus"));
+    base.arch = hw::arch_kind_from_string(params.get_str("arch"));
     base.profile = swarm::default_profile_for(base.arch);
-    base.tm = params.get_duration("tm", Duration::minutes(10));
+    base.tm = params.get_duration("tm");
     base.app_ram_bytes = 2 * 1024;
     base.store_slots = 64;
 
     ShardedFleetConfig cfg;
     cfg.plan = swarm::FleetPlan::uniform(
-        static_cast<size_t>(params.get_u64("devices", 20)),
-        params.get_u64("seed", 2024), base);
-    cfg.plan.mobility.field_size = params.get_double("field", 200.0);
-    cfg.plan.mobility.radio_range = params.get_double("range", 60.0);
-    cfg.plan.mobility.speed_min = params.get_double("speed_min", 6.0);
-    cfg.plan.mobility.speed_max = params.get_double("speed_max", 12.0);
-    cfg.plan.mobility.seed = params.get_u64("seed", 2024);
-    cfg.threads = static_cast<size_t>(params.get_u64("threads", 1));
-    cfg.rounds = static_cast<size_t>(params.get_u64("rounds", 6));
-    cfg.round_interval =
-        params.get_duration("interval", Duration::minutes(30));
-    cfg.k = static_cast<size_t>(params.get_u64("k", 8));
+        static_cast<size_t>(params.get_u64("devices")), seed, base);
+    cfg.plan.mobility.field_size = params.get_double("field");
+    cfg.plan.mobility.radio_range = params.get_double("range");
+    cfg.plan.mobility.speed_min = params.get_double("speed_min");
+    cfg.plan.mobility.speed_max = params.get_double("speed_max");
+    cfg.plan.mobility.seed = seed;
+    cfg.threads = static_cast<size_t>(params.get_u64("threads"));
+    cfg.rounds = static_cast<size_t>(params.get_u64("rounds"));
+    cfg.round_interval = params.get_duration("interval");
+    cfg.k = static_cast<size_t>(params.get_u64("k"));
     if (params.has("battery")) {
       cfg.energy.metered = true;
-      cfg.energy.battery = params.get_energy("battery", {});
+      cfg.energy.battery = params.get_energy("battery");
     }
 
     sink.note("devices", static_cast<uint64_t>(cfg.plan.devices()));
-    sink.note("seed", params.get_u64("seed", 2024));
+    sink.note("seed", seed);
     sink.note("arch", hw::to_string(base.arch));
     sink.note("tm_min", base.tm.to_seconds() / 60.0);
     sink.note("rounds", static_cast<uint64_t>(cfg.rounds));
@@ -90,13 +88,11 @@ class SwarmPatrolScenario : public Scenario {
     ShardedFleetRunner runner(cfg);
 
     // Range-check before narrowing: a 64-bit id must not wrap into range.
-    const uint64_t infect_raw = params.get_u64("infect_device", 13);
+    const uint64_t infect_raw = params.get_u64("infect_device");
     if (infect_raw < cfg.plan.devices()) {
       const auto infect = static_cast<swarm::DeviceId>(infect_raw);
       runner.schedule_on_device(
-          infect,
-          Time::zero() +
-              params.get_duration("infect_at", Duration::minutes(42)),
+          infect, Time::zero() + params.get_duration("infect_at"),
           [](attest::Prover& p) {
             p.memory().write(p.attested_region(), 64, bytes_of("IMPLANT"),
                              false);

@@ -24,7 +24,6 @@
 namespace erasmus::scenario {
 namespace {
 
-using sim::Duration;
 using sim::Time;
 
 class SwarmRelayScenario : public Scenario {
@@ -104,50 +103,45 @@ class SwarmRelayScenario : public Scenario {
   }
 
   int run(const ParamMap& params, MetricsSink& sink) const override {
+    const uint64_t seed = params.get_u64("seed");
     swarm::DeviceSpec base;
-    base.arch = hw::arch_kind_from_string(
-        params.get_str("arch", "smartplus"));
+    base.arch = hw::arch_kind_from_string(params.get_str("arch"));
     base.profile = swarm::default_profile_for(base.arch);
-    base.tm = params.get_duration("tm", Duration::minutes(10));
+    base.tm = params.get_duration("tm");
     base.app_ram_bytes = 2 * 1024;
     base.store_slots = 64;
 
     ShardedFleetConfig cfg;
     cfg.plan = swarm::FleetPlan::uniform(
-        static_cast<size_t>(params.get_u64("devices", 50)),
-        params.get_u64("seed", 2024), base);
-    cfg.plan.mobility.field_size = params.get_double("field", 300.0);
-    cfg.plan.mobility.radio_range = params.get_double("range", 60.0);
-    cfg.plan.mobility.speed_min = params.get_double("speed_min", 6.0);
-    cfg.plan.mobility.speed_max = params.get_double("speed_max", 12.0);
-    cfg.plan.mobility.seed = params.get_u64("seed", 2024);
-    cfg.threads = static_cast<size_t>(params.get_u64("threads", 1));
-    cfg.rounds = static_cast<size_t>(params.get_u64("rounds", 4));
-    cfg.round_interval =
-        params.get_duration("interval", Duration::minutes(30));
-    cfg.k = static_cast<size_t>(params.get_u64("k", 8));
+        static_cast<size_t>(params.get_u64("devices")), seed, base);
+    cfg.plan.mobility.field_size = params.get_double("field");
+    cfg.plan.mobility.radio_range = params.get_double("range");
+    cfg.plan.mobility.speed_min = params.get_double("speed_min");
+    cfg.plan.mobility.speed_max = params.get_double("speed_max");
+    cfg.plan.mobility.seed = seed;
+    cfg.threads = static_cast<size_t>(params.get_u64("threads"));
+    cfg.rounds = static_cast<size_t>(params.get_u64("rounds"));
+    cfg.round_interval = params.get_duration("interval");
+    cfg.k = static_cast<size_t>(params.get_u64("k"));
 
     cfg.backend = CollectionBackend::kOverlay;
     cfg.overlay.ttl =
-        static_cast<uint8_t>(params.get_u64("ttl", 8, UINT8_MAX));
+        static_cast<uint8_t>(params.get_u64_at_most("ttl", UINT8_MAX));
     cfg.overlay.queue_depth =
-        static_cast<size_t>(params.get_u64("queue_depth", 16));
-    cfg.overlay.forward_spacing =
-        params.get_duration("forward_spacing", Duration::millis(1));
-    cfg.overlay.net_latency =
-        params.get_duration("latency", Duration::millis(2));
-    cfg.overlay.net_loss = params.get_double("loss", 0.0);
-    cfg.overlay.collect_deadline =
-        params.get_duration("deadline", Duration::seconds(30));
-    cfg.overlay.response_timeout =
-        params.get_duration("timeout", Duration::seconds(10));
+        static_cast<size_t>(params.get_u64("queue_depth"));
+    cfg.overlay.forward_spacing = params.get_duration("forward_spacing");
+    cfg.overlay.net_latency = params.get_duration("latency");
+    cfg.overlay.net_loss = params.get_double("loss");
+    cfg.overlay.collect_deadline = params.get_duration("deadline");
+    cfg.overlay.response_timeout = params.get_duration("timeout");
     cfg.overlay.max_retries =
-        static_cast<int>(params.get_u64("retries", 1, INT_MAX));
-    cfg.window = WindowSpec::parse(params.get_str("window", "fleet"));
-    cfg.overlay.scoped_retries = params.get_bool("scoped_retries", false);
+        static_cast<int>(params.get_u64_at_most("retries", INT_MAX));
+    const std::string window = params.get_str("window");
+    cfg.window = WindowSpec::parse(window);
+    cfg.overlay.scoped_retries = params.get_bool("scoped_retries");
     // Loud on anything but the three-valued grammar: a typo silently
     // falling back to per-device relaying would invalidate a 10k bench.
-    const std::string agg = params.get_str("aggregate", "off");
+    const std::string agg = params.get_str("aggregate");
     if (agg == "on") {
       cfg.overlay.aggregation.enabled = true;
       cfg.overlay.aggregation.election.mode =
@@ -159,55 +153,49 @@ class SwarmRelayScenario : public Scenario {
       throw std::invalid_argument(
           "aggregate: expected 'off', 'on' or 'planned', got '" + agg + "'");
     }
-    cfg.overlay.aggregation.election.stride = static_cast<uint32_t>(
-        params.get_u64("aggregate_stride", 2, UINT32_MAX));
-    cfg.overlay.aggregation.window =
-        params.get_duration("aggregate_window", Duration::millis(200));
+    cfg.overlay.aggregation.election.stride = static_cast<uint8_t>(
+        params.get_u64_at_most("aggregate_stride", UINT8_MAX));
+    cfg.overlay.aggregation.window = params.get_duration("aggregate_window");
     if (params.has("battery")) {
       cfg.energy.metered = true;
-      cfg.energy.battery = params.get_energy("battery", {});
+      cfg.energy.battery = params.get_energy("battery");
     }
     // Adversary knobs go through the loud parsers: `adversary=banana` and
     // a unitless `adversary_dwell=12` both throw with the offending value.
-    cfg.adversary.mode =
-        adversary::parse_mode(params.get_str("adversary", "off"));
+    const std::string attacker = params.get_str("adversary");
+    cfg.adversary.mode = adversary::parse_mode(attacker);
     cfg.adversary.migration =
-        adversary::parse_migration(params.get_str("migration", "aware"));
-    cfg.adversary.dwell =
-        params.get_duration("adversary_dwell", Duration::minutes(12));
+        adversary::parse_migration(params.get_str("migration"));
+    cfg.adversary.dwell = params.get_duration("adversary_dwell");
     cfg.adversary.chains =
-        static_cast<size_t>(params.get_u64("adversary_chains", 2));
-    cfg.adversary.first_infection =
-        params.get_duration("adversary_at", Duration::minutes(5));
-    cfg.adversary.seed = params.get_u64("seed", 2024);
-    cfg.adversary.compromised_fraction =
-        params.get_double("compromised", 0.15);
+        static_cast<size_t>(params.get_u64("adversary_chains"));
+    cfg.adversary.first_infection = params.get_duration("adversary_at");
+    cfg.adversary.seed = seed;
+    cfg.adversary.compromised_fraction = params.get_double("compromised");
     cfg.adversary.sybil_per_flood = static_cast<uint32_t>(
-        params.get_u64("sybil_reports", 4, UINT32_MAX));
-    cfg.adversary.corrupt_frames = params.get_bool("relay_corrupt", false);
+        params.get_u64_at_most("sybil_reports", UINT32_MAX));
+    cfg.adversary.corrupt_frames = params.get_bool("relay_corrupt");
 
     sink.note("devices", static_cast<uint64_t>(cfg.plan.devices()));
-    sink.note("seed", params.get_u64("seed", 2024));
+    sink.note("seed", seed);
     sink.note("arch", hw::to_string(base.arch));
     sink.note("tm_min", base.tm.to_seconds() / 60.0);
     sink.note("rounds", static_cast<uint64_t>(cfg.rounds));
     sink.note("ttl", static_cast<uint64_t>(cfg.overlay.ttl));
     sink.note("queue_depth", static_cast<uint64_t>(cfg.overlay.queue_depth));
-    sink.note("window", params.get_str("window", "fleet"));
-    sink.note("scoped_retries", params.get_bool("scoped_retries", false));
+    sink.note("window", window);
+    sink.note("scoped_retries", cfg.overlay.scoped_retries);
     sink.note("aggregate", agg);
-    sink.note("adversary", params.get_str("adversary", "off"));
+    sink.note("adversary", attacker);
 
     ShardedFleetRunner runner(cfg);
 
     // Range-check before narrowing: a 64-bit id must not wrap into range.
-    const uint64_t infect_raw = params.get_u64("infect_device", 13);
+    const uint64_t infect_raw = params.get_u64("infect_device");
     if (infect_raw < cfg.plan.devices()) {
       const auto infect = static_cast<swarm::DeviceId>(infect_raw);
       runner.schedule_on_device(
-          infect,
-          Time::zero() +
-              params.get_duration("infect_at", Duration::minutes(42)),
+          infect, Time::zero() + params.get_duration("infect_at"),
           [](attest::Prover& p) {
             p.memory().write(p.attested_region(), 64, bytes_of("IMPLANT"),
                              false);

@@ -107,36 +107,53 @@ sim::Energy parse_energy(const std::string& text) {
   return sim::Energy{uj};
 }
 
-ParamMap ParamMap::from_args(const std::vector<std::string>& args) {
+ParamMap ParamMap::from_args(const std::vector<std::string>& args,
+                             const std::vector<ParamSpec>& specs) {
   ParamMap map;
+  for (const ParamSpec& spec : specs) {
+    map.values_[spec.key] = spec.default_value;
+  }
+  std::string unknown;
   for (const auto& arg : args) {
     const auto eq = arg.find('=');
     if (eq == std::string::npos || eq == 0) {
       throw std::invalid_argument("expected key=value, got '" + arg + "'");
     }
-    map.set(arg.substr(0, eq), arg.substr(eq + 1));
+    std::string key = arg.substr(0, eq);
+    const auto it = map.values_.find(key);
+    if (it == map.values_.end()) {
+      unknown += (unknown.empty() ? "'" : ", '") + key + "'";
+    } else {
+      it->second = arg.substr(eq + 1);
+      map.given_.insert(std::move(key));
+    }
+  }
+  if (!unknown.empty()) {
+    throw std::invalid_argument("unknown parameter(s) " + unknown);
   }
   return map;
 }
 
-void ParamMap::set(std::string key, std::string value) {
-  entries_[std::move(key)] = std::move(value);
+const std::string& ParamMap::text(std::string_view key) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) {
+    throw std::logic_error("parameter '" + std::string(key) +
+                           "' is read but no ParamSpec declares it");
+  }
+  return it->second;
 }
 
 bool ParamMap::has(std::string_view key) const {
-  return entries_.find(key) != entries_.end();
+  (void)text(key);  // an undeclared key throws here as on every read
+  return given_.find(key) != given_.end();
 }
 
-std::string ParamMap::get_str(std::string_view key,
-                              std::string_view def) const {
-  const auto it = entries_.find(key);
-  return it == entries_.end() ? std::string(def) : it->second;
+std::string ParamMap::get_str(std::string_view key) const {
+  return text(key);
 }
 
-uint64_t ParamMap::get_u64(std::string_view key, uint64_t def) const {
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return def;
-  const std::string& v = it->second;
+uint64_t ParamMap::get_u64(std::string_view key) const {
+  const std::string& v = text(key);
   // strtoull "helpfully" wraps negatives and clamps overflow; require pure
   // digits so devices=-1 fails loudly instead of becoming 2^64 - 1.
   if (v.empty() ||
@@ -152,9 +169,8 @@ uint64_t ParamMap::get_u64(std::string_view key, uint64_t def) const {
   return parsed;
 }
 
-uint64_t ParamMap::get_u64(std::string_view key, uint64_t def,
-                           uint64_t max) const {
-  const uint64_t value = get_u64(key, def);
+uint64_t ParamMap::get_u64_at_most(std::string_view key, uint64_t max) const {
+  const uint64_t value = get_u64(key);
   if (value > max) {
     throw std::invalid_argument("parameter '" + std::string(key) + "': " +
                                 std::to_string(value) +
@@ -164,10 +180,8 @@ uint64_t ParamMap::get_u64(std::string_view key, uint64_t def,
   return value;
 }
 
-double ParamMap::get_double(std::string_view key, double def) const {
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return def;
-  const std::string& v = it->second;
+double ParamMap::get_double(std::string_view key) const {
+  const std::string& v = text(key);
   char* end = nullptr;
   const double parsed = std::strtod(v.c_str(), &end);
   if (v.empty() || end != v.c_str() + v.size() || !std::isfinite(parsed)) {
@@ -176,54 +190,29 @@ double ParamMap::get_double(std::string_view key, double def) const {
   return parsed;
 }
 
-bool ParamMap::get_bool(std::string_view key, bool def) const {
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return def;
-  const std::string& v = it->second;
+bool ParamMap::get_bool(std::string_view key) const {
+  const std::string& v = text(key);
   if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
   if (v == "0" || v == "false" || v == "no" || v == "off") return false;
   bad_value(key, v, "boolean (1/0/true/false/yes/no/on/off)");
 }
 
-sim::Duration ParamMap::get_duration(std::string_view key,
-                                     sim::Duration def) const {
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return def;
+sim::Duration ParamMap::get_duration(std::string_view key) const {
   try {
-    return parse_duration(it->second);
+    return parse_duration(text(key));
   } catch (const std::invalid_argument& e) {
     throw std::invalid_argument("parameter '" + std::string(key) +
                                 "': " + e.what());
   }
 }
 
-sim::Energy ParamMap::get_energy(std::string_view key,
-                                 sim::Energy def) const {
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return def;
+sim::Energy ParamMap::get_energy(std::string_view key) const {
   try {
-    return parse_energy(it->second);
+    return parse_energy(text(key));
   } catch (const std::invalid_argument& e) {
     throw std::invalid_argument("parameter '" + std::string(key) +
                                 "': " + e.what());
   }
-}
-
-std::vector<std::string> ParamMap::unknown_keys(
-    const std::vector<ParamSpec>& specs) const {
-  std::vector<std::string> unknown;
-  for (const auto& [key, value] : entries_) {
-    (void)value;
-    bool found = false;
-    for (const auto& spec : specs) {
-      if (spec.key == key) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) unknown.push_back(key);
-  }
-  return unknown;
 }
 
 }  // namespace erasmus::scenario

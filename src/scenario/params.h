@@ -1,16 +1,19 @@
 // Scenario parameters: string key=value pairs with typed accessors.
 //
-// Every scenario declares its knobs as ParamSpecs (name, default, help) so
-// the erasmus_run CLI can print them and reject typos; at run time the
-// parsed ParamMap hands back typed values, and each getter call passes
-// its own default for an absent key. That default must equal the spec's:
-// the scenario-digest check (tools/check_scenario_digests.py, ctest
-// `scenario_digests`) reruns every scenario with each spec default passed
-// explicitly and requires the same metrics.
+// Every scenario declares its knobs as ParamSpecs (name, default, help).
+// The erasmus_run CLI prints them, and ParamMap::from_args rejects any key
+// they do not declare. The map holds each spec's default text until a
+// given value replaces it, so a spec's default is the only default a knob
+// has: an absent key reads it through the same parser as a given value,
+// and no getter takes a default of its own. `describe`, the README knob
+// table and the run therefore cannot disagree, and a scenario that reads
+// a key it never declared throws std::logic_error instead of quietly
+// using a literal.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,44 +54,47 @@ struct ParamSpec {
 
 class ParamMap {
  public:
+  /// A map that declares nothing: every read throws std::logic_error.
   ParamMap() = default;
 
-  /// Parses "key=value" tokens. Throws std::invalid_argument on a token
-  /// without '=' or with an empty key.
-  static ParamMap from_args(const std::vector<std::string>& args);
+  /// Parses "key=value" tokens against `specs`. Throws
+  /// std::invalid_argument on a token without '=' or with an empty key,
+  /// and names every key that no spec declares in one error. A key given
+  /// twice keeps its last value.
+  static ParamMap from_args(const std::vector<std::string>& args,
+                            const std::vector<ParamSpec>& specs);
 
-  void set(std::string key, std::string value);
+  /// True only for a key given in the arguments, not for one that reads
+  /// its spec's default.
   bool has(std::string_view key) const;
 
-  /// Typed getters; `def` is returned when the key is absent. A present but
-  /// unparsable value throws std::invalid_argument naming the key.
-  std::string get_str(std::string_view key, std::string_view def) const;
-  uint64_t get_u64(std::string_view key, uint64_t def) const;
+  /// Typed getters: the given value, else the key's spec default, through
+  /// the same parser. An unparsable value throws std::invalid_argument
+  /// naming the key; a key no spec declares throws std::logic_error.
+  std::string get_str(std::string_view key) const;
+  uint64_t get_u64(std::string_view key) const;
   /// get_u64 bounded above, for knobs narrowed to a smaller type or scaled
   /// into the nanosecond clock: a value over `max` throws
   /// std::invalid_argument naming the key, the value and `max`, instead of
   /// silently wrapping into some other experiment.
-  uint64_t get_u64(std::string_view key, uint64_t def, uint64_t max) const;
-  double get_double(std::string_view key, double def) const;
-  bool get_bool(std::string_view key, bool def) const;
+  uint64_t get_u64_at_most(std::string_view key, uint64_t max) const;
+  double get_double(std::string_view key) const;
+  bool get_bool(std::string_view key) const;
   /// Duration with a required unit ("10m", "90s", "2h" -- see
   /// parse_duration). Every T_M/T_C-style knob goes through this, so CLI
   /// users never guess whether a raw number means seconds or minutes.
-  sim::Duration get_duration(std::string_view key, sim::Duration def) const;
+  sim::Duration get_duration(std::string_view key) const;
   /// Energy with a required unit ("40mJ", "2J" -- see parse_energy).
-  sim::Energy get_energy(std::string_view key, sim::Energy def) const;
-
-  /// Sorted key -> value view (deterministic iteration for sinks).
-  const std::map<std::string, std::string, std::less<>>& entries() const {
-    return entries_;
-  }
-
-  /// Keys present here but not in `specs` (CLI typo detection).
-  std::vector<std::string> unknown_keys(
-      const std::vector<ParamSpec>& specs) const;
+  sim::Energy get_energy(std::string_view key) const;
 
  private:
-  std::map<std::string, std::string, std::less<>> entries_;
+  /// The given value, else the spec default; std::logic_error when no
+  /// spec declares `key`.
+  const std::string& text(std::string_view key) const;
+
+  /// Every declared key, holding its given value or its spec default.
+  std::map<std::string, std::string, std::less<>> values_;
+  std::set<std::string, std::less<>> given_;
 };
 
 }  // namespace erasmus::scenario

@@ -301,6 +301,16 @@ TEST(OnDemand, ForgedRequestSilentlyAborted) {
   EXPECT_LT(res.processing.ns(),
             rig.prover.config().profile
                 .measurement_time(MacAlgo::kHmacSha256, 2048).ns());
+  // But the check is not free: a collect at the same instant queues
+  // behind it, taking exactly the check's time longer than on a twin
+  // device that saw no forged request.
+  EXPECT_EQ(res.processing, rig.prover.config().profile.request_auth_time());
+  Rig twin;
+  twin.prover.start();
+  twin.run_for(Duration::minutes(45));
+  const CollectRequest collect{4};
+  EXPECT_EQ(rig.prover.handle_collect(collect).processing,
+            twin.prover.handle_collect(collect).processing + res.processing);
 }
 
 TEST(OnDemand, StaleRequestRejected) {

@@ -2,6 +2,7 @@
 // (lookup, listing, duplicate rejection), and the built-in scenario set.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -11,68 +12,169 @@
 namespace erasmus::scenario {
 namespace {
 
-TEST(ParamMap, ParsesKeyValueTokens) {
-  const auto params =
-      ParamMap::from_args({"devices=100", "seed=42", "name=fleet"});
-  EXPECT_EQ(params.get_u64("devices", 0), 100u);
-  EXPECT_EQ(params.get_u64("seed", 0), 42u);
-  EXPECT_EQ(params.get_str("name", ""), "fleet");
-  EXPECT_EQ(params.get_u64("absent", 7), 7u);
-  EXPECT_TRUE(params.has("devices"));
-  EXPECT_FALSE(params.has("absent"));
+// A map over `args` whose specs declare each given key with an empty
+// default: for the parser cases, where only given values are read.
+ParamMap given(const std::vector<std::string>& args) {
+  std::vector<ParamSpec> specs;
+  for (const std::string& arg : args) {
+    specs.push_back({arg.substr(0, arg.find('=')), "", "test knob"});
+  }
+  return ParamMap::from_args(args, specs);
 }
 
-TEST(ParamMap, RejectsMalformedTokens) {
-  EXPECT_THROW(ParamMap::from_args({"devices"}), std::invalid_argument);
-  EXPECT_THROW(ParamMap::from_args({"=5"}), std::invalid_argument);
+// `what` names every part, each as the error prints it.
+void expect_names(const std::string& what,
+                  const std::vector<std::string>& parts) {
+  for (const std::string& part : parts) {
+    EXPECT_NE(what.find(part), std::string::npos) << what;
+  }
+}
+
+TEST(ParamMap, ParsesKeyValueTokens) {
+  const auto params = ParamMap::from_args(
+      {"devices=100", "name=fleet", "devices=120"},
+      {{"devices", "10", ""}, {"seed", "42", ""}, {"name", "", ""}});
+  EXPECT_EQ(params.get_u64("devices"), 120u) << "the last value wins";
+  EXPECT_EQ(params.get_str("name"), "fleet");
+  EXPECT_EQ(params.get_u64("seed"), 42u) << "absent: the spec default";
+  // has() is true only for keys given, never for one read by default.
+  EXPECT_TRUE(params.has("devices"));
+  EXPECT_FALSE(params.has("seed"));
+}
+
+// The CLI's typo check: a token without '=' is refused, and every key no
+// spec declares is named in one error, not only the first.
+TEST(ParamMap, FromArgsRejectsMalformedAndUndeclaredKeys) {
+  const std::vector<ParamSpec> specs = {{"devices", "10", ""},
+                                        {"seed", "1", ""}};
+  EXPECT_THROW(ParamMap::from_args({"devices"}, specs),
+               std::invalid_argument);
+  EXPECT_THROW(ParamMap::from_args({"=5"}, specs), std::invalid_argument);
+  EXPECT_NO_THROW(ParamMap::from_args({"devices=5", "seed=2"}, specs));
+  try {
+    ParamMap::from_args({"devices=5", "sed=42", "thread=2", "sed=1"}, specs);
+    ADD_FAILURE() << "undeclared keys accepted";
+  } catch (const std::invalid_argument& e) {
+    expect_names(e.what(), {"'sed'", "'thread'"});
+    EXPECT_EQ(std::string(e.what()).find("devices"), std::string::npos)
+        << e.what();
+  }
+}
+
+// The spec is the only default: an absent key reads its default text
+// through the parser a given value goes through, so a malformed default
+// fails as loudly as a malformed value, naming the key.
+TEST(ParamMap, AbsentKeysReadTheirSpecDefault) {
+  using sim::Duration;
+  const auto params = ParamMap::from_args(
+      {}, {{"tm", "30m", ""},
+           {"n", "7", ""},
+           {"f", "0.25", ""},
+           {"b", "on", ""},
+           {"e", "40mJ", ""},
+           {"s", "smartplus", ""},
+           {"bad_tm", "30", ""},
+           {"bad_n", "12x", ""},
+           {"bad_e", "", ""}});
+  EXPECT_EQ(params.get_duration("tm"), Duration::minutes(30));
+  EXPECT_EQ(params.get_u64("n"), 7u);
+  EXPECT_DOUBLE_EQ(params.get_double("f"), 0.25);
+  EXPECT_TRUE(params.get_bool("b"));
+  EXPECT_DOUBLE_EQ(params.get_energy("e").millijoules(), 40.0);
+  EXPECT_EQ(params.get_str("s"), "smartplus");
+  for (const char* key : {"tm", "n", "f", "b", "e", "s"}) {
+    EXPECT_FALSE(params.has(key)) << key;
+  }
+
+  const auto throws_naming = [](auto read, const char* key) {
+    try {
+      read();
+      ADD_FAILURE() << "malformed default of '" << key << "' accepted";
+    } catch (const std::invalid_argument& e) {
+      expect_names(e.what(), {std::string("'") + key + "'"});
+    }
+  };
+  throws_naming([&] { params.get_duration("bad_tm"); }, "bad_tm");
+  throws_naming([&] { params.get_u64("bad_n"); }, "bad_n");
+  throws_naming([&] { params.get_energy("bad_e"); }, "bad_e");
+}
+
+// Reading a key no spec declares is a bug in the scenario, not a user
+// error: std::logic_error naming the key, never the invalid_argument a
+// bad value gets, and never a quiet fallback.
+TEST(ParamMap, ReadingAnUndeclaredKeyThrowsLogicError) {
+  const auto params = ParamMap::from_args({"devices=5"},
+                                          {{"devices", "10", ""}});
+  const std::vector<std::function<void()>> reads = {
+      [&] { params.get_str("absent"); },
+      [&] { params.get_u64("absent"); },
+      [&] { params.get_u64_at_most("absent", 9); },
+      [&] { params.get_double("absent"); },
+      [&] { params.get_bool("absent"); },
+      [&] { params.get_duration("absent"); },
+      [&] { params.get_energy("absent"); },
+      [&] { params.has("absent"); },
+  };
+  for (const auto& read : reads) {
+    try {
+      read();
+      ADD_FAILURE() << "an undeclared key was read";
+    } catch (const std::invalid_argument& e) {
+      ADD_FAILURE() << "undeclared read reported as a bad value: "
+                    << e.what();
+    } catch (const std::logic_error& e) {
+      expect_names(e.what(), {"'absent'"});
+    }
+  }
+  EXPECT_THROW(ParamMap{}.get_u64("devices"), std::logic_error);
 }
 
 TEST(ParamMap, TypedGettersValidate) {
-  const auto params = ParamMap::from_args(
+  const auto params = given(
       {"n=12x", "f=0.25", "b1=yes", "b2=off", "bad=maybe", "e=40mJ"});
-  EXPECT_THROW(params.get_u64("n", 0), std::invalid_argument);
-  EXPECT_DOUBLE_EQ(params.get_double("f", 0.0), 0.25);
-  EXPECT_TRUE(params.get_bool("b1", false));
-  EXPECT_FALSE(params.get_bool("b2", true));
-  EXPECT_THROW(params.get_bool("bad", false), std::invalid_argument);
-  EXPECT_DOUBLE_EQ(params.get_energy("e", {}).millijoules(), 40.0);
+  EXPECT_THROW(params.get_u64("n"), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(params.get_double("f"), 0.25);
+  EXPECT_TRUE(params.get_bool("b1"));
+  EXPECT_FALSE(params.get_bool("b2"));
+  EXPECT_THROW(params.get_bool("bad"), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(params.get_energy("e").millijoules(), 40.0);
 
   // Non-finite numbers are no number a knob can mean: strtod accepts
   // them (and overflows to inf), so the getters must refuse, naming the
   // value.
   for (const char* bad : {"nan", "NaN", "inf", "-inf", "infinity", "1e400"}) {
-    const auto p = ParamMap::from_args({std::string("x=") + bad});
+    const auto p = given({std::string("x=") + bad});
     try {
-      p.get_double("x", 0.0);
+      p.get_double("x");
       ADD_FAILURE() << "'" << bad << "' accepted as a number";
     } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find(bad), std::string::npos)
-          << e.what();
+      expect_names(e.what(), {bad});
     }
   }
   for (const char* bad : {"infJ", "nanmJ", "-infJ", "1e308kJ", "-5J"}) {
-    const auto p = ParamMap::from_args({std::string("battery=") + bad});
+    const auto p = given({std::string("battery=") + bad});
     try {
-      p.get_energy("battery", {});
+      p.get_energy("battery");
       ADD_FAILURE() << "'" << bad << "' accepted as an energy";
     } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find(bad), std::string::npos)
-          << e.what();
+      expect_names(e.what(), {bad});
     }
   }
 
   // A bounded integer knob refuses a value past its type instead of
-  // wrapping, naming the key, the value and the largest accepted value.
-  const auto bounded = ParamMap::from_args({"ttl=255", "big=256"});
-  EXPECT_EQ(bounded.get_u64("ttl", 8, 255), 255u);
-  EXPECT_EQ(bounded.get_u64("absent", 8, 255), 8u);
-  try {
-    bounded.get_u64("big", 8, 255);
-    ADD_FAILURE() << "256 accepted under a bound of 255";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    for (const char* part : {"'big'", "256", "255"}) {
-      EXPECT_NE(what.find(part), std::string::npos) << what;
+  // wrapping, naming the key, the value and the largest accepted value;
+  // the bound holds for a spec default too.
+  const auto bounded = ParamMap::from_args(
+      {"ttl=255", "big=256"},
+      {{"ttl", "8", ""}, {"big", "8", ""}, {"wide", "300", ""}});
+  EXPECT_EQ(bounded.get_u64_at_most("ttl", 255), 255u);
+  for (const auto& [key, value] :
+       {std::pair{"big", "256"}, std::pair{"wide", "300"}}) {
+    try {
+      bounded.get_u64_at_most(key, 255);
+      ADD_FAILURE() << key << " accepted over a bound of 255";
+    } catch (const std::invalid_argument& e) {
+      expect_names(e.what(), {std::string("'") + key + "'", value, "255"});
     }
   }
   EXPECT_EQ(kMaxDays, 213503u) << "24 h x days must fit the ns clock";
@@ -80,27 +182,22 @@ TEST(ParamMap, TypedGettersValidate) {
 
 TEST(ParamMap, ParsesHumanFriendlyDurations) {
   using sim::Duration;
-  const auto params = ParamMap::from_args(
-      {"tm=10m", "tc=90s", "horizon=2h", "blip=250ms", "week=7d",
-       "frac=1.5h"});
-  EXPECT_EQ(params.get_duration("tm", Duration{}), Duration::minutes(10));
-  EXPECT_EQ(params.get_duration("tc", Duration{}), Duration::seconds(90));
-  EXPECT_EQ(params.get_duration("horizon", Duration{}), Duration::hours(2));
-  EXPECT_EQ(params.get_duration("blip", Duration{}), Duration::millis(250));
-  EXPECT_EQ(params.get_duration("week", Duration{}), Duration::hours(24 * 7));
-  EXPECT_EQ(params.get_duration("frac", Duration{}), Duration::minutes(90));
-  EXPECT_EQ(params.get_duration("absent", Duration::minutes(3)),
-            Duration::minutes(3));
+  const auto params = given({"tm=10m", "tc=90s", "horizon=2h", "blip=250ms",
+                             "week=7d", "frac=1.5h"});
+  EXPECT_EQ(params.get_duration("tm"), Duration::minutes(10));
+  EXPECT_EQ(params.get_duration("tc"), Duration::seconds(90));
+  EXPECT_EQ(params.get_duration("horizon"), Duration::hours(2));
+  EXPECT_EQ(params.get_duration("blip"), Duration::millis(250));
+  EXPECT_EQ(params.get_duration("week"), Duration::hours(24 * 7));
+  EXPECT_EQ(params.get_duration("frac"), Duration::minutes(90));
   // "min" spelling is accepted too.
   EXPECT_EQ(parse_duration("5min"), Duration::minutes(5));
 }
 
 TEST(ParamMap, RejectsBadDurations) {
-  using sim::Duration;
   for (const char* bad : {"10", "m", "", "10q", "-5m", "10 m", "nanm"}) {
-    const auto params = ParamMap::from_args({std::string("tm=") + bad});
-    EXPECT_THROW(params.get_duration("tm", Duration{}),
-                 std::invalid_argument)
+    const auto params = given({std::string("tm=") + bad});
+    EXPECT_THROW(params.get_duration("tm"), std::invalid_argument)
         << "'" << bad << "' must be rejected";
   }
 }
@@ -114,15 +211,6 @@ TEST(ParamMap, ParsesDurationLists) {
   EXPECT_THROW(parse_duration_list(""), std::invalid_argument);
   EXPECT_THROW(parse_duration_list("5m,"), std::invalid_argument);
   EXPECT_THROW(parse_duration_list("5m,,10m"), std::invalid_argument);
-}
-
-TEST(ParamMap, UnknownKeysAgainstSpecs) {
-  const std::vector<ParamSpec> specs = {{"devices", "10", ""},
-                                        {"seed", "1", ""}};
-  const auto params = ParamMap::from_args({"devices=5", "sed=42"});
-  const auto unknown = params.unknown_keys(specs);
-  ASSERT_EQ(unknown.size(), 1u);
-  EXPECT_EQ(unknown[0], "sed");
 }
 
 class DummyScenario : public Scenario {
@@ -191,9 +279,9 @@ TEST(ScenarioRegistry, BuiltinsDeclareTheirParams) {
 }
 
 // Integer knobs that used to wrap silently (ttl=256 flooded with TTL 0,
-// k=4294967297 collected one record, days=213504 simulated 25 minutes)
-// fail before the run, naming the key, the value and the largest value
-// the knob accepts.
+// k=4294967297 collected one record, days=213504 simulated 25 minutes,
+// aggregate_stride=258 elected heads at stride 2) fail before the run,
+// naming the key, the value and the largest value the knob accepts.
 TEST(ScenarioRegistry, WrappingIntegerKnobsAreRejected) {
   struct Case {
     const char* scenario;
@@ -210,8 +298,8 @@ TEST(ScenarioRegistry, WrappingIntegerKnobsAreRejected) {
       {"swarm_relay", {"k=4294967297"}, "k", "4294967297", "4294967295"},
       {"mixed_arch_fleet", {"k=4294967297"}, "k", "4294967297",
        "4294967295"},
-      {"swarm_relay", {"aggregate_stride=4294967296"}, "aggregate_stride",
-       "4294967296", "4294967295"},
+      {"swarm_relay", {"aggregate_stride=256"}, "aggregate_stride", "256",
+       "255"},
       {"swarm_relay", {"sybil_reports=4294967296"}, "sybil_reports",
        "4294967296", "4294967295"},
       {"device_lifecycle", {"k=4294967297"}, "k", "4294967297",
@@ -227,7 +315,7 @@ TEST(ScenarioRegistry, WrappingIntegerKnobsAreRejected) {
     std::ostringstream out;
     JsonSink sink(out);
     try {
-      s->run(ParamMap::from_args(c.args), sink);
+      s->run(ParamMap::from_args(c.args, s->param_specs()), sink);
       ADD_FAILURE() << c.scenario << " " << c.args[0] << " accepted";
     } catch (const std::invalid_argument& e) {
       const std::string what = e.what();
@@ -246,7 +334,7 @@ TEST(ScenarioRegistry, QuickstartRunsClean) {
   std::ostringstream out;
   JsonSink sink(out);
   sink.begin_run(s->name());
-  EXPECT_EQ(s->run(ParamMap{}, sink), 0);
+  EXPECT_EQ(s->run(ParamMap::from_args({}, s->param_specs()), sink), 0);
   sink.end_run();
   EXPECT_NE(out.str().find("\"trustworthy\": true"), std::string::npos);
 }

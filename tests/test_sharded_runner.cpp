@@ -520,7 +520,8 @@ TEST(ShardedFleetRunner, SwarmPatrolScenarioThreadCountInvariant) {
     sink.begin_run(s->name());
     const int code = s->run(
         ParamMap::from_args(
-            {"devices=40", "seed=42", std::string("threads=") + threads}),
+            {"devices=40", "seed=42", std::string("threads=") + threads},
+            s->param_specs()),
         sink);
     EXPECT_EQ(code, 0);
     sink.end_run();

@@ -4,6 +4,8 @@
 # Fails if
 #  * the knob table misses a knob `erasmus_run describe swarm_relay`
 #    prints, or lists one the CLI no longer has;
+#  * a knob's Default cell differs from the default `describe` prints
+#    (`*(empty)*` stands for an empty default);
 #  * the scenario list differs from `erasmus_run list --names`;
 #  * a README list of trace categories differs from the one `describe`
 #    prints for --trace-filter.
@@ -41,6 +43,22 @@ table_knobs=$(sed -n '/knob-table:begin/,/knob-table:end/p' "$readme" |
   awk -F'|' '/^\| `/{gsub(/[` ]/, "", $2); print $2}' | sort -u)
 [ -n "$table_knobs" ] || { echo "no knob table found in $readme" >&2; exit 1; }
 same_set "knob table" "$cli_knobs" "$table_knobs"
+
+# Defaults: "name default" per knob from both sides, the CLI's from the
+# "(default VALUE)" column (empty for an empty default), the README's from
+# the Default cell. Every knob both sides list must agree.
+cli_defaults=$(echo "$describe" |
+  sed -n 's/^  \([^ =]*\)[^ ]* *(default \([^ ]*\) *) .*/\1 \2/p')
+table_defaults=$(sed -n '/knob-table:begin/,/knob-table:end/p' "$readme" |
+  awk -F'|' '/^\| `/{gsub(/[` ]/, "", $2); gsub(/[` ]/, "", $3)
+    if ($3 == "*(empty)*") $3 = ""; print $2, $3}')
+bad_defaults=$(printf '%s\n--\n%s\n' "$cli_defaults" "$table_defaults" |
+  awk '$0 == "--" { table = 1; next }
+       !table { cli[$1] = $2; next }
+       ($1 in cli) && cli[$1] != $2 {
+         printf "README knob table default of %s is \"%s\", describe " \
+                "prints \"%s\"\n", $1, $2, cli[$1] }')
+[ -z "$bad_defaults" ] || { echo "$bad_defaults" >&2; status=1; }
 
 # Scenario names: `list --names` vs the bullets between the
 # scenario-list markers.
@@ -80,5 +98,6 @@ for list in $readme_cats; do
 done
 
 [ $status -eq 0 ] &&
-  echo "README knob table, scenario list and trace categories match the CLI"
+  echo "README knob table (names and defaults), scenario list and trace" \
+       "categories match the CLI"
 exit $status

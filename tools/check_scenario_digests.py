@@ -10,8 +10,11 @@ For each scenario `ERASMUS_RUN list --names` prints, two runs:
   in DIGESTS. A scenario with no entry, or an entry with no scenario,
   fails by name.
 * With every non-empty default that `describe` prints passed explicitly:
-  the metrics must equal the default run's. A getter default that
-  drifted from its ParamSpec runs a different experiment here.
+  the metrics must equal the default run's. Getters take no default of
+  their own, so an absent knob already reads its ParamSpec's default;
+  what this catches is a scenario that treats a default passed
+  explicitly differently from an absent knob, such as a `has()` branch
+  on a knob whose default is not empty.
 
 --update rewrites DIGESTS from the default runs instead of comparing
 (the explicit-default check still runs). Regenerate deliberately, from
@@ -81,8 +84,9 @@ def run_scenario(exe, scenario, workdir):
         failures.append(
             f"{scenario}: explicit defaults ({' '.join(knobs)}) give other "
             f"metrics than the defaults (exit {rerun.returncode} vs "
-            f"{base.returncode}): a getter default differs from its "
-            f"ParamSpec\n{rerun.stderr}")
+            f"{base.returncode}): the scenario treats an explicit default "
+            f"differently from an absent knob (a has() branch on a knob "
+            f"with a non-empty default?)\n{rerun.stderr}")
     return digest, failures
 
 
